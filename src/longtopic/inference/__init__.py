@@ -7,11 +7,9 @@ from .loss import Batch, CorpusArrays, LossResult, longitudinal_loss
 from .networks import (
     EncoderParams,
     PosteriorMoments,
-    PosteriorSample,
     StageEncoder,
     counterfactual_encode,
     encode,
-    reparameterize,
 )
 from .terms import (
     DISTANCE_KINDS,
@@ -39,7 +37,6 @@ __all__ = [
     "FittedModel",
     "LossResult",
     "PosteriorMoments",
-    "PosteriorSample",
     "StageEncoder",
     "TrainConfig",
     "counterfactual_encode",
@@ -54,7 +51,6 @@ __all__ = [
     "longitudinal_loss",
     "mi_term",
     "param_registry",
-    "reparameterize",
     "save_model",
     "train",
 ]

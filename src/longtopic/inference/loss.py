@@ -27,6 +27,12 @@ through eta_{t,j}, the stage-(t+1) prior mean through f_{t+1}(eta_{t,j}, ...),
 and the stage-(t+1) encoder inputs (factual and counterfactual) through the
 recurrent previous-mean slot. Missing cells keep the recurrent chain alive but
 contribute no terms.
+
+Each stage costs a fixed number of batched kernels whatever C and M are: one
+encoder pass whose counterfactual heads share the factual trunk, one
+transition pass over the B * M Monte-Carlo rows, and the reconstruction
+evaluated at the nonzero counts only (a zero count adds nothing to the
+likelihood or its gradient).
 """
 
 from __future__ import annotations
@@ -37,7 +43,7 @@ import numpy as np
 
 from ..errors import NumericError, ShapeError, UnknownDistance
 from ..model import PROB_FLOOR, column_softmax, encode_groups, softmax
-from .terms import DISTANCE_KINDS, distance_with_grad
+from .terms import DISTANCE_KINDS, _kl_rows, distance_with_grad
 
 
 @dataclass
@@ -137,19 +143,19 @@ def longitudinal_loss(batch, gen, enc, cfg, eps, want_grads=True,
         bcols = None
 
     # ---- forward ----------------------------------------------------------
-    mu = [None] * T
+    # the counterfactual encodings enter only as shifts of the factual group
+    # columns, so each stage runs one encoder pass over the 1 + C heads
+    shifts = (np.stack(batch.cf_encs) - batch.y_enc if C
+              else np.zeros((0, B, batch.y_enc.shape[1])))
+    mu = [None] * T             # (1 + C, B, K), factual first
     sg = [None] * T
     enc_caches = [None] * T
-    mu_cf = [[None] * C for _ in range(T)]
-    sg_cf = [[None] * C for _ in range(T)]
-    cf_caches = [[None] * C for _ in range(T)]
     eta = [None] * T            # (B, M, K)
     theta = [None] * T          # (B, M, K)
-    ratio = [None] * T          # (B, M, V) masked counts / probs
-    mu0_first = None
-    tr_cache_first = None
-    mu0 = [None] * T            # t >= 1: (B, M, K)
-    tr_caches = [[None] * M for _ in range(T)]
+    cells = [None] * T          # (b, v) indices of the nonzero counts
+    ratio = [None] * T          # (nnz, M) counts / probs at those cells
+    mu0 = [None] * T            # t = 0: (B, K); t >= 1: (B, M, K)
+    tr_caches = [None] * T
     dists = [None] * T
 
     kl_t = np.zeros(T)
@@ -157,56 +163,53 @@ def longitudinal_loss(batch, gen, enc, cfg, eps, want_grads=True,
     dist_t = np.zeros(T)
 
     prev_mean = np.broadcast_to(gen.eta0, (B, K))
-    eta0_tile = np.broadcast_to(gen.eta0, (B, K))
     for t in range(T):
         inp = np.concatenate([wn[:, t], x[:, t], batch.y_enc, prev_mean],
                              axis=1)
-        mu[t], sg[t], enc_caches[t] = enc.stages[t].forward(inp)
-        for c in range(C):
-            inp_c = np.concatenate(
-                [wn[:, t], x[:, t], batch.cf_encs[c], prev_mean], axis=1)
-            mu_cf[t][c], sg_cf[t][c], cf_caches[t][c] = \
-                enc.stages[t].forward(inp_c)
-        eta[t] = mu[t][:, None, :] + eps[:, t] * sg[t][:, None, :]
+        mu[t], sg[t], enc_caches[t] = enc.stages[t].forward(inp, shifts)
+        mu_q, sg_q = mu[t][0], sg[t][0]
+        eta[t] = mu_q[:, None, :] + eps[:, t] * sg_q[:, None, :]
 
-        # prior means
+        # prior means: sample-free at the first stage, otherwise one
+        # transition pass over all B * M Monte-Carlo rows
         if t == 0:
-            tin = np.concatenate([eta0_tile, x[:, 0], batch.y_enc], axis=1)
-            mu0_first, tr_cache_first = gen.transitions[0].forward(tin)
-            kl_rows = _kl_sum(mu[0], sg[0], mu0_first, s0)
-            kl_t[0] = scale * M * float(pm[:, 0] @ kl_rows)
+            tin = np.concatenate([prev_mean, x[:, 0], batch.y_enc], axis=1)
+            mu0[0], tr_caches[0] = gen.transitions[0].forward(tin)
+            kl_t[0] = scale * M * float(
+                pm[:, 0] @ _kl_rows(mu_q, sg_q, mu0[0], s0))
         else:
-            mu0[t] = np.empty((B, M, K))
-            acc = 0.0
-            for j in range(M):
-                tin = np.concatenate([eta[t - 1][:, j], x[:, t],
-                                      batch.y_enc], axis=1)
-                mu0[t][:, j], tr_caches[t][j] = gen.transitions[t].forward(tin)
-                acc += float(pm[:, t] @ _kl_sum(mu[t], sg[t],
-                                                mu0[t][:, j], s0))
-            kl_t[t] = scale * acc
+            side = np.concatenate([x[:, t], batch.y_enc], axis=1)
+            tin = np.concatenate(
+                [eta[t - 1], np.broadcast_to(
+                    side[:, None], (B, M, side.shape[1]))],
+                axis=2).reshape(B * M, -1)
+            out, tr_caches[t] = gen.transitions[t].forward(tin)
+            mu0[t] = out.reshape(B, M, K)
+            kl_t[t] = scale * float(pm[:, t] @ _kl_rows(
+                mu_q[:, None], sg_q[:, None], mu0[t], s0).sum(axis=1))
 
-        # multinomial reconstruction
+        # multinomial reconstruction, evaluated at the nonzero counts only
         theta[t] = softmax(eta[t], axis=2)
         bc = bcols if stage_b is None else stage_b[t]
-        probs = theta[t] @ bc.T                          # (B, M, V)
-        logp = np.log(np.maximum(probs, PROB_FLOOR))
-        nll_t[t] = scale * float(
-            (pm[:, t][:, None] * (counts[:, t][:, None, :] * logp).sum(
-                axis=2)).sum())
+        rows, cols = cells[t] = np.nonzero(counts[:, t] > 0)
+        c_nz = counts[rows, t, cols]
+        probs = (theta[t].reshape(B * M, K) @ bc.T).reshape(B, M, V)
+        p_nz = probs[rows, :, cols]                           # (nnz, M)
+        logp = np.log(np.maximum(p_nz, PROB_FLOOR))
+        nll_t[t] = scale * float(((pm[rows, t] * c_nz) @ logp).sum())
         if want_grads:
             ratio[t] = np.divide(
-                np.broadcast_to(counts[:, t][:, None, :], probs.shape),
-                probs, out=np.zeros_like(probs), where=probs > PROB_FLOOR)
+                np.broadcast_to(c_nz[:, None], p_nz.shape), p_nz,
+                out=np.zeros_like(p_nz), where=p_nz > PROB_FLOOR)
 
         # group distance (independent of j)
         if use_dist:
             d, dgmu, dgs, dgmu_c, dgs_c = distance_with_grad(
-                kind, mu[t], sg[t], mu_cf[t], sg_cf[t])
-            dists[t] = (dgmu, dgs, dgmu_c, dgs_c)
+                kind, mu_q, sg_q, list(mu[t][1:]), list(sg[t][1:]))
+            dists[t] = (dgmu, dgs, np.stack(dgmu_c), np.stack(dgs_c))
             dist_t[t] = float(pm[:, t] @ d) / B
 
-        prev_mean = mu[t]
+        prev_mean = mu_q
 
     loss = float(kl_t.sum() - nll_t.sum() - w_d * dist_t.sum())
     components = {"kl": kl_t, "nll": nll_t, "dist": dist_t}
@@ -230,75 +233,69 @@ def longitudinal_loss(batch, gen, enc, cfg, eps, want_grads=True,
     else:
         gb_stage = np.zeros((T, V, K))
     pending_gmu = np.zeros((B, K))
-    pending_geta = None  # (B, M, K) gradient into eta[t] from stage t+1
+    pending_geta = np.zeros((B, M, K))  # into eta[t] from stage t + 1
     for t in range(T - 1, -1, -1):
-        gmu_t = pending_gmu
-        gs_t = np.zeros((B, K))
-        geta = pending_geta if pending_geta is not None \
-            else np.zeros((B, M, K))
-        geta_prev = np.zeros((B, M, K)) if t >= 1 else None
+        mu_q, sg_q = mu[t][0], sg[t][0]
+        geta = pending_geta
 
         # KL term: d/dmu_q = (mu_q - mu0)/s0^2, d/dsigma = -1/sg + sg/s0^2,
         # d/dmu0 = -(mu_q - mu0)/s0^2
+        w = scale * pm[:, t][:, None]
+        gsig = -1.0 / sg_q + sg_q / s0 ** 2
         if t == 0:
-            w = (scale * M) * pm[:, 0][:, None]
-            diff = mu[0] - mu0_first
-            gmu_t = gmu_t + w * diff / s0 ** 2
-            gs_t += w * (-1.0 / sg[0] + sg[0] / s0 ** 2)
-            gin, tg = gen.transitions[0].backward(
-                tr_cache_first, -w * diff / s0 ** 2)
-            for name, val in tg.items():
-                add(f"{trans_key(0)}.{name}", val)
+            gdiff = (M * w) * (mu_q - mu0[0]) / s0 ** 2
+            gmu_t = pending_gmu + gdiff
+            gs_t = (M * w) * gsig
+            _, tg = gen.transitions[0].backward(tr_caches[0], -gdiff)
         else:
-            w = scale * pm[:, t][:, None]
-            gsig_common = -1.0 / sg[t] + sg[t] / s0 ** 2
-            for j in range(M):
-                diff = mu[t] - mu0[t][:, j]
-                gmu_t = gmu_t + w * diff / s0 ** 2
-                gs_t += w * gsig_common
-                gin, tg = gen.transitions[t].backward(
-                    tr_caches[t][j], -w * diff / s0 ** 2)
-                for name, val in tg.items():
-                    add(f"{trans_key(t)}.{name}", val)
-                geta_prev[:, j] += gin[:, :K]
+            gdiff = w[:, :, None] * (mu_q[:, None] - mu0[t]) / s0 ** 2
+            gmu_t = pending_gmu + gdiff.sum(axis=1)
+            gs_t = M * w * gsig
+            gin, tg = gen.transitions[t].backward(
+                tr_caches[t], -gdiff.reshape(B * M, K))
+            pending_geta = gin[:, :K].reshape(B, M, K)
+        for name, val in tg.items():
+            add(f"{trans_key(t)}.{name}", val)
 
-        # multinomial term through eta
-        u = -scale * pm[:, t][:, None, None]          # (B, 1, 1)
-        ur = u * ratio[t]                             # (B, M, V)
+        # multinomial term through eta: the scaled count/prob ratio scattered
+        # into a dense (B, M, V) buffer, then two matmuls
+        rows, cols = cells[t]
+        R = np.zeros((B, M, V))
+        R[rows, :, cols] = (-scale * pm[rows, t])[:, None] * ratio[t]
         bc = bcols if stage_b is None else stage_b[t]
-        gtheta = ur @ bc                              # (B, M, K)
+        R = R.reshape(B * M, V)
+        gtheta = (R @ bc).reshape(B, M, K)
+        gb = R.T @ theta[t].reshape(B * M, K)
         if stage_b is None:
-            gb_acc += np.einsum("bmv,bmk->vk", ur, theta[t])
+            gb_acc += gb
         else:
-            gb_stage[t] = np.einsum("bmv,bmk->vk", ur, theta[t])
+            gb_stage[t] = gb
         inner = (gtheta * theta[t]).sum(axis=2, keepdims=True)
-        geta += theta[t] * (gtheta - inner)
+        geta = geta + theta[t] * (gtheta - inner)
 
-        # distance term
+        # route eta gradients into (mu, sigma)
+        gmu_t = gmu_t + geta.sum(axis=1)
+        gs_t += (geta * eps[:, t]).sum(axis=1)
+
+        # distance term: factual and counterfactual heads
+        gmu_all = np.zeros((1 + C, B, K))
+        gs_all = np.zeros((1 + C, B, K))
         if use_dist:
             dgmu, dgs, dgmu_c, dgs_c = dists[t]
             uw = (-w_d / B) * pm[:, t][:, None]
             gmu_t = gmu_t + uw * dgmu
             gs_t += uw * dgs
-        # route eta gradients into (mu, sigma)
-        gmu_t = gmu_t + geta.sum(axis=1)
-        gs_t += (geta * eps[:, t]).sum(axis=1)
+            gmu_all[1:] = uw * dgmu_c
+            gs_all[1:] = uw * dgs_c
+        gmu_all[0] = gmu_t
+        gs_all[0] = gs_t
 
-        # encoder backward: factual, then counterfactuals (all share stage-t
-        # parameters and the same recurrent previous-mean input)
-        gin_f, eg = enc.stages[t].backward(enc_caches[t], gmu_t, gs_t)
+        # one encoder backward for every head (all share the stage-t
+        # parameters and the recurrent previous-mean input)
+        gin, eg = enc.stages[t].backward(enc_caches[t], gmu_all, gs_all)
         for name, val in eg.items():
             add(f"enc{t}.{name}", val)
-        gprev = gin_f[:, -K:].copy()
-        if use_dist:
-            for c in range(C):
-                gin_c, eg = enc.stages[t].backward(
-                    cf_caches[t][c], uw * dgmu_c[c], uw * dgs_c[c])
-                for name, val in eg.items():
-                    add(f"enc{t}.{name}", val)
-                gprev += gin_c[:, -K:]
-        pending_gmu = gprev
-        pending_geta = geta_prev
+        pending_gmu = gin[:, -K:]
 
     # beta through the per-column softmax
     if stage_b is None:
@@ -307,9 +304,3 @@ def longitudinal_loss(batch, gen, enc, cfg, eps, want_grads=True,
     else:
         grads["bcols_stage"] = gb_stage
     return LossResult(loss=loss, grads=grads, components=components)
-
-
-def _kl_sum(mu, s, mu0, s0):
-    """(B,) KL rows against a shared scalar prior scale."""
-    return np.sum(np.log(s0 / s) + (s ** 2 + (mu - mu0) ** 2)
-                  / (2.0 * s0 ** 2) - 0.5, axis=1)

@@ -12,7 +12,9 @@ information; at the first stage it is the prior eta0.
 Counterfactual moments reuse the *same* network with the group encoding
 replaced by a non-factual group, all other inputs (including the factual
 previous mean) unchanged — so for two groups a double flip returns the factual
-moments exactly.
+moments exactly. Since only the group columns differ, `forward` takes the
+counterfactuals as group shifts of the factual input: one trunk product, one
+head product over the stacked rows, and a matching backward.
 
 All gradients here are hand-derived; `backward` returns both parameter
 gradients and the input gradient so the training loop can chain stages.
@@ -50,18 +52,6 @@ class PosteriorMoments:
 
 
 @dataclass
-class PosteriorSample:
-    eta_q: np.ndarray  # (K,) = mu + eps * sigma
-    eps: np.ndarray    # (K,) the standard-normal draw
-
-
-def reparameterize(moments, eps):
-    """eta_q = mu + eps * sigma, elementwise."""
-    eps = np.asarray(eps, dtype=np.float64)
-    return PosteriorSample(eta_q=moments.mu + eps * moments.sigma, eps=eps)
-
-
-@dataclass
 class StageEncoder:
     V: int
     P: int
@@ -94,32 +84,52 @@ class StageEncoder:
         return [("Wh", self.Wh), ("bh", self.bh), ("Wm", self.Wm),
                 ("bm", self.bm), ("Ws", self.Ws), ("bs", self.bs)]
 
-    def forward(self, inp):
-        """inp (B, D) -> (mu (B, K), sigma (B, K), cache)."""
+    def forward(self, inp, group_shifts=None):
+        """inp (B, D) -> (mu (B, K), sigma (B, K), cache).
+
+        group_shifts (C, B, E), when given, holds C counterfactual group
+        encodings minus the factual one. The trunk pre-activation is then
+        computed once and shifted through the group columns of Wh for each
+        counterfactual, and mu, sigma are stacked (1 + C, B, K) with the
+        factual moments first."""
         inp = np.asarray(inp, dtype=np.float64)
         if inp.ndim != 2 or inp.shape[1] != self.in_dim:
             raise ShapeError(
                 f"encoder input must be (B, {self.in_dim}); got {inp.shape}")
-        h = np.tanh(inp @ self.Wh.T + self.bh)
+        pre = inp @ self.Wh.T + self.bh
+        if group_shifts is not None:
+            lo = self.V + self.P
+            shifted = pre + group_shifts @ self.Wh[:, lo:lo + self.E].T
+            pre = np.concatenate([pre[None], shifted]).reshape(-1, self.H)
+        h = np.tanh(pre)
         mu = h @ self.Wm.T + self.bm
         z = h @ self.Ws.T + self.bs
         raw = softplus(z)
         sigma = np.maximum(raw, SIGMA_MIN)
-        return mu, sigma, (inp, h, z, raw)
+        if group_shifts is not None:
+            mu = mu.reshape(-1, inp.shape[0], self.K)
+            sigma = sigma.reshape(mu.shape)
+        return mu, sigma, (inp, group_shifts, h, z, raw)
 
     def backward(self, cache, gmu, gsigma):
-        """Upstream (B, K) gradients on mu and sigma -> (input gradient (B, D),
-        {param: grad}). The scale path has zero gradient where the floor binds."""
-        inp, h, z, raw = cache
-        gz = gsigma * sigmoid(z) * (raw > SIGMA_MIN)
-        gh = gmu @ self.Wm + gz @ self.Ws
-        gpre = gh * (1.0 - h * h)
-        grads = {
-            "Wh": gpre.T @ inp, "bh": gpre.sum(axis=0),
-            "Wm": gmu.T @ h, "bm": gmu.sum(axis=0),
-            "Ws": gz.T @ h, "bs": gz.sum(axis=0),
-        }
-        return gpre @ self.Wh, grads
+        """Upstream gradients on mu and sigma, shaped like forward's output ->
+        (input gradient (B, D), {param: grad}). With group shifts the heads'
+        trunk gradients are summed onto the shared input. The scale path has
+        zero gradient where the floor binds."""
+        inp, shifts, h, z, raw = cache
+        gmu = gmu.reshape(z.shape)
+        gz = gsigma.reshape(z.shape) * sigmoid(z) * (raw > SIGMA_MIN)
+        gpre = (gmu @ self.Wm + gz @ self.Ws) * (1.0 - h * h)
+        B = inp.shape[0]
+        gtrunk = gpre.reshape(-1, B, self.H).sum(axis=0)
+        grads = {"Wh": gtrunk.T @ inp, "bh": gtrunk.sum(axis=0),
+                 "Wm": gmu.T @ h, "bm": gmu.sum(axis=0),
+                 "Ws": gz.T @ h, "bs": gz.sum(axis=0)}
+        if shifts is not None:
+            lo = self.V + self.P
+            grads["Wh"][:, lo:lo + self.E] += \
+                gpre[B:].T @ shifts.reshape(-1, self.E)
+        return gtrunk @ self.Wh, grads
 
 
 @dataclass

@@ -31,6 +31,7 @@ from ..model import (
     GenerativeParams,
     TransitionModel,
     column_softmax,
+    encode_groups,
     group_encoding_dim,
     softmax,
 )
@@ -264,15 +265,21 @@ def train(corpus, gen, enc, cfg):
 
 
 def encode_corpus(fitted, corpus):
-    """Factual posterior moments for every cell: two (T, N, K) arrays."""
-    arrays = CorpusArrays(corpus)
+    """Factual posterior moments for every cell: two (T, N, K) arrays.
+    Each stage's relative frequencies are formed in its own step, by the
+    same division as CorpusArrays, so no second (N, T, V) copy is held."""
+    W = corpus.dense_counts()
+    y_enc = encode_groups(corpus.groups, corpus.n_groups)
     N, T, K = corpus.n_subjects, corpus.n_stages, fitted.gen.n_topics
     mu_all = np.zeros((T, N, K))
     sg_all = np.zeros((T, N, K))
     prev = np.broadcast_to(fitted.gen.eta0, (N, K))
     for t in range(T):
-        inp = np.concatenate(
-            [arrays.wn[:, t], arrays.x[:, t], arrays.y_enc, prev], axis=1)
+        totals = W[:, t].sum(axis=1, keepdims=True)
+        wn = np.divide(W[:, t], totals, out=np.zeros_like(W[:, t]),
+                       where=totals > 0)
+        inp = np.concatenate([wn, corpus.covariates[:, t], y_enc, prev],
+                             axis=1)
         mu_all[t], sg_all[t], _ = fitted.enc.stages[t].forward(inp)
         prev = mu_all[t]
     return mu_all, sg_all

@@ -54,13 +54,14 @@ def collapsed_word_distribution(theta, beta):
 
 def multinomial_log_likelihood(counts, theta, beta):
     """Sum_v counts_v * log p_v under the collapsed word distribution,
-    probabilities floored at 1e-12 before the log (never -inf)."""
+    probabilities clipped to [1e-12, 1] before the log (never -inf, never
+    positive when a mixture rounds just above 1)."""
     counts = np.asarray(counts, dtype=np.float64)
     p = collapsed_word_distribution(theta, beta)
     if counts.shape != p.shape:
         raise ShapeError(
             f"counts has shape {counts.shape}, expected {p.shape}")
-    return float(counts @ np.log(np.maximum(p, PROB_FLOOR)))
+    return float(counts @ np.log(np.clip(p, PROB_FLOOR, 1.0)))
 
 
 def group_encoding_dim(n_groups):

@@ -5,7 +5,11 @@ from longtopic.corpus import Corpus
 from longtopic.errors import ShapeError, UnknownDistance
 from longtopic.inference.loss import CorpusArrays, longitudinal_loss
 from longtopic.inference.networks import counterfactual_encode, encode
-from longtopic.inference.terms import gaussian_kl_term, group_distance
+from longtopic.inference.terms import (
+    DISTANCE_KINDS,
+    gaussian_kl_term,
+    group_distance,
+)
 from longtopic.inference.trainer import TrainConfig, default_init
 from longtopic.model import (
     column_softmax,
@@ -235,3 +239,87 @@ def test_stage_bcols_replaces_shared_topics():
     assert res_stk.loss == pytest.approx(res_def.loss, abs=1e-12)
     assert "beta" not in res_stk.grads and "bcols_stage" in res_stk.grads
     assert res_stk.grads["bcols_stage"].shape == (2, 6, 2)
+
+
+def _oracle_corpus(G):
+    # a missing cell, and words with zero count in every present cell
+    rng = np.random.default_rng(20 + G)
+    N, T, V, P = 6, 3, 7, 2
+    counts = rng.integers(0, 5, size=(N, T, V)).astype(float)
+    counts[:, :, 0] = 0.0
+    counts[:, :, 1] += 1.0
+    counts[2, 1] = 0.0
+    groups = np.arange(N) % G
+    return Corpus.from_dense(counts, rng.standard_normal((N, T, P)), groups,
+                             default_vocab(V), allow_missing=True,
+                             n_groups=G)
+
+
+def _reference_components(corpus, gen, enc, cfg, eps):
+    """Per-document, per-sample, per-counterfactual evaluation of the
+    objective's stage components, built from the one-document oracles."""
+    arrays = CorpusArrays(corpus)
+    N, T = corpus.n_subjects, corpus.n_stages
+    M = eps.shape[2]
+    kl, nll, dist = np.zeros(T), np.zeros(T), np.zeros(T)
+    for i in range(N):
+        y, y_enc = corpus.groups[i], arrays.y_enc[i]
+        prev, eta_prev = np.asarray(gen.eta0), None
+        for t in range(T):
+            w, x = arrays.counts[i, t], corpus.covariates[i, t]
+            post = encode(w, x, y, prev, enc, t)
+            etas = post.mu + eps[i, t] * post.sigma
+            if arrays.present[i, t]:
+                sources = [gen.eta0] if t == 0 else list(eta_prev)
+                for src in sources:
+                    tin = np.concatenate([src, x, y_enc])
+                    mu0, _ = gen.transitions[t].forward(tin[None, :])
+                    kl[t] += gaussian_kl_term(post.mu, post.sigma, mu0[0],
+                                              gen.sigma0) / len(sources)
+                for eta in etas:
+                    theta = np.exp(eta - eta.max())
+                    nll[t] += multinomial_log_likelihood(
+                        w, theta / theta.sum(), gen.beta) / M
+                if cfg.dist_kind != "none":
+                    cfs = counterfactual_encode(w, x, y, prev, enc, t)
+                    dist[t] += group_distance(cfg.dist_kind, post, cfs)
+            prev, eta_prev = post.mu, etas
+    return {"kl": kl / N, "nll": nll / N, "dist": dist / N}
+
+
+@pytest.mark.parametrize("G", [2, 4])
+@pytest.mark.parametrize("kind", DISTANCE_KINDS)
+def test_components_match_per_document_oracle(kind, G):
+    corpus = _oracle_corpus(G)
+    cfg = make_cfg(n_topics=3, m_samples=4, dist_kind=kind, dist_weight=0.7,
+                   hidden_trans=3)
+    eps = np.random.default_rng(G).standard_normal((6, 3, 4, 3))
+    gen, enc, res = loss_of(corpus, cfg, eps)
+    ref = _reference_components(corpus, gen, enc, cfg, eps)
+    for name in ("kl", "nll", "dist"):
+        np.testing.assert_allclose(res.components[name], ref[name],
+                                   rtol=1e-10, atol=0, err_msg=name)
+
+
+@pytest.mark.parametrize("G", [2, 4])
+def test_shared_trunk_counterfactuals_match_reencoding(G):
+    corpus = _oracle_corpus(G)
+    cfg = make_cfg(n_topics=3)
+    _, enc = default_init(corpus, cfg)
+    arrays = CorpusArrays(corpus)
+    N, t = corpus.n_subjects, 1
+    prev = np.random.default_rng(G).standard_normal((N, 3))
+    inp = np.concatenate([arrays.wn[:, t], arrays.x[:, t], arrays.y_enc,
+                          prev], axis=1)
+    shifts = np.stack(arrays.cf_encs) - arrays.y_enc
+    mu, sigma, _ = enc.stages[t].forward(inp, shifts)
+    assert mu.shape == sigma.shape == (G, N, 3)
+    for i in range(N):
+        args = (arrays.counts[i, t], corpus.covariates[i, t],
+                corpus.groups[i], prev[i], enc, t)
+        posts = [encode(*args)] + counterfactual_encode(*args)
+        for c, post in enumerate(posts):
+            np.testing.assert_allclose(mu[c, i], post.mu, rtol=1e-12,
+                                       atol=1e-12)
+            np.testing.assert_allclose(sigma[c, i], post.sigma, rtol=1e-12,
+                                       atol=1e-12)

@@ -101,6 +101,15 @@ def test_multinomial_ll_nonpositive(seed):
     assert multinomial_log_likelihood(counts, theta, beta) <= 0.0
 
 
+def test_multinomial_ll_nonpositive_when_mixture_rounds_above_one():
+    # V=1: every topic puts all mass on the one word, and this theta's
+    # float dot product is 1 + 2.2e-16, whose log alone would be positive
+    theta = np.array([0.56, 0.33, 0.11])
+    beta = np.array([[0.3, -1.2, 2.0]])
+    assert collapsed_word_distribution(theta, beta)[0] > 1.0
+    assert multinomial_log_likelihood(np.array([4.0]), theta, beta) == 0.0
+
+
 def test_multinomial_ll_maximized_at_aggregated_counts():
     # separable topics: sigma(beta) = identity blocks over V=2, K=2
     beta = np.array([[40.0, -40.0], [-40.0, 40.0]])
