@@ -48,12 +48,9 @@ from .inference import (
 from .model import (
     GenerativeParams,
     TransitionModel,
-    collapsed_word_distribution,
     column_softmax,
     forward_sample,
-    multinomial_log_likelihood,
     softmax,
-    transition_mean,
 )
 from .simulate import GroundTruth, SimConfig, load_truth, save_truth, simulate
 
@@ -82,7 +79,6 @@ __all__ = [
     "UnknownDistance",
     "VocabMismatch",
     "align_topics",
-    "collapsed_word_distribution",
     "column_softmax",
     "default_init",
     "dominant_accuracy",
@@ -97,7 +93,6 @@ __all__ = [
     "load_model",
     "load_truth",
     "longitudinal_loss",
-    "multinomial_log_likelihood",
     "perplexity",
     "save_corpus",
     "save_model",
@@ -105,6 +100,5 @@ __all__ = [
     "simulate",
     "softmax",
     "train",
-    "transition_mean",
     "umass_coherence",
 ]

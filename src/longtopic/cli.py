@@ -142,7 +142,6 @@ def cmd_simulate(cfg):
     scfg = _sim_config(cfg)
     corpus, truth = simulate(scfg)
     corpus_dir = os.path.join(out, "corpus")
-    os.makedirs(corpus_dir, exist_ok=True)
     save_corpus(corpus, corpus_dir)
     save_truth(truth, os.path.join(out, "truth.json"))
     print(f"wrote {corpus_dir} ({corpus.n_subjects} subjects,"
@@ -161,9 +160,8 @@ def cmd_fit(cfg):
     save_model(fitted, model_path)
     with open(os.path.join(out, "train_log.json"), "w",
               encoding="utf-8") as f:
-        json.dump({"log": fitted.log, "converged": fitted.converged},
-                  f, sort_keys=True, indent=2)
-        f.write("\n")
+        f.write(json.dumps({"log": fitted.log, "converged": fitted.converged},
+                           sort_keys=True, indent=2) + "\n")
     print(f"wrote {model_path}; final loss {fitted.log[-1]['loss']:.6f}"
           f" after {fitted.log[-1]['epoch']} epochs"
           f" (converged={fitted.converged})")
@@ -199,10 +197,9 @@ def cmd_infer(cfg):
     theta = infer_proportions(fitted, corpus)
     path = os.path.join(out, "proportions.json")
     with open(path, "w", encoding="utf-8") as f:
-        json.dump({"theta": theta.tolist(),
-                   "order": "stage, subject, topic"},
-                  f, sort_keys=True)
-        f.write("\n")
+        f.write(json.dumps({"theta": theta.tolist(),
+                            "order": "stage, subject, topic"},
+                           sort_keys=True) + "\n")
     print(f"wrote {path}")
     return 0
 
@@ -240,7 +237,6 @@ def cmd_pipeline(cfg):
         tcfg = _train_config(sub)
         corpus, truth = simulate(scfg)
         corpus_dir = os.path.join(seed_dir, "corpus")
-        os.makedirs(corpus_dir, exist_ok=True)
         save_corpus(corpus, corpus_dir)
         save_truth(truth, os.path.join(seed_dir, "truth.json"))
         fitted = _fit(corpus, tcfg)

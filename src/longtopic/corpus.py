@@ -23,8 +23,10 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
 from dataclasses import dataclass, field
+from itertools import chain, compress, islice
 
 import numpy as np
 
@@ -42,6 +44,8 @@ VOCAB_FILE = "vocab.txt"
 DOCS_FILE = "docs.jsonl"
 META_FILE = "meta.csv"
 GROUPS_FILE = "groups.csv"
+BAD_KEY = -2**63  # word index standing for a key that int() refused
+BLOCK = 256  # records checked and assembled together
 
 
 @dataclass
@@ -68,11 +72,37 @@ class Corpus:
               n_groups=None):
         """Validate and assemble a corpus.
 
-        records: iterable of (subject, stage, {word_index: count}).
+        records: iterable of (subject, stage, {word_index: count}). Keys go
+        through int(), so "1" and 1 name one word and their counts add up;
+        zero counts are dropped.
         covariates: (N, T, P) array-like; groups: (N,) labels; vocab: V words.
         Validation is total: malformed input raises a named error, never returns
         a partially built corpus.
         """
+        return cls._from_blocks(_record_blocks(records), covariates, groups,
+                                vocab, allow_missing, n_groups)
+
+    @classmethod
+    def from_dense(cls, counts, covariates, groups, vocab, allow_missing=False,
+                   n_groups=None):
+        """Build from a dense (N, T, V) count tensor; zero-total cells are
+        treated as missing."""
+        counts = np.asarray(counts)
+        if counts.ndim != 3:
+            raise ShapeError(f"counts must be (N, T, V); got {counts.shape}")
+        if counts.dtype.kind not in "biuf":
+            raise FormatError(f"counts must be numeric, not {counts.dtype}")
+        return cls._from_blocks(_dense_blocks(counts), covariates, groups,
+                                vocab, allow_missing, n_groups)
+
+    @classmethod
+    def _from_blocks(cls, blocks, covariates, groups, vocab, allow_missing,
+                     n_groups):
+        """The one construction path, a block of records at a time so that
+        the flat arrays stay small next to the cells they fill. Record r puts
+        the next lens[r] (word, count) entries into cell (subj[r], stage[r]).
+        keys and values, the entries as given or None, name a key int()
+        refused and, when all are ints, are the objects the cells hold."""
         vocab = list(vocab)
         if not vocab:
             raise FormatError("vocabulary is empty")
@@ -113,43 +143,29 @@ class Corpus:
             raise FormatError("covariates contain non-finite values")
 
         docs = [[None] * T for _ in range(N)]
-        for subject, stage, counts in records:
-            if not (0 <= subject < N):
-                raise MissingLabel(f"subject {subject} has no group label")
-            if not (0 <= stage < T):
-                raise FormatError(f"stage {stage} outside 0..{T - 1}")
-            if docs[subject][stage] is not None:
-                raise DuplicateDocument(
-                    f"duplicate document for subject {subject}, stage {stage}")
-            cell = {}
-            for v, c in counts.items():
-                try:
-                    v = int(v)
-                except (TypeError, ValueError) as e:
-                    raise FormatError(f"bad word index {v!r}") from e
-                if not (0 <= v < V):
-                    raise VocabMismatch(
-                        f"word index {v} outside vocabulary of size {V}")
-                try:
-                    ok = not isinstance(c, bool) and c == int(c)
-                except (TypeError, ValueError):
-                    ok = False
-                if not ok:
-                    raise FormatError(f"count for word {v} is not an integer")
-                c = int(c)
-                if c < 0:
-                    raise FormatError(f"negative count for word {v}")
-                if c > 0:
-                    cell[v] = cell.get(v, 0) + c
-            if not cell:
-                raise FormatError(
-                    f"document (subject {subject}, stage {stage}) has zero total"
-                    " count")
-            docs[subject][stage] = cell
-
-        present = np.array(
-            [[docs[i][t] is not None for t in range(T)] for i in range(N)],
-            dtype=bool)
+        present = np.zeros((N, T), dtype=bool)
+        for subj, stage, lens, words, counts, keys, values in blocks:
+            rec = np.repeat(np.arange(lens.size), lens)
+            _check_entries(subj, stage, lens, rec, words, counts, present, V,
+                           keys)
+            keep = counts > 0
+            ends = np.cumsum(np.bincount(rec[keep], minlength=lens.size))
+            if (values is None or counts.dtype.kind != "i"
+                    or not set(map(type, keys)) <= {int}):
+                keys, values = words.tolist(), counts.astype(np.int64).tolist()
+            if not keep.all():
+                keys = list(compress(keys, keep))
+                values = list(compress(values, keep))
+            start = 0
+            for i, t, end in zip(subj.tolist(), stage.tolist(), ends.tolist()):
+                cell = dict(zip(keys[start:end], values[start:end]))
+                if len(cell) < end - start:  # keys int() maps to one word
+                    cell = dict.fromkeys(cell, 0)
+                    for w, c in zip(keys[start:end], values[start:end]):
+                        cell[w] += c
+                docs[i][t] = cell
+                start = end
+            present[subj, stage] = True
         if not present.any():
             raise FormatError("corpus has no documents")
         if not allow_missing and not present.all():
@@ -163,26 +179,6 @@ class Corpus:
             n_subjects=N, n_stages=T, vocab_size=V, n_groups=G, n_features=P,
             docs=docs, covariates=covariates, groups=groups, vocab=vocab,
             present=present, cov_center=center, cov_scale=scale)
-
-    @classmethod
-    def from_dense(cls, counts, covariates, groups, vocab, allow_missing=False,
-                   n_groups=None):
-        """Build from a dense (N, T, V) count tensor; zero-total cells are
-        treated as missing."""
-        counts = np.asarray(counts)
-        if counts.ndim != 3:
-            raise ShapeError(f"counts must be (N, T, V); got {counts.shape}")
-        records = []
-        N, T, _ = counts.shape
-        for i in range(N):
-            for t in range(T):
-                row = counts[i, t]
-                nz = np.nonzero(row)[0]
-                if nz.size:
-                    records.append(
-                        (i, t, {int(v): int(row[v]) for v in nz}))
-        return cls.build(records, covariates, groups, vocab,
-                         allow_missing=allow_missing, n_groups=n_groups)
 
     # -- accessors ---------------------------------------------------------
 
@@ -235,6 +231,121 @@ def _standardize(covariates):
     return out, center, scale
 
 
+def _record_blocks(records):
+    """The records, BLOCK at a time, as _from_blocks takes them."""
+    records = iter(records)
+    while block := list(islice(records, BLOCK)):
+        subjects, stages, cells = [], [], []
+        for subject, stage, counts in block:
+            subjects.append(subject)
+            stages.append(stage)
+            cells.append(counts)
+        ids = np.asarray([subjects, stages])
+        if ids.size and ids.dtype.kind not in "iu":
+            raise FormatError("subject/stage must be ints")
+        keys = list(chain.from_iterable(cells))
+        values = list(chain.from_iterable(c.values() for c in cells))
+        yield (ids[0].astype(np.int64), ids[1].astype(np.int64),
+               np.fromiter(map(len, cells), np.int64, len(cells)),
+               _word_array(keys), _count_array(values), keys, values)
+
+
+def _dense_blocks(counts):
+    """The nonzero cells of an (N, T, V) count tensor, BLOCK cells at a time,
+    as _from_blocks takes them."""
+    N, T, V = counts.shape
+    flat = counts.reshape(N * T, V)
+    for first in range(0, N * T, BLOCK):
+        rows = flat[first:first + BLOCK]
+        cell, words = np.nonzero(rows)
+        starts = np.flatnonzero(np.diff(cell, prepend=-1))
+        cells = first + cell[starts]
+        yield (cells // T, cells % T, np.diff(starts, append=cell.size),
+               words, rows[cell, words], None, None)
+
+
+def _word_array(keys):
+    """int() of each key as int64, BAD_KEY where _word_index says so."""
+    try:
+        return np.fromiter(map(int, keys), np.int64, len(keys))
+    except (TypeError, ValueError, OverflowError):
+        return np.fromiter(map(_word_index, keys), np.int64, len(keys))
+
+
+def _count_array(values):
+    """Counts as int64 when all are ints int64 can hold, else as float64
+    through _count_value."""
+    counts = np.array(values) if set(map(type, values)) <= {int} else None
+    if counts is None or counts.dtype.kind != "i":
+        counts = np.fromiter(map(_count_value, values), np.float64,
+                             len(values))
+    return counts
+
+
+def _word_index(key):
+    """int(key), or BAD_KEY when int() refuses it or int64 cannot hold it."""
+    try:
+        w = int(key)
+    except (TypeError, ValueError, OverflowError):
+        return BAD_KEY
+    return w if BAD_KEY < w < 2**63 else BAD_KEY
+
+
+def _count_value(c):
+    """A count as a float; NaN, which reads as not an integer, for a bool
+    or anything that is not a real number."""
+    if isinstance(c, numbers.Real) and not isinstance(c, bool):
+        return float(c)
+    return math.nan
+
+
+def _check_entries(subj, stage, lens, rec, words, counts, present, V, keys):
+    """Raise the named error of the first fault in record order, as checking
+    one record after another would: a record's subject, stage and cell (not
+    one present already), then each entry's word index, vocabulary range,
+    integrality and sign, then the record's total. Slots order them: record
+    r's own checks take starts[r] + 2r, its entry e takes e + 2r + 1, its
+    total the slot after its last entry; ties go to the check listed first."""
+    (N, T), R = present.shape, lens.size
+    slot = np.cumsum(lens) - lens + 2 * np.arange(R)
+    at = np.arange(words.size) + 2 * rec + 1
+    in_s = (subj >= 0) & (subj < N)
+    in_t = (stage >= 0) & (stage < T)
+    ok = in_s & in_t
+    dup = np.ones(R, dtype=bool)
+    dup[np.unique(np.where(ok, subj * T + stage, -1 - np.arange(R)),
+                  return_index=True)[1]] = False
+    dup[ok] |= present[subj[ok], stage[ok]]
+    whole = (np.isfinite(counts) & (np.trunc(counts) == counts)
+             & (np.abs(counts) < 2.0**63))
+    empty = np.bincount(rec[counts > 0], minlength=R) == 0
+    faults = []
+    for rank, (slots, mask, fault) in enumerate([
+        (slot, ~in_s, lambda r: MissingLabel(
+            f"subject {subj[r]} has no group label")),
+        (slot, ~in_t, lambda r: FormatError(
+            f"stage {stage[r]} outside 0..{T - 1}")),
+        (slot, dup, lambda r: DuplicateDocument(
+            f"duplicate document for subject {subj[r]}, stage {stage[r]}")),
+        (at, words == BAD_KEY, lambda e: FormatError(
+            f"bad word index {keys[e]!r}")),
+        (at, (words < 0) | (words >= V), lambda e: VocabMismatch(
+            f"word index {words[e]} outside vocabulary of size {V}")),
+        (at, ~whole, lambda e: FormatError(
+            f"count for word {words[e]} is not an integer")),
+        (at, counts < 0, lambda e: FormatError(
+            f"negative count for word {words[e]}")),
+        (slot + lens + 1, empty, lambda r: FormatError(
+            f"document (subject {subj[r]}, stage {stage[r]}) has zero total"
+            " count")),
+    ]):
+        if mask.any():
+            i = int(np.argmax(mask))
+            faults.append((slots[i], rank, fault(i)))
+    if faults:
+        raise min(faults, key=lambda f: f[:2])[2]
+
+
 # -- file I/O ---------------------------------------------------------------
 
 
@@ -266,29 +377,35 @@ def save_corpus(corpus, path):
         with open(os.path.join(path, VOCAB_FILE), "w", encoding="utf-8") as f:
             f.write("\n".join(corpus.vocab) + "\n")
         with open(os.path.join(path, DOCS_FILE), "w", encoding="utf-8") as f:
-            for i in range(corpus.n_subjects):
-                for t in range(corpus.n_stages):
-                    cell = corpus.docs[i][t]
-                    if cell is None:
-                        continue
-                    counts = {str(v): cell[v] for v in sorted(cell)}
-                    f.write(json.dumps(
-                        {"subject": i, "stage": t, "counts": counts}) + "\n")
+            f.writelines(_doc_lines(corpus))
         with open(os.path.join(path, META_FILE), "w", encoding="utf-8") as f:
             P = corpus.n_features
             f.write(",".join(["subject", "stage"]
                              + [f"x{p}" for p in range(P)]) + "\n")
-            for i in range(corpus.n_subjects):
-                for t in range(corpus.n_stages):
-                    row = [str(i), str(t)] + [
-                        format(x, ".17g") for x in corpus.covariates[i, t]]
-                    f.write(",".join(row) + "\n")
+            row = "%d,%d" + ",%.17g" * P + "\n"
+            N, T = corpus.n_subjects, corpus.n_stages
+            f.writelines(row % (n // T, n % T, *x) for n, x in enumerate(
+                corpus.covariates.reshape(N * T, P).tolist()))
         with open(os.path.join(path, GROUPS_FILE), "w", encoding="utf-8") as f:
             f.write("subject,group\n")
-            for i in range(corpus.n_subjects):
-                f.write(f"{i},{int(corpus.groups[i])}\n")
+            f.writelines("%d,%d\n" % ig
+                         for ig in enumerate(corpus.groups.tolist()))
     except OSError as e:
         raise IoError(f"cannot write corpus to {path}: {e}") from e
+
+
+def _doc_lines(corpus):
+    """docs.jsonl lines: per present cell, what json.dumps writes for
+    {"subject": i, "stage": t, "counts": {"<word>": count, ...}} with the
+    word indices in ascending order."""
+    for i, row in enumerate(corpus.docs):
+        for t, cell in enumerate(row):
+            if cell is not None:
+                words = sorted(cell)
+                pairs = ('"%d": %d, ' * len(words))[:-2]
+                yield ('{"subject": %d, "stage": %d, "counts": {' + pairs
+                       + "}}\n") % (i, t, *chain.from_iterable(
+                           zip(words, map(cell.__getitem__, words))))
 
 
 def _read_lines(fname):
@@ -394,16 +511,19 @@ def _read_docs(fname):
             raise FormatError(f"{fname} line {ln}: subject/stage must be ints")
         if not isinstance(counts, dict):
             raise FormatError(f"{fname} line {ln}: counts must be an object")
-        parsed = {}
-        for k, v in counts.items():
-            try:
-                idx = int(k)
-            except ValueError as e:
-                raise FormatError(
-                    f"{fname} line {ln}: bad word index {k!r}") from e
-            if isinstance(v, bool) or not isinstance(v, int):
-                raise FormatError(
-                    f"{fname} line {ln}: count for word {k} must be an int")
-            parsed[idx] = v
+        try:
+            parsed = dict(zip(map(int, counts), counts.values()))
+        except ValueError:
+            parsed = None
+        if parsed is None or not set(map(type, counts.values())) <= {int}:
+            for k, v in counts.items():
+                try:
+                    int(k)
+                except ValueError as e:
+                    raise FormatError(
+                        f"{fname} line {ln}: bad word index {k!r}") from e
+                if type(v) is not int:
+                    raise FormatError(f"{fname} line {ln}: count for word"
+                                      f" {k} must be an int")
         records.append((subject, stage, parsed))
     return records

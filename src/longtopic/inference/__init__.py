@@ -4,19 +4,8 @@ extension."""
 
 from .dynamic import fit_dynamic_topics
 from .loss import Batch, CorpusArrays, LossResult, longitudinal_loss
-from .networks import (
-    EncoderParams,
-    PosteriorMoments,
-    StageEncoder,
-    counterfactual_encode,
-    encode,
-)
-from .terms import (
-    DISTANCE_KINDS,
-    gaussian_kl_term,
-    group_distance,
-    mi_term,
-)
+from .networks import EncoderParams, StageEncoder
+from .terms import DISTANCE_KINDS, gaussian_kl_term, mi_term
 from .trainer import (
     FittedModel,
     TrainConfig,
@@ -36,16 +25,12 @@ __all__ = [
     "EncoderParams",
     "FittedModel",
     "LossResult",
-    "PosteriorMoments",
     "StageEncoder",
     "TrainConfig",
-    "counterfactual_encode",
     "default_init",
-    "encode",
     "encode_corpus",
     "fit_dynamic_topics",
     "gaussian_kl_term",
-    "group_distance",
     "infer_proportions",
     "load_model",
     "longitudinal_loss",

@@ -46,12 +46,6 @@ def sigmoid(x):
 
 
 @dataclass
-class PosteriorMoments:
-    mu: np.ndarray     # (K,)
-    sigma: np.ndarray  # (K,) strictly positive
-
-
-@dataclass
 class StageEncoder:
     V: int
     P: int
@@ -155,35 +149,3 @@ class EncoderParams:
         stages = [StageEncoder.init(V, P, E, K, hidden, rng=rng, scale=scale)
                   for _ in range(T)]
         return cls(stages=stages, n_groups=n_groups)
-
-
-def _encoder_input(w, x, y_enc, prev_mean):
-    w = np.asarray(w, dtype=np.float64).ravel()
-    total = w.sum()
-    wn = w / total if total > 0 else w
-    return np.concatenate(
-        [wn, np.ravel(x), np.ravel(y_enc), np.ravel(prev_mean)])[None, :]
-
-
-def encode(w, x, y, prev_mean, params, t):
-    """Factual posterior moments for one document slice at stage t.
-
-    w: raw counts (V,), normalized to relative frequencies internally;
-    x: covariates (P,); y: the subject's group label; prev_mean: the previous
-    stage's variational mean (eta0 at the first stage).
-    """
-    enc = params.stages[t]
-    y_enc = encode_groups(np.array([y]), params.n_groups)[0]
-    mu, sigma, _ = enc.forward(_encoder_input(w, x, y_enc, prev_mean))
-    return PosteriorMoments(mu=mu[0], sigma=sigma[0])
-
-
-def counterfactual_encode(w, x, y, prev_mean, params, t):
-    """Moments under each non-factual group label (ascending), all other
-    inputs unchanged. Exactly n_groups - 1 entries."""
-    out = []
-    for g in range(params.n_groups):
-        if g == int(y):
-            continue
-        out.append(encode(w, x, g, prev_mean, params, t))
-    return out

@@ -70,26 +70,6 @@ def mi_term(mu_q, sigma_q, mu_cf, sigma_cf):
         + 0.5))
 
 
-def group_distance(kind, factual, counterfactuals):
-    """Distance between one document's factual posterior and its
-    counterfactuals (PosteriorMoments each). kind 'none' returns 0 without
-    touching the counterfactual list contents."""
-    if kind not in DISTANCE_KINDS:
-        raise UnknownDistance(f"unknown distance kind {kind!r}")
-    if kind == "none":
-        return 0.0
-    if not counterfactuals:
-        raise ShapeError("need at least one counterfactual")
-    mu = np.asarray(factual.mu, dtype=np.float64)[None, :]
-    s = np.asarray(factual.sigma, dtype=np.float64)[None, :]
-    mu_cfs = [np.asarray(c.mu, dtype=np.float64)[None, :]
-              for c in counterfactuals]
-    s_cfs = [np.asarray(c.sigma, dtype=np.float64)[None, :]
-             for c in counterfactuals]
-    d, *_ = distance_with_grad(kind, mu, s, mu_cfs, s_cfs)
-    return float(d[0])
-
-
 # -- batched values + gradients ---------------------------------------------
 
 

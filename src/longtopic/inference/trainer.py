@@ -346,8 +346,7 @@ def save_model(fitted, fname):
     }
     try:
         with open(fname, "w", encoding="utf-8") as f:
-            json.dump(obj, f, sort_keys=True)
-            f.write("\n")
+            f.write(json.dumps(obj, sort_keys=True) + "\n")
     except OSError as e:
         raise IoError(f"cannot write {fname}: {e}") from e
 

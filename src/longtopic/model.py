@@ -41,29 +41,6 @@ def column_softmax(beta):
     return softmax(beta, axis=0)
 
 
-def collapsed_word_distribution(theta, beta):
-    """Word distribution theta . softmax_col(beta)^T with the topic assignment
-    collapsed; a convex combination of simplices, so itself a V-simplex."""
-    theta = np.asarray(theta, dtype=np.float64)
-    b = column_softmax(beta)
-    if theta.shape != (b.shape[1],):
-        raise ShapeError(
-            f"theta has shape {theta.shape}, expected ({b.shape[1]},)")
-    return b @ theta
-
-
-def multinomial_log_likelihood(counts, theta, beta):
-    """Sum_v counts_v * log p_v under the collapsed word distribution,
-    probabilities clipped to [1e-12, 1] before the log (never -inf, never
-    positive when a mixture rounds just above 1)."""
-    counts = np.asarray(counts, dtype=np.float64)
-    p = collapsed_word_distribution(theta, beta)
-    if counts.shape != p.shape:
-        raise ShapeError(
-            f"counts has shape {counts.shape}, expected {p.shape}")
-    return float(counts @ np.log(np.clip(p, PROB_FLOOR, 1.0)))
-
-
 def group_encoding_dim(n_groups):
     """Width of the group encoding fed to transitions and encoders."""
     return 1 if n_groups == 2 else n_groups - 1
@@ -145,23 +122,6 @@ class TransitionModel:
         (inp,) = cache
         grads = {"W": g.T @ inp, "b": g.sum(axis=0)}
         return g @ self.W, grads
-
-
-def transition_mean(t, eta_prev, x_t, y_enc, model):
-    """Prior mean mu0_t = f_t(eta_prev, x_t, y_enc) for a single subject.
-
-    t is the 1-based stage index (t=1 pairs with eta_prev = eta0); it only
-    labels the call, the mapping is carried by `model`.
-    """
-    if t < 1:
-        raise ShapeError("stage index t must be >= 1")
-    inp = np.concatenate([np.ravel(eta_prev), np.ravel(x_t), np.ravel(y_enc)])
-    if inp.shape[0] != model.in_dim:
-        raise ShapeError(
-            f"concatenated input has dim {inp.shape[0]},"
-            f" expected {model.in_dim}")
-    out, _ = model.forward(inp[None, :])
-    return out[0]
 
 
 @dataclass
@@ -270,11 +230,24 @@ def forward_sample(params, covariates, groups, count_range, seed, vocab=None):
         eta = mu + np.sqrt(params.a2) * noise
         theta[t] = softmax(eta, axis=1)
 
+    vocab = vocab if vocab is not None else default_vocab(V)
+    return sample_corpus(rng, np.broadcast_to(b, (T, V, K)), theta, (lo, hi),
+                         covariates, groups, vocab, G)
+
+
+def sample_corpus(rng, topics, theta, count_range, covariates, groups, vocab,
+                  n_groups):
+    """One multinomial document per (subject, stage) of theta's (T, N, K)
+    grid, drawn from rng in a fixed order: every total, uniform on the
+    inclusive count_range, then the cells subject by subject, stage by stage,
+    each over the words topics[t] @ theta[t, i] of the (T, V, K) topics."""
+    T, N, _ = theta.shape
+    lo, hi = count_range
     totals = rng.integers(lo, hi + 1, size=(N, T))
-    counts = np.zeros((N, T, V), dtype=np.int64)
+    counts = np.zeros((N, T, topics.shape[1]), dtype=np.int64)
     for i in range(N):
         for t in range(T):
-            p = b @ theta[t, i]
+            p = topics[t] @ theta[t, i]
             counts[i, t] = rng.multinomial(totals[i, t], p)
-    vocab = vocab if vocab is not None else default_vocab(V)
-    return Corpus.from_dense(counts, covariates, groups, vocab, n_groups=G)
+    return Corpus.from_dense(counts, covariates, groups, vocab,
+                             n_groups=n_groups)

@@ -27,9 +27,8 @@ from dataclasses import dataclass, field
 import json
 import numpy as np
 
-from .corpus import Corpus
 from .errors import ConfigError, IoError, ShapeError
-from .model import default_vocab, softmax
+from .model import default_vocab, sample_corpus, softmax
 
 BASIS_FUNCS = {
     "x": lambda x: x,
@@ -209,15 +208,8 @@ def sample_documents(cfg, theta_true, beta_true, covariates, groups, rng=None):
         raise ShapeError(f"theta_true must be ({T}, {N}, {cfg.n_topics})")
     if beta_true.shape != (T, V, cfg.n_topics):
         raise ShapeError(f"beta_true must be ({T}, {V}, {cfg.n_topics})")
-    lo, hi = cfg.count_range
-    totals = rng.integers(lo, hi + 1, size=(N, T))
-    counts = np.zeros((N, T, V), dtype=np.int64)
-    for i in range(N):
-        for t in range(T):
-            p = beta_true[t] @ theta_true[t, i]
-            counts[i, t] = rng.multinomial(totals[i, t], p)
-    return Corpus.from_dense(counts, covariates, groups, default_vocab(V),
-                             n_groups=cfg.n_groups)
+    return sample_corpus(rng, beta_true, theta_true, cfg.count_range,
+                         covariates, groups, default_vocab(V), cfg.n_groups)
 
 
 @dataclass
@@ -261,8 +253,7 @@ def save_truth(truth, fname):
     }
     try:
         with open(fname, "w", encoding="utf-8") as f:
-            json.dump(obj, f, sort_keys=True)
-            f.write("\n")
+            f.write(json.dumps(obj, sort_keys=True) + "\n")
     except OSError as e:
         raise IoError(f"cannot write {fname}: {e}") from e
 

@@ -51,7 +51,6 @@ from longtopic.evaluate import (
 )
 from longtopic.inference.dynamic import fit_dynamic_topics
 from longtopic.inference.loss import CorpusArrays, longitudinal_loss
-from longtopic.inference.networks import encode
 from longtopic.inference.terms import gaussian_kl_term, mi_term
 from longtopic.inference.trainer import (
     TrainConfig,
@@ -59,12 +58,9 @@ from longtopic.inference.trainer import (
     param_registry,
     train,
 )
-from longtopic.model import (
-    column_softmax,
-    default_vocab,
-    multinomial_log_likelihood,
-)
+from longtopic.model import column_softmax, default_vocab
 from longtopic.simulate import SimConfig, simulate
+from oracles import encode, multinomial_log_likelihood
 
 README = __file__.rsplit("/", 2)[0] + "/README.md"
 

@@ -1,9 +1,11 @@
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from longtopic import corpus as corpus_module
 from longtopic.corpus import Corpus, load_corpus, save_corpus
 from longtopic.errors import (
     DuplicateDocument,
@@ -160,3 +162,174 @@ def test_roundtrip_property(tmp_path_factory, data):
     path = tmp_path_factory.mktemp("rt")
     save_corpus(c, path)
     assert load_corpus(path) == c
+
+
+@pytest.mark.parametrize("bad", [2.5, float("nan"), float("inf")])
+def test_from_dense_rejects_non_integer_counts(bad):
+    counts = np.ones((2, 1, 3))
+    counts[1, 0, 2] = bad
+    with pytest.raises(FormatError, match="word 2 is not an integer"):
+        Corpus.from_dense(counts, np.zeros((2, 1, 1)), [0, 1], ["a", "b", "c"])
+
+
+def test_from_dense_rejects_string_array():
+    counts = np.full((1, 1, 2), "1")
+    with pytest.raises(FormatError, match="numeric"):
+        Corpus.from_dense(counts, np.zeros((1, 1, 1)), [0], ["a", "b"])
+
+
+def reference_docs(records, N, T, V):
+    """Record-by-record, word-by-word construction: the oracle for the
+    cells (with their key order) and for the first error raised."""
+    docs = [[None] * T for _ in range(N)]
+    for subject, stage, counts in records:
+        if not 0 <= subject < N:
+            raise MissingLabel(f"subject {subject} has no group label")
+        if not 0 <= stage < T:
+            raise FormatError(f"stage {stage} outside 0..{T - 1}")
+        if docs[subject][stage] is not None:
+            raise DuplicateDocument(
+                f"duplicate document for subject {subject}, stage {stage}")
+        cell = {}
+        for k, c in counts.items():
+            try:
+                v = int(k)
+            except (TypeError, ValueError):
+                raise FormatError(f"bad word index {k!r}")
+            if not 0 <= v < V:
+                raise VocabMismatch(
+                    f"word index {v} outside vocabulary of size {V}")
+            try:
+                ok = not isinstance(c, bool) and c == int(c)
+            except (TypeError, ValueError, OverflowError):
+                ok = False
+            if not ok:
+                raise FormatError(f"count for word {v} is not an integer")
+            if c < 0:
+                raise FormatError(f"negative count for word {v}")
+            if c > 0:
+                cell[v] = cell.get(v, 0) + int(c)
+        if not cell:
+            raise FormatError(
+                f"document (subject {subject}, stage {stage}) has zero total"
+                " count")
+        docs[subject][stage] = cell
+    if all(cell is None for row in docs for cell in row):
+        raise FormatError("corpus has no documents")
+    return docs
+
+
+def outcome(fn):
+    try:
+        return fn()
+    except (FormatError, MissingLabel, DuplicateDocument, VocabMismatch) as e:
+        return type(e).__name__, str(e)
+
+
+def cell_items(docs):
+    return [[None if c is None else list(c.items()) for c in row]
+            for row in docs]
+
+
+@st.composite
+def record_sets(draw):
+    """Records over an N x T x V grid: cells may be missing, counts may be
+    zero, and one record may name a word both as "1" and as 1. Up to three
+    entries or records are then broken in the ways Corpus.build names."""
+    N, T, V = (draw(st.integers(1, 4)), draw(st.integers(1, 3)),
+               draw(st.integers(2, 6)))
+    cells = draw(st.lists(st.tuples(st.integers(0, N - 1),
+                                    st.integers(0, T - 1)),
+                          min_size=1, max_size=N * T, unique=True))
+    records = []
+    for i, t in cells:
+        counts = {}
+        for v in draw(st.lists(st.integers(0, V - 1), max_size=V)):
+            key = draw(st.sampled_from([v, str(v), f" {v}"]))
+            counts[key] = draw(st.integers(0, 5))
+        if draw(st.booleans()):
+            counts["1"], counts[1] = draw(st.integers(1, 3)), draw(
+                st.integers(0, 3))
+        if not any(counts.values()):
+            counts[draw(st.integers(0, V - 1))] = 1
+        records.append([i, t, counts])
+    for _ in range(draw(st.integers(0, 3))):
+        r = draw(st.integers(0, len(records) - 1))
+        kind = draw(st.sampled_from(
+            ["subject", "stage", "duplicate", "key", "vocab", "count",
+             "negative", "zero"]))
+        if kind == "subject":
+            records[r][0] = draw(st.sampled_from([-1, N]))
+        elif kind == "stage":
+            records[r][1] = draw(st.sampled_from([-1, T]))
+        elif kind == "duplicate":
+            records.insert(r + 1, [records[r][0], records[r][1], {0: 1}])
+        elif kind == "zero":
+            records[r][2] = {k: 0 for k in records[r][2]
+                             if draw(st.booleans())}
+        else:
+            word = draw(st.integers(0, V - 1))
+            key, value = {
+                "key": (draw(st.sampled_from(["x", None, "1.5"])), 1),
+                "vocab": (draw(st.sampled_from([V, -1, str(V)])), 1),
+                "count": (word, draw(st.sampled_from(
+                    [2.5, "3", True, None, float("nan"), float("inf")]))),
+                "negative": (word, draw(st.sampled_from([-1, -2.0]))),
+            }[kind]
+            if draw(st.booleans()):
+                counts = list(records[r][2].items())
+            else:  # the fault, among zero counts, is all the record holds
+                counts = [(w, 0) for w in draw(
+                    st.lists(st.integers(0, V - 1), max_size=2))]
+            counts.insert(draw(st.integers(0, len(counts))), (key, value))
+            records[r][2] = dict(counts)
+    return N, T, V, [tuple(rec) for rec in records]
+
+
+@settings(max_examples=300, deadline=None)
+@given(record_sets())
+@example((1, 1, 4, [(0, 0, {0: 0, 3: -1})]))
+@example((1, 2, 4, [(0, 1, {"3": 0, 2: 1, 3: 2, " 2": 1})]))
+@example((2, 1, 3, [(0, 0, {5: 1}), (1, 0, {"x": 1})]))
+def test_build_matches_per_record_reference(case):
+    N, T, V, records = case
+    want = outcome(lambda: cell_items(reference_docs(records, N, T, V)))
+    for block in (1, 2, corpus_module.BLOCK):  # records split across blocks
+        with mock.patch.object(corpus_module, "BLOCK", block):
+            got = outcome(lambda: cell_items(Corpus.build(
+                records, np.zeros((N, T, 1)), np.arange(N) % 2,
+                [f"w{v}" for v in range(V)], allow_missing=True).docs))
+        assert got == want
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.data())
+def test_from_dense_matches_per_cell_reference(tmp_path_factory, data):
+    N, T, V = (data.draw(st.integers(1, 4)), data.draw(st.integers(1, 3)),
+               data.draw(st.integers(1, 6)))
+    seed = data.draw(st.integers(0, 2**31 - 1))
+    rng = np.random.default_rng(seed)
+    counts = rng.integers(0, 4, size=(N, T, V)) * (rng.random((N, T, V)) < 0.5)
+    counts[0, 0, rng.integers(V)] = 1  # at least one document
+    dtype = data.draw(st.sampled_from([np.int64, np.int32, np.float64]))
+    block = data.draw(st.sampled_from([1, 2, corpus_module.BLOCK]))
+    with mock.patch.object(corpus_module, "BLOCK", block):
+        c = Corpus.from_dense(
+            counts.astype(dtype), rng.standard_normal((N, T, 2)),
+            np.arange(N) % 3, [f"w{v}" for v in range(V)], allow_missing=True)
+    want = [[{v: int(n) for v, n in enumerate(counts[i, t]) if n} or None
+             for t in range(T)] for i in range(N)]
+    assert cell_items(c.docs) == cell_items(want)
+    assert {type(x) for row in c.docs for cell in row if cell
+            for kv in cell.items() for x in kv} == {int}
+    assert np.array_equal(c.present, counts.sum(axis=2) > 0)
+
+    path = tmp_path_factory.mktemp("dense")
+    save_corpus(c, path)
+    lines = (path / "docs.jsonl").read_text().splitlines()
+    assert lines == [
+        json.dumps({"subject": i, "stage": t,
+                    "counts": {str(v): cell[v] for v in sorted(cell)}})
+        for i, row in enumerate(c.docs) for t, cell in enumerate(row)
+        if cell is not None]
+    assert load_corpus(path, allow_missing=True) == c

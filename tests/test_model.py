@@ -6,12 +6,14 @@ from longtopic.errors import NumericError, ShapeError
 from longtopic.model import (
     GenerativeParams,
     TransitionModel,
-    collapsed_word_distribution,
     column_softmax,
     encode_groups,
     forward_sample,
-    multinomial_log_likelihood,
     softmax,
+)
+from oracles import (
+    collapsed_word_distribution,
+    multinomial_log_likelihood,
     transition_mean,
 )
 

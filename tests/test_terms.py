@@ -4,14 +4,13 @@ from hypothesis import given, settings, strategies as st
 from scipy import integrate, stats
 
 from longtopic.errors import NumericError, ShapeError, UnknownDistance
-from longtopic.inference.networks import PosteriorMoments
 from longtopic.inference.terms import (
     DISTANCE_KINDS,
     distance_with_grad,
     gaussian_kl_term,
-    group_distance,
     mi_term,
 )
+from oracles import PosteriorMoments, group_distance
 
 
 def kl_by_quadrature(mu_q, s_q, mu0, s0):
