@@ -30,7 +30,7 @@ import sys
 import numpy as np
 
 from .corpus import load_corpus, save_corpus
-from .errors import ConfigError, LongtopicError
+from .errors import ConfigError, IoError, LongtopicError
 from .evaluate import full_report, save_metrics, save_top_words
 from .inference import (
     TrainConfig,
@@ -117,10 +117,21 @@ def _train_config(cfg):
         raise ConfigError(f"bad train config: {e}") from e
 
 
-def _out_dir(cfg, default="out"):
-    out = cfg.get("paths", {}).get("out", default)
-    os.makedirs(out, exist_ok=True)
-    return out
+def _out_dir(cfg, *sub):
+    path = os.path.join(cfg.get("paths", {}).get("out", "out"), *sub)
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as e:
+        raise IoError(f"cannot create directory {path}: {e}") from e
+    return path
+
+
+def _write_json(obj, path, indent=None):
+    try:
+        with open(path, "w", encoding="utf-8") as f:
+            f.write(json.dumps(obj, sort_keys=True, indent=indent) + "\n")
+    except OSError as e:
+        raise IoError(f"cannot write {path}: {e}") from e
 
 
 def _need_path(cfg, key):
@@ -130,42 +141,31 @@ def _need_path(cfg, key):
     return val
 
 
-def _fit(corpus, tcfg):
-    if tcfg.dynamic_topics_var is not None:
-        return fit_dynamic_topics(corpus, tcfg)
-    gen, enc = default_init(corpus, tcfg)
-    return train(corpus, gen, enc, tcfg)
-
-
-def cmd_simulate(cfg):
-    out = _out_dir(cfg)
-    scfg = _sim_config(cfg)
+def _simulate(out, scfg):
+    """Simulate a corpus; write out/corpus/ and out/truth.json."""
     corpus, truth = simulate(scfg)
-    corpus_dir = os.path.join(out, "corpus")
-    save_corpus(corpus, corpus_dir)
+    save_corpus(corpus, os.path.join(out, "corpus"))
     save_truth(truth, os.path.join(out, "truth.json"))
-    print(f"wrote {corpus_dir} ({corpus.n_subjects} subjects,"
-          f" {corpus.n_stages} stages, {corpus.vocab_size} words)"
-          f" and {out}/truth.json")
-    return 0
+    return corpus, truth
 
 
-def cmd_fit(cfg):
-    out = _out_dir(cfg)
-    corpus = load_corpus(_need_path(cfg, "corpus"),
-                         allow_missing=bool(cfg.get("allow_missing", False)))
-    tcfg = _train_config(cfg)
-    fitted = _fit(corpus, tcfg)
-    model_path = os.path.join(out, "model.json")
-    save_model(fitted, model_path)
-    with open(os.path.join(out, "train_log.json"), "w",
-              encoding="utf-8") as f:
-        f.write(json.dumps({"log": fitted.log, "converged": fitted.converged},
-                           sort_keys=True, indent=2) + "\n")
-    print(f"wrote {model_path}; final loss {fitted.log[-1]['loss']:.6f}"
-          f" after {fitted.log[-1]['epoch']} epochs"
-          f" (converged={fitted.converged})")
-    return 0
+def _fit(out, corpus, tcfg):
+    """Fit on corpus; write out/model.json."""
+    if tcfg.dynamic_topics_var is not None:
+        fitted = fit_dynamic_topics(corpus, tcfg)
+    else:
+        fitted = train(corpus, *default_init(corpus, tcfg), tcfg)
+    save_model(fitted, os.path.join(out, "model.json"))
+    return fitted
+
+
+def _evaluate(out, fitted, corpus, truth, echo):
+    """Score a fit; write out/metrics.json and out/topics_top_words.json."""
+    report = full_report(fitted, corpus, truth)
+    save_metrics(report, os.path.join(out, "metrics.json"), config_echo=echo)
+    save_top_words(fitted.stage_topics(), fitted.vocab,
+                   os.path.join(out, "topics_top_words.json"))
+    return report
 
 
 def _echo(cfg):
@@ -173,33 +173,50 @@ def _echo(cfg):
             if k in cfg}
 
 
-def cmd_eval(cfg):
+def cmd_simulate(cfg):
+    scfg = _sim_config(cfg)
     out = _out_dir(cfg)
+    corpus, _ = _simulate(out, scfg)
+    print(f"wrote {os.path.join(out, 'corpus')} ({corpus.n_subjects} subjects,"
+          f" {corpus.n_stages} stages, {corpus.vocab_size} words)"
+          f" and {out}/truth.json")
+    return 0
+
+
+def cmd_fit(cfg):
+    tcfg = _train_config(cfg)
+    corpus = load_corpus(_need_path(cfg, "corpus"),
+                         allow_missing=bool(cfg.get("allow_missing", False)))
+    out = _out_dir(cfg)
+    fitted = _fit(out, corpus, tcfg)
+    _write_json({"log": fitted.log, "converged": fitted.converged},
+                os.path.join(out, "train_log.json"), indent=2)
+    last = fitted.log[-1]
+    print(f"wrote {os.path.join(out, 'model.json')}; final loss"
+          f" {last['loss']:.6f} after {last['epoch']} epochs"
+          f" (converged={fitted.converged})")
+    return 0
+
+
+def cmd_eval(cfg):
     corpus = load_corpus(_need_path(cfg, "corpus"),
                          allow_missing=bool(cfg.get("allow_missing", False)))
     fitted = load_model(_need_path(cfg, "model"))
     truth_path = cfg.get("paths", {}).get("truth")
     truth = load_truth(truth_path) if truth_path else None
-    report = full_report(fitted, corpus, truth)
-    save_metrics(report, os.path.join(out, "metrics.json"),
-                 config_echo=_echo(cfg))
-    save_top_words(fitted.stage_topics(), fitted.vocab,
-                   os.path.join(out, "topics_top_words.json"))
+    report = _evaluate(_out_dir(cfg), fitted, corpus, truth, _echo(cfg))
     print(json.dumps(report.to_dict(), sort_keys=True))
     return 0
 
 
 def cmd_infer(cfg):
-    out = _out_dir(cfg)
     corpus = load_corpus(_need_path(cfg, "corpus"),
                          allow_missing=bool(cfg.get("allow_missing", False)))
     fitted = load_model(_need_path(cfg, "model"))
     theta = infer_proportions(fitted, corpus)
-    path = os.path.join(out, "proportions.json")
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(json.dumps({"theta": theta.tolist(),
-                            "order": "stage, subject, topic"},
-                           sort_keys=True) + "\n")
+    path = os.path.join(_out_dir(cfg), "proportions.json")
+    _write_json({"theta": theta.tolist(), "order": "stage, subject, topic"},
+                path)
     print(f"wrote {path}")
     return 0
 
@@ -218,46 +235,33 @@ def _aggregate(per_seed):
 
 
 def cmd_pipeline(cfg):
-    out = _out_dir(cfg)
     repeats = int(cfg.get("repeats", 1))
     if repeats < 1:
         raise ConfigError("repeats must be >= 1")
     base_sim = dict(cfg.get("sim", {}))
     base_train = dict(cfg.get("train", {}))
     base_seed = int(base_sim.get("seed", base_train.get("seed", 0)))
+    runs = []
+    for seed in range(base_seed, base_seed + repeats):
+        sub = dict(cfg, sim=dict(base_sim, seed=seed),
+                   train=dict(base_train, seed=seed))
+        runs.append((seed, sub, _sim_config(sub), _train_config(sub)))
+    out = _out_dir(cfg)
     per_seed = []
-    for i in range(repeats):
-        seed = base_seed + i
-        sub = dict(cfg)
-        sub["sim"] = dict(base_sim, seed=seed)
-        sub["train"] = dict(base_train, seed=seed)
-        seed_dir = os.path.join(out, f"seed_{seed}")
-        os.makedirs(seed_dir, exist_ok=True)
-        scfg = _sim_config(sub)
-        tcfg = _train_config(sub)
-        corpus, truth = simulate(scfg)
-        corpus_dir = os.path.join(seed_dir, "corpus")
-        save_corpus(corpus, corpus_dir)
-        save_truth(truth, os.path.join(seed_dir, "truth.json"))
-        fitted = _fit(corpus, tcfg)
-        save_model(fitted, os.path.join(seed_dir, "model.json"))
-        report = full_report(fitted, corpus, truth)
-        save_metrics(report, os.path.join(seed_dir, "metrics.json"),
-                     config_echo=_echo(sub))
-        save_top_words(fitted.stage_topics(), fitted.vocab,
-                       os.path.join(seed_dir, "topics_top_words.json"))
+    for seed, sub, scfg, tcfg in runs:
+        seed_dir = _out_dir(cfg, f"seed_{seed}")
+        corpus, truth = _simulate(seed_dir, scfg)
+        fitted = _fit(seed_dir, corpus, tcfg)
+        report = _evaluate(seed_dir, fitted, corpus, truth, _echo(sub))
         row = dict(report.to_dict(), seed=seed)
         del row["permutations"]
         per_seed.append(row)
         print(f"seed {seed}: " + json.dumps(
             {k: row[k] for k in METRIC_FIELDS}, sort_keys=True))
     mean, se = _aggregate(per_seed)
-    summary = {"per_seed": per_seed, "mean": mean, "se": se,
-               "config": _echo(cfg)}
     path = os.path.join(out, "summary.json")
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(summary, f, sort_keys=True, indent=2)
-        f.write("\n")
+    _write_json({"per_seed": per_seed, "mean": mean, "se": se,
+                 "config": _echo(cfg)}, path, indent=2)
     print(f"wrote {path}")
     return 0
 

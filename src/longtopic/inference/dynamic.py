@@ -5,9 +5,15 @@ N(mu_t, diag(sigma_t^2)) tied together by a Gaussian chain: beta_1 against the
 N(beta0, delta2 I) prior and beta_t against N(beta_tilde_{t-1}, topic_var I),
 where beta_tilde_{t-1} is the reparameterized sample also used in the stage-
 (t-1) reconstruction. The chain KL enters the objective once per corpus, so
-each size-B batch carries it with weight 1/N. topic_var = 0 is, by definition,
-the time-consistent model: the fit routes to the ordinary trainer and the
-per-stage point estimates replicate the shared topics exactly.
+each size-B batch carries it with weight 1/N, and the full-data loss (the
+size-weighted mean of the chunk losses) counts it exactly once. topic_var = 0
+is, by definition, the time-consistent model: the fit routes to the ordinary
+trainer and the per-stage point estimates replicate the shared topics exactly.
+
+This module supplies only what the chain adds: the topics.mu / topics.rho
+parameter blocks, the topic noise (frozen for the full-data evaluation, fresh
+for each training batch) and the batch objective with its gradients. The
+epoch loop, optimizer and stop rule are the trainer's.
 """
 
 from __future__ import annotations
@@ -17,13 +23,13 @@ from dataclasses import replace
 
 import numpy as np
 
-from ..errors import ConfigError, DivergedError, NumericError
-from ..model import column_softmax
-from .loss import CorpusArrays, longitudinal_loss
+from ..errors import ConfigError
+from ..model import column_softmax, column_softmax_backward
+from .loss import longitudinal_loss
 from .networks import SIGMA_MIN, sigmoid, softplus
 from .trainer import (
     FittedModel,
-    Optimizer,
+    _run_epochs,
     default_init,
     param_registry,
     train,
@@ -63,12 +69,6 @@ def _chain_kl_and_grads(mu_b, sigma_b, eps_b, beta_tilde, beta0, delta2, var):
     return kl, gmu, gsg
 
 
-def _bcols_jacobian(bc, gb):
-    """Chain a gradient on a normalized (V, K) topic matrix back through the
-    per-column softmax."""
-    return bc * (gb - (bc * gb).sum(axis=0, keepdims=True))
-
-
 def _dynamic_batch(batch, gen, enc, cfg, eps, mu_b, rho_b, eps_b, inv_n, var,
                    want_grads=True):
     sigma_b, raw = _topic_scale(rho_b)
@@ -85,7 +85,8 @@ def _dynamic_batch(batch, gen, enc, cfg, eps, mu_b, rho_b, eps_b, inv_n, var,
     gmu = inv_n * gmu
     gsg = inv_n * gsg
     for t in range(mu_b.shape[0]):
-        gtilde = _bcols_jacobian(stage_bcols[t], res.grads["bcols_stage"][t])
+        gtilde = column_softmax_backward(stage_bcols[t],
+                                         res.grads["bcols_stage"][t])
         gmu[t] += gtilde
         gsg[t] += gtilde * eps_b[t]
     grho = gsg * sigmoid(rho_b) * (raw > SIGMA_MIN)
@@ -94,21 +95,6 @@ def _dynamic_batch(batch, gen, enc, cfg, eps, mu_b, rho_b, eps_b, inv_n, var,
     grads["topics.mu"] = gmu
     grads["topics.rho"] = grho
     return loss, grads
-
-
-def _epoch_loss_dynamic(arrays, gen, enc, cfg, eval_eps, mu_b, rho_b,
-                        eval_eps_b, inv_n, var, chunk=256):
-    N = arrays.counts.shape[0]
-    total = 0.0
-    for lo in range(0, N, chunk):
-        idx = np.arange(lo, min(lo + chunk, N))
-        loss, _ = _dynamic_batch(arrays.batch(idx), gen, enc, cfg,
-                                 eval_eps[idx], mu_b, rho_b, eval_eps_b,
-                                 inv_n, var, want_grads=False)
-        total += loss * len(idx)
-    # every chunk loss carries the same inv_n * chain-KL summand, and the
-    # chunk weights sum to N, so the weighted mean counts it exactly once
-    return total / N
 
 
 def fit_dynamic_topics(corpus, cfg, topic_var=None):
@@ -129,63 +115,23 @@ def fit_dynamic_topics(corpus, cfg, topic_var=None):
         fitted.beta_stage_scale = np.zeros_like(fitted.beta_stage)
         return fitted
 
-    arrays = CorpusArrays(corpus)
-    N = corpus.n_subjects
     V, K = corpus.vocab_size, cfg.n_topics
-    inv_n = 1.0 / N
+    inv_n = 1.0 / corpus.n_subjects
     mu_b = np.repeat(gen.beta[None, :, :], T, axis=0).copy()
     rho_b = np.full((T, V, K), math.log(math.expm1(0.1)))
-
     registry = param_registry(gen, enc, include_beta=False,
                               extra=[("topics.mu", mu_b),
                                      ("topics.rho", rho_b)])
-    opt = Optimizer(registry, cfg)
-    eval_eps = np.random.default_rng([cfg.seed, 1]).standard_normal(
-        (N, T, cfg.m_samples, K))
     eval_eps_b = np.random.default_rng([cfg.seed, 4]).standard_normal(
         (T, V, K))
-    rng = np.random.default_rng([cfg.seed, 2])
     rng_b = np.random.default_rng([cfg.seed, 5])
 
-    log = []
-    prev_loss = _epoch_loss_dynamic(arrays, gen, enc, cfg, eval_eps, mu_b,
-                                    rho_b, eval_eps_b, inv_n, var)
-    if not math.isfinite(prev_loss):
-        raise DivergedError("initial loss is not finite")
-    log.append({"epoch": 0, "loss": prev_loss})
-    converged = False
-    for epoch in range(1, cfg.t_max + 1):
-        lr = cfg.learning_rate
-        if cfg.schedule == "cosine":
-            lr *= 0.5 * (1.0 + math.cos(math.pi * (epoch - 1) / cfg.t_max))
-        perm = rng.permutation(N)
-        for lo in range(0, N, cfg.batch_size):
-            idx = perm[lo:lo + cfg.batch_size]
-            eps = rng.standard_normal((len(idx), T, cfg.m_samples, K))
-            eps_b = rng_b.standard_normal((T, V, K))
-            try:
-                loss, grads = _dynamic_batch(
-                    arrays.batch(idx), gen, enc, cfg, eps, mu_b, rho_b,
-                    eps_b, inv_n, var)
-            except NumericError as e:
-                raise DivergedError(f"parameters diverged: {e}") from e
-            if not math.isfinite(loss):
-                raise DivergedError(
-                    f"loss became non-finite at epoch {epoch}")
-            opt.step(grads, lr)
-        try:
-            loss = _epoch_loss_dynamic(arrays, gen, enc, cfg, eval_eps, mu_b,
-                                       rho_b, eval_eps_b, inv_n, var)
-        except NumericError as e:
-            raise DivergedError(f"parameters diverged: {e}") from e
-        if not math.isfinite(loss):
-            raise DivergedError(f"loss became non-finite at epoch {epoch}")
-        log.append({"epoch": epoch, "loss": loss})
-        rel = abs(loss - prev_loss) / max(abs(prev_loss), 1e-12)
-        prev_loss = loss
-        if math.isfinite(cfg.eps_stop) and rel <= cfg.eps_stop:
-            converged = True
-            break
+    def batch_loss(batch, eps, want_grads):
+        eps_b = rng_b.standard_normal((T, V, K)) if want_grads else eval_eps_b
+        return _dynamic_batch(batch, gen, enc, cfg, eps, mu_b, rho_b, eps_b,
+                              inv_n, var, want_grads)
+
+    log, converged = _run_epochs(corpus, registry, cfg, batch_loss)
     sigma_b, _ = _topic_scale(rho_b)
     return FittedModel(gen=gen, enc=enc, cfg=cfg, vocab=list(corpus.vocab),
                        n_groups=corpus.n_groups, log=log, converged=converged,

@@ -42,7 +42,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import NumericError, ShapeError, UnknownDistance
-from ..model import PROB_FLOOR, column_softmax, encode_groups, softmax
+from ..model import (
+    PROB_FLOOR,
+    column_softmax,
+    column_softmax_backward,
+    encode_groups,
+    softmax,
+)
 from .terms import DISTANCE_KINDS, _kl_rows, distance_with_grad
 
 
@@ -299,8 +305,7 @@ def longitudinal_loss(batch, gen, enc, cfg, eps, want_grads=True,
 
     # beta through the per-column softmax
     if stage_b is None:
-        grads["beta"] = bcols * (gb_acc - (bcols * gb_acc).sum(axis=0,
-                                                               keepdims=True))
+        grads["beta"] = column_softmax_backward(bcols, gb_acc)
     else:
         grads["bcols_stage"] = gb_stage
     return LossResult(loss=loss, grads=grads, components=components)

@@ -1,13 +1,15 @@
 """Minibatch training loop, fitted-model container, and inference.
 
-The trainer runs plain SGD with momentum (default) or Adam over all parameter
-blocks — topics beta, transition weights, encoder weights — using the exact
-gradients from `longitudinal_loss`. After each epoch the full-data loss is
-evaluated with a frozen eps tensor (drawn once at startup) and logged; training
-stops when the relative change of that logged loss drops to eps_stop, or after
-t_max epochs. A non-finite eps_stop disables the stop rule entirely; a
-non-finite loss raises DivergedError. Everything is a deterministic function
-of (corpus, initial parameters, config): refits are bit-identical.
+One epoch loop serves every topic parametrization: `train` (shared topics)
+and `dynamic.fit_dynamic_topics` (per-stage topics) each hand it their
+parameter registry and a batch objective. It runs plain SGD with momentum
+(default) or Adam over all blocks, using the exact gradients of that
+objective. After each epoch the full-data loss is evaluated with a frozen eps
+tensor (drawn once at startup) and logged; training stops when the relative
+change of that logged loss drops to eps_stop, or after t_max epochs. A
+non-finite eps_stop disables the stop rule entirely; a non-finite loss raises
+DivergedError. Everything is a deterministic function of (corpus, initial
+parameters, config): refits are bit-identical.
 """
 
 from __future__ import annotations
@@ -201,64 +203,70 @@ class FittedModel:
         return self.log[-1]["loss"] if self.log else None
 
 
-def _epoch_loss(arrays, gen, enc, cfg, eval_eps, chunk=256):
-    N = arrays.counts.shape[0]
-    total = 0.0
-    for lo in range(0, N, chunk):
-        idx = np.arange(lo, min(lo + chunk, N))
-        res = longitudinal_loss(arrays.batch(idx), gen, enc, cfg,
-                                eval_eps[idx], want_grads=False)
-        total += res.loss * len(idx)
-    return total / N
-
-
-def train(corpus, gen, enc, cfg):
-    """Fit all parameters on a corpus; returns a FittedModel with the
-    per-epoch loss log."""
+def _run_epochs(corpus, registry, cfg, batch_loss, chunk=256):
+    """The epoch loop shared by every topic parametrization. batch_loss(batch,
+    eps, want_grads) -> (loss, grads) is the objective on one batch; the
+    loop draws the eps tensors, steps the optimizer over the registry, logs
+    the full-data loss after each epoch and applies the stop rule. Returns
+    (log, converged)."""
     arrays = CorpusArrays(corpus)
     N, T = corpus.n_subjects, corpus.n_stages
     K = cfg.n_topics
-    registry = param_registry(gen, enc)
     opt = Optimizer(registry, cfg)
     eval_eps = np.random.default_rng([cfg.seed, 1]).standard_normal(
         (N, T, cfg.m_samples, K))
     rng = np.random.default_rng([cfg.seed, 2])
 
-    log = []
-    prev_loss = _epoch_loss(arrays, gen, enc, cfg, eval_eps)
+    def full_loss():
+        total = 0.0
+        for lo in range(0, N, chunk):
+            idx = np.arange(lo, min(lo + chunk, N))
+            loss, _ = batch_loss(arrays.batch(idx), eval_eps[idx], False)
+            total += loss * len(idx)
+        return total / N
+
+    def check(loss, epoch):
+        if not math.isfinite(loss):
+            raise DivergedError(f"loss became non-finite at epoch {epoch}")
+
+    prev_loss = full_loss()
     if not math.isfinite(prev_loss):
         raise DivergedError("initial loss is not finite")
-    log.append({"epoch": 0, "loss": prev_loss})
-    converged = False
+    log = [{"epoch": 0, "loss": prev_loss}]
     for epoch in range(1, cfg.t_max + 1):
         lr = cfg.learning_rate
         if cfg.schedule == "cosine":
             lr *= 0.5 * (1.0 + math.cos(math.pi * (epoch - 1) / cfg.t_max))
         perm = rng.permutation(N)
-        for lo in range(0, N, cfg.batch_size):
-            idx = perm[lo:lo + cfg.batch_size]
-            eps = rng.standard_normal((len(idx), T, cfg.m_samples, K))
-            try:
-                res = longitudinal_loss(arrays.batch(idx), gen, enc, cfg,
-                                        eps)
-            except NumericError as e:
-                raise DivergedError(f"parameters diverged: {e}") from e
-            if not math.isfinite(res.loss):
-                raise DivergedError(
-                    f"loss became non-finite at epoch {epoch}")
-            opt.step(res.grads, lr)
         try:
-            loss = _epoch_loss(arrays, gen, enc, cfg, eval_eps)
+            for lo in range(0, N, cfg.batch_size):
+                idx = perm[lo:lo + cfg.batch_size]
+                eps = rng.standard_normal((len(idx), T, cfg.m_samples, K))
+                loss, grads = batch_loss(arrays.batch(idx), eps, True)
+                check(loss, epoch)
+                opt.step(grads, lr)
+            loss = full_loss()
         except NumericError as e:
             raise DivergedError(f"parameters diverged: {e}") from e
-        if not math.isfinite(loss):
-            raise DivergedError(f"loss became non-finite at epoch {epoch}")
+        check(loss, epoch)
         log.append({"epoch": epoch, "loss": loss})
         rel = abs(loss - prev_loss) / max(abs(prev_loss), 1e-12)
         prev_loss = loss
         if math.isfinite(cfg.eps_stop) and rel <= cfg.eps_stop:
-            converged = True
-            break
+            return log, True
+    return log, False
+
+
+def train(corpus, gen, enc, cfg):
+    """Fit all parameters on a corpus; returns a FittedModel with the
+    per-epoch loss log."""
+    def batch_loss(batch, eps, want_grads):
+        res = longitudinal_loss(batch, gen, enc, cfg, eps,
+                                want_grads=want_grads)
+        return res.loss, res.grads
+
+    log, converged = _run_epochs(corpus, param_registry(gen, enc), cfg,
+                                 batch_loss)
     return FittedModel(gen=gen, enc=enc, cfg=cfg, vocab=list(corpus.vocab),
                        n_groups=corpus.n_groups, log=log,
                        converged=converged)

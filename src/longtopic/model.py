@@ -41,6 +41,11 @@ def column_softmax(beta):
     return softmax(beta, axis=0)
 
 
+def column_softmax_backward(bcols, g):
+    """Chain a gradient g on bcols = column_softmax(beta) back to beta."""
+    return bcols * (g - (bcols * g).sum(axis=0, keepdims=True))
+
+
 def group_encoding_dim(n_groups):
     """Width of the group encoding fed to transitions and encoders."""
     return 1 if n_groups == 2 else n_groups - 1

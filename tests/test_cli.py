@@ -1,11 +1,17 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import longtopic
 from longtopic.cli import main
+
+# the package root, for subprocesses that run outside the checkout
+SRC = str(Path(longtopic.__file__).resolve().parents[1])
 
 SIM = ["--set", "sim.n_subjects=40", "--set", "sim.n_stages=2",
        "--set", "sim.vocab_size=12", "--set", "sim.n_topics=2",
@@ -156,6 +162,15 @@ def test_bad_inputs_exit_one(tmp_path, capsys):
     assert code == 1 and "ConfigError" in err
 
 
+def test_out_path_that_is_a_file_is_named(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    code, err = error_code(["simulate", "--out", str(taken), "--seed", "1",
+                            *SIM], capsys)
+    assert code == 1
+    assert err.count("\n") == 1 and err.startswith("error: IoError:")
+
+
 def test_module_entry_point(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "longtopic", "simulate", "--out",
@@ -163,8 +178,12 @@ def test_module_entry_point(tmp_path):
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "truth.json").is_file()
+    # a command that fails on its config leaves no default ./out behind
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [SRC, os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run(
         [sys.executable, "-m", "longtopic", "simulate"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, cwd=tmp_path, env=env)
     assert proc.returncode == 1
     assert "error:" in proc.stderr
+    assert not (tmp_path / "out").exists()

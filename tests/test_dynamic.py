@@ -1,8 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from longtopic.corpus import Corpus
-from longtopic.errors import ConfigError
+from longtopic.errors import ConfigError, DivergedError
 from longtopic.inference.dynamic import (
     _chain_kl_and_grads,
     _topic_scale,
@@ -133,6 +135,15 @@ def test_positive_variance_deterministic():
     assert np.array_equal(a.beta_stage, b.beta_stage)
     assert np.array_equal(a.beta_stage_scale, b.beta_stage_scale)
     assert a.final_loss == b.final_loss
+
+
+def test_positive_variance_divergence_is_named():
+    corpus = small_corpus()
+    cfg = replace(cfg_for(3, 0.3, epochs=6), optimizer="sgd",
+                  learning_rate=1e9)
+    with pytest.raises(DivergedError,
+                       match="^loss became non-finite at epoch 3$"):
+        fit_dynamic_topics(corpus, cfg)
 
 
 def test_dynamic_model_round_trips_through_disk(tmp_path):

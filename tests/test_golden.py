@@ -1,12 +1,16 @@
 """Golden bytes: a fixed-seed run writes exactly the files it wrote before the
-corpus path was vectorized.
+corpus path was vectorized and the static and dynamic-topic epoch loops were
+merged into one.
 
-The hashes were computed with the package at commit cc5d8b4 (per-word Python
-corpus build, `json.dump` streaming writers), on x86-64 with numpy 2.4 and
-OpenBLAS. They pin the on-disk formats and the random draw order: a change
-to either shows up here even when two runs of the new code agree with each
-other. A different BLAS may round the fit differently and change the hashes
-of `model.json`, `train_log.json` and `proportions.json` only.
+The simulate -> fit -> infer hashes were computed with the package at commit
+cc5d8b4 (per-word Python corpus build, `json.dump` streaming writers), the
+dynamic-topic fit and pipeline hashes at commit 8c9326e (one epoch loop per
+topic parametrization, pipeline with its own copy of the stage commands),
+all on x86-64 with numpy 2.4 and OpenBLAS. They pin the on-disk formats and
+the random draw order: a change to either shows up here even when two runs
+of the new code agree with each other. A different BLAS may round the fit
+differently and change the hashes of the fitted artifacts (`model.json`,
+`train_log.json`, `proportions.json`, `summary.json`) only.
 """
 
 import hashlib
@@ -39,6 +43,22 @@ GOLDEN = {
         "391aabe358c60e50a1d0eee97ff9e6da2347b9ae82abae53dcdca777173adc37",
 }
 
+GOLDEN_DYNAMIC = {
+    "model.json":
+        "1518868502c55996815a752822d432615b1dfeb7299b16dd9b69d15ebcb78f5d",
+    "train_log.json":
+        "450bdd9fc45a3c6c352439c87d7c88178f5e6a4e173c37f3bd52dedba48fac36",
+}
+GOLDEN_PIPELINE = {
+    "summary.json":
+        "33f9ef438cfd4e4ad05c0ad826046f58619d5532a915c99aab3751e6fbeea2be",
+}
+
+
+def sha256s(root, rels):
+    return {rel: hashlib.sha256((root / rel).read_bytes()).hexdigest()
+            for rel in rels}
+
 
 def test_fixed_seed_artifacts_match_golden_bytes(tmp_path):
     out = tmp_path / "run"
@@ -50,6 +70,24 @@ def test_fixed_seed_artifacts_match_golden_bytes(tmp_path):
     assert main(["infer", "--out", str(out),
                  "--set", f'paths.corpus="{corpus}"',
                  "--set", f'paths.model="{model}"']) == 0
-    got = {rel: hashlib.sha256((out / rel).read_bytes()).hexdigest()
-           for rel in GOLDEN}
-    assert got == GOLDEN
+    assert sha256s(out, GOLDEN) == GOLDEN
+
+
+def test_dynamic_topic_fit_matches_golden_bytes(tmp_path):
+    out = tmp_path / "run"
+    assert main(["simulate", "--out", str(out), "--seed", "11", *SIM]) == 0
+    fit = tmp_path / "dynamic"
+    assert main(["fit", "--out", str(fit), "--seed", "11", *TRAIN,
+                 "--set", "train.t_max=2", "--dynamic-topics", "0.3",
+                 "--set", f'paths.corpus="{out / "corpus"}"']) == 0
+    assert sha256s(fit, GOLDEN_DYNAMIC) == GOLDEN_DYNAMIC
+
+
+def test_pipeline_matches_golden_bytes(tmp_path):
+    assert main(["pipeline", "--out", str(tmp_path), "--seed", "11", *SIM,
+                 *TRAIN, "--repeats", "2"]) == 0
+    assert sha256s(tmp_path, GOLDEN_PIPELINE) == GOLDEN_PIPELINE
+    for seed in (11, 12):
+        assert sorted(p.name for p in (tmp_path / f"seed_{seed}").iterdir()) \
+            == ["corpus", "metrics.json", "model.json",
+                "topics_top_words.json", "truth.json"]
