@@ -234,13 +234,20 @@ def _aggregate(per_seed):
     return mean, se
 
 
+def _int_setting(value, name):
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{name} must be an integer; got {value!r}")
+    return value
+
+
 def cmd_pipeline(cfg):
-    repeats = int(cfg.get("repeats", 1))
+    repeats = _int_setting(cfg.get("repeats", 1), "repeats")
     if repeats < 1:
         raise ConfigError("repeats must be >= 1")
     base_sim = dict(cfg.get("sim", {}))
     base_train = dict(cfg.get("train", {}))
-    base_seed = int(base_sim.get("seed", base_train.get("seed", 0)))
+    base_seed = _int_setting(
+        base_sim.get("seed", base_train.get("seed", 0)), "seed")
     runs = []
     for seed in range(base_seed, base_seed + repeats):
         sub = dict(cfg, sim=dict(base_sim, seed=seed),

@@ -12,12 +12,14 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateDesign, IoError, ShapeError, TooManyTopics
-from .model import PROB_FLOOR, softmax
+from .errors import (DegenerateDesign, IoError, NumericError, ShapeError,
+                     TooManyTopics)
+from .model import PROB_FLOOR
 
 MAX_ALIGN_TOPICS = 8
 
@@ -44,9 +46,20 @@ class MetricsReport:
 
 def _as_stack(arr, name):
     a = np.asarray(arr, dtype=np.float64)
-    if a.ndim != 3:
-        raise ShapeError(f"{name} must be (T, V, K); got shape {a.shape}")
+    if a.ndim != 3 or a.size == 0:
+        raise ShapeError(f"{name} must be a nonempty (T, V, K) stack;"
+                         f" got shape {a.shape}")
     return a
+
+
+def _topic_pair(beta_hat, beta_true):
+    bh = _as_stack(beta_hat, "beta_hat")
+    bt = _as_stack(beta_true, "beta_true")
+    if bh.shape != bt.shape:
+        raise ShapeError(f"shape mismatch: {bh.shape} vs {bt.shape}")
+    if not (np.isfinite(bh).all() and np.isfinite(bt).all()):
+        raise NumericError("topic-word distributions must be finite")
+    return bh, bt
 
 
 def _topic_kl_matrix(bh, bt):
@@ -61,26 +74,23 @@ def _topic_kl_matrix(bh, bt):
 def align_topics(beta_hat, beta_true):
     """Per-stage permutation perm with beta_hat[t][:, perm] matched to
     beta_true[t]; exhaustive search, ties to the lexicographically smallest
-    permutation."""
-    bh = _as_stack(beta_hat, "beta_hat")
-    bt = _as_stack(beta_true, "beta_true")
-    if bh.shape != bt.shape:
-        raise ShapeError(
-            f"shape mismatch: {bh.shape} vs {bt.shape}")
+    permutation (all K! scored at once, columns added left to right)."""
+    bh, bt = _topic_pair(beta_hat, beta_true)
     T, V, K = bh.shape
     if K > MAX_ALIGN_TOPICS:
         raise TooManyTopics(
             f"alignment is exhaustive and capped at K = {MAX_ALIGN_TOPICS};"
             f" got K = {K}")
+    table = np.fromiter(
+        itertools.chain.from_iterable(itertools.permutations(range(K))),
+        dtype=np.intp, count=math.factorial(K) * K).reshape(-1, K)
     perms = []
     for t in range(T):
         cost = _topic_kl_matrix(bh[t], bt[t])
-        best, best_perm = np.inf, None
-        for perm in itertools.permutations(range(K)):
-            c = sum(cost[perm[k], k] for k in range(K))
-            if c < best:  # strict: itertools yields ascending lexicographic
-                best, best_perm = c, perm
-        perms.append(list(best_perm))
+        total = cost[table[:, 0], 0]
+        for k in range(1, K):
+            total += cost[table[:, k], k]
+        perms.append(table[np.argmin(total)].tolist())
     return perms
 
 
@@ -93,10 +103,7 @@ def apply_permutations(arr, perms):
 def empirical_kl(beta_hat, beta_true):
     """(1/(T K)) sum over stages and topics of KL(beta_hat || beta_true),
     reference floored at 1e-12; call after alignment."""
-    bh = _as_stack(beta_hat, "beta_hat")
-    bt = _as_stack(beta_true, "beta_true")
-    if bh.shape != bt.shape:
-        raise ShapeError(f"shape mismatch: {bh.shape} vs {bt.shape}")
+    bh, bt = _topic_pair(beta_hat, beta_true)
     T, V, K = bh.shape
     total = 0.0
     for t in range(T):
@@ -110,6 +117,8 @@ def top_words(beta_hat, top_n=15):
     the lower word index."""
     bh = _as_stack(beta_hat, "beta_hat")
     T, V, K = bh.shape
+    if top_n < 1:
+        raise ShapeError(f"top_n must be at least 1; got {top_n}")
     n = min(top_n, V)
     out = np.empty((T, K, n), dtype=np.int64)
     for t in range(T):
@@ -127,22 +136,21 @@ def umass_coherence(beta_hat, corpus, top_n=15):
     tops = top_words(bh, top_n)
     W = corpus.dense_counts()                   # (N, T, V)
     present = corpus.present
-    total, cells = 0.0, 0
+    n = tops.shape[2]
+    keep = ~np.eye(n, dtype=bool)
+    total = 0.0
     for t in range(T):
-        occ = (W[present[:, t], t] > 0)         # (N_t, V) word-in-doc flags
-        doc_freq = occ.sum(axis=0)
-        for k in range(K):
-            words = tops[t, k]
-            score = 0.0
-            for i in words:
-                for j in words:
-                    if i == j or doc_freq[j] == 0:
-                        continue
-                    co = int(np.sum(occ[:, i] & occ[:, j]))
-                    score += np.log((co + 1.0) / doc_freq[j])
+        occ = (W[:, t] > 0)[present[:, t]]      # (N_t, V) word-in-doc flags
+        doc_freq = occ.sum(axis=0)[tops[t]]     # (K, n)
+        # co-document counts: exact integers; the pair terms then add up in
+        # (i, j) order, a skipped pair as +0.0
+        cols = occ[:, tops[t]].astype(np.float64).transpose(1, 2, 0)
+        co = cols @ cols.transpose(0, 2, 1)     # (K, n, n)
+        terms = np.log((co + 1.0) / np.maximum(doc_freq, 1)[:, None, :])
+        terms = np.where(keep & (doc_freq > 0)[:, None, :], terms, 0.0)
+        for score in np.cumsum(terms.reshape(K, n * n), axis=1)[:, -1]:
             total += score
-            cells += 1
-    return total / cells
+    return total / (T * K)
 
 
 def perplexity(beta_hat, theta_hat, corpus):
@@ -159,12 +167,15 @@ def perplexity(beta_hat, theta_hat, corpus):
         raise ShapeError("corpus dimensions disagree with the model arrays")
     present = corpus.present
     out = 0.0
+    terms = np.empty(W[:, 0].shape)             # (N, V), reused per stage
     for t in range(T):
-        probs = th[t] @ bh[t].T                 # (N, V)
-        logp = np.log(np.maximum(probs, PROB_FLOOR))
+        np.matmul(th[t], bh[t].T, out=terms)    # word probabilities
+        np.maximum(terms, PROB_FLOOR, out=terms)
+        np.log(terms, out=terms)
+        terms *= W[:, t]
         cnt = W[:, t].sum(axis=1)
         mask = present[:, t]
-        per_doc = -(W[:, t] * logp).sum(axis=1)[mask] / cnt[mask]
+        per_doc = -terms.sum(axis=1)[mask] / cnt[mask]
         out += np.exp(per_doc.mean())
     return float(out / T)
 
@@ -214,17 +225,39 @@ def group_accuracy(theta_hat, groups, mask=None, n_iter=500, step=0.1,
     if n < G * K:
         raise DegenerateDesign(
             f"need at least G*K = {G * K} samples; got {n}")
+    Wp, b = _probe_fit(X, y, G, n_iter, step, l2)
+    pred = np.argmax(X @ Wp + b, axis=1)
+    return float(np.mean(pred == y))
+
+
+def _probe_fit(X, y, G, n_iter, step, l2):
+    """The probe's final (Wp, b), float for float as softmax(X @ Wp + b,
+    axis=1) would give them, with the softmax in a (G, n) layout: its row sum
+    adds the groups left to right, numpy's order below 8 terms (numpy unrolls
+    longer sums, so G >= 8 sums a contiguous copy), and the intercept
+    gradient is a cumsum, the order of r.sum(axis=0)."""
+    n, K = X.shape
     Y = np.zeros((n, G))
     Y[np.arange(n), y] = 1.0
     Wp = np.zeros((K, G))
     b = np.zeros(G)
+    Z, r, col = np.empty((G, n)), np.empty((n, G)), np.empty(n)
     for _ in range(n_iter):
-        p = softmax(X @ Wp + b, axis=1)
-        r = (p - Y) / n
+        np.add((X @ Wp).T, b[:, None], out=Z)
+        if not np.isfinite(Z).all():
+            raise NumericError("softmax input must be finite")
+        Z -= Z.max(axis=0, out=col)
+        np.exp(Z, out=Z)
+        if G < 8:
+            Z.sum(axis=0, out=col)
+        else:
+            np.ascontiguousarray(Z.T).sum(axis=1, out=col)
+        Z /= col
+        np.subtract(Z.T, Y, out=r)
+        r /= n
         Wp -= step * (X.T @ r + l2 * Wp)
-        b -= step * r.sum(axis=0)
-    pred = np.argmax(X @ Wp + b, axis=1)
-    return float(np.mean(pred == y))
+        b -= step * np.cumsum(r.T, axis=1)[:, -1]
+    return Wp, b
 
 
 def full_report(fitted, corpus, truth=None):

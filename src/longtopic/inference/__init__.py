@@ -5,7 +5,7 @@ extension."""
 from .dynamic import fit_dynamic_topics
 from .loss import Batch, CorpusArrays, LossResult, longitudinal_loss
 from .networks import EncoderParams, StageEncoder
-from .terms import DISTANCE_KINDS, gaussian_kl_term, mi_term
+from .terms import DISTANCE_KINDS
 from .trainer import (
     FittedModel,
     TrainConfig,
@@ -30,11 +30,9 @@ __all__ = [
     "default_init",
     "encode_corpus",
     "fit_dynamic_topics",
-    "gaussian_kl_term",
     "infer_proportions",
     "load_model",
     "longitudinal_loss",
-    "mi_term",
     "param_registry",
     "save_model",
     "train",

@@ -1,20 +1,18 @@
 """Closed-form loss terms and group-separation distances.
 
-All sigma arguments are standard deviations. The public functions take one
-document's (K,) vectors and return scalars; the *_with_grad variants are
-batched over rows and also return the hand-derived partial derivatives used by
-the training loop.
+All sigma arguments are standard deviations. The kernels are batched over
+rows and return the hand-derived partial derivatives used by the training
+loop next to the values.
 
-gaussian_kl_term is the exact KL(N(mu_q, sigma_q^2) || N(mu0, sigma0^2)) summed
-over dimensions. mi_term is the pairwise factual/counterfactual separation
+The mi_jsd distance sums the pairwise factual/counterfactual separation
     (1/2) * { log((s + s~) / (4 s s~)) + (mu - mu~)^2 / (s + s~) + 1/2 }
-summed over dimensions; it is symmetric in its two distributions and need not
+over dimensions; it is symmetric in its two distributions and need not
 vanish at coincidence (at mu = mu~, s = s~ it is (1/2)(log(1/(2s)) + 1/2) per
 dimension — only differences of this term matter in the objective, so the
 offset is immaterial).
 
 Distances over the factual posterior Q_y and its counterfactuals:
-    mi_jsd         sum of mi_term over counterfactuals (the default)
+    mi_jsd         sum of that separation over counterfactuals (the default)
     info_radius    (1/G) sum_g KL(Q_g || M), M the moment-matched Gaussian of
                    the equal-weight mixture of all G members
     avg_divergence (1/(G-1)) sum_{g != y} KL(Q_y || Q_g)
@@ -27,47 +25,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import NumericError, ShapeError, UnknownDistance
+from ..errors import ShapeError, UnknownDistance
 
 DISTANCE_KINDS = ("none", "mi_jsd", "info_radius", "avg_divergence",
                   "l1", "l2", "linf")
-
-
-def _check_scales(*scales):
-    for s in scales:
-        s = np.asarray(s, dtype=np.float64)
-        if not np.all(np.isfinite(s)) or np.any(s <= 0):
-            raise NumericError("scales must be positive and finite")
-
-
-def gaussian_kl_term(mu_q, sigma_q, mu0, sigma0):
-    """KL(N(mu_q, sigma_q^2) || N(mu0, sigma0^2)), summed over dimensions:
-    sum_k log(sigma0/sigma_q) + (sigma_q^2 + (mu_q - mu0)^2)/(2 sigma0^2) - 1/2.
-    """
-    mu_q = np.asarray(mu_q, dtype=np.float64)
-    sigma_q = np.asarray(sigma_q, dtype=np.float64)
-    mu0 = np.broadcast_to(np.asarray(mu0, dtype=np.float64), mu_q.shape)
-    sigma0 = np.broadcast_to(np.asarray(sigma0, dtype=np.float64), mu_q.shape)
-    _check_scales(sigma_q, sigma0)
-    return float(np.sum(
-        np.log(sigma0 / sigma_q)
-        + (sigma_q ** 2 + (mu_q - mu0) ** 2) / (2.0 * sigma0 ** 2)
-        - 0.5))
-
-
-def mi_term(mu_q, sigma_q, mu_cf, sigma_cf):
-    """Factual/counterfactual separation term, summed over dimensions;
-    symmetric under swapping the two distributions."""
-    mu_q = np.asarray(mu_q, dtype=np.float64)
-    sigma_q = np.asarray(sigma_q, dtype=np.float64)
-    mu_cf = np.asarray(mu_cf, dtype=np.float64)
-    sigma_cf = np.asarray(sigma_cf, dtype=np.float64)
-    _check_scales(sigma_q, sigma_cf)
-    ssum = sigma_q + sigma_cf
-    return float(0.5 * np.sum(
-        np.log(ssum / (4.0 * sigma_q * sigma_cf))
-        + (mu_q - mu_cf) ** 2 / ssum
-        + 0.5))
 
 
 # -- batched values + gradients ---------------------------------------------

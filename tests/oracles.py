@@ -1,15 +1,58 @@
-"""Per-document reference implementations of the package's batched kernels:
-one document's posterior moments, its group distance, the collapsed word
-distribution, its multinomial log-likelihood and one transition mean. Only
-tests call them, to check the batched code against a direct computation."""
+"""Reference implementations of the package's batched kernels: one
+document's posterior moments, its group distance, the collapsed word
+distribution, its multinomial log-likelihood and one transition mean; the
+closed-form Gaussian KL and pairwise separation terms for one document; and
+the loop forms of the evaluation metrics (topic alignment, UMass coherence,
+perplexity and the group probe), which the vectorized metrics must match bit
+for bit. Only tests call them, to check the package's code against a direct
+computation."""
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from longtopic.errors import ShapeError, UnknownDistance
+from longtopic.errors import NumericError, ShapeError, UnknownDistance
+from longtopic.evaluate import _as_stack, _topic_kl_matrix, top_words
 from longtopic.inference.terms import DISTANCE_KINDS, distance_with_grad
-from longtopic.model import PROB_FLOOR, column_softmax, encode_groups
+from longtopic.model import PROB_FLOOR, column_softmax, encode_groups, softmax
+
+
+def _check_scales(*scales):
+    for s in scales:
+        s = np.asarray(s, dtype=np.float64)
+        if not np.all(np.isfinite(s)) or np.any(s <= 0):
+            raise NumericError("scales must be positive and finite")
+
+
+def gaussian_kl_term(mu_q, sigma_q, mu0, sigma0):
+    """KL(N(mu_q, sigma_q^2) || N(mu0, sigma0^2)), summed over dimensions:
+    sum_k log(sigma0/sigma_q) + (sigma_q^2 + (mu_q - mu0)^2)/(2 sigma0^2) - 1/2.
+    """
+    mu_q = np.asarray(mu_q, dtype=np.float64)
+    sigma_q = np.asarray(sigma_q, dtype=np.float64)
+    mu0 = np.broadcast_to(np.asarray(mu0, dtype=np.float64), mu_q.shape)
+    sigma0 = np.broadcast_to(np.asarray(sigma0, dtype=np.float64), mu_q.shape)
+    _check_scales(sigma_q, sigma0)
+    return float(np.sum(
+        np.log(sigma0 / sigma_q)
+        + (sigma_q ** 2 + (mu_q - mu0) ** 2) / (2.0 * sigma0 ** 2)
+        - 0.5))
+
+
+def mi_term(mu_q, sigma_q, mu_cf, sigma_cf):
+    """Factual/counterfactual separation term, summed over dimensions;
+    symmetric under swapping the two distributions."""
+    mu_q = np.asarray(mu_q, dtype=np.float64)
+    sigma_q = np.asarray(sigma_q, dtype=np.float64)
+    mu_cf = np.asarray(mu_cf, dtype=np.float64)
+    sigma_cf = np.asarray(sigma_cf, dtype=np.float64)
+    _check_scales(sigma_q, sigma_cf)
+    ssum = sigma_q + sigma_cf
+    return float(0.5 * np.sum(
+        np.log(ssum / (4.0 * sigma_q * sigma_cf))
+        + (mu_q - mu_cf) ** 2 / ssum
+        + 0.5))
 
 
 @dataclass
@@ -108,3 +151,83 @@ def transition_mean(t, eta_prev, x_t, y_enc, model):
             f" expected {model.in_dim}")
     out, _ = model.forward(inp[None, :])
     return out[0]
+
+
+# -- evaluation metrics, one Python loop per stage, topic and word pair ------
+
+
+def align_topics_ref(beta_hat, beta_true):
+    """Per-stage permutation by scoring each of the K! permutations in
+    itertools order with Python's sum; strict < keeps the first minimum."""
+    bh = _as_stack(beta_hat, "beta_hat")
+    bt = _as_stack(beta_true, "beta_true")
+    T, V, K = bh.shape
+    perms = []
+    for t in range(T):
+        cost = _topic_kl_matrix(bh[t], bt[t])
+        best, best_perm = np.inf, None
+        for perm in itertools.permutations(range(K)):
+            c = sum(cost[perm[k], k] for k in range(K))
+            if c < best:  # strict: itertools yields ascending lexicographic
+                best, best_perm = c, perm
+        perms.append(list(best_perm))
+    return perms
+
+
+def umass_coherence_ref(beta_hat, corpus, top_n=15):
+    """UMass coherence with one boolean column intersection per word pair."""
+    bh = _as_stack(beta_hat, "beta_hat")
+    T, V, K = bh.shape
+    tops = top_words(bh, top_n)
+    W = corpus.dense_counts()                   # (N, T, V)
+    present = corpus.present
+    total, cells = 0.0, 0
+    for t in range(T):
+        occ = (W[present[:, t], t] > 0)         # (N_t, V) word-in-doc flags
+        doc_freq = occ.sum(axis=0)
+        for k in range(K):
+            words = tops[t, k]
+            score = 0.0
+            for i in words:
+                for j in words:
+                    if i == j or doc_freq[j] == 0:
+                        continue
+                    co = int(np.sum(occ[:, i] & occ[:, j]))
+                    score += np.log((co + 1.0) / doc_freq[j])
+            total += score
+            cells += 1
+    return total / cells
+
+
+def perplexity_ref(beta_hat, theta_hat, corpus):
+    """Perplexity from whole-array expressions, a new (N, V) array each."""
+    bh = _as_stack(beta_hat, "beta_hat")
+    th = np.asarray(theta_hat, dtype=np.float64)
+    T = bh.shape[0]
+    W = corpus.dense_counts()
+    present = corpus.present
+    out = 0.0
+    for t in range(T):
+        probs = th[t] @ bh[t].T                 # (N, V)
+        logp = np.log(np.maximum(probs, PROB_FLOOR))
+        cnt = W[:, t].sum(axis=1)
+        mask = present[:, t]
+        per_doc = -(W[:, t] * logp).sum(axis=1)[mask] / cnt[mask]
+        out += np.exp(per_doc.mean())
+    return float(out / T)
+
+
+def probe_fit_ref(X, y, G, n_iter=500, step=0.1, l2=1e-4):
+    """Final (Wp, b) of the group probe's gradient descent, in the
+    (samples, groups) layout with the package's row softmax."""
+    n, K = X.shape
+    Y = np.zeros((n, G))
+    Y[np.arange(n), y] = 1.0
+    Wp = np.zeros((K, G))
+    b = np.zeros(G)
+    for _ in range(n_iter):
+        p = softmax(X @ Wp + b, axis=1)
+        r = (p - Y) / n
+        Wp -= step * (X.T @ r + l2 * Wp)
+        b -= step * r.sum(axis=0)
+    return Wp, b

@@ -51,7 +51,6 @@ from longtopic.evaluate import (
 )
 from longtopic.inference.dynamic import fit_dynamic_topics
 from longtopic.inference.loss import CorpusArrays, longitudinal_loss
-from longtopic.inference.terms import gaussian_kl_term, mi_term
 from longtopic.inference.trainer import (
     TrainConfig,
     default_init,
@@ -60,7 +59,12 @@ from longtopic.inference.trainer import (
 )
 from longtopic.model import column_softmax, default_vocab
 from longtopic.simulate import SimConfig, simulate
-from oracles import encode, multinomial_log_likelihood
+from oracles import (
+    encode,
+    gaussian_kl_term,
+    mi_term,
+    multinomial_log_likelihood,
+)
 
 README = __file__.rsplit("/", 2)[0] + "/README.md"
 

@@ -162,6 +162,37 @@ def test_bad_inputs_exit_one(tmp_path, capsys):
     assert code == 1 and "ConfigError" in err
 
 
+@pytest.mark.parametrize("setting", [
+    'repeats="two"', "repeats=2.5", "repeats=true",
+    'sim.seed="x"', "sim.seed=2.5", "sim.seed=true", 'train.seed="x"'])
+def test_pipeline_non_integer_scalars_are_config_errors(tmp_path, capsys,
+                                                        setting):
+    code, err = error_code(
+        ["pipeline", "--out", str(tmp_path), *SIM, *TRAIN,
+         "--set", setting], capsys)
+    assert code == 1
+    assert err.count("\n") == 1 and err.startswith("error: ConfigError:")
+
+
+def test_eval_with_non_finite_truth_is_a_numeric_error(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert main(["simulate", "--out", str(out), "--seed", "3", *SIM,
+                 "--set", "sim.n_subjects=30"]) == 0
+    corpus = str(out / "corpus")
+    assert main(["fit", "--out", str(out), "--seed", "3", *TRAIN,
+                 "--set", f'paths.corpus="{corpus}"']) == 0
+    truth = json.loads((out / "truth.json").read_text())
+    truth["beta_true"][1][0][0] = float("nan")
+    (out / "truth.json").write_text(json.dumps(truth))
+    capsys.readouterr()
+    code, err = error_code(
+        ["eval", "--out", str(out), "--set", f'paths.corpus="{corpus}"',
+         "--set", f'paths.model="{out / "model.json"}"',
+         "--set", f'paths.truth="{out / "truth.json"}"'], capsys)
+    assert code == 1
+    assert err.count("\n") == 1 and err.startswith("error: NumericError:")
+
+
 def test_out_path_that_is_a_file_is_named(tmp_path, capsys):
     taken = tmp_path / "taken"
     taken.write_text("")

@@ -10,7 +10,6 @@ from longtopic.inference.dynamic import (
     _topic_scale,
     fit_dynamic_topics,
 )
-from longtopic.inference.terms import gaussian_kl_term
 from longtopic.inference.trainer import (
     TrainConfig,
     default_init,
@@ -19,6 +18,7 @@ from longtopic.inference.trainer import (
     train,
 )
 from longtopic.model import default_vocab
+from oracles import gaussian_kl_term
 
 
 def small_corpus(T=3, N=16, V=6, seed=0):

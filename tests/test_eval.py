@@ -3,10 +3,17 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from longtopic.corpus import Corpus
-from longtopic.errors import DegenerateDesign, ShapeError, TooManyTopics
+from longtopic.errors import (
+    DegenerateDesign,
+    NumericError,
+    ShapeError,
+    TooManyTopics,
+)
 from longtopic.evaluate import (
+    _probe_fit,
     align_topics,
     apply_permutations,
     dominant_accuracy,
@@ -21,6 +28,12 @@ from longtopic.evaluate import (
 )
 from longtopic.inference.trainer import TrainConfig, default_init, train
 from longtopic.model import default_vocab
+from oracles import (
+    align_topics_ref,
+    perplexity_ref,
+    probe_fit_ref,
+    umass_coherence_ref,
+)
 
 
 def stack(*cols_per_stage):
@@ -111,6 +124,39 @@ def test_align_rejects_large_k():
 def test_align_shape_mismatch():
     with pytest.raises(ShapeError):
         align_topics(np.full((1, 4, 2), 0.25), np.full((1, 5, 2), 0.2))
+
+
+@pytest.mark.parametrize("shape", [(1, 3, 0), (0, 3, 2)])
+def test_empty_topic_stack_is_a_shape_error(shape):
+    b = np.zeros(shape)
+    with pytest.raises(ShapeError):
+        align_topics(b, b)
+    with pytest.raises(ShapeError):
+        empirical_kl(b, b)
+    with pytest.raises(ShapeError):
+        top_words(b)
+
+
+@pytest.mark.parametrize("top_n", [0, -1])
+def test_top_n_below_one_is_a_shape_error(top_n):
+    corpus = corpus_from_counts([[[1, 0]], [[1, 1]]])
+    b = stack([[0.6, 0.4]])
+    with pytest.raises(ShapeError):
+        top_words(b, top_n)
+    with pytest.raises(ShapeError):
+        umass_coherence(b, corpus, top_n)
+
+
+@pytest.mark.parametrize("fn", [align_topics, empirical_kl])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_topics_are_a_numeric_error(fn, bad):
+    b = np.full((2, 4, 2), 0.25)
+    poisoned = b.copy()
+    poisoned[1, 2, 0] = bad
+    with pytest.raises(NumericError):
+        fn(poisoned, b)
+    with pytest.raises(NumericError):
+        fn(b, poisoned)
 
 
 def test_apply_permutations_round_trip():
@@ -346,3 +392,100 @@ def test_full_report_with_truth_and_missing(tmp_path):
     assert len(payload) == T and len(payload[0]) == K
     assert all(len(topic) == 3 and all(isinstance(w, str) for w in topic)
                for st in payload for topic in st)
+
+
+# -- bitwise agreement with the loop forms in tests/oracles.py ---------------
+
+
+def topic_stack(rng, T, V, K, dup):
+    """(T, V, K) column simplices; with dup, each column after the first
+    copies an earlier one with probability 1/2, forcing cost ties."""
+    b = rng.dirichlet(np.full(V, 0.5), size=(T, K)).transpose(0, 2, 1)
+    if dup:
+        for k in range(1, K):
+            if rng.random() < 0.5:
+                b[:, :, k] = b[:, :, rng.integers(k)]
+    return b
+
+
+@settings(max_examples=40, deadline=None)
+@given(K=st.integers(1, 8), T=st.integers(1, 2), V=st.integers(2, 6),
+       dup_hat=st.booleans(), dup_true=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_align_topics_matches_loop_oracle(K, T, V, dup_hat, dup_true, seed):
+    rng = np.random.default_rng(seed)
+    bh = topic_stack(rng, T, V, K, dup_hat)
+    bt = topic_stack(rng, T, V, K, dup_true)
+    got = align_topics(bh, bt)
+    assert got == align_topics_ref(bh, bt)
+    assert all(type(k) is int for perm in got for k in perm)
+
+
+def test_align_topics_every_cost_tied():
+    b = np.full((2, 3, 8), 1.0 / 3)
+    assert align_topics(b, b) == align_topics_ref(b, b) == [
+        list(range(8))] * 2
+
+
+@settings(max_examples=30, deadline=None)
+@given(G=st.sampled_from([2, 3, 4, 7, 8, 9]), K=st.integers(1, 5),
+       extra=st.integers(0, 400), masked=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_probe_fit_matches_loop_oracle(G, K, extra, masked, seed):
+    # X and y as group_accuracy pools them: a reshaped view, or the rows a
+    # (T, N) mask keeps
+    rng = np.random.default_rng(seed)
+    T = 2
+    N = (G * K + extra) // T + 1
+    X = rng.dirichlet(np.ones(K), size=(T, N)).reshape(T * N, K)
+    y = np.tile(rng.integers(0, G, size=N), T)
+    if masked:
+        keep = rng.random(T * N) < 0.8
+        keep[:G * K] = True
+        X, y = X[keep], y[keep]
+    Wp, b = _probe_fit(X, y, G, 500, 0.1, 1e-4)
+    Wp_ref, b_ref = probe_fit_ref(X, y, G)
+    assert np.array_equal(Wp, Wp_ref) and np.array_equal(b, b_ref)
+
+
+def test_probe_fit_non_finite_logits_are_a_numeric_error():
+    X = np.array([[1.0, 0.0], [0.0, np.inf], [0.5, 0.5]])
+    with pytest.raises(NumericError):
+        _probe_fit(X, np.array([0, 1, 0]), 2, 5, 0.1, 1e-4)
+
+
+@st.composite
+def sparse_corpora(draw):
+    """A corpus with missing cells and words that a stage never uses, plus
+    topic and proportion arrays with some probabilities at 0 (the floor)."""
+    N = draw(st.integers(2, 12))
+    T = draw(st.integers(1, 3))
+    V = draw(st.integers(2, 20))
+    K = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    counts = rng.integers(0, 4, size=(N, T, V)) * (
+        rng.random((N, T, V)) < 0.4)
+    counts[:, rng.random((T, V)) < 0.3] = 0     # words absent from a stage
+    counts[rng.random((N, T)) < 0.25] = 0       # missing cells
+    counts[0, :, 0] += 1                        # every stage keeps a doc
+    corpus = corpus_from_counts(counts)
+    beta = rng.dirichlet(np.full(V, 0.3), size=(T, K)).transpose(0, 2, 1)
+    beta[rng.random((T, V, K)) < 0.1] = 0.0
+    theta = rng.dirichlet(np.ones(K), size=(T, N))
+    return corpus, beta, theta, draw(st.integers(1, V + 2))
+
+
+@settings(max_examples=60, deadline=None)
+@given(sparse_corpora())
+def test_umass_coherence_matches_loop_oracle(case):
+    corpus, beta, _, top_n = case
+    assert umass_coherence(beta, corpus, top_n) == \
+        umass_coherence_ref(beta, corpus, top_n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(sparse_corpora())
+def test_perplexity_matches_loop_oracle(case):
+    corpus, beta, theta, _ = case
+    assert perplexity(beta, theta, corpus) == \
+        perplexity_ref(beta, theta, corpus)

@@ -1,16 +1,18 @@
 """Golden bytes: a fixed-seed run writes exactly the files it wrote before the
-corpus path was vectorized and the static and dynamic-topic epoch loops were
-merged into one.
+corpus path was vectorized, the static and dynamic-topic epoch loops were
+merged into one, and the metric kernels were vectorized.
 
 The simulate -> fit -> infer hashes were computed with the package at commit
 cc5d8b4 (per-word Python corpus build, `json.dump` streaming writers), the
 dynamic-topic fit and pipeline hashes at commit 8c9326e (one epoch loop per
 topic parametrization, pipeline with its own copy of the stage commands),
-all on x86-64 with numpy 2.4 and OpenBLAS. They pin the on-disk formats and
-the random draw order: a change to either shows up here even when two runs
-of the new code agree with each other. A different BLAS may round the fit
-differently and change the hashes of the fitted artifacts (`model.json`,
-`train_log.json`, `proportions.json`, `summary.json`) only.
+the `eval` hashes (`metrics.json`) at commit 4e0037f (one Python loop per
+permutation, word pair and probe step), all on x86-64 with numpy 2.4 and
+OpenBLAS. They pin the on-disk formats and the random draw order: a change
+to either shows up here even when two runs of the new code agree with each
+other. A different BLAS may round the fit differently and change the hashes
+of the fitted artifacts (`model.json`, `train_log.json`, `proportions.json`,
+`summary.json`, `metrics.json`) only.
 """
 
 import hashlib
@@ -49,6 +51,19 @@ GOLDEN_DYNAMIC = {
     "train_log.json":
         "450bdd9fc45a3c6c352439c87d7c88178f5e6a4e173c37f3bd52dedba48fac36",
 }
+GOLDEN_METRICS = {
+    "metrics.json":
+        "c227b446797cd5bd92b7da9fc44f1f8e401285a88a22388148f3d4b780d25598",
+}
+# two groups (the G = 2 probe) and six topics (a 720-permutation search);
+# six epochs move the topics far enough that the alignment is not the identity
+K6_SIM = ["--set", "sim.n_groups=2", "--set", "sim.n_topics=6"]
+K6_TRAIN = ["--set", "train.n_topics=6", "--set", "train.t_max=6",
+            "--set", "train.learning_rate=0.05"]
+GOLDEN_METRICS_K6 = {
+    "metrics.json":
+        "e0994263e5fa9957c7276caf4c29e76fe2f72cd4c05de67a2810c853e00b02e9",
+}
 GOLDEN_PIPELINE = {
     "summary.json":
         "33f9ef438cfd4e4ad05c0ad826046f58619d5532a915c99aab3751e6fbeea2be",
@@ -71,6 +86,31 @@ def test_fixed_seed_artifacts_match_golden_bytes(tmp_path):
                  "--set", f'paths.corpus="{corpus}"',
                  "--set", f'paths.model="{model}"']) == 0
     assert sha256s(out, GOLDEN) == GOLDEN
+
+
+def simulate_fit_eval(root, sim_extra=(), train_extra=()):
+    run = root / "run"
+    corpus = run / "corpus"
+    assert main(["simulate", "--out", str(run), "--seed", "11", *SIM,
+                 *sim_extra]) == 0
+    assert main(["fit", "--out", str(run), "--seed", "11", *TRAIN,
+                 *train_extra, "--set", f'paths.corpus="{corpus}"']) == 0
+    out = root / "eval"
+    assert main(["eval", "--out", str(out),
+                 "--set", f'paths.corpus="{corpus}"',
+                 "--set", f'paths.model="{run / "model.json"}"',
+                 "--set", f'paths.truth="{run / "truth.json"}"']) == 0
+    return out
+
+
+def test_eval_metrics_match_golden_bytes(tmp_path):
+    out = simulate_fit_eval(tmp_path)
+    assert sha256s(out, GOLDEN_METRICS) == GOLDEN_METRICS
+
+
+def test_two_group_six_topic_eval_matches_golden_bytes(tmp_path):
+    out = simulate_fit_eval(tmp_path, K6_SIM, K6_TRAIN)
+    assert sha256s(out, GOLDEN_METRICS_K6) == GOLDEN_METRICS_K6
 
 
 def test_dynamic_topic_fit_matches_golden_bytes(tmp_path):

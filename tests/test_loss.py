@@ -4,12 +4,13 @@ import pytest
 from longtopic.corpus import Corpus
 from longtopic.errors import ShapeError, UnknownDistance
 from longtopic.inference.loss import CorpusArrays, longitudinal_loss
-from longtopic.inference.terms import DISTANCE_KINDS, gaussian_kl_term
+from longtopic.inference.terms import DISTANCE_KINDS
 from longtopic.inference.trainer import TrainConfig, default_init
 from longtopic.model import column_softmax, default_vocab
 from oracles import (
     counterfactual_encode,
     encode,
+    gaussian_kl_term,
     group_distance,
     multinomial_log_likelihood,
 )

@@ -4,13 +4,8 @@ from hypothesis import given, settings, strategies as st
 from scipy import integrate, stats
 
 from longtopic.errors import NumericError, ShapeError, UnknownDistance
-from longtopic.inference.terms import (
-    DISTANCE_KINDS,
-    distance_with_grad,
-    gaussian_kl_term,
-    mi_term,
-)
-from oracles import PosteriorMoments, group_distance
+from longtopic.inference.terms import DISTANCE_KINDS, distance_with_grad
+from oracles import PosteriorMoments, gaussian_kl_term, group_distance, mi_term
 
 
 def kl_by_quadrature(mu_q, s_q, mu0, s0):
