@@ -29,7 +29,7 @@ import sys
 
 import numpy as np
 
-from .corpus import load_corpus, save_corpus
+from .corpus import load_corpus, save_corpus, write_json
 from .errors import ConfigError, IoError, LongtopicError
 from .evaluate import full_report, save_metrics, save_top_words
 from .inference import (
@@ -88,33 +88,23 @@ def _load_config(args):
         cfg.setdefault("paths", {})["out"] = args.out
     if getattr(args, "repeats", None) is not None:
         cfg["repeats"] = args.repeats
-    if getattr(args, "dist", None) is not None:
-        cfg.setdefault("train", {})["dist_kind"] = args.dist
-    if getattr(args, "dist_weight", None) is not None:
-        cfg.setdefault("train", {})["dist_weight"] = args.dist_weight
-    if getattr(args, "dynamic_topics", None) is not None:
-        cfg.setdefault("train", {})["dynamic_topics_var"] = args.dynamic_topics
+    for flag, key in (("dist", "dist_kind"), ("dist_weight", "dist_weight"),
+                      ("dynamic_topics", "dynamic_topics_var")):
+        if getattr(args, flag, None) is not None:
+            cfg.setdefault("train", {})[key] = getattr(args, flag)
     if getattr(args, "allow_missing", False):
         cfg["allow_missing"] = True
     return cfg
 
 
-def _sim_config(cfg):
-    if "sim" not in cfg:
-        raise ConfigError("this mode needs a 'sim' config block")
+def _section(cfg, name, cls):
+    """The config block name as a cls (SimConfig or TrainConfig)."""
+    if name not in cfg:
+        raise ConfigError(f"this mode needs a '{name}' config block")
     try:
-        return SimConfig(**cfg["sim"])
+        return cls(**cfg[name])
     except TypeError as e:
-        raise ConfigError(f"bad sim config: {e}") from e
-
-
-def _train_config(cfg):
-    if "train" not in cfg:
-        raise ConfigError("this mode needs a 'train' config block")
-    try:
-        return TrainConfig(**cfg["train"])
-    except TypeError as e:
-        raise ConfigError(f"bad train config: {e}") from e
+        raise ConfigError(f"bad {name} config: {e}") from e
 
 
 def _out_dir(cfg, *sub):
@@ -124,14 +114,6 @@ def _out_dir(cfg, *sub):
     except OSError as e:
         raise IoError(f"cannot create directory {path}: {e}") from e
     return path
-
-
-def _write_json(obj, path, indent=None):
-    try:
-        with open(path, "w", encoding="utf-8") as f:
-            f.write(json.dumps(obj, sort_keys=True, indent=indent) + "\n")
-    except OSError as e:
-        raise IoError(f"cannot write {path}: {e}") from e
 
 
 def _need_path(cfg, key):
@@ -174,7 +156,7 @@ def _echo(cfg):
 
 
 def cmd_simulate(cfg):
-    scfg = _sim_config(cfg)
+    scfg = _section(cfg, "sim", SimConfig)
     out = _out_dir(cfg)
     corpus, _ = _simulate(out, scfg)
     print(f"wrote {os.path.join(out, 'corpus')} ({corpus.n_subjects} subjects,"
@@ -184,12 +166,12 @@ def cmd_simulate(cfg):
 
 
 def cmd_fit(cfg):
-    tcfg = _train_config(cfg)
+    tcfg = _section(cfg, "train", TrainConfig)
     corpus = load_corpus(_need_path(cfg, "corpus"),
                          allow_missing=bool(cfg.get("allow_missing", False)))
     out = _out_dir(cfg)
     fitted = _fit(out, corpus, tcfg)
-    _write_json({"log": fitted.log, "converged": fitted.converged},
+    write_json({"log": fitted.log, "converged": fitted.converged},
                 os.path.join(out, "train_log.json"), indent=2)
     last = fitted.log[-1]
     print(f"wrote {os.path.join(out, 'model.json')}; final loss"
@@ -215,7 +197,7 @@ def cmd_infer(cfg):
     fitted = load_model(_need_path(cfg, "model"))
     theta = infer_proportions(fitted, corpus)
     path = os.path.join(_out_dir(cfg), "proportions.json")
-    _write_json({"theta": theta.tolist(), "order": "stage, subject, topic"},
+    write_json({"theta": theta.tolist(), "order": "stage, subject, topic"},
                 path)
     print(f"wrote {path}")
     return 0
@@ -252,7 +234,8 @@ def cmd_pipeline(cfg):
     for seed in range(base_seed, base_seed + repeats):
         sub = dict(cfg, sim=dict(base_sim, seed=seed),
                    train=dict(base_train, seed=seed))
-        runs.append((seed, sub, _sim_config(sub), _train_config(sub)))
+        runs.append((seed, sub, _section(sub, "sim", SimConfig),
+                     _section(sub, "train", TrainConfig)))
     out = _out_dir(cfg)
     per_seed = []
     for seed, sub, scfg, tcfg in runs:
@@ -267,7 +250,7 @@ def cmd_pipeline(cfg):
             {k: row[k] for k in METRIC_FIELDS}, sort_keys=True))
     mean, se = _aggregate(per_seed)
     path = os.path.join(out, "summary.json")
-    _write_json({"per_seed": per_seed, "mean": mean, "se": se,
+    write_json({"per_seed": per_seed, "mean": mean, "se": se,
                  "config": _echo(cfg)}, path, indent=2)
     print(f"wrote {path}")
     return 0

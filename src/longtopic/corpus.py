@@ -3,8 +3,8 @@
 A corpus is a balanced panel: N subjects observed over T stages, each (subject,
 stage) cell holding one bag-of-words document over a fixed vocabulary of V words,
 per-stage covariates (P features), and one group label per subject. Counts are
-stored sparsely (word index -> count); dense tensors are materialized only inside
-numeric kernels.
+records (word index -> count) in `docs`; numeric code reads them through the
+CSR view `csr()`, cells stage-major, and builds no (N, T, V) tensor.
 
 On-disk layout (one directory):
     vocab.txt   one word per line; line index = word index
@@ -63,7 +63,7 @@ class Corpus:
     present: np.ndarray  # (N, T) bool
     cov_center: np.ndarray  # (P,) recorded standardization offset
     cov_scale: np.ndarray  # (P,) recorded standardization scale
-    _dense: np.ndarray | None = field(default=None, repr=False, compare=False)
+    _csr: tuple | None = field(default=None, repr=False, compare=False)
 
     # -- construction ------------------------------------------------------
 
@@ -92,7 +92,11 @@ class Corpus:
             raise ShapeError(f"counts must be (N, T, V); got {counts.shape}")
         if counts.dtype.kind not in "biuf":
             raise FormatError(f"counts must be numeric, not {counts.dtype}")
-        return cls._from_blocks(_dense_blocks(counts), covariates, groups,
+        N, T, V = counts.shape
+        flat = counts.reshape(N * T, V)
+        blocks = ((first, flat[first:first + BLOCK])
+                  for first in range(0, N * T, BLOCK))
+        return cls._from_blocks(_dense_blocks(blocks, T), covariates, groups,
                                 vocab, allow_missing, n_groups)
 
     @classmethod
@@ -182,22 +186,38 @@ class Corpus:
 
     # -- accessors ---------------------------------------------------------
 
+    def csr(self):
+        """(indptr, words, counts, rows): the counts in CSR form, read from
+        docs once. Cell c = t*N + i (subject i, stage t) holds entries
+        indptr[c] to indptr[c + 1], word ids ascending, so stage t is one
+        slice; rows holds each entry's subject i."""
+        if self._csr is None:
+            N, T = self.n_subjects, self.n_stages
+            cells = [self.docs[i][t] or {} for t in range(T) for i in range(N)]
+            cell = np.repeat(np.arange(N * T), list(map(len, cells)))
+            words = np.fromiter(chain.from_iterable(cells), np.int64)
+            counts = np.fromiter(chain.from_iterable(
+                c.values() for c in cells), np.int64)
+            if np.any((np.diff(words) <= 0) & (np.diff(cell) == 0)):
+                order = np.lexsort((words, cell))
+                words, counts = words[order], counts[order]
+            self._csr = (np.searchsorted(cell, np.arange(N * T + 1)), words,
+                         counts, cell % N)
+        return self._csr
+
     def dense_counts(self):
         """(N, T, V) float64 count tensor. Missing cells are all-zero rows."""
-        if self._dense is None:
-            W = np.zeros(
-                (self.n_subjects, self.n_stages, self.vocab_size))
-            for i in range(self.n_subjects):
-                for t in range(self.n_stages):
-                    cell = self.docs[i][t]
-                    if cell:
-                        W[i, t, list(cell.keys())] = list(cell.values())
-            self._dense = W
-        return self._dense
+        (indptr, words, counts, rows), N = self.csr(), self.n_subjects
+        W = np.zeros((N, self.n_stages, self.vocab_size))
+        W[rows, np.repeat(np.arange(self.n_stages), np.diff(indptr[::N])),
+          words] = counts
+        return W
 
     def total_counts(self):
-        """(N, T) total words per cell (0 where missing)."""
-        return self.dense_counts().sum(axis=2)
+        """(N, T) float64 total words per cell (0 where missing)."""
+        indptr, _, counts, _ = self.csr()
+        ends = np.concatenate([[0], np.cumsum(counts)])[indptr]
+        return np.diff(ends).reshape(self.n_stages, -1).T.astype(np.float64)
 
     def __eq__(self, other):
         if not isinstance(other, Corpus):
@@ -250,13 +270,11 @@ def _record_blocks(records):
                _word_array(keys), _count_array(values), keys, values)
 
 
-def _dense_blocks(counts):
-    """The nonzero cells of an (N, T, V) count tensor, BLOCK cells at a time,
-    as _from_blocks takes them."""
-    N, T, V = counts.shape
-    flat = counts.reshape(N * T, V)
-    for first in range(0, N * T, BLOCK):
-        rows = flat[first:first + BLOCK]
+def _dense_blocks(blocks, T):
+    """The nonzero cells of dense count rows, as _from_blocks takes them.
+    blocks yields (first, rows): the (n, V) counts of cells first to
+    first + n - 1 of the subject-major (N, T) grid."""
+    for first, rows in blocks:
         cell, words = np.nonzero(rows)
         starts = np.flatnonzero(np.diff(cell, prepend=-1))
         cells = first + cell[starts]
@@ -408,6 +426,27 @@ def _doc_lines(corpus):
                            zip(words, map(cell.__getitem__, words))))
 
 
+def read_json(fname):
+    """A JSON file's object; IoError when it cannot be read or parsed."""
+    try:
+        with open(fname, encoding="utf-8") as f:
+            return json.load(f)
+    except OSError as e:
+        raise IoError(f"cannot read {fname}: {e}") from e
+    except json.JSONDecodeError as e:
+        raise IoError(f"{fname}: invalid JSON: {e}") from e
+
+
+def write_json(obj, fname, indent=None):
+    """obj as sorted-key JSON plus a newline; IoError when it cannot be
+    written."""
+    try:
+        with open(fname, "w", encoding="utf-8") as f:
+            f.write(json.dumps(obj, sort_keys=True, indent=indent) + "\n")
+    except OSError as e:
+        raise IoError(f"cannot write {fname}: {e}") from e
+
+
 def _read_lines(fname):
     try:
         with open(fname, encoding="utf-8") as f:
@@ -450,6 +489,8 @@ def _read_groups(fname):
 
 
 def _read_meta(fname, n_subjects):
+    """(N, T, P) covariates from meta.csv: the rows parsed in one pass and
+    placed by index, a fault reported at the first offending line."""
     lines = _read_lines(fname)
     if not lines:
         raise FormatError(f"{fname}: empty file")
@@ -457,39 +498,49 @@ def _read_meta(fname, n_subjects):
     if header[:2] != ["subject", "stage"]:
         raise FormatError(f"{fname}: header must start with 'subject,stage'")
     P = len(header) - 2
-    rows = {}
+    ids, xs, lns, fault = [], [], [], None
     for ln, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
         parts = line.split(",")
-        if len(parts) != P + 2:
-            raise FormatError(f"{fname} line {ln}: expected {P + 2} fields")
         try:
+            if len(parts) != P + 2:
+                raise ValueError(f"expected {P + 2} fields")
             subject, stage = int(parts[0]), int(parts[1])
-            x = [float(p) for p in parts[2:]]
+            xs.append(list(map(float, parts[2:])))
         except ValueError as e:
-            raise FormatError(f"{fname} line {ln}: {e}") from e
-        if not all(math.isfinite(v) for v in x):
-            raise FormatError(f"{fname} line {ln}: non-finite covariate")
-        if (subject, stage) in rows:
-            raise FormatError(
-                f"{fname} line {ln}: duplicate (subject, stage) "
-                f"({subject}, {stage})")
-        rows[(subject, stage)] = x
-    if not rows:
-        raise FormatError(f"{fname}: no rows")
-    T = max(t for _, t in rows) + 1
-    covariates = np.zeros((n_subjects, T, P))
-    for i in range(n_subjects):
-        for t in range(T):
-            if (i, t) not in rows:
-                raise FormatError(
-                    f"{fname}: missing covariate row for subject {i},"
-                    f" stage {t}")
-            covariates[i, t] = rows[(i, t)]
-    extra = [k for k in rows if k[0] >= n_subjects or k[1] < 0]
-    if extra:
-        raise FormatError(f"{fname}: row for unknown subject {extra[0][0]}")
+            fault = FormatError(f"{fname} line {ln}: {e}")
+            break
+        ids.append((subject, stage))
+        lns.append(ln)
+    try:
+        pairs = np.array(ids, dtype=np.int64).reshape(-1, 2)
+    except OverflowError as e:
+        raise FormatError(f"{fname}: subject or stage out of range") from e
+    x = np.array(xs, dtype=np.float64).reshape(len(ids), P)
+    bad = np.ones(len(ids), dtype=bool)     # repeats an earlier row
+    bad[np.unique(pairs, axis=0, return_index=True)[1]] = False
+    bad |= ~np.isfinite(x).all(axis=1)
+    if bad.any():
+        r = int(np.argmax(bad))
+        raise FormatError(f"{fname} line {lns[r]}: " + (
+            "non-finite covariate" if not np.isfinite(x[r]).all() else
+            f"duplicate (subject, stage) ({pairs[r, 0]}, {pairs[r, 1]})"))
+    if fault is not None or not ids:
+        raise fault or FormatError(f"{fname}: no rows")
+    subj, stage = pairs.T
+    known = (subj >= 0) & (subj < n_subjects) & (stage >= 0)
+    grid = np.zeros((n_subjects, max(int(stage.max()) + 1, 0)), dtype=bool)
+    grid[subj[known], stage[known]] = True
+    if not grid.all():
+        i, t = np.argwhere(~grid)[0]
+        raise FormatError(f"{fname}: missing covariate row for subject {i},"
+                          f" stage {t}")
+    if not known.all():
+        raise FormatError(f"{fname}: row for unknown subject"
+                          f" {subj[np.argmin(known)]}")
+    covariates = np.zeros(grid.shape + (P,))
+    covariates[subj, stage] = x
     return covariates
 
 

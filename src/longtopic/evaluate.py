@@ -11,13 +11,13 @@ coherence/perplexity, the corpus counts.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (DegenerateDesign, IoError, NumericError, ShapeError,
+from .corpus import write_json
+from .errors import (DegenerateDesign, NumericError, ShapeError,
                      TooManyTopics)
 from .model import PROB_FLOOR
 
@@ -134,16 +134,17 @@ def umass_coherence(beta_hat, corpus, top_n=15):
     bh = _as_stack(beta_hat, "beta_hat")
     T, V, K = bh.shape
     tops = top_words(bh, top_n)
-    W = corpus.dense_counts()                   # (N, T, V)
-    present = corpus.present
+    (indptr, words, _, rows), N = corpus.csr(), corpus.n_subjects
     n = tops.shape[2]
     keep = ~np.eye(n, dtype=bool)
     total = 0.0
     for t in range(T):
-        occ = (W[:, t] > 0)[present[:, t]]      # (N_t, V) word-in-doc flags
+        sl = slice(indptr[t * N], indptr[(t + 1) * N])
+        occ = np.zeros((N, V), dtype=bool)      # word-in-doc flags
+        occ[rows[sl], words[sl]] = True
         doc_freq = occ.sum(axis=0)[tops[t]]     # (K, n)
-        # co-document counts: exact integers; the pair terms then add up in
-        # (i, j) order, a skipped pair as +0.0
+        # co-document counts: exact integers (missing cells add zero rows);
+        # the pair terms add up in (i, j) order, a skipped pair as +0.0
         cols = occ[:, tops[t]].astype(np.float64).transpose(1, 2, 0)
         co = cols @ cols.transpose(0, 2, 1)     # (K, n, n)
         terms = np.log((co + 1.0) / np.maximum(doc_freq, 1)[:, None, :])
@@ -162,20 +163,22 @@ def perplexity(beta_hat, theta_hat, corpus):
     T, V, K = bh.shape
     if th.ndim != 3 or th.shape[0] != T or th.shape[2] != K:
         raise ShapeError(f"theta_hat must be (T, N, {K}); got {th.shape}")
-    W = corpus.dense_counts()
-    if W.shape[2] != V or W.shape[0] != th.shape[1]:
+    N = corpus.n_subjects
+    if corpus.vocab_size != V or N != th.shape[1]:
         raise ShapeError("corpus dimensions disagree with the model arrays")
-    present = corpus.present
+    (indptr, words, counts, rows), totals = corpus.csr(), corpus.total_counts()
     out = 0.0
-    terms = np.empty(W[:, 0].shape)             # (N, V), reused per stage
+    terms = np.empty((N, V))                    # reused per stage
     for t in range(T):
+        sl = slice(indptr[t * N], indptr[(t + 1) * N])
         np.matmul(th[t], bh[t].T, out=terms)    # word probabilities
-        np.maximum(terms, PROB_FLOOR, out=terms)
-        np.log(terms, out=terms)
-        terms *= W[:, t]
-        cnt = W[:, t].sum(axis=1)
-        mask = present[:, t]
-        per_doc = -terms.sum(axis=1)[mask] / cnt[mask]
+        # the log at the nonzero counts only, scattered back into a zeroed
+        # buffer, so the row sums add the same terms as a dense product
+        logp = np.log(np.maximum(terms[rows[sl], words[sl]], PROB_FLOOR))
+        terms.fill(0.0)
+        terms[rows[sl], words[sl]] = logp * counts[sl]
+        mask = corpus.present[:, t]
+        per_doc = -terms.sum(axis=1)[mask] / totals[mask, t]
         out += np.exp(per_doc.mean())
     return float(out / T)
 
@@ -290,21 +293,11 @@ def save_metrics(report, fname, config_echo=None):
     obj = report.to_dict()
     if config_echo is not None:
         obj["config"] = config_echo
-    try:
-        with open(fname, "w", encoding="utf-8") as f:
-            json.dump(obj, f, sort_keys=True, indent=2)
-            f.write("\n")
-    except OSError as e:
-        raise IoError(f"cannot write {fname}: {e}") from e
+    write_json(obj, fname, indent=2)
 
 
 def save_top_words(beta_hat, vocab, fname, top_n=15):
     tops = top_words(beta_hat, top_n)
     obj = [[[vocab[v] for v in tops[t, k]] for k in range(tops.shape[1])]
            for t in range(tops.shape[0])]
-    try:
-        with open(fname, "w", encoding="utf-8") as f:
-            json.dump(obj, f, sort_keys=True, indent=2)
-            f.write("\n")
-    except OSError as e:
-        raise IoError(f"cannot write {fname}: {e}") from e
+    write_json(obj, fname, indent=2)

@@ -54,47 +54,70 @@ from .terms import DISTANCE_KINDS, _kl_rows, distance_with_grad
 
 @dataclass
 class Batch:
-    counts: np.ndarray   # (B, T, V)
-    wn: np.ndarray       # (B, T, V) rows normalized to relative frequencies
     x: np.ndarray        # (B, T, P)
     y_enc: np.ndarray    # (B, E) factual group encoding
     cf_encs: list        # C entries of (B, E), C = n_groups - 1
     present: np.ndarray  # (B, T) float 0/1
-    indices: np.ndarray  # (B,) subject ids within the parent corpus
-
-    @property
-    def n_docs(self):
-        return self.counts.shape[0]
+    # nonzero (batch row, word, count, count / cell total), row-major by stage
+    rows: np.ndarray
+    cols: np.ndarray
+    c_nz: np.ndarray
+    wn_nz: np.ndarray
+    stage_ptr: np.ndarray  # (T + 1,) stage t's: stage_ptr[t]:stage_ptr[t + 1]
 
 
 class CorpusArrays:
-    """Dense, encoder-ready views of a corpus, sliceable into batches."""
+    """Encoder-ready views of a corpus, sliceable into batches. The counts
+    and relative frequencies are the values of the corpus's CSR view."""
 
     def __init__(self, corpus):
         self.corpus = corpus
-        W = corpus.dense_counts()
-        totals = W.sum(axis=2, keepdims=True)
-        self.counts = W
-        self.wn = np.divide(W, totals, out=np.zeros_like(W),
-                            where=totals > 0)
+        self.indptr, self.words, counts, _ = corpus.csr()
+        self.counts = counts.astype(np.float64)
+        self.wn = relative_frequencies(corpus)
         self.x = corpus.covariates
         self.present = corpus.present.astype(np.float64)
         G = corpus.n_groups
         self.y_enc = encode_groups(corpus.groups, G)
         # counterfactual slot c holds each subject's c-th non-factual group
-        self.cf_groups = np.empty((corpus.n_subjects, G - 1), dtype=np.int64)
-        for i, y in enumerate(corpus.groups):
-            self.cf_groups[i] = [g for g in range(G) if g != y]
+        c = np.arange(G - 1)
+        self.cf_groups = c + (c >= corpus.groups[:, None])
         self.cf_encs = [encode_groups(self.cf_groups[:, c], G)
                         for c in range(G - 1)]
 
     def batch(self, idx):
         idx = np.asarray(idx)
+        B, (N, T) = idx.size, self.present.shape
+        # the entries of cells t*N + idx, stage by stage; pos is the cell's
+        # place t*B + b in that order
+        cells = (N * np.arange(T)[:, None] + idx).ravel()
+        starts = self.indptr[cells]
+        lens = self.indptr[cells + 1] - starts
+        pos = np.repeat(np.arange(T * B), lens)
+        ent = np.arange(pos.size) + (starts - np.cumsum(lens) + lens)[pos]
         return Batch(
-            counts=self.counts[idx], wn=self.wn[idx], x=self.x[idx],
-            y_enc=self.y_enc[idx],
+            x=self.x[idx], y_enc=self.y_enc[idx],
             cf_encs=[e[idx] for e in self.cf_encs],
-            present=self.present[idx], indices=idx)
+            present=self.present[idx], rows=pos % B, cols=self.words[ent],
+            c_nz=self.counts[ent], wn_nz=self.wn[ent],
+            stage_ptr=np.searchsorted(pos, B * np.arange(T + 1)))
+
+
+def relative_frequencies(corpus):
+    """Each nonzero count of corpus.csr() over its cell's total."""
+    indptr, _, counts, _ = corpus.csr()
+    return counts / np.repeat(corpus.total_counts().T, np.diff(indptr))
+
+
+def encoder_input(out, rows, cols, wn_nz, *rest):
+    """Fill the (B, D) buffer out with one stage's encoder input [wn, x_t,
+    y_enc, prev]: wn_nz at (rows, cols) of the first V columns, zeros
+    elsewhere in them, then the blocks rest. Returns out."""
+    tail = np.concatenate(rest, axis=1)
+    out[:, :-tail.shape[1]] = 0.0
+    out[rows, cols] = wn_nz
+    out[:, -tail.shape[1]:] = tail
+    return out
 
 
 @dataclass
@@ -116,9 +139,9 @@ def longitudinal_loss(batch, gen, enc, cfg, eps, want_grads=True,
     respect to each normalized matrix, for the caller to chain through its own
     parametrization) instead of "beta".
     """
-    counts, wn, x = batch.counts, batch.wn, batch.x
-    B, T, V = counts.shape
-    K = gen.beta.shape[1]
+    x = batch.x
+    B, T, _ = x.shape
+    V, K = gen.beta.shape
     eps = np.asarray(eps, dtype=np.float64)
     if eps.ndim != 4 or eps.shape[0] != B or eps.shape[1] != T \
             or eps.shape[3] != K:
@@ -170,8 +193,10 @@ def longitudinal_loss(batch, gen, enc, cfg, eps, want_grads=True,
 
     prev_mean = np.broadcast_to(gen.eta0, (B, K))
     for t in range(T):
-        inp = np.concatenate([wn[:, t], x[:, t], batch.y_enc, prev_mean],
-                             axis=1)
+        sl = slice(batch.stage_ptr[t], batch.stage_ptr[t + 1])
+        rows, cols = cells[t] = batch.rows[sl], batch.cols[sl]
+        inp = encoder_input(np.empty((B, enc.stages[t].in_dim)), rows, cols,
+                            batch.wn_nz[sl], x[:, t], batch.y_enc, prev_mean)
         mu[t], sg[t], enc_caches[t] = enc.stages[t].forward(inp, shifts)
         mu_q, sg_q = mu[t][0], sg[t][0]
         eta[t] = mu_q[:, None, :] + eps[:, t] * sg_q[:, None, :]
@@ -197,8 +222,7 @@ def longitudinal_loss(batch, gen, enc, cfg, eps, want_grads=True,
         # multinomial reconstruction, evaluated at the nonzero counts only
         theta[t] = softmax(eta[t], axis=2)
         bc = bcols if stage_b is None else stage_b[t]
-        rows, cols = cells[t] = np.nonzero(counts[:, t] > 0)
-        c_nz = counts[rows, t, cols]
+        c_nz = batch.c_nz[sl]
         probs = (theta[t].reshape(B * M, K) @ bc.T).reshape(B, M, V)
         p_nz = probs[rows, :, cols]                           # (nnz, M)
         logp = np.log(np.maximum(p_nz, PROB_FLOOR))

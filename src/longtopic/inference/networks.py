@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ShapeError
-from ..model import encode_groups, group_encoding_dim
+from ..model import group_encoding_dim
 
 SIGMA_MIN = 1e-4
 

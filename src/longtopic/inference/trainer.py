@@ -14,13 +14,12 @@ parameters, config): refits are bit-identical.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from ..corpus import Corpus
+from ..corpus import read_json, write_json
 from ..errors import (
     ConfigError,
     DivergedError,
@@ -34,10 +33,14 @@ from ..model import (
     TransitionModel,
     column_softmax,
     encode_groups,
-    group_encoding_dim,
     softmax,
 )
-from .loss import CorpusArrays, longitudinal_loss
+from .loss import (
+    CorpusArrays,
+    encoder_input,
+    longitudinal_loss,
+    relative_frequencies,
+)
 from .networks import EncoderParams, StageEncoder
 from .terms import DISTANCE_KINDS
 
@@ -274,20 +277,18 @@ def train(corpus, gen, enc, cfg):
 
 def encode_corpus(fitted, corpus):
     """Factual posterior moments for every cell: two (T, N, K) arrays.
-    Each stage's relative frequencies are formed in its own step, by the
-    same division as CorpusArrays, so no second (N, T, V) copy is held."""
-    W = corpus.dense_counts()
+    Each stage's input goes into one (N, D) buffer from that stage's slice of
+    the corpus's CSR counts, so no (N, T, V) array is built."""
+    (indptr, words, _, rows), wn = corpus.csr(), relative_frequencies(corpus)
     y_enc = encode_groups(corpus.groups, corpus.n_groups)
     N, T, K = corpus.n_subjects, corpus.n_stages, fitted.gen.n_topics
-    mu_all = np.zeros((T, N, K))
-    sg_all = np.zeros((T, N, K))
+    mu_all, sg_all = np.zeros((2, T, N, K))
     prev = np.broadcast_to(fitted.gen.eta0, (N, K))
+    inp = np.empty((N, fitted.enc.stages[0].in_dim))
     for t in range(T):
-        totals = W[:, t].sum(axis=1, keepdims=True)
-        wn = np.divide(W[:, t], totals, out=np.zeros_like(W[:, t]),
-                       where=totals > 0)
-        inp = np.concatenate([wn, corpus.covariates[:, t], y_enc, prev],
-                             axis=1)
+        sl = slice(indptr[t * N], indptr[(t + 1) * N])
+        encoder_input(inp, rows[sl], words[sl], wn[sl],
+                      corpus.covariates[:, t], y_enc, prev)
         mu_all[t], sg_all[t], _ = fitted.enc.stages[t].forward(inp)
         prev = mu_all[t]
     return mu_all, sg_all
@@ -352,21 +353,11 @@ def save_model(fitted, fname):
         "beta_stage_scale": (None if fitted.beta_stage_scale is None
                              else fitted.beta_stage_scale.tolist()),
     }
-    try:
-        with open(fname, "w", encoding="utf-8") as f:
-            f.write(json.dumps(obj, sort_keys=True) + "\n")
-    except OSError as e:
-        raise IoError(f"cannot write {fname}: {e}") from e
+    write_json(obj, fname)
 
 
 def load_model(fname):
-    try:
-        with open(fname, encoding="utf-8") as f:
-            obj = json.load(f)
-    except OSError as e:
-        raise IoError(f"cannot read {fname}: {e}") from e
-    except json.JSONDecodeError as e:
-        raise IoError(f"{fname}: invalid JSON: {e}") from e
+    obj = read_json(fname)
     if obj.get("format") != "longtopic-model-v1":
         raise IoError(f"{fname}: not a model file")
     cfg = TrainConfig(**obj["config"])

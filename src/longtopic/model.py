@@ -11,11 +11,11 @@ multinomial over that V-simplex.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import Corpus
+from .corpus import BLOCK, Corpus, _dense_blocks
 from .errors import NumericError, ShapeError
 
 PROB_FLOOR = 1e-12
@@ -245,14 +245,21 @@ def sample_corpus(rng, topics, theta, count_range, covariates, groups, vocab,
     """One multinomial document per (subject, stage) of theta's (T, N, K)
     grid, drawn from rng in a fixed order: every total, uniform on the
     inclusive count_range, then the cells subject by subject, stage by stage,
-    each over the words topics[t] @ theta[t, i] of the (T, V, K) topics."""
+    each over the words topics[t] @ theta[t, i] of the (T, V, K) topics,
+    BLOCK cells at a time into one buffer that the corpus reads."""
     T, N, _ = theta.shape
     lo, hi = count_range
     totals = rng.integers(lo, hi + 1, size=(N, T))
-    counts = np.zeros((N, T, topics.shape[1]), dtype=np.int64)
-    for i in range(N):
-        for t in range(T):
-            p = topics[t] @ theta[t, i]
-            counts[i, t] = rng.multinomial(totals[i, t], p)
-    return Corpus.from_dense(counts, covariates, groups, vocab,
-                             n_groups=n_groups)
+    buf = np.empty((BLOCK, topics.shape[1]), dtype=np.int64)
+
+    def draws():
+        for first in range(0, N * T, BLOCK):
+            rows = buf[:min(BLOCK, N * T - first)]
+            for c, row in enumerate(rows, start=first):
+                i, t = divmod(c, T)
+                row[...] = rng.multinomial(totals[i, t],
+                                           topics[t] @ theta[t, i])
+            yield first, rows
+
+    return Corpus._from_blocks(_dense_blocks(draws(), T), covariates, groups,
+                               vocab, False, n_groups)

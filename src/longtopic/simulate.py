@@ -22,12 +22,12 @@ uniform on count_range. Everything is a pure function of (config, seed).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-import json
 import numpy as np
 
-from .errors import ConfigError, IoError, ShapeError
+from .corpus import read_json, write_json
+from .errors import ConfigError, FormatError, ShapeError
 from .model import default_vocab, sample_corpus, softmax
 
 BASIS_FUNCS = {
@@ -251,24 +251,35 @@ def save_truth(truth, fname):
         "theta_true": truth.theta_true.tolist(),
         "gamma": {k: np.asarray(v).tolist() for k, v in truth.gamma.items()},
     }
-    try:
-        with open(fname, "w", encoding="utf-8") as f:
-            f.write(json.dumps(obj, sort_keys=True) + "\n")
-    except OSError as e:
-        raise IoError(f"cannot write {fname}: {e}") from e
+    write_json(obj, fname)
 
 
 def load_truth(fname):
+    """Ground truth saved by save_truth. A missing key, a non-numeric array,
+    or shapes other than beta_true (T, V, K) and theta_true (T, N, K) raise
+    FormatError."""
+    obj = read_json(fname)
+    for key in ("beta_true", "theta_true", "gamma"):
+        if not isinstance(obj, dict) or key not in obj:
+            raise FormatError(f"{fname}: missing key {key!r}")
+    if not isinstance(obj["gamma"], dict):
+        raise FormatError(f"{fname}: 'gamma' must be an object")
+    beta, theta = (_numeric(fname, k, obj[k]) for k in ("beta_true",
+                                                        "theta_true"))
+    if beta.ndim != 3 or theta.ndim != 3 or \
+            beta.shape[::2] != theta.shape[::2]:  # the same T and K
+        raise FormatError(f"{fname}: 'beta_true' {beta.shape}, 'theta_true'"
+                          f" {theta.shape} are not (T, V, K), (T, N, K)")
+    return GroundTruth(beta_true=beta, theta_true=theta, gamma={
+        k: _numeric(fname, f"gamma.{k}", v) for k, v in obj["gamma"].items()})
+
+
+def _numeric(fname, key, value):
+    """A JSON number or regular nested list of numbers as a float64 array."""
     try:
-        with open(fname, encoding="utf-8") as f:
-            obj = json.load(f)
-    except OSError as e:
-        raise IoError(f"cannot read {fname}: {e}") from e
-    except json.JSONDecodeError as e:
-        raise IoError(f"{fname}: invalid JSON: {e}") from e
-    return GroundTruth(
-        beta_true=np.asarray(obj["beta_true"], dtype=np.float64),
-        theta_true=np.asarray(obj["theta_true"], dtype=np.float64),
-        gamma={k: np.asarray(v, dtype=np.float64)
-               for k, v in obj["gamma"].items()},
-    )
+        arr = np.array(value)
+    except ValueError:
+        arr = np.array(None)
+    if arr.dtype.kind not in "iuf":
+        raise FormatError(f"{fname}: {key!r} is not a numeric array")
+    return arr.astype(np.float64)

@@ -4,14 +4,17 @@ distribution, its multinomial log-likelihood and one transition mean; the
 closed-form Gaussian KL and pairwise separation terms for one document; and
 the loop forms of the evaluation metrics (topic alignment, UMass coherence,
 perplexity and the group probe), which the vectorized metrics must match bit
-for bit. Only tests call them, to check the package's code against a direct
-computation."""
+for bit; and the dense (N, T, V) forms of the corpus's CSR view, the batch
+gather and the sampler, which the sparse code must match exactly. Only tests
+call them, to check the package's code against a direct computation."""
 
 import itertools
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
+from longtopic.corpus import Corpus
 from longtopic.errors import NumericError, ShapeError, UnknownDistance
 from longtopic.evaluate import _as_stack, _topic_kl_matrix, top_words
 from longtopic.inference.terms import DISTANCE_KINDS, distance_with_grad
@@ -231,3 +234,49 @@ def probe_fit_ref(X, y, G, n_iter=500, step=0.1, l2=1e-4):
         Wp -= step * (X.T @ r + l2 * Wp)
         b -= step * r.sum(axis=0)
     return Wp, b
+
+
+# -- dense forms of the corpus's CSR view -------------------------------------
+
+
+def dense_counts_ref(corpus):
+    """(N, T, V) float64 counts filled cell by cell from corpus.docs."""
+    W = np.zeros((corpus.n_subjects, corpus.n_stages, corpus.vocab_size))
+    for i in range(corpus.n_subjects):
+        for t in range(corpus.n_stages):
+            cell = corpus.docs[i][t]
+            if cell:
+                W[i, t, list(cell.keys())] = list(cell.values())
+    return W
+
+
+def batch_ref(corpus, idx):
+    """A batch from dense arrays: the (B, T, V) counts and relative
+    frequencies of subjects idx, and per stage the np.nonzero (rows, cols)
+    of the counts block and the counts there."""
+    W = dense_counts_ref(corpus)
+    totals = W.sum(axis=2, keepdims=True)
+    wn = np.divide(W, totals, out=np.zeros_like(W), where=totals > 0)
+    idx = np.asarray(idx)
+    counts = W[idx]
+    cells = [np.nonzero(counts[:, t] > 0) for t in range(corpus.n_stages)]
+    return SimpleNamespace(
+        counts=counts, wn=wn[idx], cells=cells,
+        c_nz=[counts[r, t, c] for t, (r, c) in enumerate(cells)])
+
+
+def sample_corpus_ref(rng, topics, theta, count_range, covariates, groups,
+                      vocab, n_groups):
+    """The sampler drawing into one dense (N, T, V) count tensor, in the
+    package's draw order: every total, then the cells subject by subject,
+    stage by stage."""
+    T, N, _ = theta.shape
+    lo, hi = count_range
+    totals = rng.integers(lo, hi + 1, size=(N, T))
+    counts = np.zeros((N, T, topics.shape[1]), dtype=np.int64)
+    for i in range(N):
+        for t in range(T):
+            p = topics[t] @ theta[t, i]
+            counts[i, t] = rng.multinomial(totals[i, t], p)
+    return Corpus.from_dense(counts, covariates, groups, vocab,
+                             n_groups=n_groups)

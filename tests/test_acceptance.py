@@ -184,7 +184,7 @@ def test_criterion_3_single_stage_identity():
 
     total = 0.0
     for i in range(N):
-        w = arrays.counts[i, 0]
+        w = corpus.dense_counts()[i, 0]
         post = encode(w, corpus.covariates[i, 0], corpus.groups[i],
                       gen.eta0, enc, 0)
         tin = np.concatenate([gen.eta0, corpus.covariates[i, 0],
@@ -213,9 +213,9 @@ def test_criterion_3_followup_stage_identity():
 
     acc = 0.0
     for i in range(N):
-        p1 = encode(arrays.counts[i, 0], corpus.covariates[i, 0],
+        p1 = encode(corpus.dense_counts()[i, 0], corpus.covariates[i, 0],
                     corpus.groups[i], gen.eta0, enc, 0)
-        p2 = encode(arrays.counts[i, 1], corpus.covariates[i, 1],
+        p2 = encode(corpus.dense_counts()[i, 1], corpus.covariates[i, 1],
                     corpus.groups[i], p1.mu, enc, 1)
         for j in range(M):
             eta1 = p1.mu + eps[i, 0, j] * p1.sigma

@@ -218,3 +218,22 @@ def test_module_entry_point(tmp_path):
     assert proc.returncode == 1
     assert "error:" in proc.stderr
     assert not (tmp_path / "out").exists()
+
+
+def test_eval_with_truth_missing_gamma_is_a_format_error(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert main(["simulate", "--out", str(out), "--seed", "3", *SIM]) == 0
+    corpus = str(out / "corpus")
+    assert main(["fit", "--out", str(out), "--seed", "3", *TRAIN,
+                 "--set", f'paths.corpus="{corpus}"']) == 0
+    truth = json.loads((out / "truth.json").read_text())
+    del truth["gamma"]
+    (out / "truth.json").write_text(json.dumps(truth))
+    capsys.readouterr()
+    code, err = error_code(
+        ["eval", "--out", str(out), "--set", f'paths.corpus="{corpus}"',
+         "--set", f'paths.model="{out / "model.json"}"',
+         "--set", f'paths.truth="{out / "truth.json"}"'], capsys)
+    assert code == 1
+    assert err.count("\n") == 1 and err.startswith("error: FormatError:")
+    assert "'gamma'" in err

@@ -15,6 +15,7 @@ from longtopic.errors import (
     MissingLabel,
     VocabMismatch,
 )
+from oracles import dense_counts_ref
 
 
 def write_corpus_dir(path, vocab, doc_lines, meta_lines, group_lines):
@@ -333,3 +334,98 @@ def test_from_dense_matches_per_cell_reference(tmp_path_factory, data):
         for i, row in enumerate(c.docs) for t, cell in enumerate(row)
         if cell is not None]
     assert load_corpus(path, allow_missing=True) == c
+
+
+@pytest.mark.parametrize("meta, message", [
+    ("", "meta.csv: empty file"),
+    ("a,b,x0\n0,0,1\n1,0,1\n", "header must start with 'subject,stage'"),
+    ("subject,stage,x0\n", "meta.csv: no rows"),
+    ("subject,stage,x0\n\n \n", "meta.csv: no rows"),
+    ("subject,stage,x0\n0,0,1\n1,0\n", "line 3: expected 3 fields"),
+    ("subject,stage,x0\n0,0,1\n1,x,1\n",
+     "line 3: invalid literal for int() with base 10: 'x'"),
+    ("subject,stage,x0\n0,0,1\n1,0,abc\n",
+     "line 3: could not convert string to float: 'abc'"),
+    ("subject,stage,x0\n0,0,inf\n1,0,1\n", "line 2: non-finite covariate"),
+    ("subject,stage,x0\n0,0,1\n0,0,2\n1,0,1\n",
+     "line 3: duplicate (subject, stage) (0, 0)"),
+    ("subject,stage,x0\n0,0,1\n", "missing covariate row for subject 1,"
+     " stage 0"),
+    ("subject,stage,x0\n0,0,1\n1,0,1\n2,0,1\n", "row for unknown subject 2"),
+    ("subject,stage,x0\n0,0,1\n1,0,1\n1,-1,1\n", "row for unknown subject 1"),
+    ("subject,stage,x0\n0,0,1\n1,0,1\n-1,0,1\n", "row for unknown subject -1"),
+    # the first offending line wins, whatever its fault
+    ("subject,stage,x0\n0,0,1\n0,0,2\n1,0\n",
+     "line 3: duplicate (subject, stage) (0, 0)"),
+    ("subject,stage,x0\n0,0,1\n1,0\n1,0,nan\n", "line 3: expected 3 fields"),
+    ("subject,stage,x0\nx,0,1\n0,0,1\n0,0,1\n",
+     "line 2: invalid literal for int() with base 10: 'x'"),
+    ("subject,stage,x0\n0,0,1\n0,0,2\n1,0,nan\n",
+     "line 3: duplicate (subject, stage) (0, 0)"),
+    ("subject,stage,x0\n0,0,1\n0,0,nan\n1,0,1\n",
+     "line 3: non-finite covariate"),
+    ("subject,stage,x0\n\n0,0,1\n\n1,0\n", "line 5: expected 3 fields"),
+    ("subject,stage,x0\n0,0,1\n2,0,1\n", "missing covariate row for subject"
+     " 1, stage 0"),
+])
+def test_meta_errors_name_the_first_fault(tmp_path, meta, message):
+    d = minimal_dir(tmp_path)
+    (d / "groups.csv").write_text("subject,group\n0,1\n1,0\n")
+    (d / "docs.jsonl").write_text("".join(
+        json.dumps({"subject": i, "stage": 0, "counts": {"0": 1}}) + "\n"
+        for i in range(2)))
+    (d / "meta.csv").write_text(meta)
+    with pytest.raises(FormatError) as err:
+        load_corpus(d)
+    assert str(err.value).endswith(message)
+
+
+def test_meta_rows_in_any_order_fill_the_grid(tmp_path):
+    d = minimal_dir(tmp_path)
+    (d / "groups.csv").write_text("subject,group\n0,1\n1,0\n")
+    (d / "docs.jsonl").write_text("".join(
+        json.dumps({"subject": i, "stage": t, "counts": {"0": 1}}) + "\n"
+        for i in range(2) for t in range(2)))
+    (d / "meta.csv").write_text(
+        "subject,stage,x0,x1\n1,1,4,8\n0,0,1,5\n\n1,0,3,7\n0,1,2,6\n")
+    c = load_corpus(d)
+    raw = c.covariates * c.cov_scale + c.cov_center
+    np.testing.assert_allclose(raw, [[[1, 5], [2, 6]], [[3, 7], [4, 8]]])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_csr_views_match_the_records(data):
+    # missing cells, keys in any order, "k" and k naming one word
+    N = data.draw(st.integers(1, 4))
+    T = data.draw(st.integers(1, 3))
+    V = data.draw(st.integers(1, 6))
+    records = []
+    for i in range(N):
+        for t in range(T):
+            if records and data.draw(st.booleans()):
+                continue
+            cell = {}
+            words = data.draw(st.lists(st.integers(0, V - 1), min_size=1,
+                                       max_size=2 * V))
+            for j, w in enumerate(words):
+                key = data.draw(st.sampled_from([w, str(w)]))
+                cell[key] = cell.get(key, 0) + data.draw(
+                    st.integers(1 if j == 0 else 0, 5))
+            records.append((i, t, cell))
+    order = data.draw(st.permutations(range(len(records))))
+    c = Corpus.build([records[r] for r in order], np.zeros((N, T, 1)),
+                     np.zeros(N, dtype=int), [f"w{v}" for v in range(V)],
+                     allow_missing=True)
+    W = dense_counts_ref(c)
+    assert np.array_equal(c.dense_counts(), W)
+    assert np.array_equal(c.total_counts(), W.sum(axis=2))
+    indptr, words, counts, rows = c.csr()
+    assert indptr[0] == 0 and indptr[-1] == words.size == counts.size
+    for t in range(T):
+        for i in range(N):
+            cell = c.docs[i][t] or {}
+            e = slice(indptr[t * N + i], indptr[t * N + i + 1])
+            assert words[e].tolist() == sorted(cell)
+            assert counts[e].tolist() == [cell[w] for w in sorted(cell)]
+            assert rows[e].tolist() == [i] * len(cell)

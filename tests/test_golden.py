@@ -7,12 +7,13 @@ cc5d8b4 (per-word Python corpus build, `json.dump` streaming writers), the
 dynamic-topic fit and pipeline hashes at commit 8c9326e (one epoch loop per
 topic parametrization, pipeline with its own copy of the stage commands),
 the `eval` hashes (`metrics.json`) at commit 4e0037f (one Python loop per
-permutation, word pair and probe step), all on x86-64 with numpy 2.4 and
-OpenBLAS. They pin the on-disk formats and the random draw order: a change
-to either shows up here even when two runs of the new code agree with each
-other. A different BLAS may round the fit differently and change the hashes
-of the fitted artifacts (`model.json`, `train_log.json`, `proportions.json`,
-`summary.json`, `metrics.json`) only.
+permutation, word pair and probe step), and the N=300 run at commit d843e55
+(dense (N, T, V) count tensors in the sampler, the loss and the metrics), all
+on x86-64 with numpy 2.4 and OpenBLAS. They pin the on-disk formats and the
+random draw order: a change to either shows up here even when two runs of the
+new code agree with each other. A different BLAS may round the fit differently
+and change the hashes of the fitted artifacts (`model.json`, `train_log.json`,
+`proportions.json`, `summary.json`, `metrics.json`) only.
 """
 
 import hashlib
@@ -64,6 +65,19 @@ GOLDEN_METRICS_K6 = {
     "metrics.json":
         "e0994263e5fa9957c7276caf4c29e76fe2f72cd4c05de67a2810c853e00b02e9",
 }
+# N=300, V=200: five minibatches of 64 and two 256-row evaluation chunks,
+# where every other run here fits in one of each; the encoder is 64 wide, as
+# by default, where a BLAS product narrowed to fewer columns rounds otherwise
+N300_SIM = ["--set", "sim.n_subjects=300", "--set", "sim.vocab_size=200"]
+N300_TRAIN = ["--set", "train.hidden_enc=64"]
+GOLDEN_N300 = {
+    "run/model.json":
+        "2cc6dd5dbe12b31b2995761a0cc48ab87c9962eaec1d4ad3add7d04b4bb53ea1",
+    "run/train_log.json":
+        "f7bb49bc70df9351f95fa423a8bf168abaf01023639330c718e66c1c9081daa3",
+    "eval/metrics.json":
+        "6abd6ef61243ac9b33ce259c2751d118f32dab0a48f23528529c68810fdc248a",
+}
 GOLDEN_PIPELINE = {
     "summary.json":
         "33f9ef438cfd4e4ad05c0ad826046f58619d5532a915c99aab3751e6fbeea2be",
@@ -111,6 +125,11 @@ def test_eval_metrics_match_golden_bytes(tmp_path):
 def test_two_group_six_topic_eval_matches_golden_bytes(tmp_path):
     out = simulate_fit_eval(tmp_path, K6_SIM, K6_TRAIN)
     assert sha256s(out, GOLDEN_METRICS_K6) == GOLDEN_METRICS_K6
+
+
+def test_batch_and_chunk_crossing_run_matches_golden_bytes(tmp_path):
+    simulate_fit_eval(tmp_path, N300_SIM, N300_TRAIN)
+    assert sha256s(tmp_path, GOLDEN_N300) == GOLDEN_N300
 
 
 def test_dynamic_topic_fit_matches_golden_bytes(tmp_path):

@@ -3,11 +3,17 @@ import pytest
 
 from longtopic.corpus import Corpus
 from longtopic.errors import ShapeError, UnknownDistance
-from longtopic.inference.loss import CorpusArrays, longitudinal_loss
+from hypothesis import given, settings, strategies as st
+from longtopic.inference.loss import (
+    CorpusArrays,
+    encoder_input,
+    longitudinal_loss,
+)
 from longtopic.inference.terms import DISTANCE_KINDS
 from longtopic.inference.trainer import TrainConfig, default_init
 from longtopic.model import column_softmax, default_vocab
 from oracles import (
+    batch_ref,
     counterfactual_encode,
     encode,
     gaussian_kl_term,
@@ -58,7 +64,7 @@ def test_single_stage_is_composed_elbo():
     bcols = column_softmax(gen.beta)
     total = 0.0
     for i in range(N):
-        w = arrays.counts[i, 0]
+        w = corpus.dense_counts()[i, 0]
         post = encode(w, corpus.covariates[i, 0], corpus.groups[i],
                       gen.eta0, enc, 0)
         tin = np.concatenate([gen.eta0, corpus.covariates[i, 0],
@@ -88,9 +94,9 @@ def test_second_stage_kl_is_shared_eps_expectation():
     arrays = CorpusArrays(corpus)
     acc = 0.0
     for i in range(N):
-        p1 = encode(arrays.counts[i, 0], corpus.covariates[i, 0],
+        p1 = encode(corpus.dense_counts()[i, 0], corpus.covariates[i, 0],
                     corpus.groups[i], gen.eta0, enc, 0)
-        p2 = encode(arrays.counts[i, 1], corpus.covariates[i, 1],
+        p2 = encode(corpus.dense_counts()[i, 1], corpus.covariates[i, 1],
                     corpus.groups[i], p1.mu, enc, 1)
         for j in range(M):
             eta1 = p1.mu + eps[i, 0, j] * p1.sigma
@@ -115,7 +121,7 @@ def test_distance_component_matches_per_document_average():
         acc = 0.0
         nxt = []
         for i in range(N):
-            w = arrays.counts[i, t]
+            w = corpus.dense_counts()[i, t]
             post = encode(w, corpus.covariates[i, t], corpus.groups[i],
                           prev[i], enc, t)
             cfs = counterfactual_encode(w, corpus.covariates[i, t],
@@ -162,9 +168,9 @@ def test_missing_cells_contribute_nothing():
     for i in range(3):
         if arrays.present[i, 1] == 0:
             continue
-        p1 = encode(arrays.counts[i, 0], with_gap.covariates[i, 0],
+        p1 = encode(with_gap.dense_counts()[i, 0], with_gap.covariates[i, 0],
                     with_gap.groups[i], gen.eta0, enc, 0)
-        p2 = encode(arrays.counts[i, 1], with_gap.covariates[i, 1],
+        p2 = encode(with_gap.dense_counts()[i, 1], with_gap.covariates[i, 1],
                     with_gap.groups[i], p1.mu, enc, 1)
         for j in range(3):
             eta1 = p1.mu + eps[i, 0, j] * p1.sigma
@@ -264,7 +270,7 @@ def _reference_components(corpus, gen, enc, cfg, eps):
         y, y_enc = corpus.groups[i], arrays.y_enc[i]
         prev, eta_prev = np.asarray(gen.eta0), None
         for t in range(T):
-            w, x = arrays.counts[i, t], corpus.covariates[i, t]
+            w, x = corpus.dense_counts()[i, t], corpus.covariates[i, t]
             post = encode(w, x, y, prev, enc, t)
             etas = post.mu + eps[i, t] * post.sigma
             if arrays.present[i, t]:
@@ -307,13 +313,13 @@ def test_shared_trunk_counterfactuals_match_reencoding(G):
     arrays = CorpusArrays(corpus)
     N, t = corpus.n_subjects, 1
     prev = np.random.default_rng(G).standard_normal((N, 3))
-    inp = np.concatenate([arrays.wn[:, t], arrays.x[:, t], arrays.y_enc,
-                          prev], axis=1)
+    inp = np.concatenate([batch_ref(corpus, np.arange(N)).wn[:, t],
+                          arrays.x[:, t], arrays.y_enc, prev], axis=1)
     shifts = np.stack(arrays.cf_encs) - arrays.y_enc
     mu, sigma, _ = enc.stages[t].forward(inp, shifts)
     assert mu.shape == sigma.shape == (G, N, 3)
     for i in range(N):
-        args = (arrays.counts[i, t], corpus.covariates[i, t],
+        args = (corpus.dense_counts()[i, t], corpus.covariates[i, t],
                 corpus.groups[i], prev[i], enc, t)
         posts = [encode(*args)] + counterfactual_encode(*args)
         for c, post in enumerate(posts):
@@ -321,3 +327,52 @@ def test_shared_trunk_counterfactuals_match_reencoding(G):
                                        atol=1e-12)
             np.testing.assert_allclose(sigma[c, i], post.sigma, rtol=1e-12,
                                        atol=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_batch_gather_matches_the_dense_reference(data):
+    N = data.draw(st.integers(1, 8))
+    T = data.draw(st.integers(1, 3))
+    V = data.draw(st.integers(1, 7))
+    seed = data.draw(st.integers(0, 2**31 - 1))
+    rng = np.random.default_rng(seed)
+    counts = rng.integers(0, 3, size=(N, T, V))
+    counts[rng.random((N, T)) < 0.3] = 0            # missing cells
+    counts[0, 0, 0] += 1
+    corpus = Corpus.from_dense(counts, rng.standard_normal((N, T, 2)),
+                               rng.integers(0, 3, size=N), default_vocab(V),
+                               allow_missing=True, n_groups=3)
+    arrays = CorpusArrays(corpus)
+    idx = np.array(data.draw(st.lists(st.integers(0, N - 1), min_size=1,
+                                      max_size=N + 2)))
+    got, want = arrays.batch(idx), batch_ref(corpus, idx)
+    B = idx.size
+    assert np.array_equal(got.x, arrays.x[idx])
+    assert np.array_equal(got.present, arrays.present[idx])
+    assert got.stage_ptr[0] == 0 and got.stage_ptr[-1] == got.rows.size
+    for t in range(T):
+        sl = slice(got.stage_ptr[t], got.stage_ptr[t + 1])
+        rows, cols = want.cells[t]
+        assert np.array_equal(got.rows[sl], rows)
+        assert np.array_equal(got.cols[sl], cols)
+        assert np.array_equal(got.c_nz[sl], want.c_nz[t])
+        prev = rng.standard_normal((B, 2))
+        inp = encoder_input(np.full((B, V + 6), np.nan), rows, cols,
+                            got.wn_nz[sl], got.x[:, t], got.y_enc, prev)
+        assert np.array_equal(inp, np.concatenate(
+            [want.wn[:, t], got.x[:, t], got.y_enc, prev], axis=1))
+
+
+def test_corpus_arrays_hold_no_dense_tensor():
+    from longtopic.simulate import SimConfig, simulate
+
+    corpus, _ = simulate(SimConfig(n_subjects=20, n_stages=3, vocab_size=60,
+                                   n_topics=2, n_covariates=2,
+                                   count_range=(3, 8), seed=4))
+    arrays = CorpusArrays(corpus)
+    held = [a for a in vars(arrays).values() if isinstance(a, np.ndarray)]
+    held += arrays.cf_encs
+    N, T, V = corpus.n_subjects, corpus.n_stages, corpus.vocab_size
+    assert len(held) >= 8
+    assert all(a.size < N * T * V for a in held)

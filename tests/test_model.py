@@ -9,11 +9,13 @@ from longtopic.model import (
     column_softmax,
     encode_groups,
     forward_sample,
+    sample_corpus,
     softmax,
 )
 from oracles import (
     collapsed_word_distribution,
     multinomial_log_likelihood,
+    sample_corpus_ref,
     transition_mean,
 )
 
@@ -220,3 +222,24 @@ def test_forward_sample_reproducible():
     a = forward_sample(gp, cov, groups, (50, 150), seed=42)
     b = forward_sample(gp, cov, groups, (50, 150), seed=42)
     assert a == b
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.data())
+def test_blocked_sampler_matches_the_dense_sampler(data):
+    # up to 900 cells: several blocks of the sampler's buffer
+    N = data.draw(st.integers(1, 300))
+    T = data.draw(st.integers(1, 3))
+    V = data.draw(st.integers(2, 30))
+    K = data.draw(st.integers(1, 3))
+    seed = data.draw(st.integers(0, 2**31 - 1))
+    rng = np.random.default_rng(seed)
+    topics = softmax(rng.standard_normal((T, V, K)), axis=1)
+    theta = softmax(rng.standard_normal((T, N, K)), axis=2)
+    args = (topics, theta, (1, 20), rng.standard_normal((N, T, 2)),
+            rng.integers(0, 3, size=N), [f"w{v}" for v in range(V)], 3)
+    r1, r2 = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+    got, want = sample_corpus(r1, *args), sample_corpus_ref(r2, *args)
+    assert got == want
+    assert np.array_equal(got.covariates, want.covariates)
+    assert r1.integers(2**62) == r2.integers(2**62)

@@ -1,7 +1,9 @@
+import json
+
 import numpy as np
 import pytest
 
-from longtopic.errors import ConfigError, ShapeError
+from longtopic.errors import ConfigError, FormatError, ShapeError
 from longtopic.simulate import (
     SimConfig,
     draw_gamma,
@@ -197,3 +199,54 @@ def test_truth_roundtrip(tmp_path):
     _, truth = simulate(cfg)
     save_truth(truth, tmp_path / "truth.json")
     assert load_truth(tmp_path / "truth.json") == truth
+
+
+def _truth_file(tmp_path, **change):
+    from longtopic.simulate import save_truth
+
+    cfg = SimConfig(n_subjects=4, n_stages=2, vocab_size=6, n_topics=2,
+                    n_covariates=1, n_groups=3, seed=2)
+    _, truth = simulate(cfg)
+    fname = tmp_path / "truth.json"
+    save_truth(truth, fname)
+    obj = json.loads(fname.read_text())
+    for key, value in change.items():
+        if value is None:
+            del obj[key]
+        else:
+            obj[key] = value
+    fname.write_text(json.dumps(obj))
+    return fname
+
+
+@pytest.mark.parametrize("change, named", [
+    (dict(gamma=None), "'gamma'"),
+    (dict(beta_true=None), "'beta_true'"),
+    (dict(theta_true=None), "'theta_true'"),
+    (dict(beta_true="abc"), "'beta_true'"),
+    (dict(beta_true=[[[1.0, "x"]]]), "'beta_true'"),
+    (dict(theta_true=[[[0.5, 0.5]], [[0.5]]]), "'theta_true'"),
+    (dict(theta_true=[[0.5, 0.5]]), "'theta_true'"),
+    (dict(beta_true=[[[0.5, 0.5]]]), "'beta_true'"),
+    (dict(theta_true=[[[0.2, 0.3, 0.5]], [[0.2, 0.3, 0.5]]]),
+     "'theta_true'"),
+    (dict(gamma=[1.0]), "'gamma'"),
+    (dict(gamma={"main": [[1.0], "x"]}), "'gamma.main'"),
+    (dict(gamma={"prev": None}), "'gamma.prev'"),
+])
+def test_load_truth_names_the_bad_key(tmp_path, change, named):
+    from longtopic.simulate import load_truth
+
+    fname = _truth_file(tmp_path, **change)
+    with pytest.raises(FormatError) as err:
+        load_truth(fname)
+    assert str(fname) in str(err.value) and named in str(err.value)
+
+
+def test_load_truth_rejects_a_non_object(tmp_path):
+    from longtopic.simulate import load_truth
+
+    fname = tmp_path / "truth.json"
+    fname.write_text("[1, 2]\n")
+    with pytest.raises(FormatError, match="missing key"):
+        load_truth(fname)
