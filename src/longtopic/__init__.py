@@ -49,7 +49,6 @@ from .model import (
     GenerativeParams,
     TransitionModel,
     column_softmax,
-    forward_sample,
     softmax,
 )
 from .simulate import GroundTruth, SimConfig, load_truth, save_truth, simulate
@@ -85,7 +84,6 @@ __all__ = [
     "empirical_kl",
     "encode_corpus",
     "fit_dynamic_topics",
-    "forward_sample",
     "full_report",
     "group_accuracy",
     "infer_proportions",

@@ -30,7 +30,7 @@ import sys
 import numpy as np
 
 from .corpus import load_corpus, save_corpus, write_json
-from .errors import ConfigError, IoError, LongtopicError
+from .errors import ConfigError, IoError, LongtopicError, check_setting
 from .evaluate import full_report, save_metrics, save_top_words
 from .inference import (
     TrainConfig,
@@ -216,20 +216,14 @@ def _aggregate(per_seed):
     return mean, se
 
 
-def _int_setting(value, name):
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{name} must be an integer; got {value!r}")
-    return value
-
-
 def cmd_pipeline(cfg):
-    repeats = _int_setting(cfg.get("repeats", 1), "repeats")
+    repeats = check_setting(cfg.get("repeats", 1), "int", "repeats")
     if repeats < 1:
         raise ConfigError("repeats must be >= 1")
     base_sim = dict(cfg.get("sim", {}))
     base_train = dict(cfg.get("train", {}))
-    base_seed = _int_setting(
-        base_sim.get("seed", base_train.get("seed", 0)), "seed")
+    base_seed = check_setting(
+        base_sim.get("seed", base_train.get("seed", 0)), "int", "seed")
     runs = []
     for seed in range(base_seed, base_seed + repeats):
         sub = dict(cfg, sim=dict(base_sim, seed=seed),

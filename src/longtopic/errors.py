@@ -1,8 +1,11 @@
-"""Named error types.
+"""Named error types, and the type rule for configuration settings.
 
 Every validation failure in the package maps to one of these; callers never see a
 half-constructed object or a bare ValueError from the public API.
 """
+
+import dataclasses
+import numbers
 
 
 class LongtopicError(Exception):
@@ -59,3 +62,31 @@ class DegenerateDesign(LongtopicError):
 
 class ConfigError(LongtopicError):
     """Invalid or incomplete experiment configuration."""
+
+
+# a setting's declared type -> (accepted Python types, how a message names it)
+_SETTING_TYPES = {"int": (numbers.Integral, "an integer"),
+                  "float": (numbers.Real, "a number"),
+                  "str": (str, "a string"),
+                  "bool": (bool, "true or false"),
+                  "tuple": ((list, tuple), "a list")}
+
+
+def check_setting(value, kind, name):
+    """value if it has the setting type kind (a key of _SETTING_TYPES), else
+    ConfigError. A bool is only a bool: an int or float setting rejects it,
+    while a float setting takes an integer."""
+    types, noun = _SETTING_TYPES[kind]
+    if not isinstance(value, types) or (
+            isinstance(value, bool) and kind != "bool"):
+        raise ConfigError(f"{name} must be {noun}; got {value!r}")
+    return value
+
+
+def check_field_types(cfg):
+    """check_setting on every field of the dataclass cfg by its declared
+    type; a field declared `T | None` also takes None."""
+    for f in dataclasses.fields(cfg):
+        value, kind = getattr(cfg, f.name), f.type.removesuffix(" | None")
+        if kind in _SETTING_TYPES and not (value is None and kind != f.type):
+            check_setting(value, kind, f.name)

@@ -29,10 +29,10 @@ recurrent previous-mean slot. Missing cells keep the recurrent chain alive but
 contribute no terms.
 
 Each stage costs a fixed number of batched kernels whatever C and M are: one
-encoder pass whose counterfactual heads share the factual trunk, one
-transition pass over the B * M Monte-Carlo rows, and the reconstruction
-evaluated at the nonzero counts only (a zero count adds nothing to the
-likelihood or its gradient).
+encoder pass whose counterfactual heads share the factual trunk, one distance
+call on its stacked (1 + C, B, K) moments, one transition pass over the B * M
+Monte-Carlo rows, and the reconstruction at the nonzero counts only (a zero
+count adds nothing to the likelihood or its gradient).
 """
 
 from __future__ import annotations
@@ -49,14 +49,14 @@ from ..model import (
     encode_groups,
     softmax,
 )
-from .terms import DISTANCE_KINDS, _kl_rows, distance_with_grad
+from .terms import DISTANCE_KINDS, _kl_rows, _member_sum, distance_with_grad
 
 
 @dataclass
 class Batch:
     x: np.ndarray        # (B, T, P)
     y_enc: np.ndarray    # (B, E) factual group encoding
-    cf_encs: list        # C entries of (B, E), C = n_groups - 1
+    cf_encs: np.ndarray  # (C, B, E) counterfactual encodings, C = G - 1
     present: np.ndarray  # (B, T) float 0/1
     # nonzero (batch row, word, count, count / cell total), row-major by stage
     rows: np.ndarray
@@ -82,8 +82,8 @@ class CorpusArrays:
         # counterfactual slot c holds each subject's c-th non-factual group
         c = np.arange(G - 1)
         self.cf_groups = c + (c >= corpus.groups[:, None])
-        self.cf_encs = [encode_groups(self.cf_groups[:, c], G)
-                        for c in range(G - 1)]
+        self.cf_encs = encode_groups(self.cf_groups.T.ravel(), G).reshape(
+            G - 1, corpus.n_subjects, -1)
 
     def batch(self, idx):
         idx = np.asarray(idx)
@@ -97,7 +97,7 @@ class CorpusArrays:
         ent = np.arange(pos.size) + (starts - np.cumsum(lens) + lens)[pos]
         return Batch(
             x=self.x[idx], y_enc=self.y_enc[idx],
-            cf_encs=[e[idx] for e in self.cf_encs],
+            cf_encs=self.cf_encs[:, idx],
             present=self.present[idx], rows=pos % B, cols=self.words[ent],
             c_nz=self.counts[ent], wn_nz=self.wn[ent],
             stage_ptr=np.searchsorted(pos, B * np.arange(T + 1)))
@@ -158,24 +158,21 @@ def longitudinal_loss(batch, gen, enc, cfg, eps, want_grads=True,
     # a zero weight is exactly the "none" ablation: skip every
     # counterfactual pass, not just the final weighting
     use_dist = (kind != "none" and w_d != 0.0)
-    C = len(batch.cf_encs) if use_dist else 0
+    C = batch.cf_encs.shape[0] if use_dist else 0
     pm = batch.present
     scale = 1.0 / (B * M)
     if stage_bcols is None:
-        bcols = column_softmax(gen.beta)
-        stage_b = None
+        bcols = np.broadcast_to(column_softmax(gen.beta), (T, V, K))
     else:
-        stage_b = np.asarray(stage_bcols, dtype=np.float64)
-        if stage_b.shape != (T, V, K):
+        bcols = np.asarray(stage_bcols, dtype=np.float64)
+        if bcols.shape != (T, V, K):
             raise ShapeError(
-                f"stage_bcols must be ({T}, {V}, {K}); got {stage_b.shape}")
-        bcols = None
+                f"stage_bcols must be ({T}, {V}, {K}); got {bcols.shape}")
 
     # ---- forward ----------------------------------------------------------
     # the counterfactual encodings enter only as shifts of the factual group
     # columns, so each stage runs one encoder pass over the 1 + C heads
-    shifts = (np.stack(batch.cf_encs) - batch.y_enc if C
-              else np.zeros((0, B, batch.y_enc.shape[1])))
+    shifts = batch.cf_encs[:C] - batch.y_enc
     mu = [None] * T             # (1 + C, B, K), factual first
     sg = [None] * T
     enc_caches = [None] * T
@@ -221,9 +218,8 @@ def longitudinal_loss(batch, gen, enc, cfg, eps, want_grads=True,
 
         # multinomial reconstruction, evaluated at the nonzero counts only
         theta[t] = softmax(eta[t], axis=2)
-        bc = bcols if stage_b is None else stage_b[t]
         c_nz = batch.c_nz[sl]
-        probs = (theta[t].reshape(B * M, K) @ bc.T).reshape(B, M, V)
+        probs = (theta[t].reshape(B * M, K) @ bcols[t].T).reshape(B, M, V)
         p_nz = probs[rows, :, cols]                           # (nnz, M)
         logp = np.log(np.maximum(p_nz, PROB_FLOOR))
         nll_t[t] = scale * float(((pm[rows, t] * c_nz) @ logp).sum())
@@ -234,9 +230,8 @@ def longitudinal_loss(batch, gen, enc, cfg, eps, want_grads=True,
 
         # group distance (independent of j)
         if use_dist:
-            d, dgmu, dgs, dgmu_c, dgs_c = distance_with_grad(
-                kind, mu_q, sg_q, list(mu[t][1:]), list(sg[t][1:]))
-            dists[t] = (dgmu, dgs, np.stack(dgmu_c), np.stack(dgs_c))
+            d, *dists[t] = distance_with_grad(kind, mu_q, sg_q, mu[t][1:],
+                                              sg[t][1:])
             dist_t[t] = float(pm[:, t] @ d) / B
 
         prev_mean = mu_q
@@ -258,10 +253,7 @@ def longitudinal_loss(batch, gen, enc, cfg, eps, want_grads=True,
     def trans_key(t):
         return "trans" if gen.share_across_stages else f"trans{t}"
 
-    if stage_b is None:
-        gb_acc = np.zeros((V, K))
-    else:
-        gb_stage = np.zeros((T, V, K))
+    gb = np.zeros((T, V, K))
     pending_gmu = np.zeros((B, K))
     pending_geta = np.zeros((B, M, K))  # into eta[t] from stage t + 1
     for t in range(T - 1, -1, -1):
@@ -292,14 +284,9 @@ def longitudinal_loss(batch, gen, enc, cfg, eps, want_grads=True,
         rows, cols = cells[t]
         R = np.zeros((B, M, V))
         R[rows, :, cols] = (-scale * pm[rows, t])[:, None] * ratio[t]
-        bc = bcols if stage_b is None else stage_b[t]
         R = R.reshape(B * M, V)
-        gtheta = (R @ bc).reshape(B, M, K)
-        gb = R.T @ theta[t].reshape(B * M, K)
-        if stage_b is None:
-            gb_acc += gb
-        else:
-            gb_stage[t] = gb
+        gtheta = (R @ bcols[t]).reshape(B, M, K)
+        gb[t] = R.T @ theta[t].reshape(B * M, K)
         inner = (gtheta * theta[t]).sum(axis=2, keepdims=True)
         geta = geta + theta[t] * (gtheta - inner)
 
@@ -308,17 +295,12 @@ def longitudinal_loss(batch, gen, enc, cfg, eps, want_grads=True,
         gs_t += (geta * eps[:, t]).sum(axis=1)
 
         # distance term: factual and counterfactual heads
-        gmu_all = np.zeros((1 + C, B, K))
-        gs_all = np.zeros((1 + C, B, K))
+        gmu_all, gs_all = gmu_t[None], gs_t[None]
         if use_dist:
             dgmu, dgs, dgmu_c, dgs_c = dists[t]
             uw = (-w_d / B) * pm[:, t][:, None]
-            gmu_t = gmu_t + uw * dgmu
-            gs_t += uw * dgs
-            gmu_all[1:] = uw * dgmu_c
-            gs_all[1:] = uw * dgs_c
-        gmu_all[0] = gmu_t
-        gs_all[0] = gs_t
+            gmu_all = np.concatenate([gmu_all + uw * dgmu, uw * dgmu_c])
+            gs_all = np.concatenate([gs_all + uw * dgs, uw * dgs_c])
 
         # one encoder backward for every head (all share the stage-t
         # parameters and the recurrent previous-mean input)
@@ -327,9 +309,10 @@ def longitudinal_loss(batch, gen, enc, cfg, eps, want_grads=True,
             add(f"enc{t}.{name}", val)
         pending_gmu = gin[:, -K:]
 
-    # beta through the per-column softmax
-    if stage_b is None:
-        grads["beta"] = column_softmax_backward(bcols, gb_acc)
+    # beta through the per-column softmax, the stages summed last to first
+    if stage_bcols is None:
+        grads["beta"] = column_softmax_backward(bcols[0],
+                                                _member_sum(gb[::-1]))
     else:
-        grads["bcols_stage"] = gb_stage
+        grads["bcols_stage"] = gb
     return LossResult(loss=loss, grads=grads, components=components)

@@ -2,7 +2,10 @@
 
 All sigma arguments are standard deviations. The kernels are batched over
 rows and return the hand-derived partial derivatives used by the training
-loop next to the values.
+loop next to the values. A distance takes the factual posterior's (B, K)
+moments and its C counterfactuals' stacked (C, B, K), the G = 1 + C members
+of the encoder's heads, and is one expression per kind over that stack: its
+cost is a fixed number of array operations whatever C is.
 
 The mi_jsd distance sums the pairwise factual/counterfactual separation
     (1/2) * { log((s + s~) / (4 s s~)) + (mu - mu~)^2 / (s + s~) + 1/2 }
@@ -41,116 +44,79 @@ def _kl_rows(mu, s, mu2, s2):
         axis=-1)
 
 
+def _member_sum(x):
+    """Sum over the leading (member) axis in member order, starting from 0,
+    as a running total does: a plain reduce pairs the terms up once they are
+    single numbers (B = 1) and there are eight or more."""
+    return np.cumsum(x, axis=0)[-1] + 0.0
+
+
 def distance_with_grad(kind, mu, s, mu_cfs, s_cfs):
     """Batched distances with hand gradients.
 
-    mu, s: (B, K) factual moments; mu_cfs, s_cfs: C-long lists of (B, K).
-    Returns (d (B,), gmu, gs, gmu_cfs, gs_cfs) where the gradients are the raw
-    partial derivatives of d per row.
+    mu, s: (B, K) factual moments; mu_cfs, s_cfs: the C counterfactual
+    moments, a (C, B, K) array or a C-long list of (B, K). Returns (d (B,),
+    gmu, gs, gmu_cfs, gs_cfs) where the gradients are the raw partial
+    derivatives of d per row, gmu_cfs and gs_cfs stacked (C, B, K).
     """
     if kind not in DISTANCE_KINDS:
         raise UnknownDistance(f"unknown distance kind {kind!r}")
     B, K = mu.shape
-    zeros = np.zeros((B, K))
-    C = len(mu_cfs)
+    mu2 = np.asarray(mu_cfs, dtype=np.float64).reshape(-1, B, K)
+    s2 = np.asarray(s_cfs, dtype=np.float64).reshape(mu2.shape)
+    C = mu2.shape[0]
     if kind == "none":
-        return (np.zeros(B), zeros, zeros.copy(),
-                [np.zeros((B, K)) for _ in range(C)],
-                [np.zeros((B, K)) for _ in range(C)])
+        return (np.zeros(B), np.zeros((B, K)), np.zeros((B, K)),
+                np.zeros(mu2.shape), np.zeros(mu2.shape))
     if C == 0:
         raise ShapeError("need at least one counterfactual")
 
-    gmu = np.zeros((B, K))
-    gs = np.zeros((B, K))
-    gmu_cfs = [np.zeros((B, K)) for _ in range(C)]
-    gs_cfs = [np.zeros((B, K)) for _ in range(C)]
-    d = np.zeros(B)
-
-    if kind == "mi_jsd":
-        for c in range(C):
-            mu2, s2 = mu_cfs[c], s_cfs[c]
-            ssum = s + s2
-            diff = mu - mu2
-            d += 0.5 * np.sum(np.log(ssum / (4.0 * s * s2))
-                              + diff ** 2 / ssum + 0.5, axis=1)
-            gmu += diff / ssum
-            gmu_cfs[c] -= diff / ssum
-            common = 0.5 * (1.0 / ssum - diff ** 2 / ssum ** 2)
-            gs += common - 0.5 / s
-            gs_cfs[c] += common - 0.5 / s2
-        return d, gmu, gs, gmu_cfs, gs_cfs
-
     if kind == "info_radius":
         # members: factual + counterfactuals, equal weights 1/G
-        mus = [mu] + list(mu_cfs)
-        ss = [s] + list(s_cfs)
-        G = len(mus)
-        mu_m = sum(mus) / G
-        var_m = sum(si ** 2 + mi ** 2 for mi, si in zip(mus, ss)) / G \
-            - mu_m ** 2
-        var_m = np.maximum(var_m, 1e-300)
-        a_bar = sum(si ** 2 + (mi - mu_m) ** 2
-                    for mi, si in zip(mus, ss)) / G
-        for mi, si in zip(mus, ss):
-            d += np.sum(0.5 * np.log(var_m) - np.log(si)
-                        + (si ** 2 + (mi - mu_m) ** 2) / (2.0 * var_m)
-                        - 0.5, axis=1)
-        d /= G
+        G = C + 1
+        mus = np.concatenate([mu[None], mu2])
+        ss = np.concatenate([s[None], s2])
+        mu_m = _member_sum(mus) / G
+        var_m = np.maximum(_member_sum(ss ** 2 + mus ** 2) / G - mu_m ** 2,
+                           1e-300)
+        dev = mus - mu_m
+        sq = ss ** 2 + dev ** 2
+        d = _member_sum(np.sum(0.5 * np.log(var_m) - np.log(ss)
+                               + sq / (2.0 * var_m) - 0.5, axis=2)) / G
         # direct dependence on mu_m cancels (the deviations sum to zero);
         # the mixture variance path remains
-        gvar = 0.5 / var_m - a_bar / (2.0 * var_m ** 2)
-        gs_all = []
-        gmu_all = []
-        for mi, si in zip(mus, ss):
-            dev = mi - mu_m
-            gmu_all.append(dev / (G * var_m) + gvar * (2.0 / G) * dev)
-            gs_all.append((si / var_m - 1.0 / si) / G
-                          + gvar * (2.0 * si / G))
-        gmu[:] = gmu_all[0]
-        gs[:] = gs_all[0]
-        for c in range(C):
-            gmu_cfs[c][:] = gmu_all[c + 1]
-            gs_cfs[c][:] = gs_all[c + 1]
-        return d, gmu, gs, gmu_cfs, gs_cfs
+        gvar = 0.5 / var_m - (_member_sum(sq) / G) / (2.0 * var_m ** 2)
+        gmu = dev / (G * var_m) + gvar * (2.0 / G) * dev
+        gs = (ss / var_m - 1.0 / ss) / G + gvar * (2.0 * ss / G)
+        return d, gmu[0], gs[0], gmu[1:], gs[1:]
 
-    if kind == "avg_divergence":
-        for c in range(C):
-            mu2, s2 = mu_cfs[c], s_cfs[c]
-            diff = mu - mu2
-            d += _kl_rows(mu, s, mu2, s2)
-            gmu += diff / s2 ** 2
-            gs += -1.0 / s + s / s2 ** 2
-            gmu_cfs[c] -= diff / s2 ** 2
-            gs_cfs[c] += 1.0 / s2 - (s ** 2 + diff ** 2) / s2 ** 3
-        d /= C
-        gmu /= C
-        gs /= C
-        for c in range(C):
-            gmu_cfs[c] /= C
-            gs_cfs[c] /= C
-        return d, gmu, gs, gmu_cfs, gs_cfs
-
-    # norm family: no scale dependence
-    for c in range(C):
-        diff = mu - mu_cfs[c]
+    # pairwise kinds: per counterfactual the distance dc and its gradient gm
+    # in mu (-gm in mu~); mi_jsd sums over the counterfactuals, the others
+    # average. gs, gs2 are the gradients in s and s~, already so weighted.
+    diff = mu - mu2
+    n = 1 if kind == "mi_jsd" else C
+    if kind == "mi_jsd":
+        ssum = s + s2
+        dc = 0.5 * np.sum(np.log(ssum / (4.0 * s * s2)) + diff ** 2 / ssum
+                          + 0.5, axis=2)
+        gm = diff / ssum
+        common = 0.5 * (1.0 / ssum - diff ** 2 / ssum ** 2)
+        gs, gs2 = _member_sum(common - 0.5 / s), common - 0.5 / s2
+    elif kind == "avg_divergence":
+        dc = _kl_rows(mu, s, mu2, s2)
+        gm = diff / s2 ** 2
+        gs = _member_sum(-1.0 / s + s / s2 ** 2) / C
+        gs2 = (1.0 / s2 - (s ** 2 + diff ** 2) / s2 ** 3) / C
+    else:  # the norm family: no scale dependence
+        gs, gs2 = np.zeros((B, K)), np.zeros(mu2.shape)
         if kind == "l1":
-            d += np.sum(np.abs(diff), axis=1)
-            g = np.sign(diff)
+            dc, gm = np.sum(np.abs(diff), axis=2), np.sign(diff)
         elif kind == "l2":
-            norm = np.sqrt(np.sum(diff ** 2, axis=1))
-            d += norm
-            safe = np.maximum(norm, 1e-300)
-            g = diff / safe[:, None]
+            dc = np.sqrt(np.sum(diff ** 2, axis=2))
+            gm = diff / np.maximum(dc, 1e-300)[..., None]
         else:  # linf; subgradient at the first maximizing coordinate
-            idx = np.argmax(np.abs(diff), axis=1)
-            rows = np.arange(B)
-            d += np.abs(diff[rows, idx])
-            g = np.zeros_like(diff)
-            g[rows, idx] = np.sign(diff[rows, idx])
-        gmu += g
-        gmu_cfs[c] -= g
-    d /= C
-    gmu /= C
-    for c in range(C):
-        gmu_cfs[c] /= C
-    return d, gmu, gs, gmu_cfs, gs_cfs
+            idx = np.argmax(np.abs(diff), axis=2)[..., None]
+            dc = np.abs(np.take_along_axis(diff, idx, axis=2))[..., 0]
+            gm = np.where(np.arange(K) == idx, np.sign(diff), 0.0)
+    return (_member_sum(dc) / n, _member_sum(gm) / n, gs, (0.0 - gm) / n,
+            gs2)

@@ -23,10 +23,13 @@ from ..corpus import read_json, write_json
 from ..errors import (
     ConfigError,
     DivergedError,
+    FormatError,
     IoError,
     NumericError,
+    ShapeError,
     UnknownDistance,
     VocabMismatch,
+    check_field_types,
 )
 from ..model import (
     GenerativeParams,
@@ -69,6 +72,7 @@ class TrainConfig:
     dynamic_topics_var: float | None = None
 
     def __post_init__(self):
+        check_field_types(self)
         if self.n_topics < 1:
             raise ConfigError("n_topics must be >= 1")
         if self.m_samples < 1:
@@ -278,7 +282,16 @@ def train(corpus, gen, enc, cfg):
 def encode_corpus(fitted, corpus):
     """Factual posterior moments for every cell: two (T, N, K) arrays.
     Each stage's input goes into one (N, D) buffer from that stage's slice of
-    the corpus's CSR counts, so no (N, T, V) array is built."""
+    the corpus's CSR counts, so no (N, T, V) array is built. The model and
+    the corpus must agree on the vocabulary, stages, covariates and groups."""
+    if list(corpus.vocab) != list(fitted.vocab):
+        raise VocabMismatch("corpus vocabulary differs from the fitted model")
+    for name, m, c in (
+            ("stages", fitted.gen.n_stages, corpus.n_stages),
+            ("covariates", fitted.enc.stages[0].P, corpus.n_features),
+            ("groups", fitted.n_groups, corpus.n_groups)):
+        if m != c:
+            raise ShapeError(f"the model has {m} {name}, the corpus {c}")
     (indptr, words, _, rows), wn = corpus.csr(), relative_frequencies(corpus)
     y_enc = encode_groups(corpus.groups, corpus.n_groups)
     N, T, K = corpus.n_subjects, corpus.n_stages, fitted.gen.n_topics
@@ -297,36 +310,27 @@ def encode_corpus(fitted, corpus):
 def infer_proportions(fitted, corpus):
     """Posterior point estimate theta_hat[t, i] = softmax(mu_q[t, i]);
     (T, N, K) with simplex rows."""
-    if list(corpus.vocab) != list(fitted.vocab):
-        raise VocabMismatch("corpus vocabulary differs from the fitted model")
     mu_all, _ = encode_corpus(fitted, corpus)
     return softmax(mu_all, axis=2)
 
 
 # -- serialization -----------------------------------------------------------
 
+# the dimensions model.json stores next to each parameter block's arrays
+_DIMS = {TransitionModel: ("K", "in_dim", "hidden"),
+         StageEncoder: ("V", "P", "E", "K", "H")}
 
-def _transition_to_dict(m):
-    d = {"K": m.K, "in_dim": m.in_dim, "hidden": m.hidden}
-    for name, arr in m.param_items():
-        d[name] = arr.tolist()
+
+def _block_to_dict(block):
+    d = {k: getattr(block, k) for k in _DIMS[type(block)]}
+    d.update((name, arr.tolist()) for name, arr in block.param_items())
     return d
-
-
-def _transition_from_dict(d):
-    m = TransitionModel(K=d["K"], in_dim=d["in_dim"], hidden=d["hidden"])
-    for name in ("W", "b", "W1", "b1", "W2", "b2"):
-        if name in d:
-            setattr(m, name, np.asarray(d[name], dtype=np.float64))
-    return m
 
 
 def save_model(fitted, fname):
     """model.json: every parameter tensor, config echo, and training log."""
     gen, enc = fitted.gen, fitted.enc
-    trans = ([_transition_to_dict(gen.transitions[0])]
-             if gen.share_across_stages
-             else [_transition_to_dict(m) for m in gen.transitions])
+    trans = gen.transitions[:1] if gen.share_across_stages else gen.transitions
     obj = {
         "format": "longtopic-model-v1",
         "config": asdict(fitted.cfg),
@@ -339,13 +343,8 @@ def save_model(fitted, fname):
         "a2": gen.a2,
         "eta0": gen.eta0.tolist(),
         "share_across_stages": gen.share_across_stages,
-        "transitions": trans,
-        "encoders": [
-            {"V": s.V, "P": s.P, "E": s.E, "K": s.K, "H": s.H,
-             "Wh": s.Wh.tolist(), "bh": s.bh.tolist(),
-             "Wm": s.Wm.tolist(), "bm": s.bm.tolist(),
-             "Ws": s.Ws.tolist(), "bs": s.bs.tolist()}
-            for s in enc.stages],
+        "transitions": [_block_to_dict(m) for m in trans],
+        "encoders": [_block_to_dict(s) for s in enc.stages],
         "log": fitted.log,
         "converged": fitted.converged,
         "beta_stage": (None if fitted.beta_stage is None
@@ -356,34 +355,90 @@ def save_model(fitted, fname):
     write_json(obj, fname)
 
 
+def _get(d, key, where, least=None):
+    """d[key]; with least given, an integer >= least. FormatError when d is
+    not an object, has no key or holds something else."""
+    if not isinstance(d, dict) or key not in d:
+        raise FormatError(f"{where}: missing key {key!r}")
+    v = d[key]
+    if least is not None and (isinstance(v, bool) or not isinstance(v, int)
+                              or v < least):
+        raise FormatError(f"{where}: {key} must be an integer >= {least};"
+                          f" got {v!r}")
+    return v
+
+
+def _get_array(d, key, shape, where):
+    """d[key] as a float64 array of the given shape, else FormatError."""
+    try:
+        arr = np.asarray(_get(d, key, where), dtype=np.float64)
+    except (TypeError, ValueError) as e:
+        raise FormatError(f"{where}: {key} is not a numeric array") from e
+    if arr.shape != shape:
+        raise FormatError(
+            f"{where}: {key} has shape {arr.shape}, expected {shape}")
+    return arr
+
+
+def _read_blocks(blocks, stored, where):
+    """Fill each template block from its stored object: the dimensions must
+    be the template's, and each array is read by the name and shape its
+    param_items() gives."""
+    if not isinstance(stored, list) or len(stored) != len(blocks):
+        raise FormatError(f"{where}: expected a list of {len(blocks)}")
+    for i, (block, d) in enumerate(zip(blocks, stored)):
+        at = f"{where}[{i}]"
+        for k in _DIMS[type(block)]:
+            if _get(d, k, at) != getattr(block, k):
+                raise FormatError(
+                    f"{at}: {k} is {d[k]!r}, expected {getattr(block, k)}")
+        for name, arr in block.param_items():
+            arr[...] = _get_array(d, name, arr.shape, at)
+
+
 def load_model(fname):
+    """The FittedModel that save_model wrote to fname: IoError when it is not
+    a model file, FormatError for a missing, unknown or malformed entry.
+    Templates sized from the stored dimensions (vocabulary, n_topics, stages,
+    groups, and the first stored block's covariates and widths) give every
+    parameter's name and shape."""
     obj = read_json(fname)
-    if obj.get("format") != "longtopic-model-v1":
+    if not isinstance(obj, dict) or obj.get("format") != "longtopic-model-v1":
         raise IoError(f"{fname}: not a model file")
-    cfg = TrainConfig(**obj["config"])
-    T = obj["n_stages"]
-    share = obj["share_across_stages"]
-    models = [_transition_from_dict(d) for d in obj["transitions"]]
-    transitions = models * T if share else models
-    gen = GenerativeParams(
-        beta=np.asarray(obj["beta"], dtype=np.float64),
-        transitions=transitions,
-        beta0_mean=np.asarray(obj["beta0_mean"], dtype=np.float64),
-        delta2=obj["delta2"], a2=obj["a2"],
-        eta0=np.asarray(obj["eta0"], dtype=np.float64),
-        share_across_stages=share)
-    stages = [StageEncoder(
-        V=d["V"], P=d["P"], E=d["E"], K=d["K"], H=d["H"],
-        Wh=np.asarray(d["Wh"]), bh=np.asarray(d["bh"]),
-        Wm=np.asarray(d["Wm"]), bm=np.asarray(d["bm"]),
-        Ws=np.asarray(d["Ws"]), bs=np.asarray(d["bs"]))
-        for d in obj["encoders"]]
-    enc = EncoderParams(stages=stages, n_groups=obj["n_groups"])
-    beta_stage = obj.get("beta_stage")
-    scale = obj.get("beta_stage_scale")
+    try:
+        cfg = TrainConfig(**_get(obj, "config", fname))
+    except TypeError as e:
+        raise FormatError(f"{fname}: bad config: {e}") from e
+    vocab = _get(obj, "vocab", fname)
+    if not isinstance(vocab, list) or not all(
+            isinstance(w, str) for w in vocab):
+        raise FormatError(f"{fname}: vocab must be a list of words")
+    share = _get(obj, "share_across_stages", fname)
+    if not isinstance(share, bool):
+        raise FormatError(f"{fname}: share_across_stages must be a bool")
+    V, K = len(vocab), cfg.n_topics
+    T = _get(obj, "n_stages", fname, least=1)
+    G = _get(obj, "n_groups", fname, least=2)
+    trans, encs = (_get(obj, k, fname) for k in ("transitions", "encoders"))
+    t0, e0 = (b[0] if isinstance(b, list) and b else {} for b in (trans, encs))
+    P = _get(e0, "P", f"{fname}: encoders[0]", least=0)
+    gen = GenerativeParams.init(
+        V, K, T, P, G, share_across_stages=share,
+        hidden=_get(t0, "hidden", f"{fname}: transitions[0]", least=0),
+        a2=float(_get_array(obj, "a2", (), fname)),
+        delta2=float(_get_array(obj, "delta2", (), fname)))
+    enc = EncoderParams.init(
+        V, P, K, T, G, hidden=_get(e0, "H", f"{fname}: encoders[0]", least=1))
+    _read_blocks(gen.transitions[:1] if share else gen.transitions, trans,
+                 f"{fname}: transitions")
+    _read_blocks(enc.stages, encs, f"{fname}: encoders")
+    for key in ("beta", "beta0_mean", "eta0"):
+        arr = getattr(gen, key)
+        arr[...] = _get_array(obj, key, arr.shape, fname)
+    beta_stage, scale = (
+        None if obj.get(k) is None else _get_array(obj, k, (T, V, K), fname)
+        for k in ("beta_stage", "beta_stage_scale"))
     return FittedModel(
-        gen=gen, enc=enc, cfg=cfg, vocab=list(obj["vocab"]),
-        n_groups=obj["n_groups"], log=obj["log"],
-        converged=obj["converged"],
-        beta_stage=None if beta_stage is None else np.asarray(beta_stage),
-        beta_stage_scale=None if scale is None else np.asarray(scale))
+        gen=gen, enc=enc, cfg=cfg, vocab=vocab, n_groups=G,
+        log=_get(obj, "log", fname), converged=_get(obj, "converged", fname),
+        beta_stage=beta_stage, beta_stage_scale=scale)

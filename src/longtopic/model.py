@@ -198,48 +198,6 @@ def default_vocab(V):
     return [f"w{v:0{width}d}" for v in range(V)]
 
 
-def forward_sample(params, covariates, groups, count_range, seed, vocab=None):
-    """Sample a corpus from the generative process.
-
-    Draws beta once from N(beta0_mean, delta2 I), runs the eta chain with
-    variance a2 (deterministic when delta2 = a2 = 0), then one multinomial
-    document per (subject, stage) with totals uniform on the inclusive
-    count_range. Bit-reproducible for a fixed seed.
-    """
-    covariates = np.asarray(covariates, dtype=np.float64)
-    if covariates.ndim != 3:
-        raise ShapeError("covariates must be (N, T, P)")
-    N, T, P = covariates.shape
-    if T != params.n_stages:
-        raise ShapeError(
-            f"covariates have {T} stages, transitions {params.n_stages}")
-    groups = np.asarray(groups)
-    G = max(2, int(groups.max()) + 1)
-    yenc = encode_groups(groups, G)
-    lo, hi = int(count_range[0]), int(count_range[1])
-    if lo < 1 or hi < lo:
-        raise ShapeError("count_range must satisfy 1 <= lo <= hi")
-
-    rng = np.random.default_rng(seed)
-    V, K = params.beta.shape
-    beta = params.beta0_mean + np.sqrt(params.delta2) * rng.standard_normal(
-        (V, K)) if params.delta2 > 0 else params.beta0_mean.copy()
-    b = column_softmax(beta)
-
-    eta = np.broadcast_to(params.eta0, (N, K)).copy()
-    theta = np.zeros((T, N, K))
-    for t in range(T):
-        inp = np.concatenate([eta, covariates[:, t, :], yenc], axis=1)
-        mu, _ = params.transitions[t].forward(inp)
-        noise = rng.standard_normal((N, K)) if params.a2 > 0 else 0.0
-        eta = mu + np.sqrt(params.a2) * noise
-        theta[t] = softmax(eta, axis=1)
-
-    vocab = vocab if vocab is not None else default_vocab(V)
-    return sample_corpus(rng, np.broadcast_to(b, (T, V, K)), theta, (lo, hi),
-                         covariates, groups, vocab, G)
-
-
 def sample_corpus(rng, topics, theta, count_range, covariates, groups, vocab,
                   n_groups):
     """One multinomial document per (subject, stage) of theta's (T, N, K)

@@ -27,7 +27,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import read_json, write_json
-from .errors import ConfigError, FormatError, ShapeError
+from .errors import (
+    ConfigError,
+    FormatError,
+    ShapeError,
+    check_field_types,
+    check_setting,
+)
 from .model import default_vocab, sample_corpus, softmax
 
 BASIS_FUNCS = {
@@ -56,8 +62,13 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self):
-        self.basis = tuple(self.basis)
-        self.count_range = (int(self.count_range[0]), int(self.count_range[1]))
+        check_field_types(self)
+        self.basis = tuple(check_setting(b, "str", "basis")
+                           for b in self.basis)
+        self.count_range = tuple(int(check_setting(c, "int", "count_range"))
+                                 for c in self.count_range)
+        if len(self.count_range) != 2:
+            raise ConfigError("count_range must be two integers")
         if self.n_topics < 1:
             raise ConfigError("n_topics must be >= 1")
         if self.vocab_size < self.n_topics:

@@ -1,11 +1,13 @@
 """Reference implementations of the package's batched kernels: one
 document's posterior moments, its group distance, the collapsed word
-distribution, its multinomial log-likelihood and one transition mean; the
-closed-form Gaussian KL and pairwise separation terms for one document; and
-the loop forms of the evaluation metrics (topic alignment, UMass coherence,
-perplexity and the group probe), which the vectorized metrics must match bit
-for bit; and the dense (N, T, V) forms of the corpus's CSR view, the batch
-gather and the sampler, which the sparse code must match exactly. Only tests
+distribution, its multinomial log-likelihood, one transition mean and a
+corpus drawn from the generative process; the closed-form Gaussian KL and
+pairwise separation terms for one document; the loop forms of the
+group-distance kernel (one pass per counterfactual) and of the evaluation
+metrics (topic alignment, UMass coherence, perplexity and the group probe),
+which the stacked and vectorized kernels must match bit for bit; and the
+dense (N, T, V) forms of the corpus's CSR view, the batch gather and the
+sampler, which the sparse code must match exactly. Only tests
 call them, to check the package's code against a direct computation."""
 
 import itertools
@@ -17,8 +19,19 @@ import numpy as np
 from longtopic.corpus import Corpus
 from longtopic.errors import NumericError, ShapeError, UnknownDistance
 from longtopic.evaluate import _as_stack, _topic_kl_matrix, top_words
-from longtopic.inference.terms import DISTANCE_KINDS, distance_with_grad
-from longtopic.model import PROB_FLOOR, column_softmax, encode_groups, softmax
+from longtopic.inference.terms import (
+    DISTANCE_KINDS,
+    _kl_rows,
+    distance_with_grad,
+)
+from longtopic.model import (
+    PROB_FLOOR,
+    column_softmax,
+    default_vocab,
+    encode_groups,
+    sample_corpus,
+    softmax,
+)
 
 
 def _check_scales(*scales):
@@ -116,6 +129,122 @@ def group_distance(kind, factual, counterfactuals):
     return float(d[0])
 
 
+def distance_with_grad_ref(kind, mu, s, mu_cfs, s_cfs):
+    """Batched distances with hand gradients, one Python pass per
+    counterfactual (the loop form of terms.distance_with_grad).
+
+    mu, s: (B, K) factual moments; mu_cfs, s_cfs: C-long lists of (B, K).
+    Returns (d (B,), gmu, gs, gmu_cfs, gs_cfs) where the gradients are the raw
+    partial derivatives of d per row.
+    """
+    if kind not in DISTANCE_KINDS:
+        raise UnknownDistance(f"unknown distance kind {kind!r}")
+    B, K = mu.shape
+    zeros = np.zeros((B, K))
+    C = len(mu_cfs)
+    if kind == "none":
+        return (np.zeros(B), zeros, zeros.copy(),
+                [np.zeros((B, K)) for _ in range(C)],
+                [np.zeros((B, K)) for _ in range(C)])
+    if C == 0:
+        raise ShapeError("need at least one counterfactual")
+
+    gmu = np.zeros((B, K))
+    gs = np.zeros((B, K))
+    gmu_cfs = [np.zeros((B, K)) for _ in range(C)]
+    gs_cfs = [np.zeros((B, K)) for _ in range(C)]
+    d = np.zeros(B)
+
+    if kind == "mi_jsd":
+        for c in range(C):
+            mu2, s2 = mu_cfs[c], s_cfs[c]
+            ssum = s + s2
+            diff = mu - mu2
+            d += 0.5 * np.sum(np.log(ssum / (4.0 * s * s2))
+                              + diff ** 2 / ssum + 0.5, axis=1)
+            gmu += diff / ssum
+            gmu_cfs[c] -= diff / ssum
+            common = 0.5 * (1.0 / ssum - diff ** 2 / ssum ** 2)
+            gs += common - 0.5 / s
+            gs_cfs[c] += common - 0.5 / s2
+        return d, gmu, gs, gmu_cfs, gs_cfs
+
+    if kind == "info_radius":
+        # members: factual + counterfactuals, equal weights 1/G
+        mus = [mu] + list(mu_cfs)
+        ss = [s] + list(s_cfs)
+        G = len(mus)
+        mu_m = sum(mus) / G
+        var_m = sum(si ** 2 + mi ** 2 for mi, si in zip(mus, ss)) / G \
+            - mu_m ** 2
+        var_m = np.maximum(var_m, 1e-300)
+        a_bar = sum(si ** 2 + (mi - mu_m) ** 2
+                    for mi, si in zip(mus, ss)) / G
+        for mi, si in zip(mus, ss):
+            d += np.sum(0.5 * np.log(var_m) - np.log(si)
+                        + (si ** 2 + (mi - mu_m) ** 2) / (2.0 * var_m)
+                        - 0.5, axis=1)
+        d /= G
+        # direct dependence on mu_m cancels (the deviations sum to zero);
+        # the mixture variance path remains
+        gvar = 0.5 / var_m - a_bar / (2.0 * var_m ** 2)
+        gs_all = []
+        gmu_all = []
+        for mi, si in zip(mus, ss):
+            dev = mi - mu_m
+            gmu_all.append(dev / (G * var_m) + gvar * (2.0 / G) * dev)
+            gs_all.append((si / var_m - 1.0 / si) / G
+                          + gvar * (2.0 * si / G))
+        gmu[:] = gmu_all[0]
+        gs[:] = gs_all[0]
+        for c in range(C):
+            gmu_cfs[c][:] = gmu_all[c + 1]
+            gs_cfs[c][:] = gs_all[c + 1]
+        return d, gmu, gs, gmu_cfs, gs_cfs
+
+    if kind == "avg_divergence":
+        for c in range(C):
+            mu2, s2 = mu_cfs[c], s_cfs[c]
+            diff = mu - mu2
+            d += _kl_rows(mu, s, mu2, s2)
+            gmu += diff / s2 ** 2
+            gs += -1.0 / s + s / s2 ** 2
+            gmu_cfs[c] -= diff / s2 ** 2
+            gs_cfs[c] += 1.0 / s2 - (s ** 2 + diff ** 2) / s2 ** 3
+        d /= C
+        gmu /= C
+        gs /= C
+        for c in range(C):
+            gmu_cfs[c] /= C
+            gs_cfs[c] /= C
+        return d, gmu, gs, gmu_cfs, gs_cfs
+
+    # norm family: no scale dependence
+    for c in range(C):
+        diff = mu - mu_cfs[c]
+        if kind == "l1":
+            d += np.sum(np.abs(diff), axis=1)
+            g = np.sign(diff)
+        elif kind == "l2":
+            norm = np.sqrt(np.sum(diff ** 2, axis=1))
+            d += norm
+            safe = np.maximum(norm, 1e-300)
+            g = diff / safe[:, None]
+        else:  # linf; subgradient at the first maximizing coordinate
+            idx = np.argmax(np.abs(diff), axis=1)
+            rows = np.arange(B)
+            d += np.abs(diff[rows, idx])
+            g = np.zeros_like(diff)
+            g[rows, idx] = np.sign(diff[rows, idx])
+        gmu += g
+        gmu_cfs[c] -= g
+    d /= C
+    gmu /= C
+    for c in range(C):
+        gmu_cfs[c] /= C
+    return d, gmu, gs, gmu_cfs, gs_cfs
+
+
 def collapsed_word_distribution(theta, beta):
     """Word distribution theta . softmax_col(beta)^T with the topic assignment
     collapsed; a convex combination of simplices, so itself a V-simplex."""
@@ -137,6 +266,48 @@ def multinomial_log_likelihood(counts, theta, beta):
         raise ShapeError(
             f"counts has shape {counts.shape}, expected {p.shape}")
     return float(counts @ np.log(np.clip(p, PROB_FLOOR, 1.0)))
+
+
+def forward_sample(params, covariates, groups, count_range, seed, vocab=None):
+    """Sample a corpus from the generative process.
+
+    Draws beta once from N(beta0_mean, delta2 I), runs the eta chain with
+    variance a2 (deterministic when delta2 = a2 = 0), then one multinomial
+    document per (subject, stage) with totals uniform on the inclusive
+    count_range. Bit-reproducible for a fixed seed.
+    """
+    covariates = np.asarray(covariates, dtype=np.float64)
+    if covariates.ndim != 3:
+        raise ShapeError("covariates must be (N, T, P)")
+    N, T, P = covariates.shape
+    if T != params.n_stages:
+        raise ShapeError(
+            f"covariates have {T} stages, transitions {params.n_stages}")
+    groups = np.asarray(groups)
+    G = max(2, int(groups.max()) + 1)
+    yenc = encode_groups(groups, G)
+    lo, hi = int(count_range[0]), int(count_range[1])
+    if lo < 1 or hi < lo:
+        raise ShapeError("count_range must satisfy 1 <= lo <= hi")
+
+    rng = np.random.default_rng(seed)
+    V, K = params.beta.shape
+    beta = params.beta0_mean + np.sqrt(params.delta2) * rng.standard_normal(
+        (V, K)) if params.delta2 > 0 else params.beta0_mean.copy()
+    b = column_softmax(beta)
+
+    eta = np.broadcast_to(params.eta0, (N, K)).copy()
+    theta = np.zeros((T, N, K))
+    for t in range(T):
+        inp = np.concatenate([eta, covariates[:, t, :], yenc], axis=1)
+        mu, _ = params.transitions[t].forward(inp)
+        noise = rng.standard_normal((N, K)) if params.a2 > 0 else 0.0
+        eta = mu + np.sqrt(params.a2) * noise
+        theta[t] = softmax(eta, axis=1)
+
+    vocab = vocab if vocab is not None else default_vocab(V)
+    return sample_corpus(rng, np.broadcast_to(b, (T, V, K)), theta, (lo, hi),
+                         covariates, groups, vocab, G)
 
 
 def transition_mean(t, eta_prev, x_t, y_enc, model):

@@ -164,7 +164,14 @@ def test_bad_inputs_exit_one(tmp_path, capsys):
 
 @pytest.mark.parametrize("setting", [
     'repeats="two"', "repeats=2.5", "repeats=true",
-    'sim.seed="x"', "sim.seed=2.5", "sim.seed=true", 'train.seed="x"'])
+    'sim.seed="x"', "sim.seed=2.5", "sim.seed=true", 'train.seed="x"',
+    # every config field is type-checked before its range
+    "train.t_max=2.5", "train.batch_size=true", 'train.n_topics="3"',
+    'train.learning_rate="0.1"', "train.dist_weight=true",
+    'train.dist_kind=3', "train.share_transitions=1",
+    "sim.n_subjects=1.5", 'sim.n_subjects="40"', "sim.phi_drift=false",
+    "sim.count_range=5", "sim.count_range=[1.5,3]", "sim.count_range=[1]",
+    "sim.basis=[1]"])
 def test_pipeline_non_integer_scalars_are_config_errors(tmp_path, capsys,
                                                         setting):
     code, err = error_code(
@@ -237,3 +244,31 @@ def test_eval_with_truth_missing_gamma_is_a_format_error(tmp_path, capsys):
     assert code == 1
     assert err.count("\n") == 1 and err.startswith("error: FormatError:")
     assert "'gamma'" in err
+
+
+def test_eval_and_infer_name_a_model_that_does_not_fit(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert main(["simulate", "--out", str(out), "--seed", "3", *SIM]) == 0
+    assert main(["fit", "--out", str(out), "--seed", "3", *TRAIN,
+                 "--set", f'paths.corpus="{out / "corpus"}"']) == 0
+    model = json.loads((out / "model.json").read_text())
+    del model["beta"]
+    (tmp_path / "broken.json").write_text(json.dumps(model))
+    cases = [(out, tmp_path / "broken.json", "FormatError")]
+    # a corpus with another stage, covariate or group count
+    for i, other in enumerate(["sim.n_stages=3", "sim.n_covariates=4",
+                               "sim.n_groups=3"]):
+        data = tmp_path / f"other{i}"
+        assert main(["simulate", "--out", str(data), "--seed", "3", *SIM,
+                     "--set", other]) == 0
+        cases.append((data, out / "model.json", "ShapeError"))
+    for data, model_path, error in cases:
+        for mode in ("eval", "infer"):
+            capsys.readouterr()
+            code, err = error_code(
+                [mode, "--out", str(tmp_path / "out"),
+                 "--set", f'paths.corpus="{data / "corpus"}"',
+                 "--set", f'paths.model="{model_path}"'], capsys)
+            assert code == 1, (data, mode)
+            assert err.count("\n") == 1, err
+            assert err.startswith(f"error: {error}:"), err

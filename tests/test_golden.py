@@ -1,22 +1,27 @@
 """Golden bytes: a fixed-seed run writes exactly the files it wrote before the
 corpus path was vectorized, the static and dynamic-topic epoch loops were
-merged into one, and the metric kernels were vectorized.
+merged into one, the metric kernels were vectorized, and the group-distance
+kernels were stacked over the counterfactuals.
 
 The simulate -> fit -> infer hashes were computed with the package at commit
 cc5d8b4 (per-word Python corpus build, `json.dump` streaming writers), the
 dynamic-topic fit and pipeline hashes at commit 8c9326e (one epoch loop per
 topic parametrization, pipeline with its own copy of the stage commands),
 the `eval` hashes (`metrics.json`) at commit 4e0037f (one Python loop per
-permutation, word pair and probe step), and the N=300 run at commit d843e55
-(dense (N, T, V) count tensors in the sampler, the loss and the metrics), all
-on x86-64 with numpy 2.4 and OpenBLAS. They pin the on-disk formats and the
-random draw order: a change to either shows up here even when two runs of the
-new code agree with each other. A different BLAS may round the fit differently
+permutation, word pair and probe step), the N=300 run at commit d843e55
+(dense (N, T, V) count tensors in the sampler, the loss and the metrics), and
+the four-group fits per distance kind at commit cf4fb04 (one Python loop over
+the counterfactuals in each distance kernel), all on x86-64 with numpy 2.4
+and OpenBLAS. They pin the on-disk formats and the random draw order: a
+change to either shows up here even when two runs of the new code agree with
+each other. A different BLAS may round the fit differently
 and change the hashes of the fitted artifacts (`model.json`, `train_log.json`,
 `proportions.json`, `summary.json`, `metrics.json`) only.
 """
 
 import hashlib
+
+import pytest
 
 from longtopic.cli import main
 
@@ -78,6 +83,25 @@ GOLDEN_N300 = {
     "eval/metrics.json":
         "6abd6ef61243ac9b33ce259c2751d118f32dab0a48f23528529c68810fdc248a",
 }
+# four groups (three counterfactuals per subject) under each distance kind
+# that mi_jsd's pins above leave out
+GOLDEN_G4 = {
+    "info_radius": (
+        "62a0916edf477e37630d0d106019304fc83f52b3d259cc71e8a7ce7afc6fc966",
+        "053a817d07ec6f73bf27e07d6501e8770a128d85d86f10479e464317b8dd8804"),
+    "avg_divergence": (
+        "9ec2e5c9ee1ef5c60a49d9e4df084ab28ab80d3124e40a8e9dc31c64c7b87d93",
+        "a28cc77b19ecea770d3da9b7a21823e433e80c7a6c5f0db82674d45c73c3ccc4"),
+    "l1": (
+        "dc206aed361046d5bfc10235ad2caf77f2075a1567499ca8f403c3e4207e2926",
+        "f3beb9b430970de38a7009531f806d92aaf60db35acc0a3ffdadd1652f905f8a"),
+    "l2": (
+        "4ab78f5f197369629ffbacff864bbc1f46a1c84d35d82673144f2e3020f5f00e",
+        "bed5e34ccd439309a75d68d30fb809f7d7916a248efeefd3b92731da4f09b743"),
+    "linf": (
+        "94b05f50f588e37aae6904c722a0d5d5e5a1a8f580621731a0cf13a96a2df34f",
+        "4ff74d308a35a3c8a4bb51ec09b92273f76471fcc225067603efbf4f794a9d6a"),
+}
 GOLDEN_PIPELINE = {
     "summary.json":
         "33f9ef438cfd4e4ad05c0ad826046f58619d5532a915c99aab3751e6fbeea2be",
@@ -130,6 +154,18 @@ def test_two_group_six_topic_eval_matches_golden_bytes(tmp_path):
 def test_batch_and_chunk_crossing_run_matches_golden_bytes(tmp_path):
     simulate_fit_eval(tmp_path, N300_SIM, N300_TRAIN)
     assert sha256s(tmp_path, GOLDEN_N300) == GOLDEN_N300
+
+
+@pytest.mark.parametrize("kind", sorted(GOLDEN_G4))
+def test_four_group_fit_matches_golden_bytes(tmp_path, kind):
+    run = tmp_path / "run"
+    assert main(["simulate", "--out", str(run), "--seed", "11", *SIM,
+                 "--set", "sim.n_groups=4"]) == 0
+    assert main(["fit", "--out", str(run), "--seed", "11", *TRAIN,
+                 "--set", f'train.dist_kind="{kind}"',
+                 "--set", f'paths.corpus="{run / "corpus"}"']) == 0
+    rels = ("model.json", "train_log.json")
+    assert sha256s(run, rels) == dict(zip(rels, GOLDEN_G4[kind]))
 
 
 def test_dynamic_topic_fit_matches_golden_bytes(tmp_path):

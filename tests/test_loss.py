@@ -9,12 +9,14 @@ from longtopic.inference.loss import (
     encoder_input,
     longitudinal_loss,
 )
-from longtopic.inference.terms import DISTANCE_KINDS
+from longtopic.inference.networks import SIGMA_MIN
+from longtopic.inference.terms import DISTANCE_KINDS, distance_with_grad
 from longtopic.inference.trainer import TrainConfig, default_init
 from longtopic.model import column_softmax, default_vocab
 from oracles import (
     batch_ref,
     counterfactual_encode,
+    distance_with_grad_ref,
     encode,
     gaussian_kl_term,
     group_distance,
@@ -364,6 +366,36 @@ def test_batch_gather_matches_the_dense_reference(data):
             [want.wn[:, t], got.x[:, t], got.y_enc, prev], axis=1))
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_stacked_distance_matches_the_loop_form(data):
+    # G >= 8 members is where a plain reduce over them would pair terms up
+    G = data.draw(st.integers(2, 10))
+    B, K = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**31 - 1)))
+    mu = rng.normal(size=(B, K))
+    mus = rng.normal(size=(G - 1, B, K))
+    s = rng.uniform(0.05, 3.0, size=(B, K))
+    ss = rng.uniform(0.05, 3.0, size=(G - 1, B, K))
+    if data.draw(st.booleans()):      # ties: several coordinates share |max|
+        mu, mus = np.round(mu), np.round(mus)
+    if data.draw(st.booleans()):      # zero differences, signed zeros too
+        mus[rng.random(mus.shape) < 0.5] = 0.0
+        mu[...] = -0.0
+    if data.draw(st.booleans()):      # the encoder's scale floor
+        s[rng.random(s.shape) < 0.5] = SIGMA_MIN
+        ss[rng.random(ss.shape) < 0.5] = SIGMA_MIN
+    for kind in DISTANCE_KINDS:
+        want = distance_with_grad_ref(kind, mu, s, list(mus), list(ss))
+        for cfs in ((mus, ss), (list(mus), list(ss))):
+            got = distance_with_grad(kind, mu, s, *cfs)
+            for g, w in zip(got, want):
+                w = np.asarray(w)
+                assert g.shape == w.shape, kind
+                assert np.array_equal(g, w), kind
+                assert np.array_equal(np.signbit(g), np.signbit(w)), kind
+
+
 def test_corpus_arrays_hold_no_dense_tensor():
     from longtopic.simulate import SimConfig, simulate
 
@@ -372,7 +404,6 @@ def test_corpus_arrays_hold_no_dense_tensor():
                                    count_range=(3, 8), seed=4))
     arrays = CorpusArrays(corpus)
     held = [a for a in vars(arrays).values() if isinstance(a, np.ndarray)]
-    held += arrays.cf_encs
     N, T, V = corpus.n_subjects, corpus.n_stages, corpus.vocab_size
     assert len(held) >= 8
     assert all(a.size < N * T * V for a in held)

@@ -8,12 +8,12 @@ from longtopic.model import (
     TransitionModel,
     column_softmax,
     encode_groups,
-    forward_sample,
     sample_corpus,
     softmax,
 )
 from oracles import (
     collapsed_word_distribution,
+    forward_sample,
     multinomial_log_likelihood,
     sample_corpus_ref,
     transition_mean,

@@ -189,6 +189,14 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         SimConfig(n_subjects=1, n_stages=1, vocab_size=4, n_topics=2,
                   n_covariates=1, basis=("x", "cos"))
+    base = dict(n_subjects=1, n_stages=1, vocab_size=4, n_topics=2)
+    for bad in (dict(n_subjects=1.5), dict(n_stages=True),
+                dict(n_topics="2"), dict(phi_drift="0"), dict(seed=None),
+                dict(count_range=5), dict(count_range=(1.5, 3)),
+                dict(count_range=(1, 2, 3)), dict(basis=[1])):
+        with pytest.raises(ConfigError, match=next(iter(bad))):
+            SimConfig(**{**base, **bad})
+    assert SimConfig(**base, phi_drift=1).phi_drift == 1
 
 
 def test_truth_roundtrip(tmp_path):

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from longtopic.corpus import Corpus
 from longtopic.errors import (
     ConfigError,
     DivergedError,
+    FormatError,
     IoError,
     UnknownDistance,
     VocabMismatch,
@@ -183,6 +186,13 @@ def test_config_validation():
         TrainConfig(n_topics=2, optimizer="rmsprop")
     with pytest.raises(ConfigError):
         TrainConfig(n_topics=2, dynamic_topics_var=-1.0)
+    # types are checked before ranges: an int field takes no bool, float or
+    # str, a float field takes an int
+    for bad in (dict(t_max=2.5), dict(batch_size=True), dict(n_topics="3"),
+                dict(learning_rate="0.1"), dict(dynamic_topics_var=True)):
+        with pytest.raises(ConfigError, match=next(iter(bad))):
+            TrainConfig(**{"n_topics": 2, **bad})
+    assert TrainConfig(n_topics=2, learning_rate=1, a2=2).a2 == 2
 
 
 def test_shared_transitions_train():
@@ -212,3 +222,44 @@ def test_tied_encoder_init_copies_stage_one():
     fitted = fit(corpus, fast_cfg(t_max=2, tie_encoder_init=True))
     assert not np.array_equal(fitted.enc.stages[1].Wh,
                               fitted.enc.stages[0].Wh)
+
+
+@pytest.fixture(scope="module")
+def saved_model(tmp_path_factory):
+    corpus = two_topic_corpus(N=16, T=2)
+    fitted = fit(corpus, fast_cfg(t_max=2, share_transitions=True,
+                                  hidden_trans=3))
+    path = tmp_path_factory.mktemp("model") / "model.json"
+    save_model(fitted, path)
+    return path
+
+
+def test_load_then_save_gives_the_same_bytes(saved_model, tmp_path):
+    again = tmp_path / "again.json"
+    save_model(load_model(saved_model), again)
+    assert again.read_bytes() == saved_model.read_bytes()
+
+
+@pytest.mark.parametrize("corrupt, error, needle", [
+    (lambda o: o.pop("beta"), FormatError, "'beta'"),
+    (lambda o: o["encoders"][0].pop("bs"), FormatError, "'bs'"),
+    (lambda o: o["config"].update(bogus=1), FormatError, "bogus"),
+    (lambda o: o["config"].update(n_topics="2"), ConfigError, "n_topics"),
+    (lambda o: o["encoders"][1]["Wh"].pop(), FormatError, "Wh has shape"),
+    (lambda o: o["transitions"][0].update(W1="abc"), FormatError, "W1 is"),
+    (lambda o: o["encoders"][0].update(K=5), FormatError, "K is 5"),
+    (lambda o: o.update(n_stages=3), FormatError, "list of 3"),
+    (lambda o: o.update(n_groups=1), FormatError, "n_groups"),
+    (lambda o: o.update(vocab=4), FormatError, "vocab"),
+    (lambda o: o.update(eta0=[0.0]), FormatError, "eta0 has shape"),
+    (lambda o: o.update(beta_stage=[[1.0]]), FormatError, "beta_stage"),
+    (lambda o: o.update(a2="big"), FormatError, "a2"),
+])
+def test_load_model_names_malformed_entries(saved_model, tmp_path, corrupt,
+                                            error, needle):
+    obj = json.loads(saved_model.read_text())
+    corrupt(obj)
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(obj))
+    with pytest.raises(error, match=needle):
+        load_model(path)
