@@ -8,15 +8,18 @@ Subcommands
     pipeline   simulate -> fit -> eval for `repeats` seeds, write summary.json
 
 Configuration is a JSON file with optional blocks "sim" (SimConfig fields),
-"train" (TrainConfig fields), "paths" {corpus, model, truth, out}, and scalars
-"repeats", "allow_missing". Precedence: config file, then repeatable
-`--set section.key=value` pairs (applied in order, values parsed as JSON when
-possible), then the dedicated flags (--seed, --out, --repeats, --dist,
---dist-weight, --dynamic-topics, --allow-missing) last. --seed sets both the
-simulation and training seeds; pipeline repeat i runs at base_seed + i and
-writes into out/seed_<s>/. Exit status is 0 on success, 1 on any named error
-(message on stderr). Identical config + seed give byte-identical JSON
-artifacts.
+"train" (TrainConfig fields), "paths" (strings corpus, model, truth, out), and
+scalars "repeats" (an integer >= 1) and "allow_missing" (true or false).
+Precedence: config file, then repeatable `--set section.key=value` pairs
+(values parsed as JSON when possible), then the flags (--seed, --out,
+--repeats, --dist, --dist-weight, --dynamic-topics, --allow-missing). An
+unknown key, a block that is not an object, or a path or scalar of the wrong
+type or out of its bound fails every command before it starts, as does a bad
+field of a sim or train block the command uses (ConfigError). Seeds are >= 0;
+--seed sets both; pipeline repeat i runs at base_seed + i into out/seed_<s>/.
+A fit whose Monte-Carlo tensors would exceed MAX_SAMPLE_ELEMENTS numbers is a
+ConfigError naming m_samples. Exit status is 0 on success, 1 on any named
+error (message on stderr); the same config and seed give the same JSON bytes.
 """
 
 from __future__ import annotations
@@ -26,11 +29,18 @@ import json
 import math
 import os
 import sys
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from .corpus import load_corpus, save_corpus, write_json
-from .errors import ConfigError, IoError, LongtopicError, check_setting
+from .errors import (
+    ConfigError,
+    IoError,
+    LongtopicError,
+    check_field_types,
+    setting,
+)
 from .evaluate import full_report, save_metrics, save_top_words
 from .inference import (
     TrainConfig,
@@ -47,8 +57,68 @@ METRIC_FIELDS = ("kl_topics", "coherence", "perplexity", "dominant_acc",
                  "group_acc")
 
 
-def _parse_set(pairs, cfg):
-    for item in pairs or []:
+@dataclass
+class RunConfig:
+    """The `paths` block (the first four fields) and the top-level scalars."""
+    corpus: str | None = None
+    model: str | None = None
+    truth: str | None = None
+    out: str = "out"
+    repeats: int = setting(1, ge=1)
+    allow_missing: bool = False
+
+    def __post_init__(self):
+        check_field_types(self)
+
+
+# the keys each config block takes; RunConfig's other fields are the
+# top-level scalars
+_BLOCKS = {"sim": {f.name for f in fields(SimConfig)},
+           "train": {f.name for f in fields(TrainConfig)},
+           "paths": {"corpus", "model", "truth", "out"}}
+_SCALARS = [f.name for f in fields(RunConfig)
+            if f.name not in _BLOCKS["paths"]]
+# each dedicated flag as the config key it sets
+_FLAGS = (("seed", "sim.seed"), ("seed", "train.seed"), ("out", "paths.out"),
+          ("repeats", "repeats"), ("allow_missing", "allow_missing"),
+          ("dist", "train.dist_kind"), ("dist_weight", "train.dist_weight"),
+          ("dynamic_topics", "train.dynamic_topics_var"))
+
+
+def _put(cfg, key, val):
+    """Set the schema's key `block.name` or `scalar` of cfg to val."""
+    block, _, name = key.rpartition(".")
+    if name in _BLOCKS.get(block, ()):
+        cfg.setdefault(block, {})[name] = val
+    elif not block and name in _SCALARS:
+        cfg[name] = val
+    elif not block and name in _BLOCKS:
+        raise ConfigError(f"{name} must be an object; got {val!r}")
+    else:
+        raise ConfigError(f"unknown config key {key!r}")
+
+
+def _load_config(args):
+    """(cfg, run): the given config (file, --set, flags) and its RunConfig."""
+    cfg = {}
+    if args.config:
+        try:
+            with open(args.config, encoding="utf-8") as f:
+                given = json.load(f)
+        except OSError as e:
+            raise ConfigError(f"cannot read config {args.config}: {e}") from e
+        except json.JSONDecodeError as e:
+            raise ConfigError(f"{args.config}: invalid JSON: {e}") from e
+        if not isinstance(given, dict):
+            raise ConfigError("config root must be a JSON object")
+        for key, val in given.items():
+            if key in _BLOCKS and isinstance(val, dict):
+                cfg[key] = {}
+                for name, v in val.items():
+                    _put(cfg, f"{key}.{name}", v)
+            else:
+                _put(cfg, key, val)
+    for item in args.set or []:
         if "=" not in item:
             raise ConfigError(f"--set expects section.key=value; got {item!r}")
         key, raw = item.split("=", 1)
@@ -56,45 +126,12 @@ def _parse_set(pairs, cfg):
             val = json.loads(raw)
         except json.JSONDecodeError:
             val = raw
-        if "." in key:
-            section, field_name = key.split(".", 1)
-            if section not in ("sim", "train", "paths"):
-                raise ConfigError(f"unknown config section {section!r}")
-            cfg.setdefault(section, {})[field_name] = val
-        elif key in ("repeats", "allow_missing"):
-            cfg[key] = val
-        else:
-            raise ConfigError(f"unknown top-level config key {key!r}")
-    return cfg
-
-
-def _load_config(args):
-    cfg = {}
-    if args.config:
-        try:
-            with open(args.config, encoding="utf-8") as f:
-                cfg = json.load(f)
-        except OSError as e:
-            raise ConfigError(f"cannot read config {args.config}: {e}") from e
-        except json.JSONDecodeError as e:
-            raise ConfigError(f"{args.config}: invalid JSON: {e}") from e
-        if not isinstance(cfg, dict):
-            raise ConfigError("config root must be a JSON object")
-    _parse_set(args.set, cfg)
-    if args.seed is not None:
-        cfg.setdefault("sim", {})["seed"] = args.seed
-        cfg.setdefault("train", {})["seed"] = args.seed
-    if args.out is not None:
-        cfg.setdefault("paths", {})["out"] = args.out
-    if getattr(args, "repeats", None) is not None:
-        cfg["repeats"] = args.repeats
-    for flag, key in (("dist", "dist_kind"), ("dist_weight", "dist_weight"),
-                      ("dynamic_topics", "dynamic_topics_var")):
+        _put(cfg, key, val)
+    for flag, key in _FLAGS:
         if getattr(args, flag, None) is not None:
-            cfg.setdefault("train", {})[key] = getattr(args, flag)
-    if getattr(args, "allow_missing", False):
-        cfg["allow_missing"] = True
-    return cfg
+            _put(cfg, key, getattr(args, flag))
+    paths = cfg["paths"] if "paths" in cfg else {}
+    return cfg, RunConfig(**paths, **{k: cfg[k] for k in _SCALARS if k in cfg})
 
 
 def _section(cfg, name, cls):
@@ -107,8 +144,8 @@ def _section(cfg, name, cls):
         raise ConfigError(f"bad {name} config: {e}") from e
 
 
-def _out_dir(cfg, *sub):
-    path = os.path.join(cfg.get("paths", {}).get("out", "out"), *sub)
+def _out_dir(run, *sub):
+    path = os.path.join(run.out, *sub)
     try:
         os.makedirs(path, exist_ok=True)
     except OSError as e:
@@ -116,8 +153,8 @@ def _out_dir(cfg, *sub):
     return path
 
 
-def _need_path(cfg, key):
-    val = cfg.get("paths", {}).get(key)
+def _need_path(run, key):
+    val = getattr(run, key)
     if not val:
         raise ConfigError(f"this mode needs paths.{key}")
     return val
@@ -155,9 +192,9 @@ def _echo(cfg):
             if k in cfg}
 
 
-def cmd_simulate(cfg):
+def cmd_simulate(cfg, run):
     scfg = _section(cfg, "sim", SimConfig)
-    out = _out_dir(cfg)
+    out = _out_dir(run)
     corpus, _ = _simulate(out, scfg)
     print(f"wrote {os.path.join(out, 'corpus')} ({corpus.n_subjects} subjects,"
           f" {corpus.n_stages} stages, {corpus.vocab_size} words)"
@@ -165,11 +202,11 @@ def cmd_simulate(cfg):
     return 0
 
 
-def cmd_fit(cfg):
+def cmd_fit(cfg, run):
     tcfg = _section(cfg, "train", TrainConfig)
-    corpus = load_corpus(_need_path(cfg, "corpus"),
-                         allow_missing=bool(cfg.get("allow_missing", False)))
-    out = _out_dir(cfg)
+    corpus = load_corpus(_need_path(run, "corpus"),
+                         allow_missing=run.allow_missing)
+    out = _out_dir(run)
     fitted = _fit(out, corpus, tcfg)
     write_json({"log": fitted.log, "converged": fitted.converged},
                 os.path.join(out, "train_log.json"), indent=2)
@@ -180,23 +217,22 @@ def cmd_fit(cfg):
     return 0
 
 
-def cmd_eval(cfg):
-    corpus = load_corpus(_need_path(cfg, "corpus"),
-                         allow_missing=bool(cfg.get("allow_missing", False)))
-    fitted = load_model(_need_path(cfg, "model"))
-    truth_path = cfg.get("paths", {}).get("truth")
-    truth = load_truth(truth_path) if truth_path else None
-    report = _evaluate(_out_dir(cfg), fitted, corpus, truth, _echo(cfg))
+def cmd_eval(cfg, run):
+    corpus = load_corpus(_need_path(run, "corpus"),
+                         allow_missing=run.allow_missing)
+    fitted = load_model(_need_path(run, "model"))
+    truth = load_truth(run.truth) if run.truth else None
+    report = _evaluate(_out_dir(run), fitted, corpus, truth, _echo(cfg))
     print(json.dumps(report.to_dict(), sort_keys=True))
     return 0
 
 
-def cmd_infer(cfg):
-    corpus = load_corpus(_need_path(cfg, "corpus"),
-                         allow_missing=bool(cfg.get("allow_missing", False)))
-    fitted = load_model(_need_path(cfg, "model"))
+def cmd_infer(cfg, run):
+    corpus = load_corpus(_need_path(run, "corpus"),
+                         allow_missing=run.allow_missing)
+    fitted = load_model(_need_path(run, "model"))
     theta = infer_proportions(fitted, corpus)
-    path = os.path.join(_out_dir(cfg), "proportions.json")
+    path = os.path.join(_out_dir(run), "proportions.json")
     write_json({"theta": theta.tolist(), "order": "stage, subject, topic"},
                 path)
     print(f"wrote {path}")
@@ -216,27 +252,19 @@ def _aggregate(per_seed):
     return mean, se
 
 
-def cmd_pipeline(cfg):
-    repeats = check_setting(cfg.get("repeats", 1), "int", "repeats")
-    if repeats < 1:
-        raise ConfigError("repeats must be >= 1")
-    base_sim = dict(cfg.get("sim", {}))
-    base_train = dict(cfg.get("train", {}))
-    base_seed = check_setting(
-        base_sim.get("seed", base_train.get("seed", 0)), "int", "seed")
-    runs = []
-    for seed in range(base_seed, base_seed + repeats):
-        sub = dict(cfg, sim=dict(base_sim, seed=seed),
-                   train=dict(base_train, seed=seed))
-        runs.append((seed, sub, _section(sub, "sim", SimConfig),
-                     _section(sub, "train", TrainConfig)))
-    out = _out_dir(cfg)
+def cmd_pipeline(cfg, run):
+    scfg = _section(cfg, "sim", SimConfig)
+    tcfg = _section(cfg, "train", TrainConfig)
+    base_seed = scfg.seed if "seed" in cfg["sim"] else tcfg.seed
+    out = _out_dir(run)
     per_seed = []
-    for seed, sub, scfg, tcfg in runs:
-        seed_dir = _out_dir(cfg, f"seed_{seed}")
-        corpus, truth = _simulate(seed_dir, scfg)
-        fitted = _fit(seed_dir, corpus, tcfg)
-        report = _evaluate(seed_dir, fitted, corpus, truth, _echo(sub))
+    for seed in range(base_seed, base_seed + run.repeats):
+        seed_dir = _out_dir(run, f"seed_{seed}")
+        corpus, truth = _simulate(seed_dir, replace(scfg, seed=seed))
+        fitted = _fit(seed_dir, corpus, replace(tcfg, seed=seed))
+        echo = _echo(dict(cfg, sim=dict(cfg["sim"], seed=seed),
+                          train=dict(cfg["train"], seed=seed)))
+        report = _evaluate(seed_dir, fitted, corpus, truth, echo)
         row = dict(report.to_dict(), seed=seed)
         del row["permutations"]
         per_seed.append(row)
@@ -265,7 +293,7 @@ def _add_common(sp):
     sp.add_argument("--out", help="output directory (default ./out)")
     sp.add_argument("--set", action="append", metavar="SECTION.KEY=VALUE",
                     help="override any config field; repeatable")
-    sp.add_argument("--allow-missing", action="store_true",
+    sp.add_argument("--allow-missing", action="store_const", const=True,
                     help="accept corpora with absent (subject, stage) cells")
 
 
@@ -292,8 +320,7 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        cfg = _load_config(args)
-        return _COMMANDS[args.mode](cfg)
+        return _COMMANDS[args.mode](*_load_config(args))
     except LongtopicError as e:
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
         return 1

@@ -1,4 +1,4 @@
-"""Named error types, and the type rule for configuration settings.
+"""Named error types, and the type and bound rules of config settings.
 
 Every validation failure in the package maps to one of these; callers never see a
 half-constructed object or a bare ValueError from the public API.
@@ -83,10 +83,24 @@ def check_setting(value, kind, name):
     return value
 
 
+def setting(default=dataclasses.MISSING, **bound):
+    """A config dataclass field with the bound check_field_types enforces:
+    ge=lo (value >= lo), positive=True (value > 0) or one_of=choices."""
+    return dataclasses.field(default=default, metadata=bound)
+
+
 def check_field_types(cfg):
-    """check_setting on every field of the dataclass cfg by its declared
-    type; a field declared `T | None` also takes None."""
+    """check_setting on every field of the dataclass cfg by its declared type,
+    then the bound its setting() states; a `T | None` field also takes None."""
     for f in dataclasses.fields(cfg):
         value, kind = getattr(cfg, f.name), f.type.removesuffix(" | None")
-        if kind in _SETTING_TYPES and not (value is None and kind != f.type):
-            check_setting(value, kind, f.name)
+        if value is None and kind != f.type:
+            continue
+        check_setting(value, kind, f.name)
+        ge, one_of = f.metadata.get("ge"), f.metadata.get("one_of")
+        if ge is not None and value < ge:
+            raise ConfigError(f"{f.name} must be >= {ge}")
+        if f.metadata.get("positive") and not value > 0:
+            raise ConfigError(f"{f.name} must be positive")
+        if one_of and value not in one_of:
+            raise ConfigError(f"unknown {f.name} {value!r}")

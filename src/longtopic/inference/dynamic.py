@@ -23,7 +23,6 @@ from dataclasses import replace
 
 import numpy as np
 
-from ..errors import ConfigError
 from ..model import column_softmax, column_softmax_backward
 from .loss import longitudinal_loss
 from .networks import SIGMA_MIN, sigmoid, softplus
@@ -97,15 +96,13 @@ def _dynamic_batch(batch, gen, enc, cfg, eps, mu_b, rho_b, eps_b, inv_n, var,
     return loss, grads
 
 
-def fit_dynamic_topics(corpus, cfg, topic_var=None):
-    """Fit with per-stage topics under chain variance topic_var (sigma_0^2 of
-    the topic random walk). Returns a FittedModel whose beta_stage /
-    beta_stage_scale hold the per-stage variational moments; stage_topics()
-    gives the per-stage simplices."""
-    var = cfg.dynamic_topics_var if topic_var is None else topic_var
-    var = 0.0 if var is None else float(var)
-    if var < 0:
-        raise ConfigError("topic_var must be >= 0")
+def fit_dynamic_topics(corpus, cfg):
+    """Fit with per-stage topics under chain variance topic_var =
+    cfg.dynamic_topics_var (sigma_0^2 of the topic random walk; None is 0).
+    Returns a FittedModel whose beta_stage / beta_stage_scale hold the
+    per-stage variational moments; stage_topics() gives the per-stage
+    simplices."""
+    var = float(cfg.dynamic_topics_var or 0.0)
     cfg = replace(cfg, dynamic_topics_var=var)
     gen, enc = default_init(corpus, cfg)
     T = corpus.n_stages

@@ -30,6 +30,7 @@ from ..errors import (
     UnknownDistance,
     VocabMismatch,
     check_field_types,
+    setting,
 )
 from ..model import (
     GenerativeParams,
@@ -47,60 +48,37 @@ from .loss import (
 from .networks import EncoderParams, StageEncoder
 from .terms import DISTANCE_KINDS
 
+# the most float64 numbers (2 GiB) that one Monte-Carlo tensor may hold
+MAX_SAMPLE_ELEMENTS = 2 ** 28
+
 
 @dataclass
 class TrainConfig:
-    n_topics: int
-    m_samples: int = 5
-    learning_rate: float = 1e-2
-    t_max: int = 100
-    eps_stop: float = 1e-5
-    batch_size: int = 64
+    n_topics: int = setting(ge=1)
+    m_samples: int = setting(5, ge=1)
+    learning_rate: float = setting(1e-2, positive=True)
+    t_max: int = setting(100, ge=1)
+    eps_stop: float = setting(1e-5, ge=0)
+    batch_size: int = setting(64, ge=1)
     dist_kind: str = "mi_jsd"
     dist_weight: float = 1.0
-    seed: int = 0
-    optimizer: str = "sgd"
+    seed: int = setting(0, ge=0)
+    optimizer: str = setting("sgd", one_of=("sgd", "adam"))
     momentum: float = 0.9
-    schedule: str = "constant"
-    hidden_enc: int = 64
-    hidden_trans: int = 0
+    schedule: str = setting("constant", one_of=("constant", "cosine"))
+    hidden_enc: int = setting(64, ge=1)
+    hidden_trans: int = setting(0, ge=0)
     share_transitions: bool = False
     tie_encoder_init: bool = False
     init_scale: float = 0.01
-    a2: float = 1.0
-    delta2: float = 1.0
-    dynamic_topics_var: float | None = None
+    a2: float = setting(1.0, positive=True)
+    delta2: float = setting(1.0, positive=True)
+    dynamic_topics_var: float | None = setting(None, ge=0)
 
     def __post_init__(self):
         check_field_types(self)
-        if self.n_topics < 1:
-            raise ConfigError("n_topics must be >= 1")
-        if self.m_samples < 1:
-            raise ConfigError("m_samples must be >= 1")
-        if not self.learning_rate > 0:
-            raise ConfigError("learning_rate must be positive")
-        if self.t_max < 1:
-            raise ConfigError("t_max must be >= 1")
-        if self.eps_stop < 0:
-            raise ConfigError("eps_stop must be >= 0")
-        if self.batch_size < 1:
-            raise ConfigError("batch_size must be >= 1")
         if self.dist_kind not in DISTANCE_KINDS:
             raise UnknownDistance(f"unknown distance kind {self.dist_kind!r}")
-        if self.optimizer not in ("sgd", "adam"):
-            raise ConfigError(f"unknown optimizer {self.optimizer!r}")
-        if self.schedule not in ("constant", "cosine"):
-            raise ConfigError(f"unknown schedule {self.schedule!r}")
-        if self.hidden_enc < 1:
-            raise ConfigError("hidden_enc must be >= 1")
-        if self.hidden_trans < 0:
-            raise ConfigError("hidden_trans must be >= 0")
-        if not self.a2 > 0:
-            raise ConfigError("a2 must be positive")
-        if not self.delta2 > 0:
-            raise ConfigError("delta2 must be positive")
-        if self.dynamic_topics_var is not None and self.dynamic_topics_var < 0:
-            raise ConfigError("dynamic_topics_var must be >= 0")
 
 
 def default_init(corpus, cfg):
@@ -205,23 +183,26 @@ class FittedModel:
         b = column_softmax(self.gen.beta)
         return np.repeat(b[None, :, :], T, axis=0)
 
-    @property
-    def final_loss(self):
-        return self.log[-1]["loss"] if self.log else None
-
 
 def _run_epochs(corpus, registry, cfg, batch_loss, chunk=256):
     """The epoch loop shared by every topic parametrization. batch_loss(batch,
     eps, want_grads) -> (loss, grads) is the objective on one batch; the
     loop draws the eps tensors, steps the optimizer over the registry, logs
     the full-data loss after each epoch and applies the stop rule. Returns
-    (log, converged)."""
+    (log, converged). Before it allocates anything, ConfigError when a
+    Monte-Carlo tensor would hold more than MAX_SAMPLE_ELEMENTS numbers."""
+    N, T, V = corpus.n_subjects, corpus.n_stages, corpus.vocab_size
+    K, M = cfg.n_topics, cfg.m_samples
+    rows = min(N, max(chunk, cfg.batch_size))
+    for what, size in (("(N, T, M, K) eval eps", N * T * M * K),
+                       ("(rows * M, V) loss buffer", rows * M * V)):
+        if size > MAX_SAMPLE_ELEMENTS:
+            raise ConfigError(f"m_samples={M} needs {size} numbers in the"
+                              f" {what}, above the cap {MAX_SAMPLE_ELEMENTS}")
     arrays = CorpusArrays(corpus)
-    N, T = corpus.n_subjects, corpus.n_stages
-    K = cfg.n_topics
     opt = Optimizer(registry, cfg)
     eval_eps = np.random.default_rng([cfg.seed, 1]).standard_normal(
-        (N, T, cfg.m_samples, K))
+        (N, T, M, K))
     rng = np.random.default_rng([cfg.seed, 2])
 
     def full_loss():

@@ -33,6 +33,7 @@ from .errors import (
     ShapeError,
     check_field_types,
     check_setting,
+    setting,
 )
 from .model import default_vocab, sample_corpus, softmax
 
@@ -48,18 +49,18 @@ DEFAULT_BASIS = ("x", "x2", "x3", "atan", "sign")
 
 @dataclass
 class SimConfig:
-    n_subjects: int
-    n_stages: int
+    n_subjects: int = setting(ge=1)
+    n_stages: int = setting(ge=1)
     vocab_size: int
-    n_topics: int
-    n_covariates: int = 20
-    n_groups: int = 2
-    prior_kind: str = "linear"
+    n_topics: int = setting(ge=1)
+    n_covariates: int = setting(20, ge=0)
+    n_groups: int = setting(2, ge=2)
+    prior_kind: str = setting("linear", one_of=("linear", "nonlinear"))
     basis: tuple = DEFAULT_BASIS
-    phi_drift: float = 0.0
+    phi_drift: float = setting(0.0, ge=0)
     group_effect: bool = True
     count_range: tuple = (50, 150)
-    seed: int = 0
+    seed: int = setting(0, ge=0)
 
     def __post_init__(self):
         check_field_types(self)
@@ -69,18 +70,8 @@ class SimConfig:
                                  for c in self.count_range)
         if len(self.count_range) != 2:
             raise ConfigError("count_range must be two integers")
-        if self.n_topics < 1:
-            raise ConfigError("n_topics must be >= 1")
         if self.vocab_size < self.n_topics:
             raise ConfigError("vocab_size must be >= n_topics")
-        if self.n_stages < 1 or self.n_subjects < 1:
-            raise ConfigError("need at least one stage and one subject")
-        if self.n_covariates < 0 or self.n_groups < 2:
-            raise ConfigError("n_covariates >= 0 and n_groups >= 2 required")
-        if self.prior_kind not in ("linear", "nonlinear"):
-            raise ConfigError(f"unknown prior_kind {self.prior_kind!r}")
-        if self.phi_drift < 0:
-            raise ConfigError("phi_drift must be >= 0")
         lo, hi = self.count_range
         if lo < 1 or hi < lo:
             raise ConfigError("count_range must satisfy 1 <= lo <= hi")
@@ -223,22 +214,11 @@ def sample_documents(cfg, theta_true, beta_true, covariates, groups, rng=None):
                          covariates, groups, default_vocab(V), cfg.n_groups)
 
 
-@dataclass
+@dataclass(eq=False)
 class GroundTruth:
     beta_true: np.ndarray   # (T, V, K)
     theta_true: np.ndarray  # (T, N, K)
     gamma: dict
-
-    def __eq__(self, other):
-        if not isinstance(other, GroundTruth):
-            return NotImplemented
-        return (
-            np.allclose(self.beta_true, other.beta_true, atol=1e-12)
-            and np.allclose(self.theta_true, other.theta_true, atol=1e-12)
-            and set(self.gamma) == set(other.gamma)
-            and all(np.allclose(self.gamma[k], other.gamma[k], atol=1e-12)
-                    for k in self.gamma)
-        )
 
 
 def simulate(cfg):

@@ -7,8 +7,9 @@ group-distance kernel (one pass per counterfactual) and of the evaluation
 metrics (topic alignment, UMass coherence, perplexity and the group probe),
 which the stacked and vectorized kernels must match bit for bit; and the
 dense (N, T, V) forms of the corpus's CSR view, the batch gather and the
-sampler, which the sparse code must match exactly. Only tests
-call them, to check the package's code against a direct computation."""
+sampler, which the sparse code must match exactly; and the comparison of two
+ground truths. Only tests call them, to check the package's code against a
+direct computation."""
 
 import itertools
 from dataclasses import dataclass
@@ -451,3 +452,14 @@ def sample_corpus_ref(rng, topics, theta, count_range, covariates, groups,
             counts[i, t] = rng.multinomial(totals[i, t], p)
     return Corpus.from_dense(counts, covariates, groups, vocab,
                              n_groups=n_groups)
+
+
+def truths_equal(a, b):
+    """Two GroundTruth objects hold the same arrays, to 1e-12."""
+    return (
+        np.allclose(a.beta_true, b.beta_true, atol=1e-12)
+        and np.allclose(a.theta_true, b.theta_true, atol=1e-12)
+        and set(a.gamma) == set(b.gamma)
+        and all(np.allclose(a.gamma[k], b.gamma[k], atol=1e-12)
+                for k in a.gamma)
+    )

@@ -171,14 +171,82 @@ def test_bad_inputs_exit_one(tmp_path, capsys):
     'train.dist_kind=3', "train.share_transitions=1",
     "sim.n_subjects=1.5", 'sim.n_subjects="40"', "sim.phi_drift=false",
     "sim.count_range=5", "sim.count_range=[1.5,3]", "sim.count_range=[1]",
-    "sim.basis=[1]"])
+    "sim.basis=[1]",
+    # paths are strings, scalars are checked, seeds are >= 0, keys are known
+    "repeats=0", 'allow_missing="no"', "paths.corpus=[1]", "paths.bogus=1",
+    "train.seed=-3", "sim.seed=-1"])
 def test_pipeline_non_integer_scalars_are_config_errors(tmp_path, capsys,
                                                         setting):
     code, err = error_code(
-        ["pipeline", "--out", str(tmp_path), *SIM, *TRAIN,
+        ["pipeline", "--out", str(tmp_path / "out"), *SIM, *TRAIN,
          "--set", setting], capsys)
     assert code == 1
     assert err.count("\n") == 1 and err.startswith("error: ConfigError:")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("mode, config, argv", [
+    ("simulate", None, [*SIM, "--set", "paths.out=5"]),
+    ("fit", None, [*TRAIN, "--set", "paths.corpus=[1]"]),
+    ("simulate", {"paths": 3}, SIM),
+    ("pipeline", {"sim": 3}, TRAIN),
+    ("pipeline", {"sim": 3}, [*SIM, *TRAIN]),
+    ("fit", None, [*TRAIN, "--set", 'paths.corpus="c"',
+                   "--set", 'allow_missing="no"']),
+    ("simulate", None, [*SIM, "--set", "paths.bogus=1"]),
+    ("simulate", {"bogus": 1}, SIM),
+    ("simulate", {"train": {"n_topics": 2, "bogus": 1}}, SIM),
+    ("eval", None, ["--set", "paths.model=2"]),
+    ("simulate", None, [*SIM, "--seed", "-1"]),
+    ("fit", None, [*TRAIN, "--set", 'paths.corpus="c"',
+                   "--set", "train.seed=-3"]),
+    ("simulate", None, [*SIM, "--set", "repeats=0"]),
+], ids=["paths.out=5", "paths.corpus=[1]", "paths-not-object",
+        "sim-not-object", "sim-not-object-then-set", 'allow_missing="no"',
+        "paths.bogus=1", "unknown-top-level-key", "unknown-train-key",
+        "paths.model=2", "seed=-1", "train.seed=-3", "repeats=0"])
+def test_config_faults_exit_one_and_write_nothing(tmp_path, monkeypatch,
+                                                  capsys, mode, config, argv):
+    cfg_path = tmp_path / "cfg.json"
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    if config is not None:
+        cfg_path.write_text(json.dumps(config))
+        argv = ["--config", str(cfg_path), *argv]
+    code, err = error_code([mode, *argv], capsys)
+    assert code == 1
+    assert err.count("\n") == 1 and err.startswith("error: ConfigError:")
+    assert list(work.iterdir()) == []
+
+
+def test_non_string_model_path_is_named_on_stderr(tmp_path):
+    # a model path of 2 once opened (and closed) file descriptor 2
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [SRC, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "longtopic", "eval", "--set", "paths.model=2"],
+        capture_output=True, text=True, cwd=tmp_path, env=env)
+    assert proc.returncode == 1
+    assert proc.stderr == ("error: ConfigError: model must be a string;"
+                           " got 2\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_monte_carlo_tensors_beyond_the_cap_are_config_errors(tmp_path,
+                                                              capsys):
+    out = tmp_path / "run"
+    assert main(["simulate", "--out", str(out), "--seed", "3", *SIM,
+                 "--set", "sim.n_subjects=10"]) == 0
+    capsys.readouterr()
+    # (N, T, M, K) = (10, 2, 1e8, 2): 29.8 GiB of eval eps
+    code, err = error_code(
+        ["fit", "--out", str(out), *TRAIN,
+         "--set", f'paths.corpus="{out / "corpus"}"',
+         "--set", "train.m_samples=100000000"], capsys)
+    assert code == 1
+    assert err.count("\n") == 1 and err.startswith("error: ConfigError:")
+    assert "m_samples=100000000" in err and "eval eps" in err
 
 
 def test_eval_with_non_finite_truth_is_a_numeric_error(tmp_path, capsys):

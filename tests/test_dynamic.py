@@ -46,7 +46,7 @@ def test_zero_variance_routes_to_consistent_trainer():
     base = train(corpus, *default_init(corpus, cfg), cfg)
     dyn = fit_dynamic_topics(corpus, cfg)
     assert np.array_equal(dyn.gen.beta, base.gen.beta)
-    assert dyn.final_loss == base.final_loss
+    assert dyn.log[-1]["loss"] == base.log[-1]["loss"]
     st = dyn.stage_topics()
     assert st.shape == (3, 6, 2)
     for t in range(1, 3):
@@ -64,8 +64,8 @@ def test_zero_variance_accepts_none_config_field():
 
 def test_negative_variance_rejected():
     corpus = small_corpus(T=1, N=8)
-    with pytest.raises(ConfigError):
-        fit_dynamic_topics(corpus, cfg_for(1, 0.0), topic_var=-0.5)
+    with pytest.raises(ConfigError, match="dynamic_topics_var must be >= 0"):
+        fit_dynamic_topics(corpus, cfg_for(1, -0.5))
 
 
 def test_chain_kl_composes_from_scalar_terms():
@@ -117,7 +117,7 @@ def test_positive_variance_fits_and_descends():
     cfg = cfg_for(3, 0.3, epochs=5)
     dyn = fit_dynamic_topics(corpus, cfg)
     assert dyn.log[0]["epoch"] == 0
-    assert dyn.final_loss < dyn.log[0]["loss"]
+    assert dyn.log[-1]["loss"] < dyn.log[0]["loss"]
     assert dyn.beta_stage.shape == (3, 6, 2)
     assert np.all(dyn.beta_stage_scale > 0)
     st = dyn.stage_topics()
@@ -134,7 +134,7 @@ def test_positive_variance_deterministic():
     b = fit_dynamic_topics(corpus, cfg)
     assert np.array_equal(a.beta_stage, b.beta_stage)
     assert np.array_equal(a.beta_stage_scale, b.beta_stage_scale)
-    assert a.final_loss == b.final_loss
+    assert a.log[-1]["loss"] == b.log[-1]["loss"]
 
 
 def test_positive_variance_divergence_is_named():

@@ -12,6 +12,7 @@ from longtopic.errors import (
     UnknownDistance,
     VocabMismatch,
 )
+from longtopic.inference import fit_dynamic_topics
 from longtopic.inference.trainer import (
     TrainConfig,
     default_init,
@@ -193,6 +194,17 @@ def test_config_validation():
         with pytest.raises(ConfigError, match=next(iter(bad))):
             TrainConfig(**{"n_topics": 2, **bad})
     assert TrainConfig(n_topics=2, learning_rate=1, a2=2).a2 == 2
+
+
+def test_monte_carlo_tensors_beyond_the_cap_are_config_errors():
+    corpus = two_topic_corpus(N=10)  # (N, T, V) = (10, 1, 4), K = 2
+    # the (rows * M, V) loss buffer holds 4e8 numbers, the eval eps 2e8
+    with pytest.raises(ConfigError, match="m_samples=10000000 .* loss buf"):
+        fit(corpus, fast_cfg(m_samples=10 ** 7))
+    # the (N, T, M, K) eval eps holds 2e9, in the per-stage topic fit too
+    with pytest.raises(ConfigError, match="m_samples=100000000 .* eval eps"):
+        fit_dynamic_topics(corpus, fast_cfg(m_samples=10 ** 8,
+                                            dynamic_topics_var=0.5))
 
 
 def test_shared_transitions_train():
