@@ -160,31 +160,23 @@ def _need_path(run, key):
     return val
 
 
-def _simulate(out, scfg):
-    """Simulate a corpus; write out/corpus/ and out/truth.json."""
-    corpus, truth = simulate(scfg)
+def _save_simulation(out, corpus, truth):
+    """Write out/corpus/ and out/truth.json."""
     save_corpus(corpus, os.path.join(out, "corpus"))
     save_truth(truth, os.path.join(out, "truth.json"))
-    return corpus, truth
 
 
-def _fit(out, corpus, tcfg):
-    """Fit on corpus; write out/model.json."""
+def _fit(corpus, tcfg):
     if tcfg.dynamic_topics_var is not None:
-        fitted = fit_dynamic_topics(corpus, tcfg)
-    else:
-        fitted = train(corpus, *default_init(corpus, tcfg), tcfg)
-    save_model(fitted, os.path.join(out, "model.json"))
-    return fitted
+        return fit_dynamic_topics(corpus, tcfg)
+    return train(corpus, *default_init(corpus, tcfg), tcfg)
 
 
-def _evaluate(out, fitted, corpus, truth, echo):
-    """Score a fit; write out/metrics.json and out/topics_top_words.json."""
-    report = full_report(fitted, corpus, truth)
+def _save_report(out, report, fitted, echo):
+    """Write out/metrics.json and out/topics_top_words.json."""
     save_metrics(report, os.path.join(out, "metrics.json"), config_echo=echo)
     save_top_words(fitted.stage_topics(), fitted.vocab,
                    os.path.join(out, "topics_top_words.json"))
-    return report
 
 
 def _echo(cfg):
@@ -193,9 +185,9 @@ def _echo(cfg):
 
 
 def cmd_simulate(cfg, run):
-    scfg = _section(cfg, "sim", SimConfig)
+    corpus, truth = simulate(_section(cfg, "sim", SimConfig))
     out = _out_dir(run)
-    corpus, _ = _simulate(out, scfg)
+    _save_simulation(out, corpus, truth)
     print(f"wrote {os.path.join(out, 'corpus')} ({corpus.n_subjects} subjects,"
           f" {corpus.n_stages} stages, {corpus.vocab_size} words)"
           f" and {out}/truth.json")
@@ -206,8 +198,9 @@ def cmd_fit(cfg, run):
     tcfg = _section(cfg, "train", TrainConfig)
     corpus = load_corpus(_need_path(run, "corpus"),
                          allow_missing=run.allow_missing)
+    fitted = _fit(corpus, tcfg)
     out = _out_dir(run)
-    fitted = _fit(out, corpus, tcfg)
+    save_model(fitted, os.path.join(out, "model.json"))
     write_json({"log": fitted.log, "converged": fitted.converged},
                 os.path.join(out, "train_log.json"), indent=2)
     last = fitted.log[-1]
@@ -222,7 +215,8 @@ def cmd_eval(cfg, run):
                          allow_missing=run.allow_missing)
     fitted = load_model(_need_path(run, "model"))
     truth = load_truth(run.truth) if run.truth else None
-    report = _evaluate(_out_dir(run), fitted, corpus, truth, _echo(cfg))
+    report = full_report(fitted, corpus, truth)
+    _save_report(_out_dir(run), report, fitted, _echo(cfg))
     print(json.dumps(report.to_dict(), sort_keys=True))
     return 0
 
@@ -256,22 +250,24 @@ def cmd_pipeline(cfg, run):
     scfg = _section(cfg, "sim", SimConfig)
     tcfg = _section(cfg, "train", TrainConfig)
     base_seed = scfg.seed if "seed" in cfg["sim"] else tcfg.seed
-    out = _out_dir(run)
     per_seed = []
     for seed in range(base_seed, base_seed + run.repeats):
+        corpus, truth = simulate(replace(scfg, seed=seed))
         seed_dir = _out_dir(run, f"seed_{seed}")
-        corpus, truth = _simulate(seed_dir, replace(scfg, seed=seed))
-        fitted = _fit(seed_dir, corpus, replace(tcfg, seed=seed))
+        _save_simulation(seed_dir, corpus, truth)
+        fitted = _fit(corpus, replace(tcfg, seed=seed))
+        save_model(fitted, os.path.join(seed_dir, "model.json"))
         echo = _echo(dict(cfg, sim=dict(cfg["sim"], seed=seed),
                           train=dict(cfg["train"], seed=seed)))
-        report = _evaluate(seed_dir, fitted, corpus, truth, echo)
+        report = full_report(fitted, corpus, truth)
+        _save_report(seed_dir, report, fitted, echo)
         row = dict(report.to_dict(), seed=seed)
         del row["permutations"]
         per_seed.append(row)
         print(f"seed {seed}: " + json.dumps(
             {k: row[k] for k in METRIC_FIELDS}, sort_keys=True))
     mean, se = _aggregate(per_seed)
-    path = os.path.join(out, "summary.json")
+    path = os.path.join(run.out, "summary.json")
     write_json({"per_seed": per_seed, "mean": mean, "se": se,
                  "config": _echo(cfg)}, path, indent=2)
     print(f"wrote {path}")

@@ -68,16 +68,29 @@ def _chain_kl_and_grads(mu_b, sigma_b, eps_b, beta_tilde, beta0, delta2, var):
     return kl, gmu, gsg
 
 
-def _dynamic_batch(batch, gen, enc, cfg, eps, mu_b, rho_b, eps_b, inv_n, var,
-                   want_grads=True):
+def _topic_terms(mu_b, rho_b, eps_b, gen, var):
+    """What a batch objective takes from the topic chain under one topic
+    noise eps_b: (raw scale, stage_bcols, chain KL, its gradients on mu and
+    sigma). It depends on no batch, so one full-data evaluation
+    computes it once for all its chunks."""
     sigma_b, raw = _topic_scale(rho_b)
     beta_tilde = mu_b + eps_b * sigma_b
     stage_bcols = np.stack([column_softmax(beta_tilde[t])
                             for t in range(mu_b.shape[0])])
-    res = longitudinal_loss(batch, gen, enc, cfg, eps, want_grads=want_grads,
-                            stage_bcols=stage_bcols)
     kl, gmu, gsg = _chain_kl_and_grads(
         mu_b, sigma_b, eps_b, beta_tilde, gen.beta0_mean, gen.delta2, var)
+    return raw, stage_bcols, kl, gmu, gsg
+
+
+def _dynamic_batch(batch, gen, enc, cfg, eps, mu_b, rho_b, eps_b, inv_n, var,
+                   want_grads=True, work=None, topics=None):
+    """The batch objective with per-stage topics. topics, when given, is
+    _topic_terms of the same (mu_b, rho_b, eps_b, gen, var)."""
+    if topics is None:
+        topics = _topic_terms(mu_b, rho_b, eps_b, gen, var)
+    raw, stage_bcols, kl, gmu, gsg = topics
+    res = longitudinal_loss(batch, gen, enc, cfg, eps, want_grads=want_grads,
+                            stage_bcols=stage_bcols, work=work)
     loss = res.loss + inv_n * kl
     if not want_grads:
         return loss, None
@@ -122,11 +135,20 @@ def fit_dynamic_topics(corpus, cfg):
     eval_eps_b = np.random.default_rng([cfg.seed, 4]).standard_normal(
         (T, V, K))
     rng_b = np.random.default_rng([cfg.seed, 5])
+    eps_b = np.empty((T, V, K))
+    frozen = []     # the evaluation's _topic_terms until the next step
 
-    def batch_loss(batch, eps, want_grads):
-        eps_b = rng_b.standard_normal((T, V, K)) if want_grads else eval_eps_b
-        return _dynamic_batch(batch, gen, enc, cfg, eps, mu_b, rho_b, eps_b,
-                              inv_n, var, want_grads)
+    def batch_loss(batch, eps, want_grads, work):
+        if want_grads:
+            frozen.clear()
+            return _dynamic_batch(batch, gen, enc, cfg, eps, mu_b, rho_b,
+                                  rng_b.standard_normal(out=eps_b), inv_n,
+                                  var, want_grads, work=work)
+        if not frozen:
+            frozen.append(_topic_terms(mu_b, rho_b, eval_eps_b, gen, var))
+        return _dynamic_batch(batch, gen, enc, cfg, eps, mu_b, rho_b,
+                              eval_eps_b, inv_n, var, want_grads, work=work,
+                              topics=frozen[0])
 
     log, converged = _run_epochs(corpus, registry, cfg, batch_loss)
     sigma_b, _ = _topic_scale(rho_b)

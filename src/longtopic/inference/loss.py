@@ -33,6 +33,12 @@ encoder pass whose counterfactual heads share the factual trunk, one distance
 call on its stacked (1 + C, B, K) moments, one transition pass over the B * M
 Monte-Carlo rows, and the reconstruction at the nonzero counts only (a zero
 count adds nothing to the likelihood or its gradient).
+
+The dense blocks of a call (the (B * M, V) product, the backward's (B * M, V)
+scatter buffer R and the encoder inputs) live in a Workspace that a fit
+allocates once and every call reuses through prefix views; R and the word
+columns of the encoder inputs are kept all zeros between calls. An evaluation (want_grads=False) keeps no per-stage
+caches, so its memory does not grow with the number of stages.
 """
 
 from __future__ import annotations
@@ -68,12 +74,12 @@ class Batch:
 
 class CorpusArrays:
     """Encoder-ready views of a corpus, sliceable into batches. The counts
-    and relative frequencies are the values of the corpus's CSR view."""
+    are the corpus's CSR count array itself (int64), the relative
+    frequencies its values over their cell totals."""
 
     def __init__(self, corpus):
         self.corpus = corpus
-        self.indptr, self.words, counts, _ = corpus.csr()
-        self.counts = counts.astype(np.float64)
+        self.indptr, self.words, self.counts, _ = corpus.csr()
         self.wn = relative_frequencies(corpus)
         self.x = corpus.covariates
         self.present = corpus.present.astype(np.float64)
@@ -120,6 +126,32 @@ def encoder_input(out, rows, cols, wn_nz, *rest):
     return out
 
 
+class Workspace:
+    """The large buffers of longitudinal_loss, allocated once and reused by
+    every call of one fit. A call with B rows takes prefix views:
+
+    - prod (rows * M, V): the dense product theta @ bcols.T of one stage,
+      sized for the largest evaluation chunk;
+    - R (train_rows * M, V): the backward's scattered count/prob ratios,
+      sized for the training batch. It is all zeros between calls: a call
+      clears the cells it set as soon as their two matmuls are done;
+    - inp: the encoder inputs [wn, x_t, y_enc, prev]. A call with gradients
+      keeps each stage's input for the backward (stage t at rows t*B to
+      (t+1)*B); an evaluation reuses the first B rows at every stage. Like
+      R, the first V (word) columns are all zeros between calls: a call
+      writes a stage's nonzero frequencies and clears them once the
+      encoder is done with them.
+
+    A call that raises may leave R or inp dirty; a fit ends on any error,
+    and the next fit allocates a new Workspace.
+    """
+
+    def __init__(self, rows, train_rows, T, M, V, D):
+        self.prod = np.empty((rows * M, V))
+        self.R = np.zeros((train_rows * M, V))
+        self.inp = np.zeros((max(rows, T * train_rows), D))
+
+
 @dataclass
 class LossResult:
     loss: float
@@ -129,7 +161,7 @@ class LossResult:
 
 
 def longitudinal_loss(batch, gen, enc, cfg, eps, want_grads=True,
-                      stage_bcols=None):
+                      stage_bcols=None, work=None):
     """Evaluate the objective (and, unless disabled, all parameter gradients)
     on one batch with an explicit eps tensor of shape (B, T, M, K).
 
@@ -138,6 +170,11 @@ def longitudinal_loss(batch, gen, enc, cfg, eps, want_grads=True,
     reconstruction term; grads then carry "bcols_stage" (the raw gradient with
     respect to each normalized matrix, for the caller to chain through its own
     parametrization) instead of "beta".
+
+    work, when given, is a Workspace with room for this batch; without one
+    the call allocates its own. Either way the results are the same bits.
+    With want_grads=False the call keeps nothing of a stage but what the next
+    stage reads: no encoder or transition caches, no per-stage theta.
     """
     x = batch.x
     B, T, _ = x.shape
@@ -168,21 +205,21 @@ def longitudinal_loss(batch, gen, enc, cfg, eps, want_grads=True,
         if bcols.shape != (T, V, K):
             raise ShapeError(
                 f"stage_bcols must be ({T}, {V}, {K}); got {bcols.shape}")
+    if work is None:
+        work = Workspace(B, B if want_grads else 0, T, M, V,
+                         enc.stages[0].in_dim)
 
     # ---- forward ----------------------------------------------------------
     # the counterfactual encodings enter only as shifts of the factual group
     # columns, so each stage runs one encoder pass over the 1 + C heads
     shifts = batch.cf_encs[:C] - batch.y_enc
-    mu = [None] * T             # (1 + C, B, K), factual first
-    sg = [None] * T
-    enc_caches = [None] * T
-    eta = [None] * T            # (B, M, K)
-    theta = [None] * T          # (B, M, K)
-    cells = [None] * T          # (b, v) indices of the nonzero counts
-    ratio = [None] * T          # (nnz, M) counts / probs at those cells
-    mu0 = [None] * T            # t = 0: (B, K); t >= 1: (B, M, K)
-    tr_caches = [None] * T
-    dists = [None] * T
+    # what the backward reads of each stage: the encoder input (a view of
+    # the workspace), (mu, sigma) of the 1 + C heads, factual first, the
+    # encoder cache, the prior mean mu0 ((B, K) at t = 0, (B, M, K) after),
+    # the transition cache, theta (B, M, K), the (b, v) indices of the
+    # nonzero counts and their flat places in a (B, M, V) block, the
+    # (nnz, M) counts / probs there and the distance gradients
+    saved = [None] * T
 
     kl_t = np.zeros(T)
     nll_t = np.zeros(T)
@@ -191,50 +228,61 @@ def longitudinal_loss(batch, gen, enc, cfg, eps, want_grads=True,
     prev_mean = np.broadcast_to(gen.eta0, (B, K))
     for t in range(T):
         sl = slice(batch.stage_ptr[t], batch.stage_ptr[t + 1])
-        rows, cols = cells[t] = batch.rows[sl], batch.cols[sl]
-        inp = encoder_input(np.empty((B, enc.stages[t].in_dim)), rows, cols,
-                            batch.wn_nz[sl], x[:, t], batch.y_enc, prev_mean)
-        mu[t], sg[t], enc_caches[t] = enc.stages[t].forward(inp, shifts)
-        mu_q, sg_q = mu[t][0], sg[t][0]
-        eta[t] = mu_q[:, None, :] + eps[:, t] * sg_q[:, None, :]
+        rows, cols = batch.rows[sl], batch.cols[sl]
+        lo = t * B if want_grads else 0
+        inp = work.inp[lo:lo + B]
+        inp[rows, cols] = batch.wn_nz[sl]
+        inp[:, V:] = np.concatenate([x[:, t], batch.y_enc, prev_mean], axis=1)
+        mu, sg, enc_cache = enc.stages[t].forward(inp, shifts)
+        if not want_grads:
+            inp[rows, cols] = 0.0
+        mu_q, sg_q = mu[0], sg[0]
+        eta = mu_q[:, None, :] + eps[:, t] * sg_q[:, None, :]
 
         # prior means: sample-free at the first stage, otherwise one
         # transition pass over all B * M Monte-Carlo rows
         if t == 0:
             tin = np.concatenate([prev_mean, x[:, 0], batch.y_enc], axis=1)
-            mu0[0], tr_caches[0] = gen.transitions[0].forward(tin)
+            mu0, tr_cache = gen.transitions[0].forward(tin)
             kl_t[0] = scale * M * float(
-                pm[:, 0] @ _kl_rows(mu_q, sg_q, mu0[0], s0))
+                pm[:, 0] @ _kl_rows(mu_q, sg_q, mu0, s0))
         else:
             side = np.concatenate([x[:, t], batch.y_enc], axis=1)
             tin = np.concatenate(
-                [eta[t - 1], np.broadcast_to(
+                [prev_eta, np.broadcast_to(
                     side[:, None], (B, M, side.shape[1]))],
                 axis=2).reshape(B * M, -1)
-            out, tr_caches[t] = gen.transitions[t].forward(tin)
-            mu0[t] = out.reshape(B, M, K)
+            out, tr_cache = gen.transitions[t].forward(tin)
+            mu0 = out.reshape(B, M, K)
             kl_t[t] = scale * float(pm[:, t] @ _kl_rows(
-                mu_q[:, None], sg_q[:, None], mu0[t], s0).sum(axis=1))
+                mu_q[:, None], sg_q[:, None], mu0, s0).sum(axis=1))
 
         # multinomial reconstruction, evaluated at the nonzero counts only
-        theta[t] = softmax(eta[t], axis=2)
+        theta = softmax(eta, axis=2)
         c_nz = batch.c_nz[sl]
-        probs = (theta[t].reshape(B * M, K) @ bcols[t].T).reshape(B, M, V)
-        p_nz = probs[rows, :, cols]                           # (nnz, M)
-        logp = np.log(np.maximum(p_nz, PROB_FLOOR))
+        probs = np.matmul(theta.reshape(B * M, K), bcols[t].T,
+                          out=work.prod[:B * M])
+        # the flat places of the nonzero cells in a (B, M, V) block, one
+        # column per sample
+        at = (rows * (M * V) + cols)[:, None] + V * np.arange(M)
+        p_nz = np.take(probs, at)                             # (nnz, M)
+        logp = np.maximum(p_nz, PROB_FLOOR)
+        np.log(logp, out=logp)
         nll_t[t] = scale * float(((pm[rows, t] * c_nz) @ logp).sum())
-        if want_grads:
-            ratio[t] = np.divide(
-                np.broadcast_to(c_nz[:, None], p_nz.shape), p_nz,
-                out=np.zeros_like(p_nz), where=p_nz > PROB_FLOOR)
 
         # group distance (independent of j)
+        dgrads = None
         if use_dist:
-            d, *dists[t] = distance_with_grad(kind, mu_q, sg_q, mu[t][1:],
-                                              sg[t][1:])
+            d, *dgrads = distance_with_grad(kind, mu_q, sg_q, mu[1:], sg[1:])
             dist_t[t] = float(pm[:, t] @ d) / B
 
-        prev_mean = mu_q
+        if want_grads:
+            ratio = np.divide(
+                np.broadcast_to(c_nz[:, None], p_nz.shape), p_nz,
+                out=np.zeros_like(p_nz), where=p_nz > PROB_FLOOR)
+            saved[t] = (inp, mu, sg, enc_cache, mu0, tr_cache, theta, rows,
+                        cols, at, ratio, dgrads)
+        prev_mean, prev_eta = mu_q, eta
 
     loss = float(kl_t.sum() - nll_t.sum() - w_d * dist_t.sum())
     components = {"kl": kl_t, "nll": nll_t, "dist": dist_t}
@@ -253,11 +301,16 @@ def longitudinal_loss(batch, gen, enc, cfg, eps, want_grads=True,
     def trans_key(t):
         return "trans" if gen.share_across_stages else f"trans{t}"
 
+    R = work.R[:B * M]
+    R_flat = R.reshape(-1)
     gb = np.zeros((T, V, K))
     pending_gmu = np.zeros((B, K))
     pending_geta = np.zeros((B, M, K))  # into eta[t] from stage t + 1
     for t in range(T - 1, -1, -1):
-        mu_q, sg_q = mu[t][0], sg[t][0]
+        inp, mu, sg, enc_cache, mu0, tr_cache, theta, rows, cols, at, \
+            ratio, dgrads = saved[t]
+        saved[t] = None
+        mu_q, sg_q = mu[0], sg[0]
         geta = pending_geta
 
         # KL term: d/dmu_q = (mu_q - mu0)/s0^2, d/dsigma = -1/sg + sg/s0^2,
@@ -265,30 +318,28 @@ def longitudinal_loss(batch, gen, enc, cfg, eps, want_grads=True,
         w = scale * pm[:, t][:, None]
         gsig = -1.0 / sg_q + sg_q / s0 ** 2
         if t == 0:
-            gdiff = (M * w) * (mu_q - mu0[0]) / s0 ** 2
+            gdiff = (M * w) * (mu_q - mu0) / s0 ** 2
             gmu_t = pending_gmu + gdiff
             gs_t = (M * w) * gsig
-            _, tg = gen.transitions[0].backward(tr_caches[0], -gdiff)
+            _, tg = gen.transitions[0].backward(tr_cache, -gdiff)
         else:
-            gdiff = w[:, :, None] * (mu_q[:, None] - mu0[t]) / s0 ** 2
+            gdiff = w[:, :, None] * (mu_q[:, None] - mu0) / s0 ** 2
             gmu_t = pending_gmu + gdiff.sum(axis=1)
             gs_t = M * w * gsig
             gin, tg = gen.transitions[t].backward(
-                tr_caches[t], -gdiff.reshape(B * M, K))
+                tr_cache, -gdiff.reshape(B * M, K))
             pending_geta = gin[:, :K].reshape(B, M, K)
         for name, val in tg.items():
             add(f"{trans_key(t)}.{name}", val)
 
         # multinomial term through eta: the scaled count/prob ratio scattered
-        # into a dense (B, M, V) buffer, then two matmuls
-        rows, cols = cells[t]
-        R = np.zeros((B, M, V))
-        R[rows, :, cols] = (-scale * pm[rows, t])[:, None] * ratio[t]
-        R = R.reshape(B * M, V)
+        # into the dense (B, M, V) buffer, two matmuls, and the cells cleared
+        R_flat[at] = (-scale * pm[rows, t])[:, None] * ratio
         gtheta = (R @ bcols[t]).reshape(B, M, K)
-        gb[t] = R.T @ theta[t].reshape(B * M, K)
-        inner = (gtheta * theta[t]).sum(axis=2, keepdims=True)
-        geta = geta + theta[t] * (gtheta - inner)
+        np.matmul(R.T, theta.reshape(B * M, K), out=gb[t])
+        R_flat[at] = 0.0
+        inner = (gtheta * theta).sum(axis=2, keepdims=True)
+        geta = geta + theta * (gtheta - inner)
 
         # route eta gradients into (mu, sigma)
         gmu_t = gmu_t + geta.sum(axis=1)
@@ -297,14 +348,15 @@ def longitudinal_loss(batch, gen, enc, cfg, eps, want_grads=True,
         # distance term: factual and counterfactual heads
         gmu_all, gs_all = gmu_t[None], gs_t[None]
         if use_dist:
-            dgmu, dgs, dgmu_c, dgs_c = dists[t]
+            dgmu, dgs, dgmu_c, dgs_c = dgrads
             uw = (-w_d / B) * pm[:, t][:, None]
             gmu_all = np.concatenate([gmu_all + uw * dgmu, uw * dgmu_c])
             gs_all = np.concatenate([gs_all + uw * dgs, uw * dgs_c])
 
         # one encoder backward for every head (all share the stage-t
         # parameters and the recurrent previous-mean input)
-        gin, eg = enc.stages[t].backward(enc_caches[t], gmu_all, gs_all)
+        gin, eg = enc.stages[t].backward(enc_cache, gmu_all, gs_all)
+        inp[rows, cols] = 0.0
         for name, val in eg.items():
             add(f"enc{t}.{name}", val)
         pending_gmu = gin[:, -K:]

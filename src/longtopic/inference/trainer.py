@@ -10,6 +10,12 @@ change of that logged loss drops to eps_stop, or after t_max epochs. A
 non-finite eps_stop disables the stop rule entirely; a non-finite loss raises
 DivergedError. Everything is a deterministic function of (corpus, initial
 parameters, config): refits are bit-identical.
+
+A fit allocates its working memory once: one loss Workspace (see loss.py)
+sized for the evaluation chunk and the training batch, whose prefix views
+serve the shorter last batch and chunk, the eps buffers, and the optimizer's
+scratch buffer. The loss calls and optimizer steps in between allocate
+nothing of the size of a (rows * M, V) block.
 """
 
 from __future__ import annotations
@@ -41,6 +47,7 @@ from ..model import (
 )
 from .loss import (
     CorpusArrays,
+    Workspace,
     encoder_input,
     longitudinal_loss,
     relative_frequencies,
@@ -125,18 +132,27 @@ def param_registry(gen, enc, extra=None, include_beta=True):
 
 class Optimizer:
     """SGD with momentum, or Adam, over a parameter registry. Updates are in
-    place so the model objects always hold the live values."""
+    place so the model objects always hold the live values. A step allocates
+    no arrays: each update's temporaries go to a scratch buffer of the
+    largest block's size, one operation at a time in the order of
+        sgd:  v = momentum * v + g;  arr -= lr * v
+        adam: m = 0.9 * m + 0.1 * g;  v = 0.999 * v + 0.001 * g * g;
+              arr -= lr * (m / (1 - 0.9^t)) / (sqrt(v / (1 - 0.999^t)) + 1e-8)
+    """
 
     def __init__(self, registry, cfg):
         self.registry = registry
         self.kind = cfg.optimizer
         self.momentum = cfg.momentum
         self.t = 0
-        if self.kind == "sgd":
-            self.v = {k: np.zeros_like(a) for k, a in registry}
-        else:
+        self.v = {k: np.zeros_like(a) for k, a in registry}
+        if self.kind == "adam":
             self.m = {k: np.zeros_like(a) for k, a in registry}
-            self.v = {k: np.zeros_like(a) for k, a in registry}
+        # each block's views of the scratch rows (s, and d for adam)
+        scratch = np.empty((1 if self.kind == "sgd" else 2,
+                            max(a.size for _, a in registry)))
+        self.scratch = {k: [row[:a.size].reshape(a.shape) for row in scratch]
+                        for k, a in registry}
 
     def step(self, grads, lr):
         self.t += 1
@@ -144,20 +160,26 @@ class Optimizer:
             g = grads.get(key)
             if g is None:
                 continue
+            s = self.scratch[key][0]
+            v = self.v[key]
             if self.kind == "sgd":
-                v = self.v[key]
                 v *= self.momentum
                 v += g
-                arr -= lr * v
+                np.multiply(lr, v, out=s)
             else:
-                m, v = self.m[key], self.v[key]
+                m, d = self.m[key], self.scratch[key][1]
                 m *= 0.9
-                m += 0.1 * g
+                m += np.multiply(0.1, g, out=s)
                 v *= 0.999
-                v += 0.001 * g * g
-                mhat = m / (1.0 - 0.9 ** self.t)
-                vhat = v / (1.0 - 0.999 ** self.t)
-                arr -= lr * mhat / (np.sqrt(vhat) + 1e-8)
+                np.multiply(0.001, g, out=s)
+                v += np.multiply(s, g, out=s)
+                np.divide(v, 1.0 - 0.999 ** self.t, out=d)
+                np.sqrt(d, out=d)
+                d += 1e-8
+                np.divide(m, 1.0 - 0.9 ** self.t, out=s)
+                np.multiply(lr, s, out=s)
+                s /= d
+            arr -= s
 
 
 @dataclass
@@ -186,11 +208,20 @@ class FittedModel:
 
 def _run_epochs(corpus, registry, cfg, batch_loss, chunk=256):
     """The epoch loop shared by every topic parametrization. batch_loss(batch,
-    eps, want_grads) -> (loss, grads) is the objective on one batch; the
-    loop draws the eps tensors, steps the optimizer over the registry, logs
-    the full-data loss after each epoch and applies the stop rule. Returns
-    (log, converged). Before it allocates anything, ConfigError when a
-    Monte-Carlo tensor would hold more than MAX_SAMPLE_ELEMENTS numbers."""
+    eps, want_grads, work) -> (loss, grads) is the objective on one batch,
+    with work the fit's Workspace to pass on to longitudinal_loss; the loop
+    draws the eps tensors, steps the optimizer over the registry, logs the
+    full-data loss after each epoch and applies the stop rule. Returns (log,
+    converged). Before it allocates anything, ConfigError when a Monte-Carlo
+    tensor would hold more than MAX_SAMPLE_ELEMENTS numbers.
+
+    Every large buffer of the fit is allocated once, here: the Workspace
+    (sized for the full-data evaluation's chunk and the training batch; a
+    short batch or chunk takes prefix views of it), the frozen evaluation eps
+    and the training eps, drawn in place. The parameters change only in the
+    optimizer step that follows a training call (want_grads=True), so an
+    objective may keep what the chunks of one full-data evaluation share
+    until its next training call."""
     N, T, V = corpus.n_subjects, corpus.n_stages, corpus.vocab_size
     K, M = cfg.n_topics, cfg.m_samples
     rows = min(N, max(chunk, cfg.batch_size))
@@ -200,17 +231,22 @@ def _run_epochs(corpus, registry, cfg, batch_loss, chunk=256):
             raise ConfigError(f"m_samples={M} needs {size} numbers in the"
                               f" {what}, above the cap {MAX_SAMPLE_ELEMENTS}")
     arrays = CorpusArrays(corpus)
+    train_rows = min(N, cfg.batch_size)
+    work = Workspace(rows, train_rows, T, M, V,
+                     V + corpus.n_features + arrays.y_enc.shape[1] + K)
     opt = Optimizer(registry, cfg)
     eval_eps = np.random.default_rng([cfg.seed, 1]).standard_normal(
         (N, T, M, K))
     rng = np.random.default_rng([cfg.seed, 2])
+    eps_buf = np.empty((train_rows, T, M, K))
 
     def full_loss():
         total = 0.0
         for lo in range(0, N, chunk):
-            idx = np.arange(lo, min(lo + chunk, N))
-            loss, _ = batch_loss(arrays.batch(idx), eval_eps[idx], False)
-            total += loss * len(idx)
+            hi = min(lo + chunk, N)
+            loss, _ = batch_loss(arrays.batch(np.arange(lo, hi)),
+                                 eval_eps[lo:hi], False, work)
+            total += loss * (hi - lo)
         return total / N
 
     def check(loss, epoch):
@@ -229,8 +265,8 @@ def _run_epochs(corpus, registry, cfg, batch_loss, chunk=256):
         try:
             for lo in range(0, N, cfg.batch_size):
                 idx = perm[lo:lo + cfg.batch_size]
-                eps = rng.standard_normal((len(idx), T, cfg.m_samples, K))
-                loss, grads = batch_loss(arrays.batch(idx), eps, True)
+                eps = rng.standard_normal(out=eps_buf[:len(idx)])
+                loss, grads = batch_loss(arrays.batch(idx), eps, True, work)
                 check(loss, epoch)
                 opt.step(grads, lr)
             loss = full_loss()
@@ -248,9 +284,9 @@ def _run_epochs(corpus, registry, cfg, batch_loss, chunk=256):
 def train(corpus, gen, enc, cfg):
     """Fit all parameters on a corpus; returns a FittedModel with the
     per-epoch loss log."""
-    def batch_loss(batch, eps, want_grads):
+    def batch_loss(batch, eps, want_grads, work):
         res = longitudinal_loss(batch, gen, enc, cfg, eps,
-                                want_grads=want_grads)
+                                want_grads=want_grads, work=work)
         return res.loss, res.grads
 
     log, converged = _run_epochs(corpus, param_registry(gen, enc), cfg,
@@ -388,7 +424,7 @@ def load_model(fname):
         raise IoError(f"{fname}: not a model file")
     try:
         cfg = TrainConfig(**_get(obj, "config", fname))
-    except TypeError as e:
+    except (TypeError, ConfigError, UnknownDistance) as e:
         raise FormatError(f"{fname}: bad config: {e}") from e
     vocab = _get(obj, "vocab", fname)
     if not isinstance(vocab, list) or not all(

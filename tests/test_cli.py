@@ -249,6 +249,33 @@ def test_monte_carlo_tensors_beyond_the_cap_are_config_errors(tmp_path,
     assert "m_samples=100000000" in err and "eval eps" in err
 
 
+def test_failed_fit_and_eval_create_no_output_directory(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert main(["simulate", "--out", str(out), "--seed", "3", *SIM,
+                 "--set", "sim.n_subjects=10"]) == 0
+    corpus = f'paths.corpus="{out / "corpus"}"'
+    capsys.readouterr()
+    code, err = error_code(["fit", "--out", str(tmp_path / "fitout"), *TRAIN,
+                            "--set", corpus,
+                            "--set", "train.m_samples=100000000"], capsys)
+    assert code == 1
+    assert err.count("\n") == 1 and err.startswith("error: ConfigError:")
+    assert not (tmp_path / "fitout").exists()
+
+    assert main(["fit", "--out", str(out), *TRAIN, "--set", corpus]) == 0
+    truth = json.loads((out / "truth.json").read_text())
+    truth["beta_true"][0][0][0] = float("nan")
+    (out / "truth.json").write_text(json.dumps(truth))
+    capsys.readouterr()
+    code, err = error_code(
+        ["eval", "--out", str(tmp_path / "evalout"), "--set", corpus,
+         "--set", f'paths.model="{out / "model.json"}"',
+         "--set", f'paths.truth="{out / "truth.json"}"'], capsys)
+    assert code == 1
+    assert err.count("\n") == 1 and err.startswith("error: NumericError:")
+    assert not (tmp_path / "evalout").exists()
+
+
 def test_eval_with_non_finite_truth_is_a_numeric_error(tmp_path, capsys):
     out = tmp_path / "run"
     assert main(["simulate", "--out", str(out), "--seed", "3", *SIM,

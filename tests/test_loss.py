@@ -9,7 +9,7 @@ from longtopic.inference.loss import (
     encoder_input,
     longitudinal_loss,
 )
-from longtopic.inference.networks import SIGMA_MIN
+from longtopic.inference.networks import SIGMA_MIN, sigmoid
 from longtopic.inference.terms import DISTANCE_KINDS, distance_with_grad
 from longtopic.inference.trainer import TrainConfig, default_init
 from longtopic.model import column_softmax, default_vocab
@@ -394,6 +394,19 @@ def test_stacked_distance_matches_the_loop_form(data):
                 assert g.shape == w.shape, kind
                 assert np.array_equal(g, w), kind
                 assert np.array_equal(np.signbit(g), np.signbit(w)), kind
+
+
+def test_sigmoid_matches_the_masked_form():
+    # the two-branch form it replaced, bit for bit: signed zeros, values
+    # where exp(-x) or exp(x) would overflow, and NaN
+    x = np.concatenate([[0.0, -0.0, 800.0, -800.0, np.nan, 1e-300],
+                        np.random.default_rng(5).normal(0, 30, 500)])
+    ref = np.empty_like(x)
+    pos = x >= 0
+    ref[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    e = np.exp(x[~pos])
+    ref[~pos] = e / (1.0 + e)
+    assert np.array_equal(sigmoid(x), ref, equal_nan=True)
 
 
 def test_corpus_arrays_hold_no_dense_tensor():

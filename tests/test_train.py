@@ -256,7 +256,8 @@ def test_load_then_save_gives_the_same_bytes(saved_model, tmp_path):
     (lambda o: o.pop("beta"), FormatError, "'beta'"),
     (lambda o: o["encoders"][0].pop("bs"), FormatError, "'bs'"),
     (lambda o: o["config"].update(bogus=1), FormatError, "bogus"),
-    (lambda o: o["config"].update(n_topics="2"), ConfigError, "n_topics"),
+    (lambda o: o["config"].update(n_topics="3"), FormatError,
+     "json: bad config: n_topics"),
     (lambda o: o["encoders"][1]["Wh"].pop(), FormatError, "Wh has shape"),
     (lambda o: o["transitions"][0].update(W1="abc"), FormatError, "W1 is"),
     (lambda o: o["encoders"][0].update(K=5), FormatError, "K is 5"),
