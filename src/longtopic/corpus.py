@@ -4,7 +4,10 @@ A corpus is a balanced panel: N subjects observed over T stages, each (subject,
 stage) cell holding one bag-of-words document over a fixed vocabulary of V words,
 per-stage covariates (P features), and one group label per subject. Counts are
 records (word index -> count) in `docs`; numeric code reads them through the
-CSR view `csr()`, cells stage-major, and builds no (N, T, V) tensor.
+CSR view `csr()`, cells stage-major, and builds no (N, T, V) tensor. Every
+cell of a corpus takes its keys from one array of the V int objects 0..V-1,
+so a word index above CPython's small-int cache is one object per corpus, not
+one per cell that holds it.
 
 On-disk layout (one directory):
     vocab.txt   one word per line; line index = word index
@@ -13,20 +16,29 @@ On-disk layout (one directory):
     meta.csv    header subject,stage,x0,...,x{P-1}; one row per (subject, stage)
     groups.csv  header subject,group; one row per subject
 
+Loading parses each docs.jsonl line in the exact form saving writes with one
+regular expression and all their counts with one np.fromstring, into flat
+int64 arrays that go to the corpus BLOCK records at a time; any other line
+goes through json.loads and the per-line checks, so a malformed file raises
+the same error, at the same line, either way.
+
 Covariates are standardized (per-feature zero mean, unit variance pooled over all
 (i, t)) during construction, and the transform is recorded on the corpus. Saving
 writes the standardized values, so re-standardizing on reload is a no-op and
-load(save(c)) == c holds.
+load(save(c)) == c holds. Every file is written under a temporary name and
+renamed over the target, so a failed write leaves the previous file intact.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import numbers
 import os
+import re
 from dataclasses import dataclass, field
-from itertools import chain, compress, islice
+from itertools import chain, islice
 
 import numpy as np
 
@@ -46,6 +58,12 @@ META_FILE = "meta.csv"
 GROUPS_FILE = "groups.csv"
 BAD_KEY = -2**63  # word index standing for a key that int() refused
 BLOCK = 256  # records checked and assembled together
+_INT = r"(?:0|[1-9][0-9]{0,17})"  # below 10**18, no sign, no leading 0
+_PAIR = rf'"{_INT}": -?{_INT}'
+# a docs.jsonl line as _doc_lines writes it: subject, stage, counts body
+_DOC_LINE = re.compile(rf'\{{"subject": ({_INT}), "stage": ({_INT}), '
+                       rf'"counts": \{{((?:{_PAIR}(?:, {_PAIR})*)?)\}}\}}')
+_SPACES = bytes.maketrans(b'":,', b"   ")
 
 
 @dataclass
@@ -55,7 +73,8 @@ class Corpus:
     vocab_size: int
     n_groups: int
     n_features: int
-    # docs[i][t] is a {word_index: count} map, or None for a missing cell
+    # docs[i][t] is a {word_index: count} map, or None for a missing cell;
+    # every key is the corpus's one int object for that word index
     docs: list
     covariates: np.ndarray  # (N, T, P) standardized
     groups: np.ndarray  # (N,) int labels in 0..G-1
@@ -105,8 +124,9 @@ class Corpus:
         """The one construction path, a block of records at a time so that
         the flat arrays stay small next to the cells they fill. Record r puts
         the next lens[r] (word, count) entries into cell (subj[r], stage[r]).
-        keys and values, the entries as given or None, name a key int()
-        refused and, when all are ints, are the objects the cells hold."""
+        keys, the word keys as given or None, only names a key int()
+        refused. The cells take their keys from one object array of the V
+        ints 0..V-1, built once here."""
         vocab = list(vocab)
         if not vocab:
             raise FormatError("vocabulary is empty")
@@ -148,18 +168,15 @@ class Corpus:
 
         docs = [[None] * T for _ in range(N)]
         present = np.zeros((N, T), dtype=bool)
-        for subj, stage, lens, words, counts, keys, values in blocks:
+        word_ints = np.arange(V).astype(object)
+        for subj, stage, lens, words, counts, keys in blocks:
             rec = np.repeat(np.arange(lens.size), lens)
             _check_entries(subj, stage, lens, rec, words, counts, present, V,
                            keys)
             keep = counts > 0
             ends = np.cumsum(np.bincount(rec[keep], minlength=lens.size))
-            if (values is None or counts.dtype.kind != "i"
-                    or not set(map(type, keys)) <= {int}):
-                keys, values = words.tolist(), counts.astype(np.int64).tolist()
-            if not keep.all():
-                keys = list(compress(keys, keep))
-                values = list(compress(values, keep))
+            keys = word_ints[words[keep]].tolist()
+            values = counts[keep].astype(np.int64, copy=False).tolist()
             start = 0
             for i, t, end in zip(subj.tolist(), stage.tolist(), ends.tolist()):
                 cell = dict(zip(keys[start:end], values[start:end]))
@@ -267,7 +284,7 @@ def _record_blocks(records):
         values = list(chain.from_iterable(c.values() for c in cells))
         yield (ids[0].astype(np.int64), ids[1].astype(np.int64),
                np.fromiter(map(len, cells), np.int64, len(cells)),
-               _word_array(keys), _count_array(values), keys, values)
+               _word_array(keys), _count_array(values), keys)
 
 
 def _dense_blocks(blocks, T):
@@ -279,7 +296,7 @@ def _dense_blocks(blocks, T):
         starts = np.flatnonzero(np.diff(cell, prepend=-1))
         cells = first + cell[starts]
         yield (cells // T, cells % T, np.diff(starts, append=cell.size),
-               words, rows[cell, words], None, None)
+               words, rows[cell, words], None)
 
 
 def _word_array(keys):
@@ -377,9 +394,9 @@ def load_corpus(path, allow_missing=False):
     vocab = _read_vocab(os.path.join(path, VOCAB_FILE))
     groups = _read_groups(os.path.join(path, GROUPS_FILE))
     covariates = _read_meta(os.path.join(path, META_FILE), len(groups))
-    records = _read_docs(os.path.join(path, DOCS_FILE))
-    return Corpus.build(records, covariates, groups, vocab,
-                        allow_missing=allow_missing)
+    blocks = _read_docs(os.path.join(path, DOCS_FILE))
+    return Corpus._from_blocks(blocks, covariates, groups, vocab,
+                               allow_missing, None)
 
 
 def save_corpus(corpus, path):
@@ -390,26 +407,38 @@ def save_corpus(corpus, path):
     """
     if corpus.n_subjects < 1:
         raise IoError("refusing to save a corpus with no subjects")
+    N, T, P = corpus.n_subjects, corpus.n_stages, corpus.n_features
+    row = "%d,%d" + ",%.17g" * P + "\n"
     try:
         os.makedirs(path, exist_ok=True)
-        with open(os.path.join(path, VOCAB_FILE), "w", encoding="utf-8") as f:
-            f.write("\n".join(corpus.vocab) + "\n")
-        with open(os.path.join(path, DOCS_FILE), "w", encoding="utf-8") as f:
-            f.writelines(_doc_lines(corpus))
-        with open(os.path.join(path, META_FILE), "w", encoding="utf-8") as f:
-            P = corpus.n_features
-            f.write(",".join(["subject", "stage"]
-                             + [f"x{p}" for p in range(P)]) + "\n")
-            row = "%d,%d" + ",%.17g" * P + "\n"
-            N, T = corpus.n_subjects, corpus.n_stages
-            f.writelines(row % (n // T, n % T, *x) for n, x in enumerate(
-                corpus.covariates.reshape(N * T, P).tolist()))
-        with open(os.path.join(path, GROUPS_FILE), "w", encoding="utf-8") as f:
-            f.write("subject,group\n")
-            f.writelines("%d,%d\n" % ig
-                         for ig in enumerate(corpus.groups.tolist()))
+        _write_text(os.path.join(path, VOCAB_FILE),
+                    ["\n".join(corpus.vocab) + "\n"])
+        _write_text(os.path.join(path, DOCS_FILE), _doc_lines(corpus))
+        _write_text(os.path.join(path, META_FILE), chain(
+            [",".join(["subject", "stage"] + [f"x{p}" for p in range(P)])
+             + "\n"],
+            (row % (n // T, n % T, *x) for n, x in enumerate(
+                corpus.covariates.reshape(N * T, P).tolist()))))
+        _write_text(os.path.join(path, GROUPS_FILE), chain(
+            ["subject,group\n"],
+            ("%d,%d\n" % ig for ig in enumerate(corpus.groups.tolist()))))
     except OSError as e:
         raise IoError(f"cannot write corpus to {path}: {e}") from e
+
+
+def _write_text(fname, chunks):
+    """Write the strings chunks yields to a new file next to fname, then
+    rename it over fname: a write that fails or is interrupted leaves fname
+    as it was and no file of its own behind."""
+    tmp = f"{os.fspath(fname)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as f:
+            f.writelines(chunks)
+        os.replace(tmp, fname)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 def _doc_lines(corpus):
@@ -438,11 +467,11 @@ def read_json(fname):
 
 
 def write_json(obj, fname, indent=None):
-    """obj as sorted-key JSON plus a newline; IoError when it cannot be
-    written."""
+    """obj as sorted-key JSON plus a newline, written as _write_text does;
+    IoError when it cannot be written."""
     try:
-        with open(fname, "w", encoding="utf-8") as f:
-            f.write(json.dumps(obj, sort_keys=True, indent=indent) + "\n")
+        _write_text(fname, [json.dumps(obj, sort_keys=True, indent=indent)
+                            + "\n"])
     except OSError as e:
         raise IoError(f"cannot write {fname}: {e}") from e
 
@@ -545,36 +574,85 @@ def _read_meta(fname, n_subjects):
 
 
 def _read_docs(fname):
-    records = []
+    """docs.jsonl as _from_blocks takes it, BLOCK records at a time in line
+    order, every line parsed before the first block: a parse fault comes
+    before any fault of the records. A line in _doc_lines' form goes into
+    flat arrays, all such lines in one pass; any other line goes through
+    _parse_doc_line. A block goes to _from_blocks as slices of the arrays
+    when each of its lines is in that form with its word keys ascending,
+    else as records through _record_blocks, as Corpus.build takes them."""
+    heads, bodies, other = [], [], {}
     for ln, line in enumerate(_read_lines(fname), start=1):
         if not line.strip():
             continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as e:
-            raise FormatError(f"{fname} line {ln}: {e}") from e
-        if not isinstance(obj, dict) or not {"subject", "stage", "counts"} <= set(obj):
-            raise FormatError(
-                f"{fname} line {ln}: need subject/stage/counts fields")
-        subject, stage, counts = obj["subject"], obj["stage"], obj["counts"]
-        if (isinstance(subject, bool) or not isinstance(subject, int)
-                or isinstance(stage, bool) or not isinstance(stage, int)):
-            raise FormatError(f"{fname} line {ln}: subject/stage must be ints")
-        if not isinstance(counts, dict):
-            raise FormatError(f"{fname} line {ln}: counts must be an object")
-        try:
-            parsed = dict(zip(map(int, counts), counts.values()))
-        except ValueError:
-            parsed = None
-        if parsed is None or not set(map(type, counts.values())) <= {int}:
-            for k, v in counts.items():
-                try:
-                    int(k)
-                except ValueError as e:
-                    raise FormatError(
-                        f"{fname} line {ln}: bad word index {k!r}") from e
-                if type(v) is not int:
-                    raise FormatError(f"{fname} line {ln}: count for word"
-                                      f" {k} must be an int")
-        records.append((subject, stage, parsed))
-    return records
+        m = _DOC_LINE.fullmatch(line)
+        if m is None:
+            other[len(bodies)] = _parse_doc_line(fname, ln, line)
+            heads += "0", "0"  # unused: its block takes the parsed record
+            bodies.append("")
+        else:
+            heads += m[1], m[2]
+            bodies.append(m[3])
+    subj, stage = np.fromstring(" ".join(heads), np.int64, sep=" ").reshape(
+        -1, 2).T
+    lens = np.array([b.count(":") for b in bodies], dtype=np.int64)
+    words, counts = np.fromstring(
+        " ".join(filter(None, bodies)).encode("ascii").translate(_SPACES),
+        np.int64, sep=" ").reshape(-1, 2).T
+    del heads, bodies
+    starts = np.concatenate([[0], np.cumsum(lens)])
+    rec = np.repeat(np.arange(lens.size), lens)
+    flat = np.ones(lens.size, dtype=bool)
+    flat[list(other)] = False
+    # keys out of order may repeat: a record's dict keeps the last count
+    # of a key, as json.loads's does
+    flat[rec[1:][(np.diff(words) <= 0) & (np.diff(rec) == 0)]] = False
+
+    def blocks():
+        for first in range(0, lens.size, BLOCK):
+            last = min(first + BLOCK, lens.size)
+            if flat[first:last].all():
+                a, b = starts[first], starts[last]
+                yield (subj[first:last], stage[first:last], lens[first:last],
+                       words[a:b], counts[a:b], None)
+                continue
+            yield from _record_blocks(
+                other.get(r) or (int(subj[r]), int(stage[r]), dict(zip(
+                    words[starts[r]:starts[r + 1]].tolist(),
+                    counts[starts[r]:starts[r + 1]].tolist())))
+                for r in range(first, last))
+
+    return blocks()
+
+
+def _parse_doc_line(fname, ln, line):
+    """One docs.jsonl line through json.loads: (subject, stage, {int(key):
+    count}), or the FormatError of its first fault."""
+    try:
+        obj = json.loads(line)
+    except json.JSONDecodeError as e:
+        raise FormatError(f"{fname} line {ln}: {e}") from e
+    if not isinstance(obj, dict) or not {"subject", "stage", "counts"} <= set(obj):
+        raise FormatError(
+            f"{fname} line {ln}: need subject/stage/counts fields")
+    subject, stage, counts = obj["subject"], obj["stage"], obj["counts"]
+    if (isinstance(subject, bool) or not isinstance(subject, int)
+            or isinstance(stage, bool) or not isinstance(stage, int)):
+        raise FormatError(f"{fname} line {ln}: subject/stage must be ints")
+    if not isinstance(counts, dict):
+        raise FormatError(f"{fname} line {ln}: counts must be an object")
+    try:
+        parsed = dict(zip(map(int, counts), counts.values()))
+    except ValueError:
+        parsed = None
+    if parsed is None or not set(map(type, counts.values())) <= {int}:
+        for k, v in counts.items():
+            try:
+                int(k)
+            except ValueError as e:
+                raise FormatError(
+                    f"{fname} line {ln}: bad word index {k!r}") from e
+            if type(v) is not int:
+                raise FormatError(f"{fname} line {ln}: count for word"
+                                  f" {k} must be an int")
+    return subject, stage, parsed

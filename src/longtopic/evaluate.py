@@ -245,21 +245,23 @@ def _probe_fit(X, y, G, n_iter, step, l2):
     Wp = np.zeros((K, G))
     b = np.zeros(G)
     Z, r, col = np.empty((G, n)), np.empty((n, G)), np.empty(n)
-    for _ in range(n_iter):
-        np.add((X @ Wp).T, b[:, None], out=Z)
-        if not np.isfinite(Z).all():
-            raise NumericError("softmax input must be finite")
-        Z -= Z.max(axis=0, out=col)
-        np.exp(Z, out=Z)
-        if G < 8:
-            Z.sum(axis=0, out=col)
-        else:
-            np.ascontiguousarray(Z.T).sum(axis=1, out=col)
-        Z /= col
-        np.subtract(Z.T, Y, out=r)
-        r /= n
-        Wp -= step * (X.T @ r + l2 * Wp)
-        b -= step * np.cumsum(r.T, axis=1)[:, -1]
+    # non-finite logits end in the NumericError below, not in a warning
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for _ in range(n_iter):
+            np.add((X @ Wp).T, b[:, None], out=Z)
+            if not np.isfinite(Z).all():
+                raise NumericError("softmax input must be finite")
+            Z -= Z.max(axis=0, out=col)
+            np.exp(Z, out=Z)
+            if G < 8:
+                Z.sum(axis=0, out=col)
+            else:
+                np.ascontiguousarray(Z.T).sum(axis=1, out=col)
+            Z /= col
+            np.subtract(Z.T, Y, out=r)
+            r /= n
+            Wp -= step * (X.T @ r + l2 * Wp)
+            b -= step * np.cumsum(r.T, axis=1)[:, -1]
     return Wp, b
 
 

@@ -253,32 +253,37 @@ def _run_epochs(corpus, registry, cfg, batch_loss, chunk=256):
         if not math.isfinite(loss):
             raise DivergedError(f"loss became non-finite at epoch {epoch}")
 
-    prev_loss = full_loss()
-    if not math.isfinite(prev_loss):
-        raise DivergedError("initial loss is not finite")
-    log = [{"epoch": 0, "loss": prev_loss}]
-    for epoch in range(1, cfg.t_max + 1):
-        lr = cfg.learning_rate
-        if cfg.schedule == "cosine":
-            lr *= 0.5 * (1.0 + math.cos(math.pi * (epoch - 1) / cfg.t_max))
-        perm = rng.permutation(N)
-        try:
-            for lo in range(0, N, cfg.batch_size):
-                idx = perm[lo:lo + cfg.batch_size]
-                eps = rng.standard_normal(out=eps_buf[:len(idx)])
-                loss, grads = batch_loss(arrays.batch(idx), eps, True, work)
-                check(loss, epoch)
-                opt.step(grads, lr)
-            loss = full_loss()
-        except NumericError as e:
-            raise DivergedError(f"parameters diverged: {e}") from e
-        check(loss, epoch)
-        log.append({"epoch": epoch, "loss": loss})
-        rel = abs(loss - prev_loss) / max(abs(prev_loss), 1e-12)
-        prev_loss = loss
-        if math.isfinite(cfg.eps_stop) and rel <= cfg.eps_stop:
-            return log, True
-    return log, False
+    # overflow in a diverging fit reaches the finiteness checks below,
+    # which name it, not as a numpy warning printed before the error
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        prev_loss = full_loss()
+        if not math.isfinite(prev_loss):
+            raise DivergedError("initial loss is not finite")
+        log = [{"epoch": 0, "loss": prev_loss}]
+        for epoch in range(1, cfg.t_max + 1):
+            lr = cfg.learning_rate
+            if cfg.schedule == "cosine":
+                lr *= 0.5 * (1.0 + math.cos(math.pi * (epoch - 1)
+                                            / cfg.t_max))
+            perm = rng.permutation(N)
+            try:
+                for lo in range(0, N, cfg.batch_size):
+                    idx = perm[lo:lo + cfg.batch_size]
+                    eps = rng.standard_normal(out=eps_buf[:len(idx)])
+                    loss, grads = batch_loss(arrays.batch(idx), eps, True,
+                                             work)
+                    check(loss, epoch)
+                    opt.step(grads, lr)
+                loss = full_loss()
+            except NumericError as e:
+                raise DivergedError(f"parameters diverged: {e}") from e
+            check(loss, epoch)
+            log.append({"epoch": epoch, "loss": loss})
+            rel = abs(loss - prev_loss) / max(abs(prev_loss), 1e-12)
+            prev_loss = loss
+            if math.isfinite(cfg.eps_stop) and rel <= cfg.eps_stop:
+                return log, True
+        return log, False
 
 
 def train(corpus, gen, enc, cfg):

@@ -7,16 +7,19 @@ group-distance kernel (one pass per counterfactual) and of the evaluation
 metrics (topic alignment, UMass coherence, perplexity and the group probe),
 which the stacked and vectorized kernels must match bit for bit; and the
 dense (N, T, V) forms of the corpus's CSR view, the batch gather and the
-sampler, which the sparse code must match exactly; and the comparison of two
-ground truths. Only tests call them, to check the package's code against a
-direct computation."""
+sampler, which the sparse code must match exactly; a corpus loader that reads
+every docs.jsonl line with json.loads, which the bulk reader must match
+exactly; and the comparison of two ground truths. Only tests call them, to
+check the package's code against a direct computation."""
 
 import itertools
+import os
 from dataclasses import dataclass
 from types import SimpleNamespace
 
 import numpy as np
 
+from longtopic import corpus as corpus_module
 from longtopic.corpus import Corpus
 from longtopic.errors import NumericError, ShapeError, UnknownDistance
 from longtopic.evaluate import _as_stack, _topic_kl_matrix, top_words
@@ -452,6 +455,20 @@ def sample_corpus_ref(rng, topics, theta, count_range, covariates, groups,
             counts[i, t] = rng.multinomial(totals[i, t], p)
     return Corpus.from_dense(counts, covariates, groups, vocab,
                              n_groups=n_groups)
+
+
+def load_corpus_ref(path, allow_missing=False):
+    """load_corpus with every docs.jsonl line read by json.loads and its
+    per-line checks, in line order, and the records built by Corpus.build."""
+    cm = corpus_module
+    vocab = cm._read_vocab(os.path.join(path, cm.VOCAB_FILE))
+    groups = cm._read_groups(os.path.join(path, cm.GROUPS_FILE))
+    covariates = cm._read_meta(os.path.join(path, cm.META_FILE), len(groups))
+    fname = os.path.join(path, cm.DOCS_FILE)
+    records = [cm._parse_doc_line(fname, ln, line) for ln, line in
+               enumerate(cm._read_lines(fname), start=1) if line.strip()]
+    return Corpus.build(records, covariates, groups, vocab,
+                        allow_missing=allow_missing)
 
 
 def truths_equal(a, b):

@@ -367,3 +367,23 @@ def test_eval_and_infer_name_a_model_that_does_not_fit(tmp_path, capsys):
             assert code == 1, (data, mode)
             assert err.count("\n") == 1, err
             assert err.startswith(f"error: {error}:"), err
+
+
+@pytest.mark.parametrize("settings", [
+    ["train.a2=1e-320"],
+    ["train.learning_rate=1e300"],
+    ["train.dynamic_topics_var=1e-300", 'train.optimizer="sgd"'],
+])
+def test_numeric_blow_up_prints_only_the_named_error(tmp_path, settings):
+    # a fresh process, so that numpy's warnings would reach stderr as a
+    # user sees them
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [SRC, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "longtopic", "pipeline", "--out",
+         str(tmp_path / "out"), "--seed", "7", *SIM, *TRAIN,
+         *[arg for s in settings for arg in ("--set", s)]],
+        capture_output=True, text=True, env=env)
+    assert proc.returncode == 1
+    assert proc.stderr.count("\n") == 1, proc.stderr
+    assert proc.stderr.startswith("error: DivergedError: "), proc.stderr

@@ -1,4 +1,5 @@
 import json
+import re
 from unittest import mock
 
 import numpy as np
@@ -6,16 +7,18 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from longtopic import corpus as corpus_module
-from longtopic.corpus import Corpus, load_corpus, save_corpus
+from longtopic.corpus import Corpus, load_corpus, save_corpus, write_json
 from longtopic.errors import (
     DuplicateDocument,
     FormatError,
     IoError,
+    LongtopicError,
     MissingDocument,
     MissingLabel,
     VocabMismatch,
 )
-from oracles import dense_counts_ref
+from longtopic.simulate import SimConfig, simulate
+from oracles import dense_counts_ref, load_corpus_ref
 
 
 def write_corpus_dir(path, vocab, doc_lines, meta_lines, group_lines):
@@ -429,3 +432,147 @@ def test_csr_views_match_the_records(data):
             assert words[e].tolist() == sorted(cell)
             assert counts[e].tolist() == [cell[w] for w in sorted(cell)]
             assert rows[e].tolist() == [i] * len(cell)
+
+
+CORPUS_FILES = ("vocab.txt", "docs.jsonl", "meta.csv", "groups.csv")
+BIG = 12345678901234567890  # 20 digits, beyond int64
+
+
+def rewrite_line(line, kind, draw):
+    """One saved docs.jsonl line rewritten: a valid variant in another form
+    than saving writes, or an invalid one."""
+    obj = json.loads(line)
+    items = list(obj["counts"].items())
+    e = draw(st.integers(0, len(items) - 1))
+    if kind == "reorder":
+        return json.dumps({"counts": obj["counts"], "stage": obj["stage"],
+                           "subject": obj["subject"]})
+    if kind == "descending":
+        return json.dumps(dict(obj, counts=dict(reversed(items))))
+    if kind == "duplicate":
+        items.insert(draw(st.integers(0, len(items))),
+                     (items[e][0], draw(st.integers(0, 3))))
+        return line.split('"counts": ')[0] + '"counts": {%s}}' % ", ".join(
+            '"%s": %d' % kv for kv in items)
+    if kind == "zero_pad":  # "01" is a key, 01 is not JSON
+        if draw(st.booleans()):
+            at = draw(st.sampled_from([m.end() for m in
+                                       re.finditer(": ", line)]))
+            return line[:at] + "0" + line[at:]
+        items[e] = ("0" + items[e][0], items[e][1])
+    elif kind == "spaces":
+        return draw(st.sampled_from([" " + line, line.replace(": ", ":  "),
+                                     line.replace(", ", " , ")]))
+    elif kind == "count":
+        items[e] = (items[e][0], draw(st.sampled_from(
+            [0, -3, 2.5, 2.0, True, "3", None, BIG])))
+    elif kind == "big_key":
+        items[e] = (draw(st.sampled_from([str(BIG), str(2**63 - 1),
+                                          "1000000000000000000"])),
+                    items[e][1])
+    elif kind == "big_subject":
+        obj[draw(st.sampled_from(["subject", "stage"]))] = draw(
+            st.sampled_from([BIG, 2**63, 2**63 - 1]))
+    elif kind == "blank":
+        return draw(st.sampled_from(["", "   "]))
+    elif kind == "truncate":
+        return line[:draw(st.integers(1, len(line) - 1))]
+    elif kind == "not_object":
+        return draw(st.sampled_from(["[1, 2]", "3", '"doc"', "null"]))
+    return json.dumps(dict(obj, counts=dict(items)))
+
+
+def loaded(load):
+    """A loaded corpus's fields, its cells with their key order, or the
+    class and message of the error it raised."""
+    try:
+        c = load()
+    except LongtopicError as e:
+        return type(e).__name__, str(e)
+    return (c.vocab, c.groups.tolist(), c.present.tolist(),
+            c.covariates.tolist(), cell_items(c.docs))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_load_matches_json_reference(tmp_path_factory, data):
+    N, T, V = (data.draw(st.integers(1, 4)), data.draw(st.integers(1, 3)),
+               data.draw(st.integers(1, 12)))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**31 - 1)))
+    counts = rng.integers(0, 300, size=(N, T, V)) * (
+        rng.random((N, T, V)) < 0.5)
+    counts[0, 0, rng.integers(V)] = 1  # at least one document
+    c = Corpus.from_dense(counts, rng.standard_normal((N, T, 2)),
+                          np.arange(N) % 2, [f"w{v}" for v in range(V)],
+                          allow_missing=True)
+    path = tmp_path_factory.mktemp("docs")
+    save_corpus(c, path)
+    docs = path / "docs.jsonl"
+    lines = docs.read_text().splitlines()
+    for r in data.draw(st.lists(st.integers(0, len(lines) - 1), max_size=3,
+                                unique=True)):
+        lines[r] = rewrite_line(lines[r], data.draw(st.sampled_from(
+            ["reorder", "descending", "duplicate", "zero_pad", "spaces",
+             "count", "big_key", "big_subject", "blank", "truncate",
+             "not_object"])), data.draw)
+    docs.write_text("".join(line + "\n" for line in lines))
+    allow = data.draw(st.booleans())
+    with mock.patch.object(corpus_module, "BLOCK",
+                           data.draw(st.sampled_from([1, 2, 3, 256]))):
+        want = loaded(lambda: load_corpus_ref(path, allow))
+        assert loaded(lambda: load_corpus(path, allow)) == want
+
+
+@pytest.mark.parametrize("source", ["simulate", "load_corpus"])
+def test_cells_share_one_int_per_word_index(tmp_path, source):
+    cfg = SimConfig(n_subjects=30, n_stages=2, vocab_size=1000, n_topics=3,
+                    n_covariates=2, seed=5)
+    c, _ = simulate(cfg)
+    if source == "load_corpus":
+        save_corpus(c, tmp_path)
+        c = load_corpus(tmp_path)
+    keys = [w for row in c.docs for cell in row for w in cell]
+    assert max(keys) > 256  # not all in CPython's small-int cache
+    assert len({id(w) for w in keys}) == len(set(keys)) <= c.vocab_size
+
+
+def test_save_of_a_loaded_corpus_rewrites_its_files(tmp_path):
+    c, _ = simulate(SimConfig(n_subjects=20, n_stages=3, vocab_size=300,
+                              n_topics=2, n_covariates=3, seed=2))
+    save_corpus(c, tmp_path / "a")
+    save_corpus(load_corpus(tmp_path / "a"), tmp_path / "b")
+    for name in ("vocab.txt", "docs.jsonl", "groups.csv"):
+        assert ((tmp_path / "a" / name).read_bytes()
+                == (tmp_path / "b" / name).read_bytes()), name
+    # loading standardizes the covariates again, which moves their last bits
+    a, b = (np.loadtxt(tmp_path / d / "meta.csv", delimiter=",", skiprows=1)
+            for d in "ab")
+    assert np.array_equal(a[:, :2], b[:, :2])
+    np.testing.assert_allclose(a[:, 2:], b[:, 2:], rtol=0, atol=1e-12)
+
+
+class Interrupted(BaseException):
+    pass
+
+
+def test_failed_writes_leave_the_previous_file(tmp_path, monkeypatch):
+    fname = tmp_path / "obj.json"
+    write_json({"a": 1}, fname)
+    with pytest.raises(TypeError):
+        write_json({"a": object()}, fname)
+    assert fname.read_text() == '{"a": 1}\n'
+    assert [p.name for p in tmp_path.iterdir()] == ["obj.json"]
+
+    out = tmp_path / "corpus"
+    c = load_corpus(minimal_dir(tmp_path))
+    save_corpus(c, out)
+    before = {name: (out / name).read_bytes() for name in CORPUS_FILES}
+
+    def interrupted(corpus):
+        yield '{"subject": 0, '
+        raise Interrupted
+
+    monkeypatch.setattr(corpus_module, "_doc_lines", interrupted)
+    with pytest.raises(Interrupted):
+        save_corpus(c, out)
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
