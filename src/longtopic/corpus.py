@@ -37,6 +37,7 @@ import math
 import numbers
 import os
 import re
+import reprlib
 from dataclasses import dataclass, field
 from itertools import chain, islice
 
@@ -464,6 +465,37 @@ def read_json(fname):
         raise IoError(f"cannot read {fname}: {e}") from e
     except json.JSONDecodeError as e:
         raise IoError(f"{fname}: invalid JSON: {e}") from e
+
+
+_KINDS = {dict: "an object", list: "a list", bool: "true or false",
+          int: "an integer"}
+
+
+def read_entry(obj, key, where, kind=np.ndarray, least=None, shape=None):
+    """obj[key] checked against kind, else FormatError naming where and key.
+    kind is dict, list, bool, int (not a bool; >= least when given), or
+    np.ndarray: a number or regular nested list of numbers (no string, bool
+    or null), returned as float64, of the given shape when one is given."""
+    if not isinstance(obj, dict) or key not in obj:
+        raise FormatError(f"{where}: missing key {key!r}")
+    value = obj[key]
+    if kind is not np.ndarray:
+        if isinstance(value, kind) and (kind is bool or not isinstance(
+                value, bool)) and (least is None or value >= least):
+            return value
+        bound = "" if least is None else f" >= {least}"
+        raise FormatError(f"{where}: {key!r} must be {_KINDS[kind]}{bound};"
+                          f" got {reprlib.repr(value)}")
+    try:
+        arr = np.array(value)
+    except ValueError:  # a ragged list
+        arr = np.array(None)
+    if arr.dtype.kind not in "iuf":
+        raise FormatError(f"{where}: {key!r} is not a numeric array")
+    if shape is not None and arr.shape != shape:
+        raise FormatError(f"{where}: {key!r} has shape {arr.shape},"
+                          f" expected {shape}")
+    return arr.astype(np.float64, copy=False)
 
 
 def write_json(obj, fname, indent=None):

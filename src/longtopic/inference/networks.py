@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ShapeError
-from ..model import group_encoding_dim
+from ..model import ParamBlock, group_encoding_dim
 
 SIGMA_MIN = 1e-4
 
@@ -45,7 +45,8 @@ def sigmoid(x):
 
 
 @dataclass
-class StageEncoder:
+class StageEncoder(ParamBlock):
+    DIMS = ("V", "P", "E", "K", "H")
     V: int
     P: int
     E: int
@@ -62,20 +63,10 @@ class StageEncoder:
     def in_dim(self):
         return self.V + self.P + self.E + self.K
 
-    @classmethod
-    def init(cls, V, P, E, K, H, rng=None, scale=0.01):
-        rng = rng if rng is not None else np.random.default_rng(0)
-        D = V + P + E + K
-        return cls(
-            V=V, P=P, E=E, K=K, H=H,
-            Wh=scale * rng.standard_normal((H, D)), bh=np.zeros(H),
-            Wm=scale * rng.standard_normal((K, H)), bm=np.zeros(K),
-            Ws=scale * rng.standard_normal((K, H)), bs=np.zeros(K),
-        )
-
-    def param_items(self):
-        return [("Wh", self.Wh), ("bh", self.bh), ("Wm", self.Wm),
-                ("bm", self.bm), ("Ws", self.Ws), ("bs", self.bs)]
+    @staticmethod
+    def param_shapes(V, P, E, K, H):
+        return [("Wh", (H, V + P + E + K)), ("bh", (H,)), ("Wm", (K, H)),
+                ("bm", (K,)), ("Ws", (K, H)), ("bs", (K,))]
 
     def forward(self, inp, group_shifts=None):
         """inp (B, D) -> (mu (B, K), sigma (B, K), cache).
@@ -145,6 +136,6 @@ class EncoderParams:
     def init(cls, V, P, K, T, n_groups, hidden=64, rng=None, scale=0.01):
         rng = rng if rng is not None else np.random.default_rng(0)
         E = group_encoding_dim(n_groups)
-        stages = [StageEncoder.init(V, P, E, K, hidden, rng=rng, scale=scale)
-                  for _ in range(T)]
+        stages = [StageEncoder.init(V=V, P=P, E=E, K=K, H=hidden, rng=rng,
+                                    scale=scale) for _ in range(T)]
         return cls(stages=stages, n_groups=n_groups)

@@ -25,7 +25,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from ..corpus import read_json, write_json
+from ..corpus import read_entry, read_json, write_json
 from ..errors import (
     ConfigError,
     DivergedError,
@@ -43,6 +43,7 @@ from ..model import (
     TransitionModel,
     column_softmax,
     encode_groups,
+    group_encoding_dim,
     softmax,
 )
 from .loss import (
@@ -106,9 +107,8 @@ def default_init(corpus, cfg):
         # across stages instead of being broken by symmetry at random
         first = enc.stages[0]
         for stage in enc.stages[1:]:
-            for (_, dst), (_, src) in zip(stage.param_items(),
-                                          first.param_items()):
-                dst[...] = src
+            for name, arr in first.param_items():
+                getattr(stage, name)[...] = arr
     return gen, enc
 
 
@@ -117,14 +117,11 @@ def param_registry(gen, enc, extra=None, include_beta=True):
     transitions appear once. include_beta=False drops the shared topic
     matrix (per-stage topic fits parametrize topics elsewhere)."""
     items = [("beta", gen.beta)] if include_beta else []
-    if gen.share_across_stages:
-        items += [(f"trans.{n}", a)
-                  for n, a in gen.transitions[0].param_items()]
-    else:
-        for t, m in enumerate(gen.transitions):
-            items += [(f"trans{t}.{n}", a) for n, a in m.param_items()]
-    for t, se in enumerate(enc.stages):
-        items += [(f"enc{t}.{n}", a) for n, a in se.param_items()]
+    blocks = ([("trans", gen.transitions[0])] if gen.share_across_stages
+              else [(f"trans{t}", m) for t, m in enumerate(gen.transitions)])
+    blocks += [(f"enc{t}", s) for t, s in enumerate(enc.stages)]
+    items += [(f"{b}.{n}", a) for b, block in blocks
+              for n, a in block.param_items()]
     if extra:
         items += list(extra)
     return items
@@ -138,6 +135,7 @@ class Optimizer:
         sgd:  v = momentum * v + g;  arr -= lr * v
         adam: m = 0.9 * m + 0.1 * g;  v = 0.999 * v + 0.001 * g * g;
               arr -= lr * (m / (1 - 0.9^t)) / (sqrt(v / (1 - 0.999^t)) + 1e-8)
+    NumericError when an Adam second moment v overflows.
     """
 
     def __init__(self, registry, cfg):
@@ -173,6 +171,9 @@ class Optimizer:
                 v *= 0.999
                 np.multiply(0.001, g, out=s)
                 v += np.multiply(s, g, out=s)
+                if not math.isfinite(v.max()):  # every update would be 0
+                    raise NumericError(
+                        f"the second moment of {key} overflowed")
                 np.divide(v, 1.0 - 0.999 ** self.t, out=d)
                 np.sqrt(d, out=d)
                 d += 1e-8
@@ -338,13 +339,8 @@ def infer_proportions(fitted, corpus):
 
 # -- serialization -----------------------------------------------------------
 
-# the dimensions model.json stores next to each parameter block's arrays
-_DIMS = {TransitionModel: ("K", "in_dim", "hidden"),
-         StageEncoder: ("V", "P", "E", "K", "H")}
-
-
 def _block_to_dict(block):
-    d = {k: getattr(block, k) for k in _DIMS[type(block)]}
+    d = block.dims()
     d.update((name, arr.tolist()) for name, arr in block.param_items())
     return d
 
@@ -377,90 +373,70 @@ def save_model(fitted, fname):
     write_json(obj, fname)
 
 
-def _get(d, key, where, least=None):
-    """d[key]; with least given, an integer >= least. FormatError when d is
-    not an object, has no key or holds something else."""
-    if not isinstance(d, dict) or key not in d:
-        raise FormatError(f"{where}: missing key {key!r}")
-    v = d[key]
-    if least is not None and (isinstance(v, bool) or not isinstance(v, int)
-                              or v < least):
-        raise FormatError(f"{where}: {key} must be an integer >= {least};"
-                          f" got {v!r}")
-    return v
-
-
-def _get_array(d, key, shape, where):
-    """d[key] as a float64 array of the given shape, else FormatError."""
-    try:
-        arr = np.asarray(_get(d, key, where), dtype=np.float64)
-    except (TypeError, ValueError) as e:
-        raise FormatError(f"{where}: {key} is not a numeric array") from e
-    if arr.shape != shape:
-        raise FormatError(
-            f"{where}: {key} has shape {arr.shape}, expected {shape}")
-    return arr
-
-
-def _read_blocks(blocks, stored, where):
-    """Fill each template block from its stored object: the dimensions must
-    be the template's, and each array is read by the name and shape its
-    param_items() gives."""
-    if not isinstance(stored, list) or len(stored) != len(blocks):
-        raise FormatError(f"{where}: expected a list of {len(blocks)}")
-    for i, (block, d) in enumerate(zip(blocks, stored)):
-        at = f"{where}[{i}]"
-        for k in _DIMS[type(block)]:
-            if _get(d, k, at) != getattr(block, k):
-                raise FormatError(
-                    f"{at}: {k} is {d[k]!r}, expected {getattr(block, k)}")
-        for name, arr in block.param_items():
-            arr[...] = _get_array(d, name, arr.shape, at)
+def _read_blocks(cls, obj, key, n, dims, fname):
+    """The n cls blocks stored under key: each stored dimension must be the
+    one dims gives, and each array is read at the shape param_shapes gives."""
+    stored = read_entry(obj, key, fname, list)
+    if len(stored) != n:
+        raise FormatError(f"{fname}: {key!r} must be a list of {n}")
+    blocks = []
+    for i, d in enumerate(stored):
+        at = f"{fname}: {key}[{i}]"
+        for k, want in dims.items():
+            got = read_entry(d, k, at, int)
+            if got != want:
+                raise FormatError(f"{at}: {k!r} is {got}, expected {want}")
+        blocks.append(cls(**dims, **{
+            name: read_entry(d, name, at, shape=shape)
+            for name, shape in cls.param_shapes(**dims)}))
+    return blocks
 
 
 def load_model(fname):
     """The FittedModel that save_model wrote to fname: IoError when it is not
-    a model file, FormatError for a missing, unknown or malformed entry.
-    Templates sized from the stored dimensions (vocabulary, n_topics, stages,
-    groups, and the first stored block's covariates and widths) give every
-    parameter's name and shape."""
+    a model file, FormatError naming the file and the key for a missing,
+    unknown or malformed entry. Each block's dimensions are checked before
+    its arrays are read at the shapes they give."""
     obj = read_json(fname)
     if not isinstance(obj, dict) or obj.get("format") != "longtopic-model-v1":
         raise IoError(f"{fname}: not a model file")
     try:
-        cfg = TrainConfig(**_get(obj, "config", fname))
+        cfg = TrainConfig(**read_entry(obj, "config", fname, dict))
     except (TypeError, ConfigError, UnknownDistance) as e:
         raise FormatError(f"{fname}: bad config: {e}") from e
-    vocab = _get(obj, "vocab", fname)
-    if not isinstance(vocab, list) or not all(
-            isinstance(w, str) for w in vocab):
-        raise FormatError(f"{fname}: vocab must be a list of words")
-    share = _get(obj, "share_across_stages", fname)
-    if not isinstance(share, bool):
-        raise FormatError(f"{fname}: share_across_stages must be a bool")
-    V, K = len(vocab), cfg.n_topics
-    T = _get(obj, "n_stages", fname, least=1)
-    G = _get(obj, "n_groups", fname, least=2)
-    trans, encs = (_get(obj, k, fname) for k in ("transitions", "encoders"))
-    t0, e0 = (b[0] if isinstance(b, list) and b else {} for b in (trans, encs))
-    P = _get(e0, "P", f"{fname}: encoders[0]", least=0)
-    gen = GenerativeParams.init(
-        V, K, T, P, G, share_across_stages=share,
-        hidden=_get(t0, "hidden", f"{fname}: transitions[0]", least=0),
-        a2=float(_get_array(obj, "a2", (), fname)),
-        delta2=float(_get_array(obj, "delta2", (), fname)))
-    enc = EncoderParams.init(
-        V, P, K, T, G, hidden=_get(e0, "H", f"{fname}: encoders[0]", least=1))
-    _read_blocks(gen.transitions[:1] if share else gen.transitions, trans,
-                 f"{fname}: transitions")
-    _read_blocks(enc.stages, encs, f"{fname}: encoders")
-    for key in ("beta", "beta0_mean", "eta0"):
-        arr = getattr(gen, key)
-        arr[...] = _get_array(obj, key, arr.shape, fname)
+    vocab = read_entry(obj, "vocab", fname, list)
+    if not all(isinstance(w, str) for w in vocab):
+        raise FormatError(f"{fname}: 'vocab' must be a list of words")
+    share = read_entry(obj, "share_across_stages", fname, bool)
+    T = read_entry(obj, "n_stages", fname, int, least=1)
+    G = read_entry(obj, "n_groups", fname, int, least=2)
+    V, K, E = len(vocab), cfg.n_topics, group_encoding_dim(G)
+    first = (read_entry(obj, "encoders", fname, list) or [None])[0]
+    P = read_entry(first, "P", f"{fname}: encoders[0]", int, least=0)
+    # the encoders first: they check T before the shared model is repeated
+    stages = _read_blocks(StageEncoder, obj, "encoders", T,
+                          dict(V=V, P=P, E=E, K=K, H=cfg.hidden_enc), fname)
+    models = _read_blocks(TransitionModel, obj, "transitions",
+                          1 if share else T, dict(K=K, in_dim=K + P + E,
+                                                  hidden=cfg.hidden_trans),
+                          fname)
+    try:
+        gen = GenerativeParams(
+            beta=read_entry(obj, "beta", fname, shape=(V, K)),
+            transitions=models * T if share else models,
+            beta0_mean=read_entry(obj, "beta0_mean", fname, shape=(V, K)),
+            delta2=float(read_entry(obj, "delta2", fname, shape=())),
+            a2=float(read_entry(obj, "a2", fname, shape=())),
+            eta0=read_entry(obj, "eta0", fname, shape=(K,)),
+            share_across_stages=share)
+    except NumericError as e:  # a negative variance; shapes are read right
+        raise FormatError(f"{fname}: {e}") from e
     beta_stage, scale = (
-        None if obj.get(k) is None else _get_array(obj, k, (T, V, K), fname)
+        None if obj.get(k) is None else read_entry(obj, k, fname,
+                                                   shape=(T, V, K))
         for k in ("beta_stage", "beta_stage_scale"))
     return FittedModel(
-        gen=gen, enc=enc, cfg=cfg, vocab=vocab, n_groups=G,
-        log=_get(obj, "log", fname), converged=_get(obj, "converged", fname),
+        gen=gen, enc=EncoderParams(stages=stages, n_groups=G), cfg=cfg,
+        vocab=vocab, n_groups=G, log=read_entry(obj, "log", fname, list),
+        converged=read_entry(obj, "converged", fname, bool),
         beta_stage=beta_stage, beta_stage_scale=scale)

@@ -67,12 +67,37 @@ def encode_groups(groups, n_groups):
     return enc
 
 
+class ParamBlock:
+    """A network block whose parameters are named and shaped by its dimensions
+    alone: a dataclass whose DIMS fields are the dimensions, and whose
+    param_shapes(**dims) lists (name, shape) of every array in registry
+    order. init, param_items and load_model all read that list."""
+
+    def dims(self):
+        return {k: getattr(self, k) for k in self.DIMS}
+
+    def param_items(self):
+        return [(n, getattr(self, n))
+                for n, _ in self.param_shapes(**self.dims())]
+
+    @classmethod
+    def init(cls, *, rng=None, scale=0.01, **dims):
+        """A block of the given dimensions: each weight matrix (a name
+        starting with W) drawn scale * N(0, 1) from rng in list order, each
+        bias zero."""
+        rng = rng if rng is not None else np.random.default_rng(0)
+        return cls(**dims, **{
+            n: scale * rng.standard_normal(s) if n[0] == "W" else np.zeros(s)
+            for n, s in cls.param_shapes(**dims)})
+
+
 @dataclass
-class TransitionModel:
+class TransitionModel(ParamBlock):
     """Per-stage transition f_t mapping [eta_prev (K), x_t (P), y-enc (E)] to
     the next prior mean in R^K. Affine by default; optionally one tanh hidden
     layer of width `hidden`."""
 
+    DIMS = ("K", "in_dim", "hidden")
     K: int
     in_dim: int
     hidden: int = 0
@@ -83,25 +108,12 @@ class TransitionModel:
     W2: np.ndarray | None = None     # (K, H)
     b2: np.ndarray | None = None     # (K,)
 
-    @classmethod
-    def init(cls, K, in_dim, hidden=0, rng=None, scale=0.01):
-        rng = rng if rng is not None else np.random.default_rng(0)
-        m = cls(K=K, in_dim=in_dim, hidden=hidden)
+    @staticmethod
+    def param_shapes(K, in_dim, hidden=0):
         if hidden > 0:
-            m.W1 = scale * rng.standard_normal((hidden, in_dim))
-            m.b1 = np.zeros(hidden)
-            m.W2 = scale * rng.standard_normal((K, hidden))
-            m.b2 = np.zeros(K)
-        else:
-            m.W = scale * rng.standard_normal((K, in_dim))
-            m.b = np.zeros(K)
-        return m
-
-    def param_items(self):
-        if self.hidden > 0:
-            return [("W1", self.W1), ("b1", self.b1),
-                    ("W2", self.W2), ("b2", self.b2)]
-        return [("W", self.W), ("b", self.b)]
+            return [("W1", (hidden, in_dim)), ("b1", (hidden,)),
+                    ("W2", (K, hidden)), ("b2", (K,))]
+        return [("W", (K, in_dim)), ("b", (K,))]
 
     def forward(self, inp):
         """inp (B, D) -> (out (B, K), cache)."""
@@ -164,7 +176,8 @@ class GenerativeParams:
         if self.eta0.shape != (K,):
             raise ShapeError("eta0 must have K entries")
         if self.delta2 < 0 or self.a2 < 0:
-            raise NumericError("variances must be nonnegative")
+            raise NumericError(f"variances must be nonnegative; got"
+                               f" a2={self.a2}, delta2={self.delta2}")
 
     @property
     def n_topics(self):
@@ -185,8 +198,8 @@ class GenerativeParams:
         E = group_encoding_dim(n_groups)
         beta = scale * rng.standard_normal((V, K))
         n_models = 1 if share_across_stages else T
-        models = [TransitionModel.init(K, K + P + E, hidden=hidden, rng=rng,
-                                       scale=scale)
+        models = [TransitionModel.init(K=K, in_dim=K + P + E, hidden=hidden,
+                                       rng=rng, scale=scale)
                   for _ in range(n_models)]
         transitions = models * T if share_across_stages else models
         return cls(beta=beta, transitions=transitions, delta2=delta2, a2=a2,

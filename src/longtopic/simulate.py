@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import read_json, write_json
+from .corpus import read_entry, read_json, write_json
 from .errors import (
     ConfigError,
     FormatError,
@@ -250,27 +250,14 @@ def load_truth(fname):
     or shapes other than beta_true (T, V, K) and theta_true (T, N, K) raise
     FormatError."""
     obj = read_json(fname)
-    for key in ("beta_true", "theta_true", "gamma"):
-        if not isinstance(obj, dict) or key not in obj:
-            raise FormatError(f"{fname}: missing key {key!r}")
-    if not isinstance(obj["gamma"], dict):
-        raise FormatError(f"{fname}: 'gamma' must be an object")
-    beta, theta = (_numeric(fname, k, obj[k]) for k in ("beta_true",
-                                                        "theta_true"))
+    beta, theta = (read_entry(obj, k, fname)
+                   for k in ("beta_true", "theta_true"))
     if beta.ndim != 3 or theta.ndim != 3 or \
             beta.shape[::2] != theta.shape[::2]:  # the same T and K
         raise FormatError(f"{fname}: 'beta_true' {beta.shape}, 'theta_true'"
                           f" {theta.shape} are not (T, V, K), (T, N, K)")
+    # a gamma entry's messages name it gamma.<key>
+    gamma = read_entry(obj, "gamma", fname, dict)
     return GroundTruth(beta_true=beta, theta_true=theta, gamma={
-        k: _numeric(fname, f"gamma.{k}", v) for k, v in obj["gamma"].items()})
-
-
-def _numeric(fname, key, value):
-    """A JSON number or regular nested list of numbers as a float64 array."""
-    try:
-        arr = np.array(value)
-    except ValueError:
-        arr = np.array(None)
-    if arr.dtype.kind not in "iuf":
-        raise FormatError(f"{fname}: {key!r} is not a numeric array")
-    return arr.astype(np.float64)
+        k: read_entry({f"gamma.{k}": v}, f"gamma.{k}", fname)
+        for k, v in gamma.items()})

@@ -373,6 +373,7 @@ def test_eval_and_infer_name_a_model_that_does_not_fit(tmp_path, capsys):
     ["train.a2=1e-320"],
     ["train.learning_rate=1e300"],
     ["train.dynamic_topics_var=1e-300", 'train.optimizer="sgd"'],
+    ["train.dynamic_topics_var=1e-300"],
 ])
 def test_numeric_blow_up_prints_only_the_named_error(tmp_path, settings):
     # a fresh process, so that numpy's warnings would reach stderr as a

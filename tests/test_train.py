@@ -25,9 +25,10 @@ from longtopic.inference.trainer import (
 from longtopic.model import default_vocab
 
 
-def two_topic_corpus(N=40, T=1, seed=0):
+def two_topic_corpus(N=40, T=1, seed=0, n_groups=2):
     """Documents draw from one of two disjoint word pairs; the first half of
-    the subjects use words {0,1}, the rest {2,3}."""
+    the subjects use words {0,1}, the rest {2,3}. Subject i is in group
+    i % n_groups."""
     rng = np.random.default_rng(seed)
     V = 4
     counts = np.zeros((N, T, V))
@@ -38,8 +39,9 @@ def two_topic_corpus(N=40, T=1, seed=0):
             for v in draws:
                 counts[i, t, v] += 1
     cov = rng.standard_normal((N, T, 2))
-    groups = np.tile([0, 1], N // 2)
-    return Corpus.from_dense(counts, cov, groups, default_vocab(V))
+    groups = np.arange(N) % n_groups
+    return Corpus.from_dense(counts, cov, groups, default_vocab(V),
+                             n_groups=n_groups)
 
 
 def fast_cfg(**kw):
@@ -252,21 +254,75 @@ def test_load_then_save_gives_the_same_bytes(saved_model, tmp_path):
     assert again.read_bytes() == saved_model.read_bytes()
 
 
+@pytest.mark.parametrize("n_groups, fit_kw", [
+    (2, dict()),
+    (4, dict(hidden_trans=3)),
+    (2, dict(dynamic_topics_var=0.5)),
+], ids=["affine-per-stage-transitions", "four-groups", "dynamic-topics"])
+def test_load_then_save_gives_the_same_bytes_for_every_block_variety(
+        tmp_path, n_groups, fit_kw):
+    corpus = two_topic_corpus(N=16, T=2, n_groups=n_groups)
+    cfg = fast_cfg(t_max=2, **fit_kw)
+    fitted = (fit_dynamic_topics(corpus, cfg) if "dynamic_topics_var" in fit_kw
+              else fit(corpus, cfg))
+    assert (fitted.beta_stage is not None) == ("dynamic_topics_var" in fit_kw)
+    saved, again = tmp_path / "model.json", tmp_path / "again.json"
+    save_model(fitted, saved)
+    save_model(load_model(saved), again)
+    assert again.read_bytes() == saved.read_bytes()
+
+
 @pytest.mark.parametrize("corrupt, error, needle", [
     (lambda o: o.pop("beta"), FormatError, "'beta'"),
     (lambda o: o["encoders"][0].pop("bs"), FormatError, "'bs'"),
     (lambda o: o["config"].update(bogus=1), FormatError, "bogus"),
     (lambda o: o["config"].update(n_topics="3"), FormatError,
      "json: bad config: n_topics"),
-    (lambda o: o["encoders"][1]["Wh"].pop(), FormatError, "Wh has shape"),
-    (lambda o: o["transitions"][0].update(W1="abc"), FormatError, "W1 is"),
-    (lambda o: o["encoders"][0].update(K=5), FormatError, "K is 5"),
+    (lambda o: o["encoders"][1]["Wh"].pop(), FormatError, "'Wh' has shape"),
+    (lambda o: o["transitions"][0].update(W1="abc"), FormatError, "'W1' is"),
+    (lambda o: o["encoders"][0].update(K=5), FormatError, "'K' is 5"),
     (lambda o: o.update(n_stages=3), FormatError, "list of 3"),
     (lambda o: o.update(n_groups=1), FormatError, "n_groups"),
     (lambda o: o.update(vocab=4), FormatError, "vocab"),
-    (lambda o: o.update(eta0=[0.0]), FormatError, "eta0 has shape"),
+    (lambda o: o.update(eta0=[0.0]), FormatError, "'eta0' has shape"),
     (lambda o: o.update(beta_stage=[[1.0]]), FormatError, "beta_stage"),
     (lambda o: o.update(a2="big"), FormatError, "a2"),
+    # wrong JSON kinds that a float64 cast would let through
+    pytest.param(lambda o: o.update(a2="2"), FormatError,
+                 "model.json: 'a2' is not a numeric array", id="a2-string"),
+    pytest.param(lambda o: o.update(a2=True), FormatError,
+                 "model.json: 'a2' is not a numeric array", id="a2-bool"),
+    pytest.param(lambda o: o["beta"][0].__setitem__(0, "0.5"), FormatError,
+                 "model.json: 'beta' is not a numeric array",
+                 id="beta-string-cell"),
+    pytest.param(lambda o: o.update(eta0=[True, False]), FormatError,
+                 "model.json: 'eta0' is not a numeric array", id="eta0-bools"),
+    pytest.param(lambda o: o["encoders"][0]["Wh"][0].__setitem__(0, "1e3"),
+                 FormatError,
+                 r"model.json: encoders\[0\]: 'Wh' is not a numeric array",
+                 id="Wh-string-cell"),
+    pytest.param(lambda o: o.update(log="x"), FormatError,
+                 "model.json: 'log' must be a list", id="log-string"),
+    pytest.param(lambda o: o.update(converged="yes"), FormatError,
+                 "model.json: 'converged' must be true or false",
+                 id="converged-string"),
+    pytest.param(lambda o: o["encoders"][0].update(K=2.0), FormatError,
+                 r"model.json: encoders\[0\]: 'K' must be an integer;"
+                 " got 2.0", id="K-float"),
+    pytest.param(lambda o: o.update(a2=-1), FormatError,
+                 "model.json: variances must be nonnegative; got a2=-1",
+                 id="a2-negative"),
+    # dimensions no array could have; nothing may be allocated by them
+    pytest.param(lambda o: o["encoders"][0].update(H=10 ** 12), FormatError,
+                 r"model.json: encoders\[0\]: 'H' is 1000000000000,"
+                 " expected 8", id="H-huge"),
+    pytest.param(lambda o: o["transitions"][0].update(hidden=10 ** 12),
+                 FormatError,
+                 r"model.json: transitions\[0\]: 'hidden' is 1000000000000,"
+                 " expected 3", id="hidden-huge"),
+    pytest.param(lambda o: o["encoders"][0].update(P=10 ** 12), FormatError,
+                 r"model.json: encoders\[0\]: 'Wh' has shape \(8, 9\),"
+                 r" expected \(8, 1000000000007\)", id="P-huge"),
 ])
 def test_load_model_names_malformed_entries(saved_model, tmp_path, corrupt,
                                             error, needle):
