@@ -59,6 +59,10 @@ META_FILE = "meta.csv"
 GROUPS_FILE = "groups.csv"
 BAD_KEY = -2**63  # word index standing for a key that int() refused
 BLOCK = 256  # records checked and assembled together
+# subjects per block of a pass over the whole corpus (the fit's full-data
+# evaluation, inference and the metrics), so that no pass holds an (N, V)
+# array
+ROW_CHUNK = 256
 _INT = r"(?:0|[1-9][0-9]{0,17})"  # below 10**18, no sign, no leading 0
 _PAIR = rf'"{_INT}": -?{_INT}'
 # a docs.jsonl line as _doc_lines writes it: subject, stage, counts body
@@ -222,6 +226,14 @@ class Corpus:
             self._csr = (np.searchsorted(cell, np.arange(N * T + 1)), words,
                          counts, cell % N)
         return self._csr
+
+    def stage_block(self, t, lo, hi):
+        """(rows, words, counts) of stage t's entries for subjects lo to
+        hi - 1, with rows counted from lo: one slice of csr()."""
+        indptr, words, counts, rows = self.csr()
+        N = self.n_subjects
+        sl = slice(indptr[t * N + lo], indptr[t * N + hi])
+        return rows[sl] - lo, words[sl], counts[sl]
 
     def dense_counts(self):
         """(N, T, V) float64 count tensor. Missing cells are all-zero rows."""

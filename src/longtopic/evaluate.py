@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import write_json
+from .corpus import ROW_CHUNK, write_json
 from .errors import (DegenerateDesign, NumericError, ShapeError,
                      TooManyTopics)
 from .model import PROB_FLOOR
@@ -130,25 +130,32 @@ def top_words(beta_hat, top_n=15):
 def umass_coherence(beta_hat, corpus, top_n=15):
     """Mean over (stage, topic) of sum_{i != j} log((D_t(v_i, v_j) + 1) /
     D_t(v_j)), where D_t counts stage-t documents containing the word(s);
-    j-words absent from stage t are skipped."""
+    j-words absent from stage t are skipped. The counts add up over blocks
+    of ROW_CHUNK subjects."""
     bh = _as_stack(beta_hat, "beta_hat")
     T, V, K = bh.shape
     tops = top_words(bh, top_n)
-    (indptr, words, _, rows), N = corpus.csr(), corpus.n_subjects
-    n = tops.shape[2]
+    N, n = corpus.n_subjects, tops.shape[2]
     keep = ~np.eye(n, dtype=bool)
+    occ = np.empty((min(N, ROW_CHUNK), V), dtype=bool)  # word-in-doc flags
     total = 0.0
     for t in range(T):
-        sl = slice(indptr[t * N], indptr[(t + 1) * N])
-        occ = np.zeros((N, V), dtype=bool)      # word-in-doc flags
-        occ[rows[sl], words[sl]] = True
-        doc_freq = occ.sum(axis=0)[tops[t]]     # (K, n)
-        # co-document counts: exact integers (missing cells add zero rows);
+        # exact integer counts in any order (missing cells add zero rows)
+        doc_freq = np.zeros(V, dtype=np.int64)
+        co = np.zeros((K, n, n))                # co-document counts
+        for lo in range(0, N, ROW_CHUNK):
+            hi = min(lo + ROW_CHUNK, N)
+            rows, words, _ = corpus.stage_block(t, lo, hi)
+            block = occ[:hi - lo]
+            block.fill(False)
+            block[rows, words] = True
+            doc_freq += block.sum(axis=0)
+            cols = block[:, tops[t]].astype(np.float64).transpose(1, 2, 0)
+            co += cols @ cols.transpose(0, 2, 1)
+        df = doc_freq[tops[t]]                  # (K, n)
         # the pair terms add up in (i, j) order, a skipped pair as +0.0
-        cols = occ[:, tops[t]].astype(np.float64).transpose(1, 2, 0)
-        co = cols @ cols.transpose(0, 2, 1)     # (K, n, n)
-        terms = np.log((co + 1.0) / np.maximum(doc_freq, 1)[:, None, :])
-        terms = np.where(keep & (doc_freq > 0)[:, None, :], terms, 0.0)
+        terms = np.log((co + 1.0) / np.maximum(df, 1)[:, None, :])
+        terms = np.where(keep & (df > 0)[:, None, :], terms, 0.0)
         for score in np.cumsum(terms.reshape(K, n * n), axis=1)[:, -1]:
             total += score
     return total / (T * K)
@@ -157,7 +164,8 @@ def umass_coherence(beta_hat, corpus, top_n=15):
 def perplexity(beta_hat, theta_hat, corpus):
     """(1/T) sum_t exp of the stage's mean per-word negative log-likelihood
     under theta_hat . beta_hat^T; probabilities floored at 1e-12. Missing
-    cells are excluded from the stage mean."""
+    cells are excluded from the stage mean. The word probabilities go
+    through one (ROW_CHUNK, V) buffer, a block of subjects at a time."""
     bh = _as_stack(beta_hat, "beta_hat")
     th = np.asarray(theta_hat, dtype=np.float64)
     T, V, K = bh.shape
@@ -166,20 +174,26 @@ def perplexity(beta_hat, theta_hat, corpus):
     N = corpus.n_subjects
     if corpus.vocab_size != V or N != th.shape[1]:
         raise ShapeError("corpus dimensions disagree with the model arrays")
-    (indptr, words, counts, rows), totals = corpus.csr(), corpus.total_counts()
     out = 0.0
-    terms = np.empty((N, V))                    # reused per stage
+    terms = np.empty((min(N, ROW_CHUNK), V))    # reused per block
+    per_doc, totals = np.empty((2, N))
     for t in range(T):
-        sl = slice(indptr[t * N], indptr[(t + 1) * N])
-        np.matmul(th[t], bh[t].T, out=terms)    # word probabilities
-        # the log at the nonzero counts only, scattered back into a zeroed
-        # buffer, so the row sums add the same terms as a dense product
-        logp = np.log(np.maximum(terms[rows[sl], words[sl]], PROB_FLOOR))
-        terms.fill(0.0)
-        terms[rows[sl], words[sl]] = logp * counts[sl]
+        for lo in range(0, N, ROW_CHUNK):
+            hi = min(lo + ROW_CHUNK, N)
+            rows, words, counts = corpus.stage_block(t, lo, hi)
+            block = terms[:hi - lo]
+            np.matmul(th[t, lo:hi], bh[t].T, out=block)  # word probabilities
+            # the log at the nonzero counts only, scattered back into a
+            # zeroed block, so the row sums add the same terms as a dense
+            # product
+            logp = np.log(np.maximum(block[rows, words], PROB_FLOOR))
+            block.fill(0.0)
+            block[rows, words] = logp * counts
+            block.sum(axis=1, out=per_doc[lo:hi])
+            totals[lo:hi] = np.bincount(rows, weights=counts,
+                                        minlength=hi - lo)
         mask = corpus.present[:, t]
-        per_doc = -terms.sum(axis=1)[mask] / totals[mask, t]
-        out += np.exp(per_doc.mean())
+        out += np.exp((-per_doc[mask] / totals[mask]).mean())
     return float(out / T)
 
 

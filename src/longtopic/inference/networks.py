@@ -128,10 +128,6 @@ class EncoderParams:
     def n_stages(self):
         return len(self.stages)
 
-    @property
-    def n_topics(self):
-        return self.stages[0].K
-
     @classmethod
     def init(cls, V, P, K, T, n_groups, hidden=64, rng=None, scale=0.01):
         rng = rng if rng is not None else np.random.default_rng(0)

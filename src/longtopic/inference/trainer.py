@@ -25,7 +25,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from ..corpus import read_entry, read_json, write_json
+from ..corpus import ROW_CHUNK, read_entry, read_json, write_json
 from ..errors import (
     ConfigError,
     DivergedError,
@@ -51,7 +51,6 @@ from .loss import (
     Workspace,
     encoder_input,
     longitudinal_loss,
-    relative_frequencies,
 )
 from .networks import EncoderParams, StageEncoder
 from .terms import DISTANCE_KINDS
@@ -97,7 +96,7 @@ def default_init(corpus, cfg):
         corpus.vocab_size, cfg.n_topics, corpus.n_stages, corpus.n_features,
         corpus.n_groups, hidden=cfg.hidden_trans,
         share_across_stages=cfg.share_transitions, rng=rng,
-        scale=cfg.init_scale, a2=cfg.a2, delta2=cfg.delta2)
+        scale=cfg.init_scale, a2=float(cfg.a2), delta2=float(cfg.delta2))
     enc = EncoderParams.init(
         corpus.vocab_size, corpus.n_features, cfg.n_topics, corpus.n_stages,
         corpus.n_groups, hidden=cfg.hidden_enc, rng=rng, scale=cfg.init_scale)
@@ -207,7 +206,7 @@ class FittedModel:
         return np.repeat(b[None, :, :], T, axis=0)
 
 
-def _run_epochs(corpus, registry, cfg, batch_loss, chunk=256):
+def _run_epochs(corpus, registry, cfg, batch_loss):
     """The epoch loop shared by every topic parametrization. batch_loss(batch,
     eps, want_grads, work) -> (loss, grads) is the objective on one batch,
     with work the fit's Workspace to pass on to longitudinal_loss; the loop
@@ -225,7 +224,7 @@ def _run_epochs(corpus, registry, cfg, batch_loss, chunk=256):
     until its next training call."""
     N, T, V = corpus.n_subjects, corpus.n_stages, corpus.vocab_size
     K, M = cfg.n_topics, cfg.m_samples
-    rows = min(N, max(chunk, cfg.batch_size))
+    rows = min(N, max(ROW_CHUNK, cfg.batch_size))
     for what, size in (("(N, T, M, K) eval eps", N * T * M * K),
                        ("(rows * M, V) loss buffer", rows * M * V)):
         if size > MAX_SAMPLE_ELEMENTS:
@@ -243,8 +242,8 @@ def _run_epochs(corpus, registry, cfg, batch_loss, chunk=256):
 
     def full_loss():
         total = 0.0
-        for lo in range(0, N, chunk):
-            hi = min(lo + chunk, N)
+        for lo in range(0, N, ROW_CHUNK):
+            hi = min(lo + ROW_CHUNK, N)
             loss, _ = batch_loss(arrays.batch(np.arange(lo, hi)),
                                  eval_eps[lo:hi], False, work)
             total += loss * (hi - lo)
@@ -304,9 +303,10 @@ def train(corpus, gen, enc, cfg):
 
 def encode_corpus(fitted, corpus):
     """Factual posterior moments for every cell: two (T, N, K) arrays.
-    Each stage's input goes into one (N, D) buffer from that stage's slice of
-    the corpus's CSR counts, so no (N, T, V) array is built. The model and
-    the corpus must agree on the vocabulary, stages, covariates and groups."""
+    The subjects go through the stages in blocks of ROW_CHUNK: each stage's
+    input goes into one (ROW_CHUNK, D) buffer from that block's slice of the
+    corpus's CSR counts, so no (N, V) array is built. The model and the
+    corpus must agree on the vocabulary, stages, covariates and groups."""
     if list(corpus.vocab) != list(fitted.vocab):
         raise VocabMismatch("corpus vocabulary differs from the fitted model")
     for name, m, c in (
@@ -315,18 +315,22 @@ def encode_corpus(fitted, corpus):
             ("groups", fitted.n_groups, corpus.n_groups)):
         if m != c:
             raise ShapeError(f"the model has {m} {name}, the corpus {c}")
-    (indptr, words, _, rows), wn = corpus.csr(), relative_frequencies(corpus)
     y_enc = encode_groups(corpus.groups, corpus.n_groups)
     N, T, K = corpus.n_subjects, corpus.n_stages, fitted.gen.n_topics
     mu_all, sg_all = np.zeros((2, T, N, K))
-    prev = np.broadcast_to(fitted.gen.eta0, (N, K))
-    inp = np.empty((N, fitted.enc.stages[0].in_dim))
-    for t in range(T):
-        sl = slice(indptr[t * N], indptr[(t + 1) * N])
-        encoder_input(inp, rows[sl], words[sl], wn[sl],
-                      corpus.covariates[:, t], y_enc, prev)
-        mu_all[t], sg_all[t], _ = fitted.enc.stages[t].forward(inp)
-        prev = mu_all[t]
+    buf = np.empty((min(N, ROW_CHUNK), fitted.enc.stages[0].in_dim))
+    for lo in range(0, N, ROW_CHUNK):
+        hi = min(lo + ROW_CHUNK, N)
+        inp = buf[:hi - lo]
+        prev = np.broadcast_to(fitted.gen.eta0, (hi - lo, K))
+        for t in range(T):
+            rows, words, counts = corpus.stage_block(t, lo, hi)
+            totals = np.bincount(rows, weights=counts, minlength=hi - lo)
+            encoder_input(inp, rows, words, counts / totals[rows],
+                          corpus.covariates[lo:hi, t], y_enc[lo:hi], prev)
+            mu_all[t, lo:hi], sg_all[t, lo:hi], _ = \
+                fitted.enc.stages[t].forward(inp)
+            prev = mu_all[t, lo:hi]
     return mu_all, sg_all
 
 

@@ -1,16 +1,18 @@
 """Reference implementations of the package's batched kernels: one
 document's posterior moments, its group distance, the collapsed word
 distribution, its multinomial log-likelihood, one transition mean and a
-corpus drawn from the generative process; the closed-form Gaussian KL and
-pairwise separation terms for one document; the loop forms of the
-group-distance kernel (one pass per counterfactual) and of the evaluation
-metrics (topic alignment, UMass coherence, perplexity and the group probe),
-which the stacked and vectorized kernels must match bit for bit; and the
-dense (N, T, V) forms of the corpus's CSR view, the batch gather and the
-sampler, which the sparse code must match exactly; a corpus loader that reads
-every docs.jsonl line with json.loads, which the bulk reader must match
-exactly; and the comparison of two ground truths. Only tests call them, to
-check the package's code against a direct computation."""
+corpus drawn from the generative process; a whole corpus's posterior moments
+in one pass over all subjects, which the row blocks must match; the
+closed-form Gaussian KL and pairwise separation terms for one document; the
+loop forms of the group-distance kernel (one pass per counterfactual) and of
+the evaluation metrics (topic alignment, UMass coherence, perplexity and the
+group probe), which the stacked and vectorized kernels must match bit for
+bit; and the dense (N, T, V) forms of the corpus's CSR view, the batch
+gather and the sampler, which the sparse code must match exactly; a corpus
+loader that reads every docs.jsonl line with json.loads, which the bulk
+reader must match exactly; and the comparison of two ground truths. Only
+tests call them, to check the package's code against a direct
+computation."""
 
 import itertools
 import os
@@ -23,6 +25,7 @@ from longtopic import corpus as corpus_module
 from longtopic.corpus import Corpus
 from longtopic.errors import NumericError, ShapeError, UnknownDistance
 from longtopic.evaluate import _as_stack, _topic_kl_matrix, top_words
+from longtopic.inference.loss import encoder_input, relative_frequencies
 from longtopic.inference.terms import (
     DISTANCE_KINDS,
     _kl_rows,
@@ -100,6 +103,24 @@ def encode(w, x, y, prev_mean, params, t):
     y_enc = encode_groups(np.array([y]), params.n_groups)[0]
     mu, sigma, _ = enc.forward(_encoder_input(w, x, y_enc, prev_mean))
     return PosteriorMoments(mu=mu[0], sigma=sigma[0])
+
+
+def encode_corpus_ref(fitted, corpus):
+    """encode_corpus in one pass over all N subjects: each stage's input in
+    one (N, D) buffer, the relative frequencies of the whole corpus."""
+    (indptr, words, _, rows), wn = corpus.csr(), relative_frequencies(corpus)
+    y_enc = encode_groups(corpus.groups, corpus.n_groups)
+    N, T, K = corpus.n_subjects, corpus.n_stages, fitted.gen.n_topics
+    mu_all, sg_all = np.zeros((2, T, N, K))
+    prev = np.broadcast_to(fitted.gen.eta0, (N, K))
+    inp = np.empty((N, fitted.enc.stages[0].in_dim))
+    for t in range(T):
+        sl = slice(indptr[t * N], indptr[(t + 1) * N])
+        encoder_input(inp, rows[sl], words[sl], wn[sl],
+                      corpus.covariates[:, t], y_enc, prev)
+        mu_all[t], sg_all[t], _ = fitted.enc.stages[t].forward(inp)
+        prev = mu_all[t]
+    return mu_all, sg_all
 
 
 def counterfactual_encode(w, x, y, prev_mean, params, t):

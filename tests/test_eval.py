@@ -1,11 +1,12 @@
 import itertools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from longtopic.corpus import Corpus
+from longtopic.corpus import ROW_CHUNK, Corpus
 from longtopic.errors import (
     DegenerateDesign,
     NumericError,
@@ -26,10 +27,19 @@ from longtopic.evaluate import (
     top_words,
     umass_coherence,
 )
-from longtopic.inference.trainer import TrainConfig, default_init, train
-from longtopic.model import default_vocab
+from longtopic.inference.trainer import (
+    FittedModel,
+    TrainConfig,
+    default_init,
+    encode_corpus,
+    infer_proportions,
+    train,
+)
+from longtopic.model import default_vocab, softmax
+from longtopic.simulate import SimConfig, simulate
 from oracles import (
     align_topics_ref,
+    encode_corpus_ref,
     perplexity_ref,
     probe_fit_ref,
     umass_coherence_ref,
@@ -489,3 +499,71 @@ def test_perplexity_matches_loop_oracle(case):
     corpus, beta, theta, _ = case
     assert perplexity(beta, theta, corpus) == \
         perplexity_ref(beta, theta, corpus)
+
+
+def untrained(corpus, K, **cfg_kw):
+    """A FittedModel at its initial parameters (inference needs no fit)."""
+    cfg = TrainConfig(n_topics=K, **cfg_kw)
+    gen, enc = default_init(corpus, cfg)
+    return FittedModel(gen=gen, enc=enc, cfg=cfg, vocab=list(corpus.vocab),
+                       n_groups=corpus.n_groups)
+
+
+@pytest.mark.parametrize("N", [2 * ROW_CHUNK + 37, ROW_CHUNK, 40])
+def test_row_blocks_match_the_whole_corpus_pass(N):
+    """Inference, perplexity and coherence take ROW_CHUNK subjects at a time,
+    here with missing cells on both sides of every block edge. One block
+    gives the bits of one pass over all subjects. Several may round the
+    encoder's products differently in the last bits, but the coherence adds
+    exact counts."""
+    rng = np.random.default_rng(N)
+    T, V, K = 3, 30, 3
+    counts = rng.integers(0, 3, size=(N, T, V)) * (
+        rng.random((N, T, V)) < 0.3)
+    counts[:, :, 0] += 1
+    for edge in range(ROW_CHUNK, N, ROW_CHUNK):
+        for i, t in ((edge - 2, 2), (edge - 1, 0), (edge, 1), (edge + 1, 2)):
+            counts[i, t] = 0
+    counts[[0, N - 1], [1, 0]] = 0
+    corpus = corpus_from_counts(counts, G=3)
+    assert corpus.present.sum() == N * T - 2 - 4 * ((N - 1) // ROW_CHUNK)
+    fitted = untrained(corpus, K, init_scale=0.3)
+    mu, sigma = encode_corpus(fitted, corpus)
+    ref_mu, ref_sigma = encode_corpus_ref(fitted, corpus)
+    theta = softmax(mu, axis=2)
+    beta = rng.dirichlet(np.full(V, 0.3), size=(T, K)).transpose(0, 2, 1)
+    got, ref = perplexity(beta, theta, corpus), perplexity_ref(beta, theta,
+                                                               corpus)
+    if N <= ROW_CHUNK:
+        assert np.array_equal(mu, ref_mu) and np.array_equal(sigma, ref_sigma)
+        assert got == ref
+    else:
+        np.testing.assert_allclose(mu, ref_mu, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(sigma, ref_sigma, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0)
+    assert umass_coherence(beta, corpus) == umass_coherence_ref(beta, corpus)
+
+
+def traced_peak(fn, *args):
+    """(fn(*args), the most bytes numpy and Python held during the call
+    beyond what they held before it)."""
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        out = fn(*args)
+        return out, tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+
+
+def test_inference_and_perplexity_hold_no_corpus_sized_array():
+    N, V = 1200, 500
+    corpus, _ = simulate(SimConfig(n_subjects=N, n_stages=3, vocab_size=V,
+                                   n_topics=4, seed=3))
+    fitted = untrained(corpus, 4)
+    corpus.csr()        # a cache: built once, before the measured calls
+    dense = N * V * 8   # one (N, V) float64 array, 4.58 MiB
+    theta, used = traced_peak(infer_proportions, fitted, corpus)
+    assert used < dense
+    _, used = traced_peak(perplexity, fitted.stage_topics(), theta, corpus)
+    assert used < dense

@@ -258,7 +258,9 @@ def test_load_then_save_gives_the_same_bytes(saved_model, tmp_path):
     (2, dict()),
     (4, dict(hidden_trans=3)),
     (2, dict(dynamic_topics_var=0.5)),
-], ids=["affine-per-stage-transitions", "four-groups", "dynamic-topics"])
+    (2, dict(a2=2, delta2=3)),
+], ids=["affine-per-stage-transitions", "four-groups", "dynamic-topics",
+        "integer-variances"])
 def test_load_then_save_gives_the_same_bytes_for_every_block_variety(
         tmp_path, n_groups, fit_kw):
     corpus = two_topic_corpus(N=16, T=2, n_groups=n_groups)
