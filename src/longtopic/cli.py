@@ -205,7 +205,7 @@ def cmd_fit(cfg, run):
                 os.path.join(out, "train_log.json"), indent=2)
     last = fitted.log[-1]
     print(f"wrote {os.path.join(out, 'model.json')}; final loss"
-          f" {last['loss']:.6f} after {last['epoch']} epochs"
+          f" {last['loss']:.6g} after {last['epoch']} epochs"
           f" (converged={fitted.converged})")
     return 0
 

@@ -246,8 +246,12 @@ class Corpus:
     def total_counts(self):
         """(N, T) float64 total words per cell (0 where missing)."""
         indptr, _, counts, _ = self.csr()
-        ends = np.concatenate([[0], np.cumsum(counts)])[indptr]
-        return np.diff(ends).reshape(self.n_stages, -1).T.astype(np.float64)
+        totals = np.zeros(len(indptr) - 1)
+        # reduceat sums from each start to the next: the empty cells are
+        # left out, as it would read past them (or past the end)
+        full = indptr[:-1] < indptr[1:]
+        totals[full] = np.add.reduceat(counts, indptr[:-1][full])
+        return totals.reshape(self.n_stages, -1).T
 
     def __eq__(self, other):
         if not isinstance(other, Corpus):

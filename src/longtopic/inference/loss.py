@@ -115,17 +115,6 @@ def relative_frequencies(corpus):
     return counts / np.repeat(corpus.total_counts().T, np.diff(indptr))
 
 
-def encoder_input(out, rows, cols, wn_nz, *rest):
-    """Fill the (B, D) buffer out with one stage's encoder input [wn, x_t,
-    y_enc, prev]: wn_nz at (rows, cols) of the first V columns, zeros
-    elsewhere in them, then the blocks rest. Returns out."""
-    tail = np.concatenate(rest, axis=1)
-    out[:, :-tail.shape[1]] = 0.0
-    out[rows, cols] = wn_nz
-    out[:, -tail.shape[1]:] = tail
-    return out
-
-
 class Workspace:
     """The large buffers of longitudinal_loss, allocated once and reused by
     every call of one fit. A call with B rows takes prefix views:

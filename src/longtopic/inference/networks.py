@@ -13,8 +13,10 @@ Counterfactual moments reuse the *same* network with the group encoding
 replaced by a non-factual group, all other inputs (including the factual
 previous mean) unchanged — so for two groups a double flip returns the factual
 moments exactly. Since only the group columns differ, `forward` takes the
-counterfactuals as group shifts of the factual input: one trunk product, one
-head product over the stacked rows, and a matching backward.
+counterfactuals as C group shifts of the factual input: one trunk product, one
+head product over the stacked rows, and a matching backward. The heads always
+come stacked (1 + C, B, K), factual first; the factual moments alone are the
+C = 0 case, which the posterior read-out and the "none" ablation use.
 
 All gradients here are hand-derived; `backward` returns both parameter
 gradients and the input gradient so the training loop can chain stages.
@@ -68,38 +70,33 @@ class StageEncoder(ParamBlock):
         return [("Wh", (H, V + P + E + K)), ("bh", (H,)), ("Wm", (K, H)),
                 ("bm", (K,)), ("Ws", (K, H)), ("bs", (K,))]
 
-    def forward(self, inp, group_shifts=None):
-        """inp (B, D) -> (mu (B, K), sigma (B, K), cache).
-
-        group_shifts (C, B, E), when given, holds C counterfactual group
-        encodings minus the factual one. The trunk pre-activation is then
-        computed once and shifted through the group columns of Wh for each
-        counterfactual, and mu, sigma are stacked (1 + C, B, K) with the
-        factual moments first."""
+    def forward(self, inp, group_shifts):
+        """inp (B, D) and group_shifts (C, B, E), C counterfactual group
+        encodings minus the factual one (C = 0 for the factual moments
+        alone) -> (mu (1 + C, B, K), sigma (1 + C, B, K), cache), the
+        factual heads first. The trunk pre-activation is computed once and
+        shifted through the group columns of Wh for each counterfactual."""
         inp = np.asarray(inp, dtype=np.float64)
         if inp.ndim != 2 or inp.shape[1] != self.in_dim:
             raise ShapeError(
                 f"encoder input must be (B, {self.in_dim}); got {inp.shape}")
         pre = inp @ self.Wh.T + self.bh
-        if group_shifts is not None:
-            lo = self.V + self.P
-            shifted = pre + group_shifts @ self.Wh[:, lo:lo + self.E].T
-            pre = np.concatenate([pre[None], shifted]).reshape(-1, self.H)
-        h = np.tanh(pre)
+        lo = self.V + self.P
+        shifted = pre + group_shifts @ self.Wh[:, lo:lo + self.E].T
+        h = np.tanh(np.concatenate([pre[None], shifted]).reshape(-1, self.H))
         mu = h @ self.Wm.T + self.bm
         z = h @ self.Ws.T + self.bs
         raw = softplus(z)
         sigma = np.maximum(raw, SIGMA_MIN)
-        if group_shifts is not None:
-            mu = mu.reshape(-1, inp.shape[0], self.K)
-            sigma = sigma.reshape(mu.shape)
-        return mu, sigma, (inp, group_shifts, h, z, raw)
+        shape = (-1, inp.shape[0], self.K)
+        return (mu.reshape(shape), sigma.reshape(shape),
+                (inp, group_shifts, h, z, raw))
 
     def backward(self, cache, gmu, gsigma):
-        """Upstream gradients on mu and sigma, shaped like forward's output ->
-        (input gradient (B, D), {param: grad}). With group shifts the heads'
-        trunk gradients are summed onto the shared input. The scale path has
-        zero gradient where the floor binds."""
+        """Upstream gradients on the stacked mu and sigma -> (input gradient
+        (B, D), {param: grad}). The heads' trunk gradients are summed onto
+        the shared input. The scale path has zero gradient where the floor
+        binds."""
         inp, shifts, h, z, raw = cache
         gmu = gmu.reshape(z.shape)
         gz = gsigma.reshape(z.shape) * sigmoid(z) * (raw > SIGMA_MIN)
@@ -109,10 +106,9 @@ class StageEncoder(ParamBlock):
         grads = {"Wh": gtrunk.T @ inp, "bh": gtrunk.sum(axis=0),
                  "Wm": gmu.T @ h, "bm": gmu.sum(axis=0),
                  "Ws": gz.T @ h, "bs": gz.sum(axis=0)}
-        if shifts is not None:
-            lo = self.V + self.P
-            grads["Wh"][:, lo:lo + self.E] += \
-                gpre[B:].T @ shifts.reshape(-1, self.E)
+        lo = self.V + self.P
+        grads["Wh"][:, lo:lo + self.E] += \
+            gpre[B:].T @ shifts.reshape(-1, self.E)
         return gtrunk @ self.Wh, grads
 
 

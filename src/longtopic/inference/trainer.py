@@ -14,7 +14,7 @@ parameters, config): refits are bit-identical.
 A fit allocates its working memory once: one loss Workspace (see loss.py)
 sized for the evaluation chunk and the training batch, whose prefix views
 serve the shorter last batch and chunk, the eps buffers, and the optimizer's
-scratch buffer. The loss calls and optimizer steps in between allocate
+flat state vectors. The loss calls and optimizer steps in between allocate
 nothing of the size of a (rows * M, V) block.
 """
 
@@ -46,12 +46,7 @@ from ..model import (
     group_encoding_dim,
     softmax,
 )
-from .loss import (
-    CorpusArrays,
-    Workspace,
-    encoder_input,
-    longitudinal_loss,
-)
+from .loss import CorpusArrays, Workspace, longitudinal_loss
 from .networks import EncoderParams, StageEncoder
 from .terms import DISTANCE_KINDS
 
@@ -127,14 +122,18 @@ def param_registry(gen, enc, extra=None, include_beta=True):
 
 
 class Optimizer:
-    """SGD with momentum, or Adam, over a parameter registry. Updates are in
-    place so the model objects always hold the live values. A step allocates
-    no arrays: each update's temporaries go to a scratch buffer of the
-    largest block's size, one operation at a time in the order of
-        sgd:  v = momentum * v + g;  arr -= lr * v
+    """SGD with momentum, or Adam, over a parameter registry. The state is
+    flat float64 vectors in registry order: the velocity v (Adam's second
+    moment), Adam's first moment m, the gradient g and the step s. A step
+    copies the gradient dict into g, makes one vectorized update in the order
+        sgd:  v = momentum * v + g;  s = lr * v
         adam: m = 0.9 * m + 0.1 * g;  v = 0.999 * v + 0.001 * g * g;
-              arr -= lr * (m / (1 - 0.9^t)) / (sqrt(v / (1 - 0.999^t)) + 1e-8)
-    NumericError when an Adam second moment v overflows.
+              s = lr * (m / (1 - 0.9^t)) / (sqrt(v / (1 - 0.999^t)) + 1e-8)
+    (g holds Adam's denominator once it is read for the last time), and
+    subtracts each block's view of s from that block in place, so the model
+    objects always hold the live values. A step allocates no arrays.
+    NumericError naming the first block whose Adam second moment overflows;
+    no parameter moves in that step.
     """
 
     def __init__(self, registry, cfg):
@@ -142,44 +141,42 @@ class Optimizer:
         self.kind = cfg.optimizer
         self.momentum = cfg.momentum
         self.t = 0
-        self.v = {k: np.zeros_like(a) for k, a in registry}
-        if self.kind == "adam":
-            self.m = {k: np.zeros_like(a) for k, a in registry}
-        # each block's views of the scratch rows (s, and d for adam)
-        scratch = np.empty((1 if self.kind == "sgd" else 2,
-                            max(a.size for _, a in registry)))
-        self.scratch = {k: [row[:a.size].reshape(a.shape) for row in scratch]
-                        for k, a in registry}
+        n = sum(a.size for _, a in registry)
+        self.v, self.g, self.s = np.zeros((3, n))
+        self.m = np.zeros(n) if self.kind == "adam" else None
+        self.ends = np.cumsum([a.size for _, a in registry])
+        # each block's view of s, the update it subtracts
+        self.updates = [part.reshape(a.shape) for (_, a), part in
+                        zip(registry, np.split(self.s, self.ends[:-1]))]
 
     def step(self, grads, lr):
         self.t += 1
-        for key, arr in self.registry:
-            g = grads.get(key)
-            if g is None:
-                continue
-            s = self.scratch[key][0]
-            v = self.v[key]
-            if self.kind == "sgd":
-                v *= self.momentum
-                v += g
-                np.multiply(lr, v, out=s)
-            else:
-                m, d = self.m[key], self.scratch[key][1]
-                m *= 0.9
-                m += np.multiply(0.1, g, out=s)
-                v *= 0.999
-                np.multiply(0.001, g, out=s)
-                v += np.multiply(s, g, out=s)
-                if not math.isfinite(v.max()):  # every update would be 0
-                    raise NumericError(
-                        f"the second moment of {key} overflowed")
-                np.divide(v, 1.0 - 0.999 ** self.t, out=d)
-                np.sqrt(d, out=d)
-                d += 1e-8
-                np.divide(m, 1.0 - 0.9 ** self.t, out=s)
-                np.multiply(lr, s, out=s)
-                s /= d
-            arr -= s
+        g, s, v, m = self.g, self.s, self.v, self.m
+        np.concatenate([grads[key] for key, _ in self.registry], axis=None,
+                       out=g)
+        if self.kind == "sgd":
+            v *= self.momentum
+            v += g
+            np.multiply(lr, v, out=s)
+        else:
+            m *= 0.9
+            m += np.multiply(0.1, g, out=s)
+            v *= 0.999
+            np.multiply(0.001, g, out=s)
+            v += np.multiply(s, g, out=s)
+            if not math.isfinite(v.max()):  # every update would be 0
+                key = next(k for (k, _), part in zip(
+                    self.registry, np.split(v, self.ends[:-1]))
+                    if not math.isfinite(part.max()))
+                raise NumericError(f"the second moment of {key} overflowed")
+            np.divide(v, 1.0 - 0.999 ** self.t, out=g)
+            np.sqrt(g, out=g)
+            g += 1e-8
+            np.divide(m, 1.0 - 0.9 ** self.t, out=s)
+            np.multiply(lr, s, out=s)
+            s /= g
+        for (_, arr), update in zip(self.registry, self.updates):
+            arr -= update
 
 
 @dataclass
@@ -318,7 +315,9 @@ def encode_corpus(fitted, corpus):
     y_enc = encode_groups(corpus.groups, corpus.n_groups)
     N, T, K = corpus.n_subjects, corpus.n_stages, fitted.gen.n_topics
     mu_all, sg_all = np.zeros((2, T, N, K))
-    buf = np.empty((min(N, ROW_CHUNK), fitted.enc.stages[0].in_dim))
+    # the word columns are zeros between passes, as in the loss's Workspace
+    buf = np.zeros((min(N, ROW_CHUNK), fitted.enc.stages[0].in_dim))
+    no_shifts = np.empty((0, len(buf), y_enc.shape[1]))
     for lo in range(0, N, ROW_CHUNK):
         hi = min(lo + ROW_CHUNK, N)
         inp = buf[:hi - lo]
@@ -326,10 +325,13 @@ def encode_corpus(fitted, corpus):
         for t in range(T):
             rows, words, counts = corpus.stage_block(t, lo, hi)
             totals = np.bincount(rows, weights=counts, minlength=hi - lo)
-            encoder_input(inp, rows, words, counts / totals[rows],
-                          corpus.covariates[lo:hi, t], y_enc[lo:hi], prev)
-            mu_all[t, lo:hi], sg_all[t, lo:hi], _ = \
-                fitted.enc.stages[t].forward(inp)
+            inp[rows, words] = counts / totals[rows]
+            inp[:, corpus.vocab_size:] = np.concatenate(
+                [corpus.covariates[lo:hi, t], y_enc[lo:hi], prev], axis=1)
+            mu, sg, _ = fitted.enc.stages[t].forward(inp,
+                                                     no_shifts[:, :hi - lo])
+            inp[rows, words] = 0.0
+            mu_all[t, lo:hi], sg_all[t, lo:hi] = mu[0], sg[0]
             prev = mu_all[t, lo:hi]
     return mu_all, sg_all
 

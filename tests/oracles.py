@@ -10,7 +10,8 @@ group probe), which the stacked and vectorized kernels must match bit for
 bit; and the dense (N, T, V) forms of the corpus's CSR view, the batch
 gather and the sampler, which the sparse code must match exactly; a corpus
 loader that reads every docs.jsonl line with json.loads, which the bulk
-reader must match exactly; and the comparison of two ground truths. Only
+reader must match exactly; the optimizer step block by block, which the
+flat one must match bit for bit; and the comparison of two ground truths. Only
 tests call them, to check the package's code against a direct
 computation."""
 
@@ -25,7 +26,6 @@ from longtopic import corpus as corpus_module
 from longtopic.corpus import Corpus
 from longtopic.errors import NumericError, ShapeError, UnknownDistance
 from longtopic.evaluate import _as_stack, _topic_kl_matrix, top_words
-from longtopic.inference.loss import encoder_input, relative_frequencies
 from longtopic.inference.terms import (
     DISTANCE_KINDS,
     _kl_rows,
@@ -84,6 +84,12 @@ class PosteriorMoments:
     sigma: np.ndarray  # (K,) strictly positive
 
 
+def _no_shifts(enc, B):
+    """The (0, B, E) group shifts that ask an encoder for its factual heads
+    alone."""
+    return np.empty((0, B, enc.E))
+
+
 def _encoder_input(w, x, y_enc, prev_mean):
     w = np.asarray(w, dtype=np.float64).ravel()
     total = w.sum()
@@ -101,24 +107,26 @@ def encode(w, x, y, prev_mean, params, t):
     """
     enc = params.stages[t]
     y_enc = encode_groups(np.array([y]), params.n_groups)[0]
-    mu, sigma, _ = enc.forward(_encoder_input(w, x, y_enc, prev_mean))
-    return PosteriorMoments(mu=mu[0], sigma=sigma[0])
+    mu, sigma, _ = enc.forward(_encoder_input(w, x, y_enc, prev_mean),
+                               _no_shifts(enc, 1))
+    return PosteriorMoments(mu=mu[0, 0], sigma=sigma[0, 0])
 
 
 def encode_corpus_ref(fitted, corpus):
-    """encode_corpus in one pass over all N subjects: each stage's input in
-    one (N, D) buffer, the relative frequencies of the whole corpus."""
-    (indptr, words, _, rows), wn = corpus.csr(), relative_frequencies(corpus)
+    """encode_corpus in one pass over all N subjects: each stage's input
+    built densely from the (N, T, V) relative frequencies of the whole
+    corpus."""
+    wn = batch_ref(corpus, np.arange(corpus.n_subjects)).wn
     y_enc = encode_groups(corpus.groups, corpus.n_groups)
     N, T, K = corpus.n_subjects, corpus.n_stages, fitted.gen.n_topics
     mu_all, sg_all = np.zeros((2, T, N, K))
     prev = np.broadcast_to(fitted.gen.eta0, (N, K))
-    inp = np.empty((N, fitted.enc.stages[0].in_dim))
     for t in range(T):
-        sl = slice(indptr[t * N], indptr[(t + 1) * N])
-        encoder_input(inp, rows[sl], words[sl], wn[sl],
-                      corpus.covariates[:, t], y_enc, prev)
-        mu_all[t], sg_all[t], _ = fitted.enc.stages[t].forward(inp)
+        enc = fitted.enc.stages[t]
+        inp = np.concatenate([wn[:, t], corpus.covariates[:, t], y_enc, prev],
+                             axis=1)
+        mu, sigma, _ = enc.forward(inp, _no_shifts(enc, N))
+        mu_all[t], sg_all[t] = mu[0], sigma[0]
         prev = mu_all[t]
     return mu_all, sg_all
 
@@ -501,3 +509,40 @@ def truths_equal(a, b):
         and all(np.allclose(a.gamma[k], b.gamma[k], atol=1e-12)
                 for k in a.gamma)
     )
+
+
+class OptimizerRef:
+    """The optimizer step block by block, as it was before its state went
+    flat: per-block velocity and moment arrays and one update per registry
+    entry, with the same element-wise expressions in the same order.
+    Adam's overflow check names the first block whose second moment is not
+    finite (the blocks before it have moved by then)."""
+
+    def __init__(self, registry, cfg):
+        self.registry = registry
+        self.kind = cfg.optimizer
+        self.momentum = cfg.momentum
+        self.t = 0
+        self.v = {k: np.zeros_like(a) for k, a in registry}
+        self.m = {k: np.zeros_like(a) for k, a in registry}
+
+    def step(self, grads, lr):
+        self.t += 1
+        for key, arr in self.registry:
+            g, v = grads[key], self.v[key]
+            if self.kind == "sgd":
+                v *= self.momentum
+                v += g
+                s = lr * v
+            else:
+                m = self.m[key]
+                m *= 0.9
+                m += 0.1 * g
+                v *= 0.999
+                v += (0.001 * g) * g
+                if not np.isfinite(v.max()):
+                    raise NumericError(
+                        f"the second moment of {key} overflowed")
+                d = np.sqrt(v / (1.0 - 0.999 ** self.t)) + 1e-8
+                s = lr * (m / (1.0 - 0.9 ** self.t)) / d
+            arr -= s

@@ -125,6 +125,26 @@ def test_config_file_with_flag_overrides(tmp_path):
     assert summary["config"]["sim"]["seed"] == 2
 
 
+def test_fit_prints_a_short_line_for_a_huge_finite_loss(tmp_path, capsys,
+                                                        monkeypatch):
+    # plain SGD at learning rate 1000 ends this fit at a finite loss of
+    # 8.8e105, which a fixed-point format prints with 106 digits
+    monkeypatch.chdir(tmp_path)
+    assert main(["simulate", "--out", "run",
+                 "--set", "sim.n_subjects=30", "--set", "sim.n_stages=2",
+                 "--set", "sim.vocab_size=50", "--set", "sim.n_topics=3"]) == 0
+    capsys.readouterr()
+    assert main(["fit", "--out", "run", "--set", 'paths.corpus="run/corpus"',
+                 "--set", "train.n_topics=3", "--set", 'train.optimizer="sgd"',
+                 "--set", "train.learning_rate=1000",
+                 "--set", "train.t_max=3"]) == 0
+    loss = json.loads((tmp_path / "run" / "train_log.json").read_text())
+    assert 1e100 < loss["log"][-1]["loss"] < float("inf")
+    line = capsys.readouterr().out.strip()
+    assert "\n" not in line and len(line) < 120
+    assert "final loss 8.81947e+105 after 3 epochs" in line
+
+
 def error_code(argv, capsys):
     code = main(argv)
     err = capsys.readouterr().err

@@ -434,7 +434,22 @@ def test_csr_views_match_the_records(data):
             assert rows[e].tolist() == [i] * len(cell)
 
 
-CORPUS_FILES = ("vocab.txt", "docs.jsonl", "meta.csv", "groups.csv")
+def test_total_counts_skip_missing_cells_at_both_ends():
+    # missing cells first, inside, and last in the CSR order (the last
+    # subjects of the last stage), where a sum from each cell's start to
+    # the next would read the next cell's counts or past the end
+    counts = np.arange(4 * 3 * 5).reshape(4, 3, 5) % 4
+    counts[0, 0] = counts[1, 1] = counts[2, 1] = 0
+    counts[2:, 2] = 0
+    c = Corpus.from_dense(counts, np.zeros((4, 3, 1)), np.arange(4) % 2,
+                          [f"w{v}" for v in range(5)], allow_missing=True)
+    totals = c.total_counts()
+    assert totals.dtype == np.float64
+    assert np.array_equal(totals, counts.sum(axis=2))
+    assert totals[2, 2] == totals[3, 2] == totals[0, 0] == 0
+
+
+CORPUS_FILES =("vocab.txt", "docs.jsonl", "meta.csv", "groups.csv")
 BIG = 12345678901234567890  # 20 digits, beyond int64
 
 

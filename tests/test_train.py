@@ -9,20 +9,24 @@ from longtopic.errors import (
     DivergedError,
     FormatError,
     IoError,
+    NumericError,
     UnknownDistance,
     VocabMismatch,
 )
 from longtopic.inference import fit_dynamic_topics
 from longtopic.inference.trainer import (
+    Optimizer,
     TrainConfig,
     default_init,
     encode_corpus,
     infer_proportions,
     load_model,
+    param_registry,
     save_model,
     train,
 )
 from longtopic.model import default_vocab
+from oracles import OptimizerRef
 
 
 def two_topic_corpus(N=40, T=1, seed=0, n_groups=2):
@@ -334,3 +338,67 @@ def test_load_model_names_malformed_entries(saved_model, tmp_path, corrupt,
     path.write_text(json.dumps(obj))
     with pytest.raises(error, match=needle):
         load_model(path)
+
+
+def optimizer_pair(kind, topics):
+    """Two equal registries, one for Optimizer and one for OptimizerRef:
+    shared transitions with a hidden layer, or per-stage transitions with
+    the per-stage topic blocks in place of beta."""
+    corpus = two_topic_corpus(N=8, T=3)
+    cfg = fast_cfg(optimizer=kind, hidden_trans=3,
+                   share_transitions=not topics)
+    registries = []
+    for _ in range(2):
+        gen, enc = default_init(corpus, cfg)
+        extra = None
+        if topics:
+            rng = np.random.default_rng(5)
+            extra = [("topics.mu", rng.standard_normal((3, 4, 2))),
+                     ("topics.rho", rng.standard_normal((3, 4, 2)))]
+        registries.append(param_registry(gen, enc, include_beta=not topics,
+                                         extra=extra))
+    return cfg, registries
+
+
+def random_grads(registry, rng):
+    # signed zeros and tiny values as well as ordinary ones
+    grads = {}
+    for key, arr in registry:
+        g = rng.standard_normal(arr.shape) * 10.0 ** rng.integers(-3, 3)
+        g[rng.random(arr.shape) < 0.2] = -0.0
+        g[rng.random(arr.shape) < 0.1] = 0.0
+        g[rng.random(arr.shape) < 0.1] *= 1e-300
+        grads[key] = g
+    return grads
+
+
+@pytest.mark.parametrize("topics", [False, True])
+@pytest.mark.parametrize("kind", ["sgd", "adam"])
+def test_flat_optimizer_matches_the_per_block_reference(kind, topics):
+    cfg, (flat, ref) = optimizer_pair(kind, topics)
+    opt, opt_ref = Optimizer(flat, cfg), OptimizerRef(ref, cfg)
+    rng = np.random.default_rng(1)
+    for lr in (0.02, 0.5, 1e-3, 0.02, 0.3):
+        grads = random_grads(flat, rng)
+        opt.step(grads, lr)
+        opt_ref.step({k: g.copy() for k, g in grads.items()}, lr)
+    assert [k for k, _ in flat] == [k for k, _ in ref]
+    for (key, a), (_, b) in zip(flat, ref):
+        assert np.array_equal(a, b), key
+        assert np.array_equal(np.signbit(a), np.signbit(b)), key
+
+
+def test_flat_optimizer_names_the_overflowing_block_like_the_reference():
+    cfg, (flat, ref) = optimizer_pair("adam", False)
+    grads = random_grads(flat, np.random.default_rng(2))
+    keys = [k for k, _ in flat]
+    for key in (keys[4], keys[-2]):
+        grads[key].flat[0] = 1e200
+    errors = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for opt in (Optimizer(flat, cfg), OptimizerRef(ref, cfg)):
+            with pytest.raises(NumericError) as e:
+                opt.step(grads, 0.01)
+            errors.append(str(e.value))
+    assert errors[0] == errors[1] == \
+        f"the second moment of {keys[4]} overflowed"
