@@ -162,10 +162,10 @@ def umass_coherence(beta_hat, corpus, top_n=15):
 
 
 def perplexity(beta_hat, theta_hat, corpus):
-    """(1/T) sum_t exp of the stage's mean per-word negative log-likelihood
-    under theta_hat . beta_hat^T; probabilities floored at 1e-12. Missing
-    cells are excluded from the stage mean. The word probabilities go
-    through one (ROW_CHUNK, V) buffer, a block of subjects at a time."""
+    """Mean over the stages that hold a document of exp(the stage's mean
+    per-word negative log-likelihood under theta_hat . beta_hat^T), missing
+    cells left out and probabilities floored at 1e-12; the word probabilities
+    go through one (ROW_CHUNK, V) buffer, ROW_CHUNK subjects at a time."""
     bh = _as_stack(beta_hat, "beta_hat")
     th = np.asarray(theta_hat, dtype=np.float64)
     T, V, K = bh.shape
@@ -176,8 +176,9 @@ def perplexity(beta_hat, theta_hat, corpus):
         raise ShapeError("corpus dimensions disagree with the model arrays")
     out = 0.0
     terms = np.empty((min(N, ROW_CHUNK), V))    # reused per block
-    per_doc, totals = np.empty((2, N))
-    for t in range(T):
+    per_doc, totals = np.empty(N), corpus.total_counts()
+    held = np.flatnonzero(corpus.present.any(axis=0))  # stages with a doc
+    for t in held:
         for lo in range(0, N, ROW_CHUNK):
             hi = min(lo + ROW_CHUNK, N)
             rows, words, counts = corpus.stage_block(t, lo, hi)
@@ -190,11 +191,9 @@ def perplexity(beta_hat, theta_hat, corpus):
             block.fill(0.0)
             block[rows, words] = logp * counts
             block.sum(axis=1, out=per_doc[lo:hi])
-            totals[lo:hi] = np.bincount(rows, weights=counts,
-                                        minlength=hi - lo)
         mask = corpus.present[:, t]
-        out += np.exp((-per_doc[mask] / totals[mask]).mean())
-    return float(out / T)
+        out += np.exp((-per_doc[mask] / totals[mask, t]).mean())
+    return float(out / len(held))
 
 
 def dominant_accuracy(theta_hat, theta_true, mask=None):

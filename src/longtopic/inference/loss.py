@@ -34,11 +34,16 @@ call on its stacked (1 + C, B, K) moments, one transition pass over the B * M
 Monte-Carlo rows, and the reconstruction at the nonzero counts only (a zero
 count adds nothing to the likelihood or its gradient).
 
+The loss's forward and the posterior read-out iterate one stage chain,
+`stage_heads`, over Batches that hold each stage's entries apart: gathered
+by `CorpusArrays.batch`, or CSR slices from `chunk_batches`.
+
 The dense blocks of a call (the (B * M, V) product, the backward's (B * M, V)
 scatter buffer R and the encoder inputs) live in a Workspace that a fit
 allocates once and every call reuses through prefix views; R and the word
-columns of the encoder inputs are kept all zeros between calls. An evaluation (want_grads=False) keeps no per-stage
-caches, so its memory does not grow with the number of stages.
+columns of the encoder inputs are kept all zeros between calls. An
+evaluation (want_grads=False) keeps no per-stage caches, so its memory does
+not grow with the number of stages.
 """
 
 from __future__ import annotations
@@ -47,6 +52,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..corpus import ROW_CHUNK
 from ..errors import NumericError, ShapeError, UnknownDistance
 from ..model import (
     PROB_FLOOR,
@@ -64,12 +70,8 @@ class Batch:
     y_enc: np.ndarray    # (B, E) factual group encoding
     cf_encs: np.ndarray  # (C, B, E) counterfactual encodings, C = G - 1
     present: np.ndarray  # (B, T) float 0/1
-    # nonzero (batch row, word, count, count / cell total), row-major by stage
-    rows: np.ndarray
-    cols: np.ndarray
-    c_nz: np.ndarray
-    wn_nz: np.ndarray
-    stage_ptr: np.ndarray  # (T + 1,) stage t's: stage_ptr[t]:stage_ptr[t + 1]
+    # per stage, its nonzero (batch row, word, count, count / cell total)
+    stages: list
 
 
 class CorpusArrays:
@@ -78,9 +80,9 @@ class CorpusArrays:
     frequencies its values over their cell totals."""
 
     def __init__(self, corpus):
-        self.corpus = corpus
         self.indptr, self.words, self.counts, _ = corpus.csr()
-        self.wn = relative_frequencies(corpus)
+        self.wn = self.counts / np.repeat(corpus.total_counts().T,
+                                          np.diff(self.indptr))
         self.x = corpus.covariates
         self.present = corpus.present.astype(np.float64)
         G = corpus.n_groups
@@ -101,18 +103,51 @@ class CorpusArrays:
         lens = self.indptr[cells + 1] - starts
         pos = np.repeat(np.arange(T * B), lens)
         ent = np.arange(pos.size) + (starts - np.cumsum(lens) + lens)[pos]
+        ends = np.searchsorted(pos, B * np.arange(1, T))
         return Batch(
             x=self.x[idx], y_enc=self.y_enc[idx],
-            cf_encs=self.cf_encs[:, idx],
-            present=self.present[idx], rows=pos % B, cols=self.words[ent],
-            c_nz=self.counts[ent], wn_nz=self.wn[ent],
-            stage_ptr=np.searchsorted(pos, B * np.arange(T + 1)))
+            cf_encs=self.cf_encs[:, idx], present=self.present[idx],
+            stages=list(zip(*(np.split(a, ends) for a in (
+                pos % B, self.words[ent], self.counts[ent],
+                self.wn[ent])))))
 
 
-def relative_frequencies(corpus):
-    """Each nonzero count of corpus.csr() over its cell's total."""
-    indptr, _, counts, _ = corpus.csr()
-    return counts / np.repeat(corpus.total_counts().T, np.diff(indptr))
+def chunk_batches(corpus, y_enc, cf_encs):
+    """(lo, hi, Batch) of subjects lo to hi - 1, ROW_CHUNK subjects at a
+    time, with y_enc (N, E) and cf_encs (C, N, E) sliced to them. Stage t's
+    entries are corpus.stage_block(t, lo, hi), over cell totals summed from
+    that slice: exact integers, so the bits of CorpusArrays.wn."""
+    N = corpus.n_subjects
+    for lo in range(0, N, ROW_CHUNK):
+        hi = min(lo + ROW_CHUNK, N)
+        stages = [(r, w, c, c / np.bincount(r, weights=c)[r]) for r, w, c in
+                  (corpus.stage_block(t, lo, hi)
+                   for t in range(corpus.n_stages))]
+        yield lo, hi, Batch(
+            x=corpus.covariates[lo:hi], y_enc=y_enc[lo:hi],
+            cf_encs=cf_encs[:, lo:hi],
+            present=corpus.present[lo:hi].astype(np.float64), stages=stages)
+
+
+def stage_heads(batch, enc, eta0, shifts, inp, keep):
+    """For each stage t in order: write its nonzero frequencies and the
+    tail [x_t, y_enc, prev] into rows of inp (word columns all zeros), run
+    enc.stages[t].forward on them with shifts and yield (mu, sigma, cache),
+    factual head first. prev is eta0, then the previous stage's mu[0]. With
+    keep, stage t takes rows t*B to (t+1)*B and leaves its words for the
+    backward to clear; without, every stage takes the first B rows and
+    clears its words after the forward."""
+    B, V = batch.y_enc.shape[0], enc.stages[0].V
+    prev = np.broadcast_to(eta0, (B, eta0.shape[0]))
+    for t, (rows, cols, _, wn_nz) in enumerate(batch.stages):
+        part = inp[t * B:(t + 1) * B] if keep else inp[:B]
+        part[rows, cols] = wn_nz
+        part[:, V:] = np.hstack([batch.x[:, t], batch.y_enc, prev])
+        mu, sg, cache = enc.stages[t].forward(part, shifts)
+        if not keep:
+            part[rows, cols] = 0.0
+        yield mu, sg, cache
+        prev = mu[0]
 
 
 class Workspace:
@@ -124,12 +159,9 @@ class Workspace:
     - R (train_rows * M, V): the backward's scattered count/prob ratios,
       sized for the training batch. It is all zeros between calls: a call
       clears the cells it set as soon as their two matmuls are done;
-    - inp: the encoder inputs [wn, x_t, y_enc, prev]. A call with gradients
-      keeps each stage's input for the backward (stage t at rows t*B to
-      (t+1)*B); an evaluation reuses the first B rows at every stage. Like
-      R, the first V (word) columns are all zeros between calls: a call
-      writes a stage's nonzero frequencies and clears them once the
-      encoder is done with them.
+    - inp: the encoder inputs [wn, x_t, y_enc, prev], filled by
+      stage_heads (a call with gradients keeps every stage's rows for the
+      backward). Like R, its V word columns are all zeros between calls.
 
     A call that raises may leave R or inp dirty; a fit ends on any error,
     and the next fit allocates a new Workspace.
@@ -202,11 +234,11 @@ def longitudinal_loss(batch, gen, enc, cfg, eps, want_grads=True,
     # the counterfactual encodings enter only as shifts of the factual group
     # columns, so each stage runs one encoder pass over the 1 + C heads
     shifts = batch.cf_encs[:C] - batch.y_enc
-    # what the backward reads of each stage: the encoder input (a view of
-    # the workspace), (mu, sigma) of the 1 + C heads, factual first, the
-    # encoder cache, the prior mean mu0 ((B, K) at t = 0, (B, M, K) after),
-    # the transition cache, theta (B, M, K), the (b, v) indices of the
-    # nonzero counts and their flat places in a (B, M, V) block, the
+    # what the backward reads of each stage: (mu, sigma) of the 1 + C
+    # heads, factual first, the encoder cache (enc_cache[0] is the input, a
+    # view of the workspace), the prior mean mu0 ((B, K) at t = 0, (B, M, K)
+    # after), the transition cache, theta (B, M, K), the (b, v) indices of
+    # the nonzero counts and their flat places in a (B, M, V) block, the
     # (nnz, M) counts / probs there and the distance gradients
     saved = [None] * T
 
@@ -214,24 +246,17 @@ def longitudinal_loss(batch, gen, enc, cfg, eps, want_grads=True,
     nll_t = np.zeros(T)
     dist_t = np.zeros(T)
 
-    prev_mean = np.broadcast_to(gen.eta0, (B, K))
-    for t in range(T):
-        sl = slice(batch.stage_ptr[t], batch.stage_ptr[t + 1])
-        rows, cols = batch.rows[sl], batch.cols[sl]
-        lo = t * B if want_grads else 0
-        inp = work.inp[lo:lo + B]
-        inp[rows, cols] = batch.wn_nz[sl]
-        inp[:, V:] = np.concatenate([x[:, t], batch.y_enc, prev_mean], axis=1)
-        mu, sg, enc_cache = enc.stages[t].forward(inp, shifts)
-        if not want_grads:
-            inp[rows, cols] = 0.0
+    heads = stage_heads(batch, enc, gen.eta0, shifts, work.inp, want_grads)
+    for t, (mu, sg, enc_cache) in enumerate(heads):
+        rows, cols, c_nz, _ = batch.stages[t]
         mu_q, sg_q = mu[0], sg[0]
         eta = mu_q[:, None, :] + eps[:, t] * sg_q[:, None, :]
 
         # prior means: sample-free at the first stage, otherwise one
         # transition pass over all B * M Monte-Carlo rows
         if t == 0:
-            tin = np.concatenate([prev_mean, x[:, 0], batch.y_enc], axis=1)
+            tin = np.concatenate([np.broadcast_to(gen.eta0, (B, K)),
+                                  x[:, 0], batch.y_enc], axis=1)
             mu0, tr_cache = gen.transitions[0].forward(tin)
             kl_t[0] = scale * M * float(
                 pm[:, 0] @ _kl_rows(mu_q, sg_q, mu0, s0))
@@ -248,7 +273,6 @@ def longitudinal_loss(batch, gen, enc, cfg, eps, want_grads=True,
 
         # multinomial reconstruction, evaluated at the nonzero counts only
         theta = softmax(eta, axis=2)
-        c_nz = batch.c_nz[sl]
         probs = np.matmul(theta.reshape(B * M, K), bcols[t].T,
                           out=work.prod[:B * M])
         # the flat places of the nonzero cells in a (B, M, V) block, one
@@ -269,9 +293,9 @@ def longitudinal_loss(batch, gen, enc, cfg, eps, want_grads=True,
             ratio = np.divide(
                 np.broadcast_to(c_nz[:, None], p_nz.shape), p_nz,
                 out=np.zeros_like(p_nz), where=p_nz > PROB_FLOOR)
-            saved[t] = (inp, mu, sg, enc_cache, mu0, tr_cache, theta, rows,
-                        cols, at, ratio, dgrads)
-        prev_mean, prev_eta = mu_q, eta
+            saved[t] = (mu, sg, enc_cache, mu0, tr_cache, theta, rows, cols,
+                        at, ratio, dgrads)
+        prev_eta = eta
 
     loss = float(kl_t.sum() - nll_t.sum() - w_d * dist_t.sum())
     components = {"kl": kl_t, "nll": nll_t, "dist": dist_t}
@@ -296,8 +320,8 @@ def longitudinal_loss(batch, gen, enc, cfg, eps, want_grads=True,
     pending_gmu = np.zeros((B, K))
     pending_geta = np.zeros((B, M, K))  # into eta[t] from stage t + 1
     for t in range(T - 1, -1, -1):
-        inp, mu, sg, enc_cache, mu0, tr_cache, theta, rows, cols, at, \
-            ratio, dgrads = saved[t]
+        mu, sg, enc_cache, mu0, tr_cache, theta, rows, cols, at, ratio, \
+            dgrads = saved[t]
         saved[t] = None
         mu_q, sg_q = mu[0], sg[0]
         geta = pending_geta
@@ -345,7 +369,7 @@ def longitudinal_loss(batch, gen, enc, cfg, eps, want_grads=True,
         # one encoder backward for every head (all share the stage-t
         # parameters and the recurrent previous-mean input)
         gin, eg = enc.stages[t].backward(enc_cache, gmu_all, gs_all)
-        inp[rows, cols] = 0.0
+        enc_cache[0][rows, cols] = 0.0
         for name, val in eg.items():
             add(f"enc{t}.{name}", val)
         pending_gmu = gin[:, -K:]

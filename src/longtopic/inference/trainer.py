@@ -46,7 +46,8 @@ from ..model import (
     group_encoding_dim,
     softmax,
 )
-from .loss import CorpusArrays, Workspace, longitudinal_loss
+from .loss import (CorpusArrays, Workspace, chunk_batches, longitudinal_loss,
+                   stage_heads)
 from .networks import EncoderParams, StageEncoder
 from .terms import DISTANCE_KINDS
 
@@ -239,10 +240,9 @@ def _run_epochs(corpus, registry, cfg, batch_loss):
 
     def full_loss():
         total = 0.0
-        for lo in range(0, N, ROW_CHUNK):
-            hi = min(lo + ROW_CHUNK, N)
-            loss, _ = batch_loss(arrays.batch(np.arange(lo, hi)),
-                                 eval_eps[lo:hi], False, work)
+        for lo, hi, batch in chunk_batches(corpus, arrays.y_enc,
+                                           arrays.cf_encs):
+            loss, _ = batch_loss(batch, eval_eps[lo:hi], False, work)
             total += loss * (hi - lo)
         return total / N
 
@@ -299,10 +299,9 @@ def train(corpus, gen, enc, cfg):
 
 
 def encode_corpus(fitted, corpus):
-    """Factual posterior moments for every cell: two (T, N, K) arrays.
-    The subjects go through the stages in blocks of ROW_CHUNK: each stage's
-    input goes into one (ROW_CHUNK, D) buffer from that block's slice of the
-    corpus's CSR counts, so no (N, V) array is built. The model and the
+    """Factual posterior moments for every cell, two (T, N, K) arrays: head
+    0 of stage_heads, with no counterfactuals, over the corpus's
+    chunk_batches through one (ROW_CHUNK, D) input buffer. The model and the
     corpus must agree on the vocabulary, stages, covariates and groups."""
     if list(corpus.vocab) != list(fitted.vocab):
         raise VocabMismatch("corpus vocabulary differs from the fitted model")
@@ -315,24 +314,13 @@ def encode_corpus(fitted, corpus):
     y_enc = encode_groups(corpus.groups, corpus.n_groups)
     N, T, K = corpus.n_subjects, corpus.n_stages, fitted.gen.n_topics
     mu_all, sg_all = np.zeros((2, T, N, K))
-    # the word columns are zeros between passes, as in the loss's Workspace
-    buf = np.zeros((min(N, ROW_CHUNK), fitted.enc.stages[0].in_dim))
-    no_shifts = np.empty((0, len(buf), y_enc.shape[1]))
-    for lo in range(0, N, ROW_CHUNK):
-        hi = min(lo + ROW_CHUNK, N)
-        inp = buf[:hi - lo]
-        prev = np.broadcast_to(fitted.gen.eta0, (hi - lo, K))
-        for t in range(T):
-            rows, words, counts = corpus.stage_block(t, lo, hi)
-            totals = np.bincount(rows, weights=counts, minlength=hi - lo)
-            inp[rows, words] = counts / totals[rows]
-            inp[:, corpus.vocab_size:] = np.concatenate(
-                [corpus.covariates[lo:hi, t], y_enc[lo:hi], prev], axis=1)
-            mu, sg, _ = fitted.enc.stages[t].forward(inp,
-                                                     no_shifts[:, :hi - lo])
-            inp[rows, words] = 0.0
+    inp = np.zeros((min(N, ROW_CHUNK), fitted.enc.stages[0].in_dim))
+    no_cf = np.empty((0, N, y_enc.shape[1]))
+    for lo, hi, batch in chunk_batches(corpus, y_enc, no_cf):
+        heads = stage_heads(batch, fitted.enc, fitted.gen.eta0,
+                            batch.cf_encs - batch.y_enc, inp, keep=False)
+        for t, (mu, sg, _) in enumerate(heads):
             mu_all[t, lo:hi], sg_all[t, lo:hi] = mu[0], sg[0]
-            prev = mu_all[t, lo:hi]
     return mu_all, sg_all
 
 

@@ -109,6 +109,29 @@ def test_eval_without_truth_leaves_recovery_metrics_null(tmp_path):
     assert metrics["group_acc"] is not None
 
 
+def test_eval_of_a_corpus_with_an_empty_stage_writes_strict_json(tmp_path):
+    out = tmp_path / "run"
+    assert main(["simulate", "--out", str(out), "--seed", "3", *SIM,
+                 "--set", "sim.n_subjects=20", "--set", "sim.n_stages=3"]) == 0
+    docs = out / "corpus" / "docs.jsonl"
+    lines = docs.read_text().splitlines(keepends=True)
+    docs.write_text("".join(ln for ln in lines if '"stage": 1,' not in ln))
+    corpus = f'paths.corpus="{out / "corpus"}"'
+    assert main(["fit", "--out", str(out), "--seed", "3", *TRAIN,
+                 "--set", corpus, "--allow-missing"]) == 0
+    assert main(["eval", "--out", str(out), "--set", corpus,
+                 "--set", f'paths.model="{out / "model.json"}"',
+                 "--set", f'paths.truth="{out / "truth.json"}"',
+                 "--allow-missing"]) == 0
+
+    def reject(name):
+        raise ValueError(f"metrics.json holds {name}")
+
+    metrics = json.loads((out / "metrics.json").read_text(),
+                         parse_constant=reject)
+    assert metrics["perplexity"] > 1.0
+
+
 def test_config_file_with_flag_overrides(tmp_path):
     cfg = {"sim": {"n_subjects": 40, "n_stages": 2, "vocab_size": 12,
                    "n_topics": 2, "n_covariates": 3},

@@ -263,6 +263,23 @@ def test_perplexity_ignores_missing_cells():
     assert perplexity(bh, th, corpus) == pytest.approx(2.0, rel=1e-12)
 
 
+def test_perplexity_averages_the_stages_that_hold_documents():
+    # stage 1 holds no document: the mean runs over stages 0 and 2 only,
+    # the value the oracle gives on the corpus without that stage
+    rng = np.random.default_rng(6)
+    N, T, V, K = 7, 3, 9, 2
+    counts = rng.integers(0, 4, size=(N, T, V))
+    counts[:, :, 0] += 1
+    counts[:, 1] = 0
+    counts[2, 0] = 0
+    beta = rng.dirichlet(np.ones(V), size=(T, K)).transpose(0, 2, 1)
+    theta = rng.dirichlet(np.ones(K), size=(T, N))
+    kept = [0, 2]
+    got = perplexity(beta, theta, corpus_from_counts(counts))
+    assert got == perplexity_ref(beta[kept], theta[kept],
+                                 corpus_from_counts(counts[:, kept]))
+
+
 def test_dominant_accuracy_hand_case():
     th = np.array([[[0.6, 0.4], [0.2, 0.8]]])
     tt = np.array([[[0.9, 0.1], [0.9, 0.1]]])

@@ -4,7 +4,11 @@ import pytest
 from longtopic.corpus import Corpus
 from longtopic.errors import ShapeError, UnknownDistance
 from hypothesis import given, settings, strategies as st
-from longtopic.inference.loss import CorpusArrays, longitudinal_loss
+from longtopic.inference.loss import (
+    CorpusArrays,
+    chunk_batches,
+    longitudinal_loss,
+)
 from longtopic.inference.networks import SIGMA_MIN, sigmoid
 from longtopic.inference.terms import DISTANCE_KINDS, distance_with_grad
 from longtopic.inference.trainer import TrainConfig, default_init
@@ -344,20 +348,23 @@ def test_batch_gather_matches_the_dense_reference(data):
     arrays = CorpusArrays(corpus)
     idx = np.array(data.draw(st.lists(st.integers(0, N - 1), min_size=1,
                                       max_size=N + 2)))
-    got, want = arrays.batch(idx), batch_ref(corpus, idx)
-    B = idx.size
-    assert np.array_equal(got.x, arrays.x[idx])
-    assert np.array_equal(got.present, arrays.present[idx])
-    assert got.stage_ptr[0] == 0 and got.stage_ptr[-1] == got.rows.size
-    for t in range(T):
-        sl = slice(got.stage_ptr[t], got.stage_ptr[t + 1])
-        rows, cols = want.cells[t]
-        assert np.array_equal(got.rows[sl], rows)
-        assert np.array_equal(got.cols[sl], cols)
-        assert np.array_equal(got.c_nz[sl], want.c_nz[t])
-        wn = np.zeros((B, V))
-        wn[rows, cols] = got.wn_nz[sl]
-        assert np.array_equal(wn, want.wn[:, t])
+    # a gathered minibatch, and the one chunk batch of the whole corpus
+    (lo, hi, whole), = chunk_batches(corpus, arrays.y_enc, arrays.cf_encs)
+    assert (lo, hi) == (0, N)
+    for got, sel in ((arrays.batch(idx), idx), (whole, np.arange(N))):
+        want, B = batch_ref(corpus, sel), sel.size
+        assert np.array_equal(got.x, arrays.x[sel])
+        assert np.array_equal(got.present, arrays.present[sel])
+        assert np.array_equal(got.y_enc, arrays.y_enc[sel])
+        assert np.array_equal(got.cf_encs, arrays.cf_encs[:, sel])
+        assert len(got.stages) == T
+        for t, (rows, cols, c_nz, wn_nz) in enumerate(got.stages):
+            assert np.array_equal(rows, want.cells[t][0])
+            assert np.array_equal(cols, want.cells[t][1])
+            assert np.array_equal(c_nz, want.c_nz[t])
+            wn = np.zeros((B, V))
+            wn[rows, cols] = wn_nz
+            assert np.array_equal(wn, want.wn[:, t])
 
 
 @settings(max_examples=200, deadline=None)

@@ -3,9 +3,10 @@
 A fit allocates one Workspace and every loss call reuses it through prefix
 views. A call with a workspace must give the same bits as one that allocates
 its own, whatever the workspace held before, and must leave its scatter
-buffer R and the word columns of its encoder inputs all zeros. A fit must
-not depend on what earlier fits in the same process did, even one that ended
-in DivergedError.
+buffer R and the word columns of its encoder inputs all zeros. A chunk
+batch (the full-data evaluation's CSR slices) must give the bits of the
+gathered batch of the same rows. A fit must not depend on what earlier fits
+in the same process did, even one that ended in DivergedError.
 """
 
 import os
@@ -20,7 +21,13 @@ import longtopic
 from longtopic.cli import main
 from longtopic.corpus import Corpus
 from longtopic.inference.dynamic import _dynamic_batch
-from longtopic.inference.loss import CorpusArrays, Workspace, longitudinal_loss
+from longtopic.inference import loss
+from longtopic.inference.loss import (
+    CorpusArrays,
+    Workspace,
+    chunk_batches,
+    longitudinal_loss,
+)
 from longtopic.inference.trainer import TrainConfig, default_init
 from longtopic.model import default_vocab
 
@@ -50,7 +57,7 @@ def _assert_same(a, b):
 
 
 @pytest.mark.parametrize("dynamic", [False, True], ids=["static", "dynamic"])
-def test_workspace_calls_match_fresh_allocation(dynamic):
+def test_workspace_calls_match_fresh_allocation(dynamic, monkeypatch):
     corpus = _corpus()
     N, T, V = corpus.n_subjects, corpus.n_stages, corpus.vocab_size
     K, M = 3, 2
@@ -64,8 +71,13 @@ def test_workspace_calls_match_fresh_allocation(dynamic):
     rho_b = np.full((T, V, K), -2.0)
     eps_b = rng.standard_normal((T, V, K))
 
-    def call(idx, eps, want_grads, work):
-        batch = arrays.batch(idx)
+    # the evaluations take chunk batches of 6 rows, as a fit's full-data
+    # pass does
+    monkeypatch.setattr(loss, "ROW_CHUNK", 6)
+    chunks = {lo: batch for lo, _, batch in
+              chunk_batches(corpus, arrays.y_enc, arrays.cf_encs)}
+
+    def call(batch, eps, want_grads, work):
         if dynamic:
             return _dynamic_batch(batch, gen, enc, cfg, eps, mu_b, rho_b,
                                   eps_b, 1.0 / N, 0.2, want_grads, work=work)
@@ -83,8 +95,9 @@ def test_workspace_calls_match_fresh_allocation(dynamic):
                             ([8, 3, 0], True), (np.arange(6, 9), False),
                             ([4, 1], True), (np.arange(6), False)]:
         eps = rng.standard_normal((len(idx), T, M, K))
-        _assert_same(call(idx, eps, want_grads, work),
-                     call(idx, eps, want_grads, None))
+        batch = arrays.batch(idx) if want_grads else chunks[idx[0]]
+        _assert_same(call(batch, eps, want_grads, work),
+                     call(arrays.batch(idx), eps, want_grads, None))
         assert not work.R.any() and not work.inp[:, :V].any()
 
 
