@@ -551,8 +551,8 @@ def _read_groups(fname):
         if len(parts) != 2:
             raise FormatError(f"{fname} line {ln}: expected 2 fields")
         try:
-            subject, group = int(parts[0]), int(parts[1])
-        except ValueError as e:
+            subject, group = int(parts[0]), int(np.int64(parts[1]))
+        except (ValueError, OverflowError) as e:
             raise FormatError(f"{fname} line {ln}: {e}") from e
         if subject in rows:
             raise FormatError(f"{fname} line {ln}: duplicate subject {subject}")

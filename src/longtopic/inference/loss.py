@@ -38,12 +38,14 @@ The loss's forward and the posterior read-out iterate one stage chain,
 `stage_heads`, over Batches that hold each stage's entries apart: gathered
 by `CorpusArrays.batch`, or CSR slices from `chunk_batches`.
 
-The dense blocks of a call (the (B * M, V) product, the backward's (B * M, V)
-scatter buffer R and the encoder inputs) live in a Workspace that a fit
-allocates once and every call reuses through prefix views; R and the word
-columns of the encoder inputs are kept all zeros between calls. An
-evaluation (want_grads=False) keeps no per-stage caches, so its memory does
-not grow with the number of stages.
+The reconstruction's forward reads the probabilities at the nonzero cells
+only, through one (B, L, K) gather of topic rows per stage
+(`nonzero_probs`); no (B * M, V) product is formed. The dense blocks of a
+call (the backward's (B * M, V) scatter buffer R and the encoder inputs)
+live in a Workspace that a fit allocates once and every call reuses through
+prefix views; R and the word columns of the encoder inputs are kept all
+zeros between calls. An evaluation (want_grads=False) keeps no per-stage
+caches, so its memory does not grow with the number of stages.
 """
 
 from __future__ import annotations
@@ -150,12 +152,28 @@ def stage_heads(batch, enc, eta0, shifts, inp, keep):
         prev = mu[0]
 
 
+def nonzero_probs(theta, bcols, rows, cols):
+    """(nnz, M) probabilities theta[rows] @ bcols[cols].T at a stage's
+    nonzero cells, rows ascending: each document's words, padded with word 0
+    to the longest row L, gather a (B, L, K) block of bcols for one batched
+    matmul with theta, whose sums over K round as the dense (B * M, V)
+    product's do on the pinned shapes (README, Determinism)."""
+    B, M, _ = theta.shape
+    n = np.bincount(rows, minlength=B)
+    L = int(n.max(initial=0))
+    # entry i's place in the padded (B, L) block
+    flat = np.arange(rows.size) + (L * np.arange(B) - np.cumsum(n) + n)[rows]
+    pad = np.zeros(B * L, dtype=cols.dtype)
+    pad[flat] = cols
+    probs = np.matmul(np.take(bcols, pad.reshape(B, L), axis=0),
+                      theta.transpose(0, 2, 1))
+    return np.take(probs.reshape(B * L, M), flat, axis=0)
+
+
 class Workspace:
     """The large buffers of longitudinal_loss, allocated once and reused by
     every call of one fit. A call with B rows takes prefix views:
 
-    - prod (rows * M, V): the dense product theta @ bcols.T of one stage,
-      sized for the largest evaluation chunk;
     - R (train_rows * M, V): the backward's scattered count/prob ratios,
       sized for the training batch. It is all zeros between calls: a call
       clears the cells it set as soon as their two matmuls are done;
@@ -168,7 +186,6 @@ class Workspace:
     """
 
     def __init__(self, rows, train_rows, T, M, V, D):
-        self.prod = np.empty((rows * M, V))
         self.R = np.zeros((train_rows * M, V))
         self.inp = np.zeros((max(rows, T * train_rows), D))
 
@@ -273,12 +290,7 @@ def longitudinal_loss(batch, gen, enc, cfg, eps, want_grads=True,
 
         # multinomial reconstruction, evaluated at the nonzero counts only
         theta = softmax(eta, axis=2)
-        probs = np.matmul(theta.reshape(B * M, K), bcols[t].T,
-                          out=work.prod[:B * M])
-        # the flat places of the nonzero cells in a (B, M, V) block, one
-        # column per sample
-        at = (rows * (M * V) + cols)[:, None] + V * np.arange(M)
-        p_nz = np.take(probs, at)                             # (nnz, M)
+        p_nz = nonzero_probs(theta, bcols[t], rows, cols)    # (nnz, M)
         logp = np.maximum(p_nz, PROB_FLOOR)
         np.log(logp, out=logp)
         nll_t[t] = scale * float(((pm[rows, t] * c_nz) @ logp).sum())
@@ -290,6 +302,9 @@ def longitudinal_loss(batch, gen, enc, cfg, eps, want_grads=True,
             dist_t[t] = float(pm[:, t] @ d) / B
 
         if want_grads:
+            # the flat places of the nonzero cells in the backward's
+            # (B, M, V) block R, one column per sample
+            at = (rows * (M * V) + cols)[:, None] + V * np.arange(M)
             ratio = np.divide(
                 np.broadcast_to(c_nz[:, None], p_nz.shape), p_nz,
                 out=np.zeros_like(p_nz), where=p_nz > PROB_FLOOR)

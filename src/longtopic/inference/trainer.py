@@ -4,18 +4,18 @@ One epoch loop serves every topic parametrization: `train` (shared topics)
 and `dynamic.fit_dynamic_topics` (per-stage topics) each hand it their
 parameter registry and a batch objective. It runs plain SGD with momentum
 (default) or Adam over all blocks, using the exact gradients of that
-objective. After each epoch the full-data loss is evaluated with a frozen eps
-tensor (drawn once at startup) and logged; training stops when the relative
-change of that logged loss drops to eps_stop, or after t_max epochs. A
-non-finite eps_stop disables the stop rule entirely; a non-finite loss raises
-DivergedError. Everything is a deterministic function of (corpus, initial
-parameters, config): refits are bit-identical.
+objective. After each epoch the full-data loss is evaluated with frozen eps
+(the [seed, 1] stream, drawn chunk by chunk) and logged; training stops when
+the relative change of that logged loss drops to eps_stop, or after t_max
+epochs. A non-finite eps_stop disables the stop rule entirely. A loss that
+is not finite, or a logged loss above BLOWUP times max(|initial loss|, 1),
+raises DivergedError. Refits are bit-identical.
 
 A fit allocates its working memory once: one loss Workspace (see loss.py)
-sized for the evaluation chunk and the training batch, whose prefix views
-serve the shorter last batch and chunk, the eps buffers, and the optimizer's
-flat state vectors. The loss calls and optimizer steps in between allocate
-nothing of the size of a (rows * M, V) block.
+and one eps buffer, sized for the evaluation chunk and the training batch,
+whose prefix views serve the shorter last batch and chunk, and the
+optimizer's flat state vectors. Nothing holds a (rows * M, V) probability
+block or the noise of the whole corpus.
 """
 
 from __future__ import annotations
@@ -53,6 +53,8 @@ from .terms import DISTANCE_KINDS
 
 # the most float64 numbers (2 GiB) that one Monte-Carlo tensor may hold
 MAX_SAMPLE_ELEMENTS = 2 ** 28
+# a logged loss above BLOWUP * max(|initial loss|, 1) has diverged
+BLOWUP = 1e6
 
 
 @dataclass
@@ -215,15 +217,17 @@ def _run_epochs(corpus, registry, cfg, batch_loss):
 
     Every large buffer of the fit is allocated once, here: the Workspace
     (sized for the full-data evaluation's chunk and the training batch; a
-    short batch or chunk takes prefix views of it), the frozen evaluation eps
-    and the training eps, drawn in place. The parameters change only in the
+    short batch or chunk takes prefix views of it) and one (rows, T, M, K)
+    eps buffer. The training eps and, chunk by chunk from a fresh [seed, 1]
+    generator, the frozen evaluation eps (one (N, T, M, K) draw's numbers)
+    are drawn into it in place. The parameters change only in the
     optimizer step that follows a training call (want_grads=True), so an
     objective may keep what the chunks of one full-data evaluation share
     until its next training call."""
     N, T, V = corpus.n_subjects, corpus.n_stages, corpus.vocab_size
     K, M = cfg.n_topics, cfg.m_samples
     rows = min(N, max(ROW_CHUNK, cfg.batch_size))
-    for what, size in (("(N, T, M, K) eval eps", N * T * M * K),
+    for what, size in (("(rows, T, M, K) eval eps", rows * T * M * K),
                        ("(rows * M, V) loss buffer", rows * M * V)):
         if size > MAX_SAMPLE_ELEMENTS:
             raise ConfigError(f"m_samples={M} needs {size} numbers in the"
@@ -233,16 +237,16 @@ def _run_epochs(corpus, registry, cfg, batch_loss):
     work = Workspace(rows, train_rows, T, M, V,
                      V + corpus.n_features + arrays.y_enc.shape[1] + K)
     opt = Optimizer(registry, cfg)
-    eval_eps = np.random.default_rng([cfg.seed, 1]).standard_normal(
-        (N, T, M, K))
     rng = np.random.default_rng([cfg.seed, 2])
-    eps_buf = np.empty((train_rows, T, M, K))
+    eps_buf = np.empty((rows, T, M, K))
 
     def full_loss():
         total = 0.0
+        eval_rng = np.random.default_rng([cfg.seed, 1])
         for lo, hi, batch in chunk_batches(corpus, arrays.y_enc,
                                            arrays.cf_encs):
-            loss, _ = batch_loss(batch, eval_eps[lo:hi], False, work)
+            eps = eval_rng.standard_normal(out=eps_buf[:hi - lo])
+            loss, _ = batch_loss(batch, eps, False, work)
             total += loss * (hi - lo)
         return total / N
 
@@ -256,6 +260,7 @@ def _run_epochs(corpus, registry, cfg, batch_loss):
         prev_loss = full_loss()
         if not math.isfinite(prev_loss):
             raise DivergedError("initial loss is not finite")
+        limit = BLOWUP * max(abs(prev_loss), 1.0)
         log = [{"epoch": 0, "loss": prev_loss}]
         for epoch in range(1, cfg.t_max + 1):
             lr = cfg.learning_rate
@@ -275,6 +280,10 @@ def _run_epochs(corpus, registry, cfg, batch_loss):
             except NumericError as e:
                 raise DivergedError(f"parameters diverged: {e}") from e
             check(loss, epoch)
+            if loss > limit:
+                raise DivergedError(
+                    f"loss {loss:.6g} at epoch {epoch} is above {limit:.6g},"
+                    f" {BLOWUP:g} times max(|initial loss|, 1)")
             log.append({"epoch": epoch, "loss": loss})
             rel = abs(loss - prev_loss) / max(abs(prev_loss), 1e-12)
             prev_loss = loss

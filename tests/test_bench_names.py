@@ -1,33 +1,38 @@
-"""The names bench/spans.py wraps exist in the package.
+"""The names the benchmark reads exist in the package.
 
-The benchmark's tracer replaces each (module, class, attribute) of its
-LAYERS table with a timing wrapper, and its loss.arrays_bytes hook reads
-CorpusArrays attributes. A rename under src/ would otherwise show only in a
-traced benchmark run.
+The benchmark's tracer (bench/spans.py) replaces each (module, class,
+attribute) of its LAYERS table with a timing wrapper, and its
+loss.arrays_bytes hook reads CorpusArrays attributes. Its driver
+(bench/run.py) builds a SimConfig and a TrainConfig from each workload's
+settings and calls the package's public functions. A rename under src/ would
+otherwise show only in a benchmark run.
 """
 
 import importlib
 import importlib.util
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import longtopic
 from longtopic.corpus import Corpus
 from longtopic.inference.loss import CorpusArrays
 from longtopic.model import default_vocab
 
-SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
-def _spans():
-    spec = importlib.util.spec_from_file_location("bench_spans", SPANS)
+def _bench_module(name):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}",
+                                                  BENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
-SPAN_MODULE = _spans()
+SPAN_MODULE = _bench_module("spans")
 
 
 @pytest.mark.parametrize("module, cls, attr",
@@ -51,3 +56,20 @@ def test_arrays_bytes_hook_reads_a_corpus_arrays():
     SPAN_MODULE._arrays_bytes(tracer, (arrays,), {}, None)
     assert tracer.counts["loss.arrays_bytes"] >= \
         arrays.counts.nbytes + arrays.wn.nbytes
+
+
+def test_every_workload_builds_and_every_called_name_exists(monkeypatch):
+    # run.py sets the BLAS thread variables when it is imported; set here
+    # first, they are restored after the test
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, "1")
+    run = _bench_module("run")
+    assert run.WORKLOADS
+    for sim, train in run.WORKLOADS.values():
+        longtopic.SimConfig(seed=0, **sim)
+        longtopic.TrainConfig(seed=0, **train)
+    # the pipeline stages and the checks reach the package as lt.<name>
+    called = set(re.findall(r"\blt\.(\w+)", (BENCH / "run.py").read_text()))
+    assert {"simulate", "train", "full_report", "perplexity"} <= called
+    assert [name for name in sorted(called)
+            if not hasattr(longtopic, name)] == []

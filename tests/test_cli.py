@@ -150,22 +150,29 @@ def test_config_file_with_flag_overrides(tmp_path):
 
 def test_fit_prints_a_short_line_for_a_huge_finite_loss(tmp_path, capsys,
                                                         monkeypatch):
-    # plain SGD at learning rate 1000 ends this fit at a finite loss of
-    # 8.8e105, which a fixed-point format prints with 106 digits
+    # plain SGD at these learning rates takes this fit's logged loss from
+    # 747 to 8.8e105, 3.7e51 and 1.2e30 in three epochs, all finite: the
+    # fit stops at the first logged loss above 1e6 times the initial one
     monkeypatch.chdir(tmp_path)
     assert main(["simulate", "--out", "run",
                  "--set", "sim.n_subjects=30", "--set", "sim.n_stages=2",
                  "--set", "sim.vocab_size=50", "--set", "sim.n_topics=3"]) == 0
-    capsys.readouterr()
-    assert main(["fit", "--out", "run", "--set", 'paths.corpus="run/corpus"',
-                 "--set", "train.n_topics=3", "--set", 'train.optimizer="sgd"',
-                 "--set", "train.learning_rate=1000",
-                 "--set", "train.t_max=3"]) == 0
-    loss = json.loads((tmp_path / "run" / "train_log.json").read_text())
-    assert 1e100 < loss["log"][-1]["loss"] < float("inf")
-    line = capsys.readouterr().out.strip()
-    assert "\n" not in line and len(line) < 120
-    assert "final loss 8.81947e+105 after 3 epochs" in line
+    for lr, epoch in ((1000, 2), (100, 2), (30, 3)):
+        capsys.readouterr()
+        out = f"fit{lr}"
+        assert main(["fit", "--out", out,
+                     "--set", 'paths.corpus="run/corpus"',
+                     "--set", "train.n_topics=3",
+                     "--set", 'train.optimizer="sgd"',
+                     "--set", f"train.learning_rate={lr}",
+                     "--set", "train.t_max=3"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and len(lines[0]) < 120, lines
+        assert lines[0].startswith("error: DivergedError: loss ")
+        assert f" at epoch {epoch} is above " in lines[0]
+        assert not (tmp_path / out).exists()
 
 
 def error_code(argv, capsys):

@@ -71,6 +71,13 @@ def test_unknown_subject_is_missing_label(tmp_path):
         load_corpus(minimal_dir(tmp_path, doc_lines=lines))
 
 
+def test_group_label_beyond_int64_is_a_format_error(tmp_path):
+    d = minimal_dir(tmp_path)
+    (d / "groups.csv").write_text("subject,group\n0,99999999999999999999\n")
+    with pytest.raises(FormatError, match="groups.csv line 2"):
+        load_corpus(d)
+
+
 def test_unparsable_line_reports_line_number(tmp_path):
     lines = [
         json.dumps({"subject": 0, "stage": 0, "counts": {"0": 1}}),

@@ -141,8 +141,10 @@ def test_positive_variance_divergence_is_named():
     corpus = small_corpus()
     cfg = replace(cfg_for(3, 0.3, epochs=6), optimizer="sgd",
                   learning_rate=1e9)
-    with pytest.raises(DivergedError,
-                       match="^loss became non-finite at epoch 3$"):
+    # the loss logged at epoch 1 is finite, but above 1e6 times the initial
+    # loss
+    with pytest.raises(DivergedError, match=r"^loss \S+ at epoch 1 is above"
+                       r" \S+, 1e\+06 times max\(\|initial loss\|, 1\)$"):
         fit_dynamic_topics(corpus, cfg)
 
 

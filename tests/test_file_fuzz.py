@@ -1,7 +1,9 @@
-"""Property test over the two JSON files `eval` reads besides the corpus:
-one random edit of a saved model.json or truth.json (a key dropped, a list
-truncated, or a value replaced by a string, a bool, null, a list or an int
-from a small set) either leaves `eval` working, or ends it with exit 1, one
+"""Property tests over the six files `eval` reads: one random edit of a
+saved model.json or truth.json (a key dropped, a list truncated, or a value
+replaced by a string, a bool, null, a list or an int from a small set), or of
+one of the four corpus files (a line deleted, duplicated, swapped or
+inserted, a number replaced by a bad or odd value, the file truncated or
+emptied), either leaves `eval` working, or ends it with exit 1, one
 `error: <Type>: ...` line and no output directory. A numpy warning fails the
 test too (the suite turns RuntimeWarning into an error), since a user would
 see it on stderr next to the error line."""
@@ -10,6 +12,7 @@ import copy
 import json
 import os
 import re
+import shutil
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
@@ -63,6 +66,24 @@ def apply_edit(obj, data, edit):
         parent[key] = copy.deepcopy(edit)
 
 
+def check_eval(work, corpus, model, truth, *flags):
+    """eval either writes metrics.json, or exits 1 with one error line and
+    no output directory."""
+    target, err = os.path.join(work, "evalout"), StringIO()
+    with redirect_stderr(err), redirect_stdout(StringIO()):
+        code = main(["eval", "--out", target,
+                     "--set", f'paths.corpus="{corpus}"',
+                     "--set", f'paths.model="{model}"',
+                     "--set", f'paths.truth="{truth}"', *flags])
+    if code == 0:
+        assert os.path.isfile(os.path.join(target, "metrics.json"))
+    else:
+        assert code == 1
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and re.match(r"error: \w+: ", lines[0]), lines
+        assert not os.path.exists(target)
+
+
 @settings(max_examples=120, deadline=None)
 @given(st.sampled_from(["model.json", "truth.json"]), st.sampled_from(EDITS),
        st.data())
@@ -76,17 +97,61 @@ def test_an_edited_model_or_truth_is_evaluated_or_one_named_error(
         paths[name] = os.path.join(work, name)
         with open(paths[name], "w", encoding="utf-8") as f:
             json.dump(obj, f)
-        target, err = os.path.join(work, "evalout"), StringIO()
-        with redirect_stderr(err), redirect_stdout(StringIO()):
-            code = main(["eval", "--out", target,
-                         "--set", f'paths.corpus="{out / "corpus"}"',
-                         "--set", f'paths.model="{paths["model.json"]}"',
-                         "--set", f'paths.truth="{paths["truth.json"]}"'])
-        if code == 0:
-            assert os.path.isfile(os.path.join(target, "metrics.json"))
-        else:
-            assert code == 1
-            lines = err.getvalue().splitlines()
-            assert len(lines) == 1 and re.match(r"error: \w+: ", lines[0]), \
-                lines
-            assert not os.path.exists(target)
+        check_eval(work, out / "corpus", paths["model.json"],
+                   paths["truth.json"])
+
+
+CORPUS_FILES = ["docs.jsonl", "meta.csv", "groups.csv", "vocab.txt"]
+LINE_EDITS = ["delete", "duplicate", "swap", "insert", "number", "truncate",
+              "empty"]
+# what a number becomes, and what an inserted line is
+NUMBERS = ["x", "-1", "1e400", "nan", "2.5", "99999999999999999999", ""]
+LINES = ["\n", "x\n", "0,0\n", "0,1,2,3,4\n", "{}\n",
+         '{"subject": 0, "stage": 0, "counts": {"0": 1}}\n']
+NUMBER = re.compile(r"-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?")
+
+
+def edit_lines(text, edit, data):
+    """text with one edit: a line deleted, duplicated, swapped with another
+    or inserted, one number in a line replaced, the text truncated at a
+    drawn place, or emptied."""
+    if edit == "empty":
+        return ""
+    if edit == "truncate":
+        return text[:data.draw(st.integers(0, len(text) - 1))]
+    lines = text.splitlines(keepends=True)
+    i = data.draw(st.integers(0, len(lines) - 1))
+    if edit == "delete":
+        del lines[i]
+    elif edit == "duplicate":
+        lines.insert(i, lines[i])
+    elif edit == "swap":
+        j = data.draw(st.integers(0, len(lines) - 1))
+        lines[i], lines[j] = lines[j], lines[i]
+    elif edit == "insert":
+        lines.insert(i, data.draw(st.sampled_from(LINES)))
+    else:
+        spans = [m.span() for m in NUMBER.finditer(lines[i])]
+        if spans:
+            a, b = data.draw(st.sampled_from(spans))
+            lines[i] = (lines[i][:a] + data.draw(st.sampled_from(NUMBERS))
+                        + lines[i][b:])
+    return "".join(lines)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(CORPUS_FILES), st.sampled_from(LINE_EDITS),
+       st.booleans(), st.data())
+def test_an_edited_corpus_file_is_evaluated_or_one_named_error(
+        run, name, edit, allow_missing, data):
+    out, _ = run
+    with tempfile.TemporaryDirectory() as work:
+        corpus = os.path.join(work, "corpus")
+        shutil.copytree(out / "corpus", corpus)
+        path = os.path.join(corpus, name)
+        with open(path, encoding="utf-8") as f:
+            text = edit_lines(f.read(), edit, data)
+        with open(path, "w", encoding="utf-8") as f:
+            f.write(text)
+        check_eval(work, corpus, out / "model.json", out / "truth.json",
+                   *(["--allow-missing"] if allow_missing else []))

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,11 +10,13 @@ from longtopic.inference.loss import (
     CorpusArrays,
     chunk_batches,
     longitudinal_loss,
+    nonzero_probs,
 )
 from longtopic.inference.networks import SIGMA_MIN, sigmoid
 from longtopic.inference.terms import DISTANCE_KINDS, distance_with_grad
 from longtopic.inference.trainer import TrainConfig, default_init
-from longtopic.model import column_softmax, default_vocab
+from longtopic.model import column_softmax, default_vocab, softmax
+from longtopic.simulate import SimConfig, simulate
 from oracles import (
     batch_ref,
     counterfactual_encode,
@@ -411,8 +415,6 @@ def test_sigmoid_matches_the_masked_form():
 
 
 def test_corpus_arrays_hold_no_dense_tensor():
-    from longtopic.simulate import SimConfig, simulate
-
     corpus, _ = simulate(SimConfig(n_subjects=20, n_stages=3, vocab_size=60,
                                    n_topics=2, n_covariates=2,
                                    count_range=(3, 8), seed=4))
@@ -421,3 +423,63 @@ def test_corpus_arrays_hold_no_dense_tensor():
     N, T, V = corpus.n_subjects, corpus.n_stages, corpus.vocab_size
     assert len(held) >= 8
     assert all(a.size < N * T * V for a in held)
+
+
+def _stage(rng, B, M, K, V, density):
+    """theta (B, M, K), bcols (V, K) and the (rows, cols) of a random stage
+    in which each cell is nonzero with the given density and about a third
+    of the rows are empty."""
+    mask = rng.random((B, V)) < density
+    mask[rng.random(B) < 0.3] = False
+    rows, cols = np.nonzero(mask)
+    theta = softmax(rng.normal(size=(B, M, K)), axis=2)
+    return theta, column_softmax(rng.normal(size=(V, K))), rows, cols
+
+
+def _dense_at(theta, bcols, rows, cols):
+    B, M, K = theta.shape
+    probs = (theta.reshape(B * M, K) @ bcols.T).reshape(B, M, -1)
+    return probs[rows, :, cols]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_nonzero_probs_match_the_dense_product(data):
+    B, M = data.draw(st.integers(1, 40)), data.draw(st.integers(1, 6))
+    K, V = data.draw(st.integers(1, 10)), data.draw(st.integers(3, 300))
+    # density 0 is a stage with no entries
+    density = data.draw(st.sampled_from([0.0, 0.02, 0.2, 1.0]))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**31 - 1)))
+    theta, bcols, rows, cols = _stage(rng, B, M, K, V, density)
+    got = nonzero_probs(theta, bcols, rows, cols)
+    assert got.shape == (rows.size, M)
+    np.testing.assert_allclose(got, _dense_at(theta, bcols, rows, cols),
+                               rtol=1e-14, atol=0)
+
+
+@pytest.mark.parametrize("B, M, K, V", [(64, 5, 3, 200), (256, 5, 8, 1000)])
+def test_nonzero_probs_are_the_dense_bits_at_the_benchmark_shapes(B, M, K, V):
+    rng = np.random.default_rng(B + V)
+    for density in (0.02, 0.1, 0.3):
+        theta, bcols, rows, cols = _stage(rng, B, M, K, V, density)
+        assert np.array_equal(nonzero_probs(theta, bcols, rows, cols),
+                              _dense_at(theta, bcols, rows, cols))
+
+
+def test_an_evaluation_call_holds_no_v_wide_probability_block():
+    N, V, K, M = 256, 3000, 3, 5
+    corpus, _ = simulate(SimConfig(n_subjects=N, n_stages=2, vocab_size=V,
+                                   n_topics=K, n_covariates=2, seed=6))
+    cfg = make_cfg(n_topics=K, m_samples=M, hidden_enc=16)
+    gen, enc = default_init(corpus, cfg)
+    arrays = CorpusArrays(corpus)
+    (_, _, batch), = chunk_batches(corpus, arrays.y_enc, arrays.cf_encs)
+    eps = np.random.default_rng(0).standard_normal((N, 2, M, K))
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        longitudinal_loss(batch, gen, enc, cfg, eps, want_grads=False)
+        used = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert used < N * M * V * 8     # one (N * M, V) float64 block, 29.3 MiB

@@ -89,7 +89,6 @@ def test_workspace_calls_match_fresh_allocation(dynamic, monkeypatch):
     # everywhere but R and the word columns of inp, which the contract keeps
     # at zero
     work = Workspace(6, 4, T, M, V, enc.stages[0].in_dim)
-    work.prod[...] = np.nan
     work.inp[:, V:] = np.nan
     for idx, want_grads in [(np.arange(6), False), ([5, 1, 7, 2], True),
                             ([8, 3, 0], True), (np.arange(6, 9), False),
