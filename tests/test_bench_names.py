@@ -2,7 +2,7 @@
 
 The benchmark's tracer (bench/spans.py) replaces each (module, class,
 attribute) of its LAYERS table with a timing wrapper, and its
-loss.arrays_bytes hook reads CorpusArrays attributes. Its driver
+loss.arrays_bytes hook reads CorpusArrays attributes. Its runner
 (bench/run.py) builds a SimConfig and a TrainConfig from each workload's
 settings and calls the package's public functions. A rename under src/ would
 otherwise show only in a benchmark run.
