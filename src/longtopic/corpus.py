@@ -3,11 +3,10 @@
 A corpus is a balanced panel: N subjects observed over T stages, each (subject,
 stage) cell holding one bag-of-words document over a fixed vocabulary of V words,
 per-stage covariates (P features), and one group label per subject. Counts are
-records (word index -> count) in `docs`; numeric code reads them through the
-CSR view `csr()`, cells stage-major, and builds no (N, T, V) tensor. Every
-cell of a corpus takes its keys from one array of the V int objects 0..V-1,
-so a word index above CPython's small-int cache is one object per corpus, not
-one per cell that holds it.
+stored only as the CSR arrays of `csr()`, cells stage-major, which numeric code
+reads; no (N, T, V) tensor is built. `docs`, a {word_index: count} map per
+cell, is built from them on first read for tests and inspection: an edit to
+it shows in `==` and nowhere else.
 
 On-disk layout (one directory):
     vocab.txt   one word per line; line index = word index
@@ -24,9 +23,10 @@ the same error, at the same line, either way.
 
 Covariates are standardized (per-feature zero mean, unit variance pooled over all
 (i, t)) during construction, and the transform is recorded on the corpus. Saving
-writes the standardized values, so re-standardizing on reload is a no-op and
-load(save(c)) == c holds. Every file is written under a temporary name and
-renamed over the target, so a failed write leaves the previous file intact.
+writes them and loading standardizes them again, which moves their last bits:
+load(save(c)) == c to `==`'s 1e-12, but meta.csv need not round-trip byte for
+byte. Each file is written to a temporary name and renamed over its target,
+so a failed write leaves the previous file intact.
 """
 
 from __future__ import annotations
@@ -38,7 +38,8 @@ import numbers
 import os
 import re
 import reprlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain, islice
 
 import numpy as np
@@ -78,16 +79,16 @@ class Corpus:
     vocab_size: int
     n_groups: int
     n_features: int
-    # docs[i][t] is a {word_index: count} map, or None for a missing cell;
-    # every key is the corpus's one int object for that word index
-    docs: list
+    indptr: np.ndarray  # (N*T + 1,) int64; these four are csr()
+    words: np.ndarray  # (nnz,) int64
+    counts: np.ndarray  # (nnz,) int64
+    rows: np.ndarray  # (nnz,) int64
     covariates: np.ndarray  # (N, T, P) standardized
     groups: np.ndarray  # (N,) int labels in 0..G-1
     vocab: list
     present: np.ndarray  # (N, T) bool
     cov_center: np.ndarray  # (P,) recorded standardization offset
     cov_scale: np.ndarray  # (P,) recorded standardization scale
-    _csr: tuple | None = field(default=None, repr=False, compare=False)
 
     # -- construction ------------------------------------------------------
 
@@ -126,12 +127,9 @@ class Corpus:
     @classmethod
     def _from_blocks(cls, blocks, covariates, groups, vocab, allow_missing,
                      n_groups):
-        """The one construction path, a block of records at a time so that
-        the flat arrays stay small next to the cells they fill. Record r puts
-        the next lens[r] (word, count) entries into cell (subj[r], stage[r]).
-        keys, the word keys as given or None, only names a key int()
-        refused. The cells take their keys from one object array of the V
-        ints 0..V-1, built once here."""
+        """The one construction path: each block of records checked, the
+        positive counts of all put in CSR form at the end. Record r puts the
+        next lens[r] (word, count) entries into cell (subj[r], stage[r])."""
         vocab = list(vocab)
         if not vocab:
             raise FormatError("vocabulary is empty")
@@ -171,26 +169,15 @@ class Corpus:
         if not np.all(np.isfinite(covariates)):
             raise FormatError("covariates contain non-finite values")
 
-        docs = [[None] * T for _ in range(N)]
         present = np.zeros((N, T), dtype=bool)
-        word_ints = np.arange(V).astype(object)
+        kept = []  # per block: each kept entry's cell t*N + i, word, count
         for subj, stage, lens, words, counts, keys in blocks:
             rec = np.repeat(np.arange(lens.size), lens)
             _check_entries(subj, stage, lens, rec, words, counts, present, V,
                            keys)
             keep = counts > 0
-            ends = np.cumsum(np.bincount(rec[keep], minlength=lens.size))
-            keys = word_ints[words[keep]].tolist()
-            values = counts[keep].astype(np.int64, copy=False).tolist()
-            start = 0
-            for i, t, end in zip(subj.tolist(), stage.tolist(), ends.tolist()):
-                cell = dict(zip(keys[start:end], values[start:end]))
-                if len(cell) < end - start:  # keys int() maps to one word
-                    cell = dict.fromkeys(cell, 0)
-                    for w, c in zip(keys[start:end], values[start:end]):
-                        cell[w] += c
-                docs[i][t] = cell
-                start = end
+            kept.append(((stage * N + subj)[rec[keep]], words[keep],
+                         counts[keep].astype(np.int64, copy=False)))
             present[subj, stage] = True
         if not present.any():
             raise FormatError("corpus has no documents")
@@ -203,37 +190,33 @@ class Corpus:
         covariates, center, scale = _standardize(covariates)
         return cls(
             n_subjects=N, n_stages=T, vocab_size=V, n_groups=G, n_features=P,
-            docs=docs, covariates=covariates, groups=groups, vocab=vocab,
+            **_csr_fields(kept, N, T),
+            covariates=covariates, groups=groups, vocab=vocab,
             present=present, cov_center=center, cov_scale=scale)
 
     # -- accessors ---------------------------------------------------------
 
     def csr(self):
-        """(indptr, words, counts, rows): the counts in CSR form, read from
-        docs once. Cell c = t*N + i (subject i, stage t) holds entries
-        indptr[c] to indptr[c + 1], word ids ascending, so stage t is one
-        slice; rows holds each entry's subject i."""
-        if self._csr is None:
-            N, T = self.n_subjects, self.n_stages
-            cells = [self.docs[i][t] or {} for t in range(T) for i in range(N)]
-            cell = np.repeat(np.arange(N * T), list(map(len, cells)))
-            words = np.fromiter(chain.from_iterable(cells), np.int64)
-            counts = np.fromiter(chain.from_iterable(
-                c.values() for c in cells), np.int64)
-            if np.any((np.diff(words) <= 0) & (np.diff(cell) == 0)):
-                order = np.lexsort((words, cell))
-                words, counts = words[order], counts[order]
-            self._csr = (np.searchsorted(cell, np.arange(N * T + 1)), words,
-                         counts, cell % N)
-        return self._csr
+        """(indptr, words, counts, rows), as stored: cell c = t*N + i holds
+        entries indptr[c]:indptr[c + 1] by word; rows gives their subject."""
+        return self.indptr, self.words, self.counts, self.rows
+
+    @cached_property
+    def docs(self):
+        """docs[i][t]: cell (i, t) as {word_index: count} (None if missing),
+        built from csr() on first read, keys one int object per word."""
+        keys = np.arange(self.vocab_size).astype(object)[self.words]
+        pairs = zip(keys.tolist(), self.counts.tolist())
+        cells = [dict(islice(pairs, n)) or None
+                 for n in np.diff(self.indptr).tolist()]  # stage-major
+        return [cells[i::self.n_subjects] for i in range(self.n_subjects)]
 
     def stage_block(self, t, lo, hi):
         """(rows, words, counts) of stage t's entries for subjects lo to
         hi - 1, with rows counted from lo: one slice of csr()."""
-        indptr, words, counts, rows = self.csr()
         N = self.n_subjects
-        sl = slice(indptr[t * N + lo], indptr[t * N + hi])
-        return rows[sl] - lo, words[sl], counts[sl]
+        sl = slice(self.indptr[t * N + lo], self.indptr[t * N + hi])
+        return self.rows[sl] - lo, self.words[sl], self.counts[sl]
 
     def dense_counts(self):
         """(N, T, V) float64 count tensor. Missing cells are all-zero rows."""
@@ -256,6 +239,7 @@ class Corpus:
     def __eq__(self, other):
         if not isinstance(other, Corpus):
             return NotImplemented
+        read = "docs" in vars(self) | vars(other)  # if not, docs is csr()
         return (
             self.n_subjects == other.n_subjects
             and self.n_stages == other.n_stages
@@ -264,7 +248,8 @@ class Corpus:
             and self.vocab == other.vocab
             and np.array_equal(self.groups, other.groups)
             and np.array_equal(self.present, other.present)
-            and self.docs == other.docs
+            and (self.docs == other.docs if read else all(
+                np.array_equal(a, b) for a, b in zip(self.csr(), other.csr())))
             and np.allclose(self.covariates, other.covariates,
                             rtol=1e-12, atol=1e-12)
         )
@@ -274,7 +259,7 @@ def _standardize(covariates):
     """Per-feature zero mean / unit variance pooled over all (i, t).
 
     Zero-variance features keep scale 1 so the transform stays invertible;
-    applying the transform twice is a no-op up to float rounding.
+    applied again to its output, it moves the values' last bits.
     """
     N, T, P = covariates.shape
     flat = covariates.reshape(N * T, P)
@@ -285,16 +270,33 @@ def _standardize(covariates):
     return out, center, scale
 
 
+def _csr_fields(kept, N, T):
+    """csr()'s fields from the blocks' kept (cell, word, count) entries:
+    sorted by cell and word, counts of one word summed, each input freed."""
+    cell, words, counts = map(np.concatenate, zip(*kept))
+    kept.clear()
+    unsorted = np.any((np.diff(words) <= 0) & (np.diff(cell) == 0))
+    order = np.lexsort((words, cell) if unsorted else (cell,))  # stable
+    words = words[order]
+    counts = counts[order]
+    cell = cell[order]
+    first = np.r_[True, (np.diff(words) != 0) | (np.diff(cell) != 0)]
+    if not first.all():
+        at = np.flatnonzero(first)
+        if np.add.reduceat(counts, at, dtype=np.float64).max() >= 2.0**63:
+            raise FormatError("counts of one word sum past 2**63")
+        counts = np.add.reduceat(counts, at)
+        words, cell = words[first], cell[first]
+    return dict(indptr=np.searchsorted(cell, np.arange(N * T + 1)),
+                words=words, counts=counts, rows=cell % N)
+
+
 def _record_blocks(records):
     """The records, BLOCK at a time, as _from_blocks takes them."""
     records = iter(records)
     while block := list(islice(records, BLOCK)):
-        subjects, stages, cells = [], [], []
-        for subject, stage, counts in block:
-            subjects.append(subject)
-            stages.append(stage)
-            cells.append(counts)
-        ids = np.asarray([subjects, stages])
+        ids = np.asarray([(subject, stage) for subject, stage, _ in block]).T
+        cells = [counts for _, _, counts in block]
         if ids.size and ids.dtype.kind not in "iu":
             raise FormatError("subject/stage must be ints")
         keys = list(chain.from_iterable(cells))
@@ -459,17 +461,15 @@ def _write_text(fname, chunks):
 
 
 def _doc_lines(corpus):
-    """docs.jsonl lines: per present cell, what json.dumps writes for
-    {"subject": i, "stage": t, "counts": {"<word>": count, ...}} with the
-    word indices in ascending order."""
-    for i, row in enumerate(corpus.docs):
-        for t, cell in enumerate(row):
-            if cell is not None:
-                words = sorted(cell)
-                pairs = ('"%d": %d, ' * len(words))[:-2]
-                yield ('{"subject": %d, "stage": %d, "counts": {' + pairs
-                       + "}}\n") % (i, t, *chain.from_iterable(
-                           zip(words, map(cell.__getitem__, words))))
+    """docs.jsonl lines, subject-major: per present cell, json.dumps of
+    {"subject": i, "stage": t, "counts": {"<word>": count, ...}} from csr()."""
+    N, bounds = corpus.n_subjects, corpus.indptr.tolist()
+    pairs = np.column_stack([corpus.words, corpus.counts]).ravel()
+    for i, t in np.argwhere(corpus.present).tolist():
+        a, b = bounds[t * N + i], bounds[t * N + i + 1]
+        yield ('{"subject": %d, "stage": %d, "counts": {'
+               + ('"%d": %d, ' * (b - a))[:-2] + "}}\n") % (
+                   i, t, *pairs[2 * a:2 * b].tolist())
 
 
 def read_json(fname):
@@ -543,15 +543,16 @@ def _read_groups(fname):
     lines = _read_lines(fname)
     if not lines or lines[0].strip() != "subject,group":
         raise FormatError(f"{fname}: expected header 'subject,group'")
-    rows = {}
-    for ln, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
+    numbered = [(ln, s) for ln, s in enumerate(lines[1:], 2) if s.strip()]
+    rows, n = {}, len(numbered)
+    for ln, line in numbered:
         parts = line.split(",")
         if len(parts) != 2:
             raise FormatError(f"{fname} line {ln}: expected 2 fields")
         try:
             subject, group = int(parts[0]), int(np.int64(parts[1]))
+            if group > max(2, n):  # it alone would size every group array
+                raise ValueError(f"group label {group} above max(2, {n})")
         except (ValueError, OverflowError) as e:
             raise FormatError(f"{fname} line {ln}: {e}") from e
         if subject in rows:
@@ -606,8 +607,10 @@ def _read_meta(fname, n_subjects):
     if fault is not None or not ids:
         raise fault or FormatError(f"{fname}: no rows")
     subj, stage = pairs.T
-    known = (subj >= 0) & (subj < n_subjects) & (stage >= 0)
-    grid = np.zeros((n_subjects, max(int(stage.max()) + 1, 0)), dtype=bool)
+    # a stage past the row count leaves subject 0 short within len(ids) + 1
+    T = max(min(int(stage.max()) + 1, len(ids) + 1), 0)
+    known = (subj >= 0) & (subj < n_subjects) & (stage >= 0) & (stage < T)
+    grid = np.zeros((n_subjects, T), dtype=bool)
     grid[subj[known], stage[known]] = True
     if not grid.all():
         i, t = np.argwhere(~grid)[0]
@@ -689,18 +692,14 @@ def _parse_doc_line(fname, ln, line):
         raise FormatError(f"{fname} line {ln}: subject/stage must be ints")
     if not isinstance(counts, dict):
         raise FormatError(f"{fname} line {ln}: counts must be an object")
-    try:
-        parsed = dict(zip(map(int, counts), counts.values()))
-    except ValueError:
-        parsed = None
-    if parsed is None or not set(map(type, counts.values())) <= {int}:
-        for k, v in counts.items():
-            try:
-                int(k)
-            except ValueError as e:
-                raise FormatError(
-                    f"{fname} line {ln}: bad word index {k!r}") from e
-            if type(v) is not int:
-                raise FormatError(f"{fname} line {ln}: count for word"
-                                  f" {k} must be an int")
+    parsed = {}
+    for k, v in counts.items():
+        try:
+            parsed[int(k)] = v
+        except ValueError as e:
+            raise FormatError(
+                f"{fname} line {ln}: bad word index {k!r}") from e
+        if type(v) is not int:
+            raise FormatError(
+                f"{fname} line {ln}: count for word {k} must be an int")
     return subject, stage, parsed

@@ -7,8 +7,9 @@ closed-form Gaussian KL and pairwise separation terms for one document; the
 loop forms of the group-distance kernel (one pass per counterfactual) and of
 the evaluation metrics (topic alignment, UMass coherence, perplexity and the
 group probe), which the stacked and vectorized kernels must match bit for
-bit; and the dense (N, T, V) forms of the corpus's CSR view, the batch
-gather and the sampler, which the sparse code must match exactly; a corpus
+bit; the corpus's CSR arrays read cell by cell from {word: count} maps, and
+the dense (N, T, V) forms of the corpus's CSR view, the batch gather and
+the sampler, which the sparse code must match exactly; a corpus
 loader that reads every docs.jsonl line with json.loads, which the bulk
 reader must match exactly; the optimizer step block by block, which the
 flat one must match bit for bit; and the comparison of two ground truths. Only
@@ -452,6 +453,23 @@ def dense_counts_ref(corpus):
             if cell:
                 W[i, t, list(cell.keys())] = list(cell.values())
     return W
+
+
+def csr_ref(docs, N, T):
+    """(indptr, words, counts, rows) as int64 arrays, read cell by cell from
+    {word_index: count} maps docs[i][t] (None for a missing cell): cells
+    stage-major (t*N + i), each cell's words ascending."""
+    indptr, words, counts, rows = [0], [], [], []
+    for t in range(T):
+        for i in range(N):
+            cell = docs[i][t] or {}
+            for w in sorted(cell):
+                words.append(w)
+                counts.append(cell[w])
+                rows.append(i)
+            indptr.append(len(words))
+    return tuple(np.array(a, dtype=np.int64)
+                 for a in (indptr, words, counts, rows))
 
 
 def batch_ref(corpus, idx):

@@ -9,6 +9,8 @@ import pytest
 
 import longtopic
 from longtopic.cli import main
+from longtopic.corpus import load_corpus
+from longtopic.errors import FormatError
 
 # the package root, for subprocesses that run outside the checkout
 SRC = str(Path(longtopic.__file__).resolve().parents[1])
@@ -389,6 +391,24 @@ def test_eval_with_truth_missing_gamma_is_a_format_error(tmp_path, capsys):
     assert code == 1
     assert err.count("\n") == 1 and err.startswith("error: FormatError:")
     assert "'gamma'" in err
+
+
+def test_group_label_past_the_subjects_is_a_format_error(tmp_path, capsys):
+    # G is the largest label + 1: a label of 1e12 sized every group array
+    out = tmp_path / "run"
+    assert main(["simulate", "--out", str(out), "--seed", "3", *SIM]) == 0
+    corpus = out / "corpus"
+    lines = (corpus / "groups.csv").read_text().splitlines(keepends=True)
+    lines[2] = "1,1000000000000\n"
+    (corpus / "groups.csv").write_text("".join(lines))
+    with pytest.raises(FormatError, match="groups.csv line 3: group label"
+                       " 1000000000000 above max"):
+        load_corpus(corpus)
+    capsys.readouterr()
+    code, err = error_code(["fit", "--out", str(out), "--seed", "3", *TRAIN,
+                            "--set", f'paths.corpus="{corpus}"'], capsys)
+    assert code == 1
+    assert err.count("\n") == 1 and err.startswith("error: FormatError:")
 
 
 def test_eval_and_infer_name_a_model_that_does_not_fit(tmp_path, capsys):

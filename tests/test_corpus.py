@@ -17,8 +17,23 @@ from longtopic.errors import (
     MissingLabel,
     VocabMismatch,
 )
-from longtopic.simulate import SimConfig, simulate
-from oracles import dense_counts_ref, load_corpus_ref
+from longtopic.evaluate import full_report
+from longtopic.inference import fit_dynamic_topics
+from longtopic.inference.trainer import (
+    TrainConfig,
+    default_init,
+    infer_proportions,
+    load_model,
+    save_model,
+    train,
+)
+from longtopic.simulate import (
+    SimConfig,
+    load_truth,
+    save_truth,
+    simulate,
+)
+from oracles import csr_ref, dense_counts_ref, load_corpus_ref
 
 
 def write_corpus_dir(path, vocab, doc_lines, meta_lines, group_lines):
@@ -129,6 +144,13 @@ def test_roundtrip_simulated(tmp_path):
     reloaded = load_corpus(tmp_path)
     assert reloaded == corpus
     assert np.array_equal(reloaded.dense_counts(), corpus.dense_counts())
+    # unread docs compare through the arrays; an edited one is seen as well
+    moved = load_corpus(tmp_path)
+    moved.counts[0] += 1
+    assert moved != corpus
+    cell = reloaded.docs[0][0]
+    cell[next(iter(cell))] += 1
+    assert reloaded != corpus
 
 
 def test_empty_corpus_refused(tmp_path):
@@ -191,7 +213,8 @@ def test_from_dense_rejects_string_array():
 
 def reference_docs(records, N, T, V):
     """Record-by-record, word-by-word construction: the oracle for the
-    cells (with their key order) and for the first error raised."""
+    cells (keys ascending, as the corpus holds them) and for the first
+    error raised."""
     docs = [[None] * T for _ in range(N)]
     for subject, stage, counts in records:
         if not 0 <= subject < N:
@@ -224,7 +247,7 @@ def reference_docs(records, N, T, V):
             raise FormatError(
                 f"document (subject {subject}, stage {stage}) has zero total"
                 " count")
-        docs[subject][stage] = cell
+        docs[subject][stage] = dict(sorted(cell.items()))
     if all(cell is None for row in docs for cell in row):
         raise FormatError("corpus has no documents")
     return docs
@@ -240,6 +263,11 @@ def outcome(fn):
 def cell_items(docs):
     return [[None if c is None else list(c.items()) for c in row]
             for row in docs]
+
+
+def csr_items(arrays):
+    """CSR arrays as comparable lists, each with its dtype."""
+    return [(a.dtype.str, a.tolist()) for a in arrays]
 
 
 @st.composite
@@ -304,13 +332,20 @@ def record_sets(draw):
 @example((2, 1, 3, [(0, 0, {5: 1}), (1, 0, {"x": 1})]))
 def test_build_matches_per_record_reference(case):
     N, T, V, records = case
-    want = outcome(lambda: cell_items(reference_docs(records, N, T, V)))
+
+    def reference():
+        docs = reference_docs(records, N, T, V)
+        return cell_items(docs), csr_items(csr_ref(docs, N, T))
+
+    def built():
+        c = Corpus.build(records, np.zeros((N, T, 1)), np.arange(N) % 2,
+                         [f"w{v}" for v in range(V)], allow_missing=True)
+        return cell_items(c.docs), csr_items(c.csr())
+
+    want = outcome(reference)
     for block in (1, 2, corpus_module.BLOCK):  # records split across blocks
         with mock.patch.object(corpus_module, "BLOCK", block):
-            got = outcome(lambda: cell_items(Corpus.build(
-                records, np.zeros((N, T, 1)), np.arange(N) % 2,
-                [f"w{v}" for v in range(V)], allow_missing=True).docs))
-        assert got == want
+            assert outcome(built) == want
 
 
 @settings(max_examples=50, deadline=None)
@@ -331,6 +366,7 @@ def test_from_dense_matches_per_cell_reference(tmp_path_factory, data):
     want = [[{v: int(n) for v, n in enumerate(counts[i, t]) if n} or None
              for t in range(T)] for i in range(N)]
     assert cell_items(c.docs) == cell_items(want)
+    assert csr_items(c.csr()) == csr_items(csr_ref(want, N, T))
     assert {type(x) for row in c.docs for cell in row if cell
             for kv in cell.items() for x in kv} == {int}
     assert np.array_equal(c.present, counts.sum(axis=2) > 0)
@@ -377,6 +413,9 @@ def test_from_dense_matches_per_cell_reference(tmp_path_factory, data):
     ("subject,stage,x0\n\n0,0,1\n\n1,0\n", "line 5: expected 3 fields"),
     ("subject,stage,x0\n0,0,1\n2,0,1\n", "missing covariate row for subject"
      " 1, stage 0"),
+    # a stage far past the rows, named without a grid that wide
+    ("subject,stage,x0\n0,0,1\n1,0,1\n0,1000000000000,1\n",
+     "missing covariate row for subject 0, stage 1"),
 ])
 def test_meta_errors_name_the_first_fault(tmp_path, meta, message):
     d = minimal_dir(tmp_path)
@@ -504,15 +543,15 @@ def rewrite_line(line, kind, draw):
     return json.dumps(dict(obj, counts=dict(items)))
 
 
-def loaded(load):
-    """A loaded corpus's fields, its cells with their key order, or the
-    class and message of the error it raised."""
+def loaded(load, arrays=Corpus.csr):
+    """A loaded corpus's fields, its cells with their key order and
+    arrays(corpus), or the class and message of the error it raised."""
     try:
         c = load()
     except LongtopicError as e:
         return type(e).__name__, str(e)
     return (c.vocab, c.groups.tolist(), c.present.tolist(),
-            c.covariates.tolist(), cell_items(c.docs))
+            c.covariates.tolist(), cell_items(c.docs), csr_items(arrays(c)))
 
 
 @settings(max_examples=200, deadline=None)
@@ -541,7 +580,8 @@ def test_load_matches_json_reference(tmp_path_factory, data):
     allow = data.draw(st.booleans())
     with mock.patch.object(corpus_module, "BLOCK",
                            data.draw(st.sampled_from([1, 2, 3, 256]))):
-        want = loaded(lambda: load_corpus_ref(path, allow))
+        want = loaded(lambda: load_corpus_ref(path, allow),
+                      lambda c: csr_ref(c.docs, c.n_subjects, c.n_stages))
         assert loaded(lambda: load_corpus(path, allow)) == want
 
 
@@ -598,3 +638,32 @@ def test_failed_writes_leave_the_previous_file(tmp_path, monkeypatch):
     with pytest.raises(Interrupted):
         save_corpus(c, out)
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+def test_no_package_path_reads_docs(tmp_path):
+    # the CSR arrays are the corpus; docs is built for tests and inspection
+    reads = []
+
+    def unread(corpus):
+        reads.append(corpus)
+        raise AssertionError("Corpus.docs read")
+
+    with mock.patch.object(Corpus, "docs", property(unread)):
+        c, truth = simulate(SimConfig(n_subjects=12, n_stages=2,
+                                      vocab_size=20, n_topics=2,
+                                      n_covariates=2, seed=1))
+        save_corpus(c, tmp_path / "corpus")
+        save_truth(truth, tmp_path / "truth.json")
+        c = load_corpus(tmp_path / "corpus")
+        truth = load_truth(tmp_path / "truth.json")
+        cfg = TrainConfig(n_topics=2, t_max=2, m_samples=2, hidden_enc=6,
+                          optimizer="adam", eps_stop=0.0, seed=1)
+        save_model(train(c, *default_init(c, cfg), cfg),
+                   tmp_path / "model.json")
+        model = load_model(tmp_path / "model.json")
+        report = full_report(model, c, truth)
+        theta = infer_proportions(model, c)
+        dynamic = fit_dynamic_topics(c, cfg)
+    assert reads == []
+    assert np.isfinite(report.perplexity) and np.isfinite(theta).all()
+    assert np.isfinite(dynamic.log[-1]["loss"])

@@ -578,7 +578,6 @@ def test_inference_and_perplexity_hold_no_corpus_sized_array():
     corpus, _ = simulate(SimConfig(n_subjects=N, n_stages=3, vocab_size=V,
                                    n_topics=4, seed=3))
     fitted = untrained(corpus, 4)
-    corpus.csr()        # a cache: built once, before the measured calls
     dense = N * V * 8   # one (N, V) float64 array, 4.58 MiB
     theta, used = traced_peak(infer_proportions, fitted, corpus)
     assert used < dense

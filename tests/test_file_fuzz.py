@@ -105,7 +105,8 @@ CORPUS_FILES = ["docs.jsonl", "meta.csv", "groups.csv", "vocab.txt"]
 LINE_EDITS = ["delete", "duplicate", "swap", "insert", "number", "truncate",
               "empty"]
 # what a number becomes, and what an inserted line is
-NUMBERS = ["x", "-1", "1e400", "nan", "2.5", "99999999999999999999", ""]
+NUMBERS = ["x", "-1", "1e400", "nan", "2.5", "99999999999999999999", "",
+           "1000000000000"]
 LINES = ["\n", "x\n", "0,0\n", "0,1,2,3,4\n", "{}\n",
          '{"subject": 0, "stage": 0, "counts": {"0": 1}}\n']
 NUMBER = re.compile(r"-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?")
