@@ -248,20 +248,23 @@ def group_accuracy(theta_hat, groups, mask=None, n_iter=500, step=0.1,
 
 def _probe_fit(X, y, G, n_iter, step, l2):
     """The probe's final (Wp, b), float for float as softmax(X @ Wp + b,
-    axis=1) would give them, with the softmax in a (G, n) layout: its row sum
-    adds the groups left to right, numpy's order below 8 terms (numpy unrolls
-    longer sums, so G >= 8 sums a contiguous copy), and the intercept
-    gradient is a cumsum, the order of r.sum(axis=0)."""
+    axis=1) would give them, with logits, labels and residual in a (G, n)
+    layout: the softmax's row sum adds the groups left to right, numpy's
+    order below 8 terms (numpy unrolls longer sums, so G >= 8 sums a
+    contiguous copy), and the intercept gradient accumulates each row left
+    to right, the order of r.sum(axis=0)."""
     n, K = X.shape
-    Y = np.zeros((n, G))
-    Y[np.arange(n), y] = 1.0
+    XT = np.ascontiguousarray(X.T)
+    YT = np.zeros((G, n))
+    YT[y, np.arange(n)] = 1.0
     Wp = np.zeros((K, G))
     b = np.zeros(G)
-    Z, r, col = np.empty((G, n)), np.empty((n, G)), np.empty(n)
+    Z, acc, col = np.empty((G, n)), np.empty((G, n)), np.empty(n)
     # non-finite logits end in the NumericError below, not in a warning
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for _ in range(n_iter):
-            np.add((X @ Wp).T, b[:, None], out=Z)
+            np.matmul(Wp.T, XT, out=Z)
+            Z += b[:, None]
             if not np.isfinite(Z).all():
                 raise NumericError("softmax input must be finite")
             Z -= Z.max(axis=0, out=col)
@@ -271,10 +274,13 @@ def _probe_fit(X, y, G, n_iter, step, l2):
             else:
                 np.ascontiguousarray(Z.T).sum(axis=1, out=col)
             Z /= col
-            np.subtract(Z.T, Y, out=r)
-            r /= n
+            Z -= YT      # the residual, (G, n)
+            Z /= n
+            # one column of X takes numpy's matrix-vector product, whose
+            # sums follow the residual's layout: that one reads it (n, G)
+            r = Z.T if K > 1 else np.ascontiguousarray(Z.T)
             Wp -= step * (X.T @ r + l2 * Wp)
-            b -= step * np.cumsum(r.T, axis=1)[:, -1]
+            b -= step * np.add.accumulate(Z, axis=1, out=acc)[:, -1]
     return Wp, b
 
 

@@ -38,14 +38,13 @@ The loss's forward and the posterior read-out iterate one stage chain,
 `stage_heads`, over Batches that hold each stage's entries apart: gathered
 by `CorpusArrays.batch`, or CSR slices from `chunk_batches`.
 
-The reconstruction's forward reads the probabilities at the nonzero cells
-only, through one (B, L, K) gather of topic rows per stage
-(`nonzero_probs`); no (B * M, V) product is formed. The dense blocks of a
-call (the backward's (B * M, V) scatter buffer R and the encoder inputs)
-live in a Workspace that a fit allocates once and every call reuses through
-prefix views; R and the word columns of the encoder inputs are kept all
-zeros between calls. An evaluation (want_grads=False) keeps no per-stage
-caches, so its memory does not grow with the number of stages.
+The reconstruction and its backward run at the nonzero cells only, in one
+padded (B, L, K) gather of topic rows per stage (`nonzero_probs`,
+`nonzero_backward`): no (B * M, V) block is formed. The only dense block of
+a call is its encoder input, which a fit allocates once and passes to every
+call as `work`, its word columns all zeros between calls. An evaluation
+(want_grads=False) keeps no per-stage caches, so its memory does not grow
+with the number of stages.
 """
 
 from __future__ import annotations
@@ -157,7 +156,9 @@ def nonzero_probs(theta, bcols, rows, cols):
     nonzero cells, rows ascending: each document's words, padded with word 0
     to the longest row L, gather a (B, L, K) block of bcols for one batched
     matmul with theta, whose sums over K round as the dense (B * M, V)
-    product's do on the pinned shapes (README, Determinism)."""
+    product's do on the pinned shapes (README, Determinism). Returned with
+    what nonzero_backward reads of that layout: the gather, its (B * L,)
+    word index pad and the entries' places flat in it."""
     B, M, _ = theta.shape
     n = np.bincount(rows, minlength=B)
     L = int(n.max(initial=0))
@@ -165,29 +166,24 @@ def nonzero_probs(theta, bcols, rows, cols):
     flat = np.arange(rows.size) + (L * np.arange(B) - np.cumsum(n) + n)[rows]
     pad = np.zeros(B * L, dtype=cols.dtype)
     pad[flat] = cols
-    probs = np.matmul(np.take(bcols, pad.reshape(B, L), axis=0),
-                      theta.transpose(0, 2, 1))
-    return np.take(probs.reshape(B * L, M), flat, axis=0)
+    gather = np.take(bcols, pad.reshape(B, L), axis=0)
+    probs = np.matmul(gather, theta.transpose(0, 2, 1))
+    return np.take(probs.reshape(B * L, M), flat, axis=0), gather, pad, flat
 
 
-class Workspace:
-    """The large buffers of longitudinal_loss, allocated once and reused by
-    every call of one fit. A call with B rows takes prefix views:
-
-    - R (train_rows * M, V): the backward's scattered count/prob ratios,
-      sized for the training batch. It is all zeros between calls: a call
-      clears the cells it set as soon as their two matmuls are done;
-    - inp: the encoder inputs [wn, x_t, y_enc, prev], filled by
-      stage_heads (a call with gradients keeps every stage's rows for the
-      backward). Like R, its V word columns are all zeros between calls.
-
-    A call that raises may leave R or inp dirty; a fit ends on any error,
-    and the next fit allocates a new Workspace.
-    """
-
-    def __init__(self, rows, train_rows, T, M, V, D):
-        self.R = np.zeros((train_rows * M, V))
-        self.inp = np.zeros((max(rows, T * train_rows), D))
+def nonzero_backward(g, theta, gather, pad, flat, V):
+    """Given g (nnz, M), the gradient of a function of nonzero_probs's
+    output, its gradients on theta (B, M, K) and bcols (V, K): with Rp the
+    (B, L, M) block holding g at flat and zeros in the padding, Rp^T @
+    gather, and Rp @ theta summed onto the rows that pad names by one
+    bincount per topic (faster than one over a (B * L * K) index)."""
+    B, L, K = gather.shape
+    rp = np.zeros((B * L, theta.shape[1]))
+    rp[flat] = g
+    rp = rp.reshape(B, L, theta.shape[1])
+    gb = np.stack([np.bincount(pad, weights=w, minlength=V) for w in
+                   np.matmul(rp, theta).reshape(B * L, K).T], axis=1)
+    return np.matmul(rp.transpose(0, 2, 1), gather), gb
 
 
 @dataclass
@@ -209,8 +205,9 @@ def longitudinal_loss(batch, gen, enc, cfg, eps, want_grads=True,
     respect to each normalized matrix, for the caller to chain through its own
     parametrization) instead of "beta".
 
-    work, when given, is a Workspace with room for this batch; without one
-    the call allocates its own. Either way the results are the same bits.
+    work, when given, is the encoder-input buffer: B rows (T * B with
+    gradients) or more, word columns all zeros, which the call leaves so;
+    without one the call allocates its own, with the same bits.
     With want_grads=False the call keeps nothing of a stage but what the next
     stage reads: no encoder or transition caches, no per-stage theta.
     """
@@ -244,8 +241,7 @@ def longitudinal_loss(batch, gen, enc, cfg, eps, want_grads=True,
             raise ShapeError(
                 f"stage_bcols must be ({T}, {V}, {K}); got {bcols.shape}")
     if work is None:
-        work = Workspace(B, B if want_grads else 0, T, M, V,
-                         enc.stages[0].in_dim)
+        work = np.zeros((T * B if want_grads else B, enc.stages[0].in_dim))
 
     # ---- forward ----------------------------------------------------------
     # the counterfactual encodings enter only as shifts of the factual group
@@ -253,17 +249,17 @@ def longitudinal_loss(batch, gen, enc, cfg, eps, want_grads=True,
     shifts = batch.cf_encs[:C] - batch.y_enc
     # what the backward reads of each stage: (mu, sigma) of the 1 + C
     # heads, factual first, the encoder cache (enc_cache[0] is the input, a
-    # view of the workspace), the prior mean mu0 ((B, K) at t = 0, (B, M, K)
-    # after), the transition cache, theta (B, M, K), the (b, v) indices of
-    # the nonzero counts and their flat places in a (B, M, V) block, the
-    # (nnz, M) counts / probs there and the distance gradients
+    # view of work), the prior mean mu0 ((B, K) at t = 0, (B, M, K) after),
+    # the transition cache, theta (B, M, K), the (b, v) indices of the
+    # nonzero counts, nonzero_probs's padded layout, the (nnz, M) counts /
+    # probs there and the distance gradients
     saved = [None] * T
 
     kl_t = np.zeros(T)
     nll_t = np.zeros(T)
     dist_t = np.zeros(T)
 
-    heads = stage_heads(batch, enc, gen.eta0, shifts, work.inp, want_grads)
+    heads = stage_heads(batch, enc, gen.eta0, shifts, work, want_grads)
     for t, (mu, sg, enc_cache) in enumerate(heads):
         rows, cols, c_nz, _ = batch.stages[t]
         mu_q, sg_q = mu[0], sg[0]
@@ -290,7 +286,7 @@ def longitudinal_loss(batch, gen, enc, cfg, eps, want_grads=True,
 
         # multinomial reconstruction, evaluated at the nonzero counts only
         theta = softmax(eta, axis=2)
-        p_nz = nonzero_probs(theta, bcols[t], rows, cols)    # (nnz, M)
+        p_nz, *layout = nonzero_probs(theta, bcols[t], rows, cols)
         logp = np.maximum(p_nz, PROB_FLOOR)
         np.log(logp, out=logp)
         nll_t[t] = scale * float(((pm[rows, t] * c_nz) @ logp).sum())
@@ -302,14 +298,12 @@ def longitudinal_loss(batch, gen, enc, cfg, eps, want_grads=True,
             dist_t[t] = float(pm[:, t] @ d) / B
 
         if want_grads:
-            # the flat places of the nonzero cells in the backward's
-            # (B, M, V) block R, one column per sample
-            at = (rows * (M * V) + cols)[:, None] + V * np.arange(M)
             ratio = np.divide(
                 np.broadcast_to(c_nz[:, None], p_nz.shape), p_nz,
                 out=np.zeros_like(p_nz), where=p_nz > PROB_FLOOR)
             saved[t] = (mu, sg, enc_cache, mu0, tr_cache, theta, rows, cols,
-                        at, ratio, dgrads)
+                        layout, ratio, dgrads)
+        del layout      # an evaluation frees the gather before the next stage
         prev_eta = eta
 
     loss = float(kl_t.sum() - nll_t.sum() - w_d * dist_t.sum())
@@ -329,14 +323,12 @@ def longitudinal_loss(batch, gen, enc, cfg, eps, want_grads=True,
     def trans_key(t):
         return "trans" if gen.share_across_stages else f"trans{t}"
 
-    R = work.R[:B * M]
-    R_flat = R.reshape(-1)
     gb = np.zeros((T, V, K))
     pending_gmu = np.zeros((B, K))
     pending_geta = np.zeros((B, M, K))  # into eta[t] from stage t + 1
     for t in range(T - 1, -1, -1):
-        mu, sg, enc_cache, mu0, tr_cache, theta, rows, cols, at, ratio, \
-            dgrads = saved[t]
+        mu, sg, enc_cache, mu0, tr_cache, theta, rows, cols, layout, \
+            ratio, dgrads = saved[t]
         saved[t] = None
         mu_q, sg_q = mu[0], sg[0]
         geta = pending_geta
@@ -360,12 +352,10 @@ def longitudinal_loss(batch, gen, enc, cfg, eps, want_grads=True,
         for name, val in tg.items():
             add(f"{trans_key(t)}.{name}", val)
 
-        # multinomial term through eta: the scaled count/prob ratio scattered
-        # into the dense (B, M, V) buffer, two matmuls, and the cells cleared
-        R_flat[at] = (-scale * pm[rows, t])[:, None] * ratio
-        gtheta = (R @ bcols[t]).reshape(B, M, K)
-        np.matmul(R.T, theta.reshape(B * M, K), out=gb[t])
-        R_flat[at] = 0.0
+        # multinomial term through eta: the scaled count/prob ratio at the
+        # nonzero cells, back through the forward's padded gather
+        gtheta, gb[t] = nonzero_backward(
+            (-scale * pm[rows, t])[:, None] * ratio, theta, *layout, V)
         inner = (gtheta * theta).sum(axis=2, keepdims=True)
         geta = geta + theta * (gtheta - inner)
 
@@ -383,11 +373,10 @@ def longitudinal_loss(batch, gen, enc, cfg, eps, want_grads=True,
 
         # one encoder backward for every head (all share the stage-t
         # parameters and the recurrent previous-mean input)
-        gin, eg = enc.stages[t].backward(enc_cache, gmu_all, gs_all)
+        pending_gmu, eg = enc.stages[t].backward(enc_cache, gmu_all, gs_all)
         enc_cache[0][rows, cols] = 0.0
         for name, val in eg.items():
             add(f"enc{t}.{name}", val)
-        pending_gmu = gin[:, -K:]
 
     # beta through the per-column softmax, the stages summed last to first
     if stage_bcols is None:

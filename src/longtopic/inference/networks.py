@@ -19,7 +19,7 @@ come stacked (1 + C, B, K), factual first; the factual moments alone are the
 C = 0 case, which the posterior read-out and the "none" ablation use.
 
 All gradients here are hand-derived; `backward` returns both parameter
-gradients and the input gradient so the training loop can chain stages.
+gradients and the previous-mean input's gradient, which chains the stages.
 """
 
 from __future__ import annotations
@@ -93,10 +93,11 @@ class StageEncoder(ParamBlock):
                 (inp, group_shifts, h, z, raw))
 
     def backward(self, cache, gmu, gsigma):
-        """Upstream gradients on the stacked mu and sigma -> (input gradient
-        (B, D), {param: grad}). The heads' trunk gradients are summed onto
-        the shared input. The scale path has zero gradient where the floor
-        binds."""
+        """Upstream gradients on the stacked mu and sigma -> (gradient on the
+        previous-mean input, the last K columns (B, K), {param: grad}): the
+        only input a caller differentiates through. The heads' trunk
+        gradients are summed onto the shared input. The scale path has zero
+        gradient where the floor binds."""
         inp, shifts, h, z, raw = cache
         gmu = gmu.reshape(z.shape)
         gz = gsigma.reshape(z.shape) * sigmoid(z) * (raw > SIGMA_MIN)
@@ -109,7 +110,7 @@ class StageEncoder(ParamBlock):
         lo = self.V + self.P
         grads["Wh"][:, lo:lo + self.E] += \
             gpre[B:].T @ shifts.reshape(-1, self.E)
-        return gtrunk @ self.Wh, grads
+        return gtrunk @ self.Wh[:, -self.K:], grads
 
 
 @dataclass

@@ -10,12 +10,8 @@ the relative change of that logged loss drops to eps_stop, or after t_max
 epochs. A non-finite eps_stop disables the stop rule entirely. A loss that
 is not finite, or a logged loss above BLOWUP times max(|initial loss|, 1),
 raises DivergedError. Refits are bit-identical.
-
-A fit allocates its working memory once: one loss Workspace (see loss.py)
-and one eps buffer, sized for the evaluation chunk and the training batch,
-whose prefix views serve the shorter last batch and chunk, and the
-optimizer's flat state vectors. Nothing holds a (rows * M, V) probability
-block or the noise of the whole corpus.
+A fit allocates its working memory once (`_run_epochs`): nothing holds a
+(rows * M, V) block or the noise of the whole corpus.
 """
 
 from __future__ import annotations
@@ -46,8 +42,7 @@ from ..model import (
     group_encoding_dim,
     softmax,
 )
-from .loss import (CorpusArrays, Workspace, chunk_batches, longitudinal_loss,
-                   stage_heads)
+from .loss import CorpusArrays, chunk_batches, longitudinal_loss, stage_heads
 from .networks import EncoderParams, StageEncoder
 from .terms import DISTANCE_KINDS
 
@@ -55,6 +50,9 @@ from .terms import DISTANCE_KINDS
 MAX_SAMPLE_ELEMENTS = 2 ** 28
 # a logged loss above BLOWUP * max(|initial loss|, 1) has diverged
 BLOWUP = 1e6
+# numbers per slice of an optimizer step: the slices of the four flat state
+# vectors that one slice's expressions read (2 MiB) stay in cache
+STEP_CHUNK = 2 ** 16
 
 
 @dataclass
@@ -128,15 +126,16 @@ class Optimizer:
     """SGD with momentum, or Adam, over a parameter registry. The state is
     flat float64 vectors in registry order: the velocity v (Adam's second
     moment), Adam's first moment m, the gradient g and the step s. A step
-    copies the gradient dict into g, makes one vectorized update in the order
+    copies the gradient dict into g, makes the vectorized update
         sgd:  v = momentum * v + g;  s = lr * v
         adam: m = 0.9 * m + 0.1 * g;  v = 0.999 * v + 0.001 * g * g;
               s = lr * (m / (1 - 0.9^t)) / (sqrt(v / (1 - 0.999^t)) + 1e-8)
-    (g holds Adam's denominator once it is read for the last time), and
-    subtracts each block's view of s from that block in place, so the model
-    objects always hold the live values. A step allocates no arrays.
-    NumericError naming the first block whose Adam second moment overflows;
-    no parameter moves in that step.
+    one STEP_CHUNK slice of the vectors at a time (g holds Adam's
+    denominator once it is read for the last time), and then subtracts each
+    block's view of s from that block in place, so the model objects always
+    hold the live values. A step allocates no arrays. NumericError naming
+    the first block whose Adam second moment overflows; no parameter moves
+    in that step.
     """
 
     def __init__(self, registry, cfg):
@@ -154,23 +153,24 @@ class Optimizer:
 
     def step(self, grads, lr):
         self.t += 1
-        g, s, v, m = self.g, self.s, self.v, self.m
         np.concatenate([grads[key] for key, _ in self.registry], axis=None,
-                       out=g)
-        if self.kind == "sgd":
-            v *= self.momentum
-            v += g
-            np.multiply(lr, v, out=s)
-        else:
+                       out=self.g)
+        for lo in range(0, self.g.size, STEP_CHUNK):
+            g, s, v = (a[lo:lo + STEP_CHUNK] for a in (self.g, self.s, self.v))
+            if self.kind == "sgd":
+                v *= self.momentum
+                v += g
+                np.multiply(lr, v, out=s)
+                continue
+            m = self.m[lo:lo + STEP_CHUNK]
             m *= 0.9
             m += np.multiply(0.1, g, out=s)
             v *= 0.999
             np.multiply(0.001, g, out=s)
             v += np.multiply(s, g, out=s)
             if not math.isfinite(v.max()):  # every update would be 0
-                key = next(k for (k, _), part in zip(
-                    self.registry, np.split(v, self.ends[:-1]))
-                    if not math.isfinite(part.max()))
+                at = lo + np.argmax(~np.isfinite(v))
+                key = self.registry[np.searchsorted(self.ends, at, "right")][0]
                 raise NumericError(f"the second moment of {key} overflowed")
             np.divide(v, 1.0 - 0.999 ** self.t, out=g)
             np.sqrt(g, out=g)
@@ -209,33 +209,36 @@ class FittedModel:
 def _run_epochs(corpus, registry, cfg, batch_loss):
     """The epoch loop shared by every topic parametrization. batch_loss(batch,
     eps, want_grads, work) -> (loss, grads) is the objective on one batch,
-    with work the fit's Workspace to pass on to longitudinal_loss; the loop
-    draws the eps tensors, steps the optimizer over the registry, logs the
-    full-data loss after each epoch and applies the stop rule. Returns (log,
-    converged). Before it allocates anything, ConfigError when a Monte-Carlo
-    tensor would hold more than MAX_SAMPLE_ELEMENTS numbers.
+    with work the fit's encoder-input buffer to pass on to
+    longitudinal_loss; the loop draws the eps tensors, steps the optimizer
+    over the registry, logs the full-data loss after each epoch and applies
+    the stop rule. Returns (log, converged). Before it allocates anything,
+    ConfigError when a Monte-Carlo tensor, or one padded (rows, L, M) or
+    (rows, L, K) block of the loss's reconstruction (L <= V), would hold
+    more than MAX_SAMPLE_ELEMENTS numbers.
 
-    Every large buffer of the fit is allocated once, here: the Workspace
-    (sized for the full-data evaluation's chunk and the training batch; a
-    short batch or chunk takes prefix views of it) and one (rows, T, M, K)
-    eps buffer. The training eps and, chunk by chunk from a fresh [seed, 1]
-    generator, the frozen evaluation eps (one (N, T, M, K) draw's numbers)
-    are drawn into it in place. The parameters change only in the
-    optimizer step that follows a training call (want_grads=True), so an
-    objective may keep what the chunks of one full-data evaluation share
+    Every large buffer of the fit is allocated once, here: the encoder inputs
+    (sized for the full-data evaluation's chunk and the training batch's T
+    stages; a short batch or chunk takes prefix views of it) and one
+    (rows, T, M, K) eps buffer. The training eps and, chunk by chunk from a
+    fresh [seed, 1] generator, the frozen evaluation eps (one (N, T, M, K)
+    draw's numbers) are drawn into it in place. The parameters change only
+    in the optimizer step that follows a training call (want_grads=True), so
+    an objective may keep what the chunks of one full-data evaluation share
     until its next training call."""
     N, T, V = corpus.n_subjects, corpus.n_stages, corpus.vocab_size
     K, M = cfg.n_topics, cfg.m_samples
     rows = min(N, max(ROW_CHUNK, cfg.batch_size))
     for what, size in (("(rows, T, M, K) eval eps", rows * T * M * K),
-                       ("(rows * M, V) loss buffer", rows * M * V)):
+                       ("(rows, V, max(M, K)) padded loss block",
+                        rows * V * max(M, K))):
         if size > MAX_SAMPLE_ELEMENTS:
-            raise ConfigError(f"m_samples={M} needs {size} numbers in the"
-                              f" {what}, above the cap {MAX_SAMPLE_ELEMENTS}")
+            raise ConfigError(
+                f"m_samples={M} with n_topics={K} needs {size} numbers in"
+                f" the {what}, above the cap {MAX_SAMPLE_ELEMENTS}")
     arrays = CorpusArrays(corpus)
-    train_rows = min(N, cfg.batch_size)
-    work = Workspace(rows, train_rows, T, M, V,
-                     V + corpus.n_features + arrays.y_enc.shape[1] + K)
+    work = np.zeros((max(rows, T * min(N, cfg.batch_size)),
+                     V + corpus.n_features + arrays.y_enc.shape[1] + K))
     opt = Optimizer(registry, cfg)
     rng = np.random.default_rng([cfg.seed, 2])
     eps_buf = np.empty((rows, T, M, K))

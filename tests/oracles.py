@@ -6,15 +6,17 @@ in one pass over all subjects, which the row blocks must match; the
 closed-form Gaussian KL and pairwise separation terms for one document; the
 loop forms of the group-distance kernel (one pass per counterfactual) and of
 the evaluation metrics (topic alignment, UMass coherence, perplexity and the
-group probe), which the stacked and vectorized kernels must match bit for
-bit; the corpus's CSR arrays read cell by cell from {word: count} maps, and
-the dense (N, T, V) forms of the corpus's CSR view, the batch gather and
-the sampler, which the sparse code must match exactly; a corpus
-loader that reads every docs.jsonl line with json.loads, which the bulk
-reader must match exactly; the optimizer step block by block, which the
-flat one must match bit for bit; and the comparison of two ground truths. Only
-tests call them, to check the package's code against a direct
-computation."""
+group probe, the probe also in its earlier (samples, groups) layout), which the
+stacked and vectorized kernels must match bit for bit; the reconstruction's
+backward through a dense (B * M, V) block and the encoder's whole input
+gradient, which the padded backward and the previous-mean columns must match to
+rounding; the corpus's CSR arrays read cell by cell from {word: count} maps,
+and the dense (N, T, V) forms of the corpus's CSR view, the batch gather and
+the sampler, which the sparse code must match exactly; a corpus loader that
+reads every docs.jsonl line with json.loads, which the bulk reader must match
+exactly; the optimizer step block by block, which the flat one must match bit
+for bit; and the comparison of two ground truths. Only tests call them, to
+check the package's code against a direct computation."""
 
 import itertools
 import os
@@ -27,6 +29,7 @@ from longtopic import corpus as corpus_module
 from longtopic.corpus import Corpus
 from longtopic.errors import NumericError, ShapeError, UnknownDistance
 from longtopic.evaluate import _as_stack, _topic_kl_matrix, top_words
+from longtopic.inference.networks import SIGMA_MIN, sigmoid
 from longtopic.inference.terms import (
     DISTANCE_KINDS,
     _kl_rows,
@@ -111,6 +114,16 @@ def encode(w, x, y, prev_mean, params, t):
     mu, sigma, _ = enc.forward(_encoder_input(w, x, y_enc, prev_mean),
                                _no_shifts(enc, 1))
     return PosteriorMoments(mu=mu[0, 0], sigma=sigma[0, 0])
+
+
+def encoder_input_grad_ref(enc, cache, gmu, gsigma):
+    """The whole (B, D) input gradient of enc.backward: the trunk's summed
+    gradient times all of Wh, of which the package returns the last K
+    (previous-mean) columns."""
+    inp, _, h, z, raw = cache
+    gz = gsigma.reshape(z.shape) * sigmoid(z) * (raw > SIGMA_MIN)
+    gpre = (gmu.reshape(z.shape) @ enc.Wm + gz @ enc.Ws) * (1.0 - h * h)
+    return gpre.reshape(-1, inp.shape[0], enc.H).sum(axis=0) @ enc.Wh
 
 
 def encode_corpus_ref(fitted, corpus):
@@ -439,6 +452,45 @@ def probe_fit_ref(X, y, G, n_iter=500, step=0.1, l2=1e-4):
         Wp -= step * (X.T @ r + l2 * Wp)
         b -= step * r.sum(axis=0)
     return Wp, b
+
+
+def probe_fit_nG_ref(X, y, G, n_iter=500, step=0.1, l2=1e-4):
+    """The package's probe loop with its labels and residual in the
+    (samples, groups) layout: logits (X @ Wp).T, a softmax in the (G, n)
+    layout, and the intercept gradient a cumsum over a strided view. The
+    (G, n) loop must give its bits."""
+    n, K = X.shape
+    Y = np.zeros((n, G))
+    Y[np.arange(n), y] = 1.0
+    Wp = np.zeros((K, G))
+    b = np.zeros(G)
+    Z, r, col = np.empty((G, n)), np.empty((n, G)), np.empty(n)
+    for _ in range(n_iter):
+        np.add((X @ Wp).T, b[:, None], out=Z)
+        Z -= Z.max(axis=0, out=col)
+        np.exp(Z, out=Z)
+        if G < 8:
+            Z.sum(axis=0, out=col)
+        else:
+            np.ascontiguousarray(Z.T).sum(axis=1, out=col)
+        Z /= col
+        np.subtract(Z.T, Y, out=r)
+        r /= n
+        Wp -= step * (X.T @ r + l2 * Wp)
+        b -= step * np.cumsum(r.T, axis=1)[:, -1]
+    return Wp, b
+
+
+def reconstruction_backward_ref(g, theta, bcols, rows, cols):
+    """The gradients on theta (B, M, K) and bcols (V, K) of a function of
+    the probabilities theta[rows] @ bcols[cols].T, given its gradient g
+    (nnz, M) there: g scattered into a dense (B * M, V) block R, then R @
+    bcols and R^T @ theta."""
+    B, M, K = theta.shape
+    R = np.zeros((B, M, bcols.shape[0]))
+    R[rows, :, cols] = g
+    R = R.reshape(B * M, -1)
+    return (R @ bcols).reshape(B, M, K), R.T @ theta.reshape(B * M, K)
 
 
 # -- dense forms of the corpus's CSR view -------------------------------------

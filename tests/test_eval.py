@@ -41,6 +41,7 @@ from oracles import (
     align_topics_ref,
     encode_corpus_ref,
     perplexity_ref,
+    probe_fit_nG_ref,
     probe_fit_ref,
     umass_coherence_ref,
 )
@@ -472,6 +473,17 @@ def test_probe_fit_matches_loop_oracle(G, K, extra, masked, seed):
         X, y = X[keep], y[keep]
     Wp, b = _probe_fit(X, y, G, 500, 0.1, 1e-4)
     Wp_ref, b_ref = probe_fit_ref(X, y, G)
+    assert np.array_equal(Wp, Wp_ref) and np.array_equal(b, b_ref)
+
+
+@pytest.mark.parametrize("n, K, G", [(15000, 8, 2), (3000, 3, 2),
+                                     (5000, 5, 4), (400, 1, 3)])
+def test_probe_fit_gives_the_bits_of_the_n_by_g_loop(n, K, G):
+    rng = np.random.default_rng(n + K)
+    X = rng.dirichlet(np.ones(K), size=n)
+    y = rng.integers(0, G, size=n)
+    Wp, b = _probe_fit(X, y, G, 500, 0.1, 1e-4)
+    Wp_ref, b_ref = probe_fit_nG_ref(X, y, G)
     assert np.array_equal(Wp, Wp_ref) and np.array_equal(b, b_ref)
 
 

@@ -10,9 +10,10 @@ from longtopic.inference.loss import (
     CorpusArrays,
     chunk_batches,
     longitudinal_loss,
+    nonzero_backward,
     nonzero_probs,
 )
-from longtopic.inference.networks import SIGMA_MIN, sigmoid
+from longtopic.inference.networks import SIGMA_MIN, StageEncoder, sigmoid
 from longtopic.inference.terms import DISTANCE_KINDS, distance_with_grad
 from longtopic.inference.trainer import TrainConfig, default_init
 from longtopic.model import column_softmax, default_vocab, softmax
@@ -22,9 +23,11 @@ from oracles import (
     counterfactual_encode,
     distance_with_grad_ref,
     encode,
+    encoder_input_grad_ref,
     gaussian_kl_term,
     group_distance,
     multinomial_log_likelihood,
+    reconstruction_backward_ref,
 )
 
 
@@ -451,7 +454,7 @@ def test_nonzero_probs_match_the_dense_product(data):
     density = data.draw(st.sampled_from([0.0, 0.02, 0.2, 1.0]))
     rng = np.random.default_rng(data.draw(st.integers(0, 2**31 - 1)))
     theta, bcols, rows, cols = _stage(rng, B, M, K, V, density)
-    got = nonzero_probs(theta, bcols, rows, cols)
+    got = nonzero_probs(theta, bcols, rows, cols)[0]
     assert got.shape == (rows.size, M)
     np.testing.assert_allclose(got, _dense_at(theta, bcols, rows, cols),
                                rtol=1e-14, atol=0)
@@ -462,7 +465,7 @@ def test_nonzero_probs_are_the_dense_bits_at_the_benchmark_shapes(B, M, K, V):
     rng = np.random.default_rng(B + V)
     for density in (0.02, 0.1, 0.3):
         theta, bcols, rows, cols = _stage(rng, B, M, K, V, density)
-        assert np.array_equal(nonzero_probs(theta, bcols, rows, cols),
+        assert np.array_equal(nonzero_probs(theta, bcols, rows, cols)[0],
                               _dense_at(theta, bcols, rows, cols))
 
 
@@ -483,3 +486,82 @@ def test_an_evaluation_call_holds_no_v_wide_probability_block():
     finally:
         tracemalloc.stop()
     assert used < N * M * V * 8     # one (N * M, V) float64 block, 29.3 MiB
+
+
+@pytest.mark.parametrize("B, M, K, V, density, one_word", [
+    (16, 5, 3, 200, 0.1, False),
+    (8, 3, 4, 50, 0.0, False),       # no entries in the stage: L = 0
+    (12, 4, 3, 60, 0.2, True),       # every document of one word: L = 1
+    (12, 1, 5, 80, 0.2, False),      # M = 1
+    (10, 4, 40, 120, 0.3, False),    # K >= 32
+    (64, 5, 8, 1000, 0.05, False),   # corpus-scale
+])
+def test_nonzero_backward_matches_the_dense_r_products(B, M, K, V, density,
+                                                       one_word):
+    rng = np.random.default_rng(B * V + K)
+    theta, bcols, rows, cols = _stage(rng, B, M, K, V, density)
+    if one_word:
+        rows, first = np.unique(rows, return_index=True)
+        cols = cols[first]
+    elif rows.size:
+        # a one-word document among longer ones
+        keep = (rows != rows[0]) | (np.arange(rows.size) == 0)
+        rows, cols = rows[keep], cols[keep]
+    g = -rng.random((rows.size, M))
+    _, *layout = nonzero_probs(theta, bcols, rows, cols)
+    gtheta, gb = nonzero_backward(g, theta, *layout, V)
+    gtheta_ref, gb_ref = reconstruction_backward_ref(g, theta, bcols, rows,
+                                                     cols)
+    assert gtheta.shape == (B, M, K) and gb.shape == (V, K)
+    # every term of a sum has g's sign, so no sum cancels
+    np.testing.assert_allclose(gtheta, gtheta_ref, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(gb, gb_ref, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("C", [0, 2])
+def test_encoder_backward_is_the_previous_mean_columns(C):
+    V, P, E, K, H, B = 300, 3, 2, 8, 16, 20
+    enc = StageEncoder.init(V=V, P=P, E=E, K=K, H=H,
+                            rng=np.random.default_rng(C), scale=0.3)
+    rng = np.random.default_rng(10 + C)
+    inp = rng.random((B, enc.in_dim))
+    _, _, cache = enc.forward(inp, rng.standard_normal((C, B, E)))
+    gmu, gsg = rng.standard_normal((2, 1 + C, B, K))
+    gin, _ = enc.backward(cache, gmu, gsg)
+    full = encoder_input_grad_ref(enc, cache, gmu, gsg)
+    assert gin.shape == (B, K)
+    np.testing.assert_allclose(gin, full[:, -K:], rtol=1e-12, atol=1e-12)
+
+
+def test_a_stage_with_no_entries_has_zero_topic_gradient():
+    corpus = tiny_corpus(N=4, T=3, V=6, missing=[(i, 1) for i in range(4)])
+    cfg = make_cfg(n_topics=3, m_samples=2)
+    gen, enc = default_init(corpus, cfg)
+    batch = CorpusArrays(corpus).batch(np.arange(4))
+    eps = np.random.default_rng(2).standard_normal((4, 3, 2, 3))
+    bcols = np.stack([column_softmax(gen.beta)] * 3)
+    res = longitudinal_loss(batch, gen, enc, cfg, eps, stage_bcols=bcols)
+    gb = res.grads["bcols_stage"]
+    assert not gb[1].any() and gb[0].any() and gb[2].any()
+    assert all(np.isfinite(g).all() for g in res.grads.values())
+
+
+def test_a_training_call_holds_no_v_wide_block():
+    B, V, K, M, T = 64, 20_000, 3, 5, 2
+    corpus, _ = simulate(SimConfig(n_subjects=B, n_stages=T, vocab_size=V,
+                                   n_topics=K, n_covariates=2, seed=6))
+    cfg = make_cfg(n_topics=K, m_samples=M, hidden_enc=8)
+    gen, enc = default_init(corpus, cfg)
+    batch = CorpusArrays(corpus).batch(np.arange(B))
+    eps = np.random.default_rng(0).standard_normal((B, T, M, K))
+    # the encoder inputs a fit allocates once and passes to every call
+    work = np.zeros((T * B, enc.stages[0].in_dim))
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        longitudinal_loss(batch, gen, enc, cfg, eps, work=work)
+        used = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    # a quarter of one (B * M, V) float64 block, 51.2 MB
+    assert used < B * M * V * 8 / 4

@@ -13,7 +13,7 @@ from longtopic.errors import (
     UnknownDistance,
     VocabMismatch,
 )
-from longtopic.inference import fit_dynamic_topics
+from longtopic.inference import fit_dynamic_topics, trainer
 from longtopic.inference.trainer import (
     Optimizer,
     TrainConfig,
@@ -204,8 +204,10 @@ def test_config_validation():
 
 def test_monte_carlo_tensors_beyond_the_cap_are_config_errors():
     corpus = two_topic_corpus(N=10)  # (N, T, V) = (10, 1, 4), K = 2
-    # the (rows * M, V) loss buffer holds 4e8 numbers, the eval eps 2e8
-    with pytest.raises(ConfigError, match="m_samples=10000000 .* loss buf"):
+    # a (rows, V, max(M, K)) padded loss block holds 4e8 numbers, the eval
+    # eps 2e8
+    with pytest.raises(ConfigError,
+                       match="m_samples=10000000 .* padded loss block"):
         fit(corpus, fast_cfg(m_samples=10 ** 7))
     # the (N, T, M, K) eval eps holds 2e9, in the per-stage topic fit too
     with pytest.raises(ConfigError, match="m_samples=100000000 .* eval eps"):
@@ -402,3 +404,38 @@ def test_flat_optimizer_names_the_overflowing_block_like_the_reference():
             errors.append(str(e.value))
     assert errors[0] == errors[1] == \
         f"the second moment of {keys[4]} overflowed"
+
+
+@pytest.mark.parametrize("kind", ["sgd", "adam"])
+def test_chunked_optimizer_step_matches_one_pass(kind, monkeypatch):
+    # 155,022 numbers: the step's slices split blocks, three slices in all
+    shapes = [(300, 250), (7,), (200, 400), (3, 5)]
+    assert 2 * trainer.STEP_CHUNK < sum(np.prod(s) for s in shapes)
+    rng = np.random.default_rng(4)
+    start = [rng.standard_normal(s) for s in shapes]
+    cfg = fast_cfg(optimizer=kind)
+    registries = [[(f"b{i}", a.copy()) for i, a in enumerate(start)]
+                  for _ in range(2)]
+    sizes = [sum(a.size for _, a in registries[0]), trainer.STEP_CHUNK]
+    opts = []
+    for registry, chunk in zip(registries, sizes):
+        monkeypatch.setattr(trainer, "STEP_CHUNK", chunk)
+        opts.append(Optimizer(registry, cfg))
+    for lr in (0.02, 0.5, 1e-3):
+        grads = random_grads(registries[0], rng)
+        for opt, chunk in zip(opts, sizes):
+            monkeypatch.setattr(trainer, "STEP_CHUNK", chunk)
+            opt.step(grads, lr)
+    for (key, a), (_, b) in zip(*registries):
+        assert np.array_equal(a, b), key
+        assert np.array_equal(np.signbit(a), np.signbit(b)), key
+    if kind == "adam":
+        # an overflow in the last slice names its block; nothing moves
+        before = [a.copy() for _, a in registries[1]]
+        grads = random_grads(registries[1], rng)
+        grads["b2"].flat[-1] = 1e200
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(NumericError, match="moment of b2 overflowed"):
+            opts[1].step(grads, 0.01)
+        assert all(np.array_equal(a, b)
+                   for (_, a), b in zip(registries[1], before))

@@ -1,9 +1,9 @@
 """The workspace contract of longitudinal_loss and the epoch loop.
 
-A fit allocates one Workspace and every loss call reuses it through prefix
-views. A call with a workspace must give the same bits as one that allocates
-its own, whatever the workspace held before, and must leave its scatter
-buffer R and the word columns of its encoder inputs all zeros. A chunk
+A fit allocates one encoder-input buffer and every loss call reuses it
+through prefix views. A call with that buffer must give the same bits as one
+that allocates its own, whatever the buffer held before, and must leave its
+word columns all zeros. A chunk
 batch (the full-data evaluation's CSR slices) must give the bits of the
 gathered batch of the same rows. A fit must not depend on what earlier fits
 in the same process did, even one that ended in DivergedError.
@@ -24,7 +24,6 @@ from longtopic.inference.dynamic import _dynamic_batch
 from longtopic.inference import loss
 from longtopic.inference.loss import (
     CorpusArrays,
-    Workspace,
     chunk_batches,
     longitudinal_loss,
 )
@@ -86,10 +85,9 @@ def test_workspace_calls_match_fresh_allocation(dynamic, monkeypatch):
         return res.loss, res.grads
 
     # sized for 6-row evaluations and 4-row training batches; garbage
-    # everywhere but R and the word columns of inp, which the contract keeps
-    # at zero
-    work = Workspace(6, 4, T, M, V, enc.stages[0].in_dim)
-    work.inp[:, V:] = np.nan
+    # everywhere but the word columns, which the contract keeps at zero
+    work = np.zeros((max(6, T * 4), enc.stages[0].in_dim))
+    work[:, V:] = np.nan
     for idx, want_grads in [(np.arange(6), False), ([5, 1, 7, 2], True),
                             ([8, 3, 0], True), (np.arange(6, 9), False),
                             ([4, 1], True), (np.arange(6), False)]:
@@ -97,7 +95,7 @@ def test_workspace_calls_match_fresh_allocation(dynamic, monkeypatch):
         batch = arrays.batch(idx) if want_grads else chunks[idx[0]]
         _assert_same(call(batch, eps, want_grads, work),
                      call(arrays.batch(idx), eps, want_grads, None))
-        assert not work.R.any() and not work.inp[:, :V].any()
+        assert not work[:, :V].any()
 
 
 def _fit_args(corpus, out, *extra):
