@@ -152,6 +152,7 @@ class Corpus:
         if np.any(groups < 0):
             raise FormatError("group labels must be nonnegative")
         N = groups.shape[0]
+        _check_label(int(groups.max()), N)
         G = max(2, int(groups.max()) + 1)
         if n_groups is not None:
             if n_groups < G:
@@ -539,6 +540,11 @@ def _read_vocab(fname):
     return words
 
 
+def _check_label(label, n_subjects, error=FormatError):
+    if label > max(2, n_subjects):  # it alone would size every group array
+        raise error(f"group label {label} above max(2, {n_subjects})")
+
+
 def _read_groups(fname):
     lines = _read_lines(fname)
     if not lines or lines[0].strip() != "subject,group":
@@ -551,8 +557,7 @@ def _read_groups(fname):
             raise FormatError(f"{fname} line {ln}: expected 2 fields")
         try:
             subject, group = int(parts[0]), int(np.int64(parts[1]))
-            if group > max(2, n):  # it alone would size every group array
-                raise ValueError(f"group label {group} above max(2, {n})")
+            _check_label(group, n, ValueError)
         except (ValueError, OverflowError) as e:
             raise FormatError(f"{fname} line {ln}: {e}") from e
         if subject in rows:

@@ -6,10 +6,15 @@ per stage by exhaustive permutation search (K <= 8), minimizing the mean
 KL(beta_hat || beta_true) over topics; the same permutation is reused for
 dominant accuracy. All metrics are pure functions of arrays plus, for
 coherence/perplexity, the corpus counts.
+
+The topic metrics take the (T, V, K) stack whole, with no stage loop but the
+K!-table argmin of the alignment; coherence and perplexity read the corpus
+stage by stage.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 from dataclasses import dataclass
@@ -22,6 +27,8 @@ from .errors import (DegenerateDesign, NumericError, ShapeError,
 from .model import PROB_FLOOR
 
 MAX_ALIGN_TOPICS = 8
+# the group probe's gradient descent: steps, step size, L2 weight penalty
+PROBE_ITERS, PROBE_STEP, PROBE_L2 = 500, 0.1, 1e-4
 
 
 @dataclass
@@ -34,14 +41,7 @@ class MetricsReport:
     permutations: list | None  # per-stage topic orderings, None without truth
 
     def to_dict(self):
-        return {
-            "kl_topics": self.kl_topics,
-            "coherence": self.coherence,
-            "perplexity": self.perplexity,
-            "dominant_acc": self.dominant_acc,
-            "group_acc": self.group_acc,
-            "permutations": self.permutations,
-        }
+        return dataclasses.asdict(self)
 
 
 def _as_stack(arr, name):
@@ -63,12 +63,13 @@ def _topic_pair(beta_hat, beta_true):
 
 
 def _topic_kl_matrix(bh, bt):
-    """cost[a, b] = KL(bh[:, a] || bt[:, b]) with the reference floored."""
-    p = bh.T[:, None, :]                       # (K, 1, V)
-    q = np.maximum(bt.T[None, :, :], PROB_FLOOR)
+    """cost[..., a, b] = KL(bh[..., :, a] || bt[..., :, b]) over (..., V, K)
+    stacks, with the reference floored."""
+    p = np.swapaxes(bh, -1, -2)[..., :, None, :]     # (..., K, 1, V)
+    q = np.maximum(np.swapaxes(bt, -1, -2)[..., None, :, :], PROB_FLOOR)
     with np.errstate(divide="ignore", invalid="ignore"):
         terms = np.where(p > 0, p * np.log(p / q), 0.0)
-    return terms.sum(axis=2)
+    return terms.sum(axis=-1)
 
 
 def align_topics(beta_hat, beta_true):
@@ -85,8 +86,7 @@ def align_topics(beta_hat, beta_true):
         itertools.chain.from_iterable(itertools.permutations(range(K))),
         dtype=np.intp, count=math.factorial(K) * K).reshape(-1, K)
     perms = []
-    for t in range(T):
-        cost = _topic_kl_matrix(bh[t], bt[t])
+    for cost in _topic_kl_matrix(bh, bt):
         total = cost[table[:, 0], 0]
         for k in range(1, K):
             total += cost[table[:, k], k]
@@ -96,8 +96,9 @@ def align_topics(beta_hat, beta_true):
 
 def apply_permutations(arr, perms):
     """Reorder the last axis of a (T, ..., K) stack stage by stage."""
-    a = np.asarray(arr)
-    return np.stack([a[t][..., perms[t]] for t in range(a.shape[0])])
+    a, idx = np.asarray(arr), np.asarray(perms)
+    return np.take_along_axis(
+        a, np.expand_dims(idx, tuple(range(1, a.ndim - 1))), axis=-1)
 
 
 def empirical_kl(beta_hat, beta_true):
@@ -105,26 +106,18 @@ def empirical_kl(beta_hat, beta_true):
     reference floored at 1e-12; call after alignment."""
     bh, bt = _topic_pair(beta_hat, beta_true)
     T, V, K = bh.shape
-    total = 0.0
-    for t in range(T):
-        cost = _topic_kl_matrix(bh[t], bt[t])
-        total += float(np.trace(cost))
-    return total / (T * K)
+    traces = np.trace(_topic_kl_matrix(bh, bt), axis1=1, axis2=2)
+    return float(np.cumsum(traces)[-1]) / (T * K)  # stages added in order
 
 
 def top_words(beta_hat, top_n=15):
     """(T, K, top_n) word indices, most probable first; probability ties go to
     the lower word index."""
     bh = _as_stack(beta_hat, "beta_hat")
-    T, V, K = bh.shape
     if top_n < 1:
         raise ShapeError(f"top_n must be at least 1; got {top_n}")
-    n = min(top_n, V)
-    out = np.empty((T, K, n), dtype=np.int64)
-    for t in range(T):
-        order = np.argsort(-bh[t], axis=0, kind="stable")
-        out[t] = order[:n].T
-    return out
+    order = np.argsort(-bh, axis=1, kind="stable")[:, :top_n]
+    return np.ascontiguousarray(order.transpose(0, 2, 1), dtype=np.int64)
 
 
 def umass_coherence(beta_hat, corpus, top_n=15):
@@ -215,14 +208,14 @@ def dominant_accuracy(theta_hat, theta_true, mask=None):
     return float(np.mean(hit))
 
 
-def group_accuracy(theta_hat, groups, mask=None, n_iter=500, step=0.1,
-                   l2=1e-4):
+def group_accuracy(theta_hat, groups, mask=None):
     """In-sample accuracy of a softmax-regression probe of group labels on the
     pooled per-cell proportions.
 
-    Full-batch gradient descent, zero init, L2 penalty on the weights (not
-    the intercept). Constant features reduce to an intercept-only model whose
-    accuracy is the majority-class share.
+    PROBE_ITERS steps of full-batch gradient descent of size PROBE_STEP, zero
+    init, L2 penalty PROBE_L2 on the weights (not the intercept). Constant
+    features reduce to an intercept-only model whose accuracy is the
+    majority-class share.
     """
     th = np.asarray(theta_hat, dtype=np.float64)
     if th.ndim != 3:
@@ -241,7 +234,7 @@ def group_accuracy(theta_hat, groups, mask=None, n_iter=500, step=0.1,
     if n < G * K:
         raise DegenerateDesign(
             f"need at least G*K = {G * K} samples; got {n}")
-    Wp, b = _probe_fit(X, y, G, n_iter, step, l2)
+    Wp, b = _probe_fit(X, y, G, PROBE_ITERS, PROBE_STEP, PROBE_L2)
     pred = np.argmax(X @ Wp + b, axis=1)
     return float(np.mean(pred == y))
 
@@ -318,7 +311,6 @@ def save_metrics(report, fname, config_echo=None):
 
 
 def save_top_words(beta_hat, vocab, fname, top_n=15):
-    tops = top_words(beta_hat, top_n)
-    obj = [[[vocab[v] for v in tops[t, k]] for k in range(tops.shape[1])]
-           for t in range(tops.shape[0])]
-    write_json(obj, fname, indent=2)
+    tops = top_words(beta_hat, top_n).tolist()
+    write_json([[[vocab[v] for v in topic] for topic in stage]
+                for stage in tops], fname, indent=2)

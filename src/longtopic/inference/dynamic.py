@@ -12,8 +12,10 @@ trainer and the per-stage point estimates replicate the shared topics exactly.
 
 This module supplies only what the chain adds: the topics.mu / topics.rho
 parameter blocks, the topic noise (frozen for the full-data evaluation, fresh
-for each training batch) and the batch objective with its gradients. The
-epoch loop, optimizer and stop rule are the trainer's.
+for each training batch) and the batch objective with its gradients, each
+over the (T, V, K) stack at once (the chain's prior means are the stack
+shifted by one stage). The epoch loop, optimizer and stop rule are the
+trainer's.
 """
 
 from __future__ import annotations
@@ -23,9 +25,10 @@ from dataclasses import replace
 
 import numpy as np
 
-from ..model import column_softmax, column_softmax_backward
+from ..model import softmax, softmax_backward
 from .loss import longitudinal_loss
 from .networks import SIGMA_MIN, sigmoid, softplus
+from .terms import _member_sum
 from .trainer import (
     FittedModel,
     _run_epochs,
@@ -41,30 +44,23 @@ def _topic_scale(rho):
 
 
 def _chain_kl_and_grads(mu_b, sigma_b, eps_b, beta_tilde, beta0, delta2, var):
-    """Topic-chain KL (scalar) plus gradients on (mu, sigma) of every stage.
-
-    The stage-(t-1) sample is the prior mean of stage t, so each interior
-    stage receives both its own-KL gradient and the next stage's prior-mean
-    gradient routed through the reparameterization.
-    """
-    T = mu_b.shape[0]
-    gmu = np.zeros_like(mu_b)
-    gsg = np.zeros_like(sigma_b)
-    diff = mu_b[0] - beta0
-    kl = float(np.sum(np.log(np.sqrt(delta2) / sigma_b[0])
-                      + (sigma_b[0] ** 2 + diff ** 2) / (2.0 * delta2) - 0.5))
-    gmu[0] += diff / delta2
-    gsg[0] += -1.0 / sigma_b[0] + sigma_b[0] / delta2
-    for t in range(1, T):
-        diff = mu_b[t] - beta_tilde[t - 1]
-        kl += float(np.sum(np.log(np.sqrt(var) / sigma_b[t])
-                           + (sigma_b[t] ** 2 + diff ** 2) / (2.0 * var)
-                           - 0.5))
-        gmu[t] += diff / var
-        gsg[t] += -1.0 / sigma_b[t] + sigma_b[t] / var
-        gprior = -diff / var
-        gmu[t - 1] += gprior
-        gsg[t - 1] += gprior * eps_b[t - 1]
+    """Topic-chain KL (scalar, the stages added in order) plus gradients on
+    (mu, sigma) of the whole (T, V, K) stack. The stage-(t-1) sample is the
+    prior mean of stage t, so each interior stage receives its own-KL
+    gradient and then the next stage's prior-mean gradient, routed through
+    the reparameterization."""
+    diff = mu_b - np.concatenate([beta0[None], beta_tilde[:-1]])
+    pvar = np.full((mu_b.shape[0], 1, 1), float(var))
+    pvar[0] = delta2
+    kl = float(_member_sum(np.sum(
+        np.log(np.sqrt(pvar) / sigma_b)
+        + (sigma_b ** 2 + diff ** 2) / (2.0 * pvar) - 0.5, axis=(1, 2))))
+    # each own term added to zero, so a -0.0 term is +0.0, as in the loop
+    gmu = 0.0 + diff / pvar
+    gsg = 0.0 + (-1.0 / sigma_b + sigma_b / pvar)
+    gprior = -diff[1:] / var
+    gmu[:-1] += gprior
+    gsg[:-1] += gprior * eps_b[:-1]
     return kl, gmu, gsg
 
 
@@ -75,8 +71,7 @@ def _topic_terms(mu_b, rho_b, eps_b, gen, var):
     computes it once for all its chunks."""
     sigma_b, raw = _topic_scale(rho_b)
     beta_tilde = mu_b + eps_b * sigma_b
-    stage_bcols = np.stack([column_softmax(beta_tilde[t])
-                            for t in range(mu_b.shape[0])])
+    stage_bcols = softmax(beta_tilde, axis=1)
     kl, gmu, gsg = _chain_kl_and_grads(
         mu_b, sigma_b, eps_b, beta_tilde, gen.beta0_mean, gen.delta2, var)
     return raw, stage_bcols, kl, gmu, gsg
@@ -94,18 +89,11 @@ def _dynamic_batch(batch, gen, enc, cfg, eps, mu_b, rho_b, eps_b, inv_n, var,
     loss = res.loss + inv_n * kl
     if not want_grads:
         return loss, None
-    gmu = inv_n * gmu
-    gsg = inv_n * gsg
-    for t in range(mu_b.shape[0]):
-        gtilde = column_softmax_backward(stage_bcols[t],
-                                         res.grads["bcols_stage"][t])
-        gmu[t] += gtilde
-        gsg[t] += gtilde * eps_b[t]
-    grho = gsg * sigmoid(rho_b) * (raw > SIGMA_MIN)
-    grads = dict(res.grads)
-    del grads["bcols_stage"]
-    grads["topics.mu"] = gmu
-    grads["topics.rho"] = grho
+    grads = res.grads
+    gtilde = softmax_backward(stage_bcols, grads.pop("bcols_stage"), axis=1)
+    grads["topics.mu"] = inv_n * gmu + gtilde
+    grads["topics.rho"] = ((inv_n * gsg + gtilde * eps_b) * sigmoid(rho_b)
+                           * (raw > SIGMA_MIN))
     return loss, grads
 
 

@@ -58,9 +58,9 @@ from ..errors import NumericError, ShapeError, UnknownDistance
 from ..model import (
     PROB_FLOOR,
     column_softmax,
-    column_softmax_backward,
     encode_groups,
     softmax,
+    softmax_backward,
 )
 from .terms import DISTANCE_KINDS, _kl_rows, _member_sum, distance_with_grad
 
@@ -284,12 +284,12 @@ def longitudinal_loss(batch, gen, enc, cfg, eps, want_grads=True,
             kl_t[t] = scale * float(pm[:, t] @ _kl_rows(
                 mu_q[:, None], sg_q[:, None], mu0, s0).sum(axis=1))
 
-        # multinomial reconstruction, evaluated at the nonzero counts only
+        # multinomial reconstruction at the nonzero counts (present cells)
         theta = softmax(eta, axis=2)
         p_nz, *layout = nonzero_probs(theta, bcols[t], rows, cols)
         logp = np.maximum(p_nz, PROB_FLOOR)
         np.log(logp, out=logp)
-        nll_t[t] = scale * float(((pm[rows, t] * c_nz) @ logp).sum())
+        nll_t[t] = scale * float((c_nz @ logp).sum())
 
         # group distance (independent of j)
         dgrads = None
@@ -354,10 +354,8 @@ def longitudinal_loss(batch, gen, enc, cfg, eps, want_grads=True,
 
         # multinomial term through eta: the scaled count/prob ratio at the
         # nonzero cells, back through the forward's padded gather
-        gtheta, gb[t] = nonzero_backward(
-            (-scale * pm[rows, t])[:, None] * ratio, theta, *layout, V)
-        inner = (gtheta * theta).sum(axis=2, keepdims=True)
-        geta = geta + theta * (gtheta - inner)
+        gtheta, gb[t] = nonzero_backward(-scale * ratio, theta, *layout, V)
+        geta = geta + softmax_backward(theta, gtheta, axis=2)
 
         # route eta gradients into (mu, sigma)
         gmu_t = gmu_t + geta.sum(axis=1)
@@ -380,8 +378,8 @@ def longitudinal_loss(batch, gen, enc, cfg, eps, want_grads=True,
 
     # beta through the per-column softmax, the stages summed last to first
     if stage_bcols is None:
-        grads["beta"] = column_softmax_backward(bcols[0],
-                                                _member_sum(gb[::-1]))
+        grads["beta"] = softmax_backward(bcols[0], _member_sum(gb[::-1]),
+                                         axis=0)
     else:
         grads["bcols_stage"] = gb
     return LossResult(loss=loss, grads=grads, components=components)

@@ -198,12 +198,10 @@ class FittedModel:
     def stage_topics(self):
         """(T, V, K) per-stage topic simplices (replicated in consistent
         mode)."""
-        T = self.gen.n_stages
         if self.beta_stage is not None:
-            return np.stack([column_softmax(self.beta_stage[t])
-                             for t in range(T)])
+            return softmax(self.beta_stage, axis=1)
         b = column_softmax(self.gen.beta)
-        return np.repeat(b[None, :, :], T, axis=0)
+        return np.repeat(b[None, :, :], self.gen.n_stages, axis=0)
 
 
 def _run_epochs(corpus, registry, cfg, batch_loss):

@@ -41,9 +41,9 @@ def column_softmax(beta):
     return softmax(beta, axis=0)
 
 
-def column_softmax_backward(bcols, g):
-    """Chain a gradient g on bcols = column_softmax(beta) back to beta."""
-    return bcols * (g - (bcols * g).sum(axis=0, keepdims=True))
+def softmax_backward(p, g, axis):
+    """Chain a gradient g on p = softmax(v, axis) back to v."""
+    return p * (g - (p * g).sum(axis=axis, keepdims=True))
 
 
 def group_encoding_dim(n_groups):

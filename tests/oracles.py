@@ -4,10 +4,12 @@ distribution, its multinomial log-likelihood, one transition mean and a
 corpus drawn from the generative process; a whole corpus's posterior moments
 in one pass over all subjects, which the row blocks must match; the
 closed-form Gaussian KL and pairwise separation terms for one document; the
-loop forms of the group-distance kernel (one pass per counterfactual) and of
+loop forms of the group-distance kernel (one pass per counterfactual), of
 the evaluation metrics (topic alignment, UMass coherence, perplexity and the
-group probe, the probe also in its earlier (samples, groups) layout), which the
-stacked and vectorized kernels must match bit for bit; the reconstruction's
+group probe, the probe also in its earlier (samples, groups) layout) and of
+the topic chain (its KL and gradients stage by stage, the column-softmax
+Jacobian one matrix at a time), which the stacked and vectorized kernels must
+match bit for bit; the reconstruction's
 backward through a dense (B * M, V) block and the encoder's whole input
 gradient, which the padded backward and the previous-mean columns must match to
 rounding; the corpus's CSR arrays read cell by cell from {word: count} maps,
@@ -491,6 +493,41 @@ def reconstruction_backward_ref(g, theta, bcols, rows, cols):
     R[rows, :, cols] = g
     R = R.reshape(B * M, -1)
     return (R @ bcols).reshape(B, M, K), R.T @ theta.reshape(B * M, K)
+
+
+# -- the per-stage topic chain, one matrix at a time --------------------------
+
+
+def column_softmax_backward_ref(bcols, g):
+    """Chain a gradient g on bcols = column_softmax(beta) of one V x K
+    matrix back to beta."""
+    return bcols * (g - (bcols * g).sum(axis=0, keepdims=True))
+
+
+def chain_kl_and_grads_ref(mu_b, sigma_b, eps_b, beta_tilde, beta0, delta2,
+                           var):
+    """The topic-chain KL and its (mu, sigma) gradients stage by stage: the
+    KL summed per stage and added in stage order, each stage's own-KL
+    gradient added to zeros, then the next stage's prior-mean gradient."""
+    T = mu_b.shape[0]
+    gmu = np.zeros_like(mu_b)
+    gsg = np.zeros_like(sigma_b)
+    diff = mu_b[0] - beta0
+    kl = float(np.sum(np.log(np.sqrt(delta2) / sigma_b[0])
+                      + (sigma_b[0] ** 2 + diff ** 2) / (2.0 * delta2) - 0.5))
+    gmu[0] += diff / delta2
+    gsg[0] += -1.0 / sigma_b[0] + sigma_b[0] / delta2
+    for t in range(1, T):
+        diff = mu_b[t] - beta_tilde[t - 1]
+        kl += float(np.sum(np.log(np.sqrt(var) / sigma_b[t])
+                           + (sigma_b[t] ** 2 + diff ** 2) / (2.0 * var)
+                           - 0.5))
+        gmu[t] += diff / var
+        gsg[t] += -1.0 / sigma_b[t] + sigma_b[t] / var
+        gprior = -diff / var
+        gmu[t - 1] += gprior
+        gsg[t - 1] += gprior * eps_b[t - 1]
+    return kl, gmu, gsg
 
 
 # -- dense forms of the corpus's CSR view -------------------------------------

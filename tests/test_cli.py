@@ -411,6 +411,19 @@ def test_group_label_past_the_subjects_is_a_format_error(tmp_path, capsys):
     assert err.count("\n") == 1 and err.startswith("error: FormatError:")
 
 
+def test_simulated_label_past_the_subjects_is_refused_before_writing(
+        tmp_path, capsys):
+    # seed 3 draws the labels [2, 3] for two subjects: 3 is above max(2, 2)
+    out = tmp_path / "run"
+    code, err = error_code(
+        ["simulate", "--out", str(out), "--seed", "3", *SIM,
+         "--set", "sim.n_subjects=2", "--set", "sim.n_groups=5"], capsys)
+    assert code == 1
+    assert err.count("\n") == 1 and err.startswith("error: FormatError:")
+    assert "group label 3 above max(2, 2)" in err
+    assert not out.exists()
+
+
 def test_eval_and_infer_name_a_model_that_does_not_fit(tmp_path, capsys):
     out = tmp_path / "run"
     assert main(["simulate", "--out", str(out), "--seed", "3", *SIM]) == 0

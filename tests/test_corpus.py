@@ -93,6 +93,21 @@ def test_group_label_beyond_int64_is_a_format_error(tmp_path):
         load_corpus(d)
 
 
+def test_builders_refuse_a_label_the_loader_refuses(tmp_path):
+    # N = 3 takes labels up to max(2, 3): a 4 is refused before anything
+    # is saved, as load_corpus would refuse it in groups.csv
+    counts = np.ones((3, 1, 2))
+    x, vocab = np.zeros((3, 1, 1)), ["a", "b"]
+    with pytest.raises(FormatError, match=r"group label 4 above max\(2, 3\)"):
+        Corpus.from_dense(counts, x, [0, 4, 1], vocab)
+    records = [(i, 0, {0: 1}) for i in range(3)]
+    with pytest.raises(FormatError, match=r"group label 4 above max\(2, 3\)"):
+        Corpus.build(records, x, [0, 4, 1], vocab)
+    c = Corpus.from_dense(counts, x, [0, 3, 1], vocab)
+    save_corpus(c, tmp_path / "c")
+    assert load_corpus(tmp_path / "c") == c
+
+
 def test_unparsable_line_reports_line_number(tmp_path):
     lines = [
         json.dumps({"subject": 0, "stage": 0, "counts": {"0": 1}}),

@@ -2,6 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from longtopic.corpus import Corpus
 from longtopic.errors import ConfigError, DivergedError
@@ -17,8 +18,17 @@ from longtopic.inference.trainer import (
     save_model,
     train,
 )
-from longtopic.model import default_vocab
-from oracles import gaussian_kl_term
+from longtopic.model import (
+    column_softmax,
+    default_vocab,
+    softmax,
+    softmax_backward,
+)
+from oracles import (
+    chain_kl_and_grads_ref,
+    column_softmax_backward_ref,
+    gaussian_kl_term,
+)
 
 
 def small_corpus(T=3, N=16, V=6, seed=0):
@@ -103,6 +113,68 @@ def test_chain_kl_zero_at_matched_prior():
     kl, _, _ = _chain_kl_and_grads(mu_b, sigma_b, eps_b, beta_tilde,
                                    beta0, delta2, var)
     assert kl == pytest.approx(0.0, abs=1e-12)
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return (a.shape == b.shape and np.array_equal(a, b)
+            and np.array_equal(np.signbit(a), np.signbit(b)))
+
+
+def chain_case(T, V, K, ties, seed):
+    """Chain inputs. With ties, a third of the entries sit exactly on their
+    prior mean, a third of the noise is +-0, and in a sixth of the (v, k)
+    cells every stage's mean is -0.0 on a +0.0 prior (diff = -0.0), so
+    zeros of both signs meet in the sums."""
+    rng = np.random.default_rng(seed)
+    mu_b = rng.standard_normal((T, V, K))
+    sigma_b = rng.uniform(0.05, 2.0, size=(T, V, K))
+    eps_b = rng.standard_normal((T, V, K))
+    beta0 = rng.standard_normal((V, K))
+    if ties:
+        eps_b[rng.random((T, V, K)) < 1 / 3] = 0.0
+        eps_b[rng.random((T, V, K)) < 1 / 6] = -0.0
+        on_prior = rng.random((T, V, K)) < 1 / 3
+        mu_b[0][on_prior[0]] = beta0[on_prior[0]]
+        for t in range(1, T):
+            prev = mu_b[t - 1] + eps_b[t - 1] * sigma_b[t - 1]
+            mu_b[t][on_prior[t]] = prev[on_prior[t]]
+        signed = rng.random((V, K)) < 1 / 6
+        mu_b[:, signed], eps_b[:, signed], beta0[signed] = -0.0, 0.0, 0.0
+    return mu_b, sigma_b, eps_b, mu_b + eps_b * sigma_b, beta0
+
+
+@settings(max_examples=60, deadline=None)
+@given(T=st.integers(1, 5), V=st.integers(1, 1200), K=st.integers(1, 9),
+       ties=st.booleans(), delta2=st.sampled_from([1.0, 1.7, 0.1, 1e-3]),
+       var=st.sampled_from([0.4, 0.1, 2.0, 1e-4]),
+       seed=st.integers(0, 2**32 - 1))
+@example(T=1, V=7, K=3, ties=True, delta2=1.0, var=0.1, seed=0)
+@example(T=1, V=1200, K=9, ties=False, delta2=0.1, var=0.4, seed=1)
+def test_stacked_chain_matches_stage_loop_bit_for_bit(T, V, K, ties, delta2,
+                                                      var, seed):
+    args = (*chain_case(T, V, K, ties, seed), delta2, var)
+    kl, gmu, gsg = _chain_kl_and_grads(*args)
+    kl_ref, gmu_ref, gsg_ref = chain_kl_and_grads_ref(*args)
+    assert same_bits(kl, kl_ref)
+    assert same_bits(gmu, gmu_ref) and same_bits(gsg, gsg_ref)
+
+
+@settings(max_examples=60, deadline=None)
+@given(T=st.integers(1, 5), V=st.integers(1, 1200), K=st.integers(1, 9),
+       ties=st.booleans(), seed=st.integers(0, 2**32 - 1))
+@example(T=1, V=7, K=3, ties=True, seed=0)
+def test_stacked_softmax_and_jacobian_match_per_matrix(T, V, K, ties, seed):
+    rng = np.random.default_rng(seed)
+    beta = 3.0 * rng.standard_normal((T, V, K))
+    g = rng.standard_normal((T, V, K))
+    if ties:
+        g[rng.random((T, V, K)) < 1 / 3] = 0.0
+        g[rng.random((T, V, K)) < 1 / 6] = -0.0
+    p = softmax(beta, axis=1)
+    assert same_bits(p, np.stack([column_softmax(b) for b in beta]))
+    assert same_bits(softmax_backward(p, g, axis=1), np.stack(
+        [column_softmax_backward_ref(p[t], g[t]) for t in range(T)]))
 
 
 def test_topic_scale_floor():
