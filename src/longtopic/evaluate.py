@@ -289,15 +289,13 @@ def full_report(fitted, corpus, truth=None):
     coh = umass_coherence(beta_hat, corpus)
     perp = perplexity(beta_hat, theta_hat, corpus)
     gacc = group_accuracy(theta_hat, corpus.groups, mask=mask)
-    if truth is None:
-        return MetricsReport(kl_topics=None, coherence=coh, perplexity=perp,
-                             dominant_acc=None, group_acc=gacc,
-                             permutations=None)
-    perms = align_topics(beta_hat, truth.beta_true)
-    bh_al = apply_permutations(beta_hat, perms)
-    th_al = apply_permutations(theta_hat, perms)
-    kl = empirical_kl(bh_al, truth.beta_true)
-    dacc = dominant_accuracy(th_al, truth.theta_true, mask=mask)
+    kl = dacc = perms = None
+    if truth is not None:
+        perms = align_topics(beta_hat, truth.beta_true)
+        kl = empirical_kl(apply_permutations(beta_hat, perms),
+                          truth.beta_true)
+        dacc = dominant_accuracy(apply_permutations(theta_hat, perms),
+                                 truth.theta_true, mask=mask)
     return MetricsReport(kl_topics=kl, coherence=coh, perplexity=perp,
                          dominant_acc=dacc, group_acc=gacc,
                          permutations=perms)

@@ -15,11 +15,12 @@ between the factual posterior and the counterfactual posteriors obtained by
 re-encoding with each non-factual group label. D does not depend on j, so its
 inner sum contributes with weight 1/N.
 
-The first-stage KL is sample-free (mu0_1 does not involve eta), so the
-composed objective at T=1 is exactly the single-stage negative ELBO; at later
-stages the KL contribution is the shared-eps Monte-Carlo estimate of
-E_{eta_{t-1} ~ q_{t-1}}[KL(q_t || p_t)], which is what the stage
-decomposition of the evidence bound prescribes.
+Each stage's prior takes its S previous samples through f_t and weights
+their KL M // S: S = 1 at the first stage (eta0), whose KL is then
+sample-free, so the objective at T=1 is exactly the single-stage negative
+ELBO; S = M later, the shared-eps Monte-Carlo estimate of
+E_{eta_{t-1} ~ q_{t-1}}[KL(q_t || p_t)] that the stage decomposition of the
+evidence bound prescribes.
 
 Gradients are hand-derived and propagated in reverse stage order. Paths into
 stage t's moments: the stage-t KL and distance terms, the multinomial term
@@ -30,8 +31,8 @@ contribute no terms.
 
 Each stage costs a fixed number of batched kernels whatever C and M are: one
 encoder pass whose counterfactual heads share the factual trunk, one distance
-call on its stacked (1 + C, B, K) moments, one transition pass over the B * M
-Monte-Carlo rows, and the reconstruction at the nonzero counts only (a zero
+call on its stacked (1 + C, B, K) moments, one transition pass over the B * S
+previous samples, and the reconstruction at the nonzero counts only (a zero
 count adds nothing to the likelihood or its gradient).
 
 The loss's forward and the posterior read-out iterate one stage chain,
@@ -249,40 +250,34 @@ def longitudinal_loss(batch, gen, enc, cfg, eps, want_grads=True,
     shifts = batch.cf_encs[:C] - batch.y_enc
     # what the backward reads of each stage: (mu, sigma) of the 1 + C
     # heads, factual first, the encoder cache (enc_cache[0] is the input, a
-    # view of work), the prior mean mu0 ((B, K) at t = 0, (B, M, K) after),
-    # the transition cache, theta (B, M, K), the (b, v) indices of the
-    # nonzero counts, nonzero_probs's padded layout, the (nnz, M) counts /
-    # probs there and the distance gradients
+    # view of work), the prior means mu0 (B, S, K), the transition cache,
+    # theta (B, M, K), the (b, v) indices of the nonzero counts,
+    # nonzero_probs's padded layout, the (nnz, M) counts / probs there and
+    # the distance gradients
     saved = [None] * T
 
     kl_t = np.zeros(T)
     nll_t = np.zeros(T)
     dist_t = np.zeros(T)
 
+    prev_eta = np.broadcast_to(gen.eta0, (B, 1, K))
     heads = stage_heads(batch, enc, gen.eta0, shifts, work, want_grads)
     for t, (mu, sg, enc_cache) in enumerate(heads):
         rows, cols, c_nz, _ = batch.stages[t]
         mu_q, sg_q = mu[0], sg[0]
         eta = mu_q[:, None, :] + eps[:, t] * sg_q[:, None, :]
 
-        # prior means: sample-free at the first stage, otherwise one
-        # transition pass over all B * M Monte-Carlo rows
-        if t == 0:
-            tin = np.concatenate([np.broadcast_to(gen.eta0, (B, K)),
-                                  x[:, 0], batch.y_enc], axis=1)
-            mu0, tr_cache = gen.transitions[0].forward(tin)
-            kl_t[0] = scale * M * float(
-                pm[:, 0] @ _kl_rows(mu_q, sg_q, mu0, s0))
-        else:
-            side = np.concatenate([x[:, t], batch.y_enc], axis=1)
-            tin = np.concatenate(
-                [prev_eta, np.broadcast_to(
-                    side[:, None], (B, M, side.shape[1]))],
-                axis=2).reshape(B * M, -1)
-            out, tr_cache = gen.transitions[t].forward(tin)
-            mu0 = out.reshape(B, M, K)
-            kl_t[t] = scale * float(pm[:, t] @ _kl_rows(
-                mu_q[:, None], sg_q[:, None], mu0, s0).sum(axis=1))
+        # prior means: one transition pass over the B * S previous samples
+        # (S = 1 at the first stage, eta0; S = M after), KL weight M // S
+        S = prev_eta.shape[1]
+        side = np.concatenate([x[:, t], batch.y_enc], axis=1)
+        tin = np.concatenate(
+            [prev_eta, np.broadcast_to(side[:, None], (B, S, side.shape[1]))],
+            axis=2).reshape(B * S, -1)
+        out, tr_cache = gen.transitions[t].forward(tin)
+        mu0 = out.reshape(B, S, K)
+        kl_t[t] = scale * (M // S) * float(pm[:, t] @ _kl_rows(
+            mu_q[:, None], sg_q[:, None], mu0, s0).sum(axis=1))
 
         # multinomial reconstruction at the nonzero counts (present cells)
         theta = softmax(eta, axis=2)
@@ -320,9 +315,6 @@ def longitudinal_loss(batch, gen, enc, cfg, eps, want_grads=True,
         else:
             grads[key] = val
 
-    def trans_key(t):
-        return "trans" if gen.share_across_stages else f"trans{t}"
-
     gb = np.zeros((T, V, K))
     pending_gmu = np.zeros((B, K))
     pending_geta = np.zeros((B, M, K))  # into eta[t] from stage t + 1
@@ -334,23 +326,20 @@ def longitudinal_loss(batch, gen, enc, cfg, eps, want_grads=True,
         geta = pending_geta
 
         # KL term: d/dmu_q = (mu_q - mu0)/s0^2, d/dsigma = -1/sg + sg/s0^2,
-        # d/dmu0 = -(mu_q - mu0)/s0^2
+        # d/dmu0 = -(mu_q - mu0)/s0^2, each of the S prior means weighted
+        # M // S
         w = scale * pm[:, t][:, None]
         gsig = -1.0 / sg_q + sg_q / s0 ** 2
-        if t == 0:
-            gdiff = (M * w) * (mu_q - mu0) / s0 ** 2
-            gmu_t = pending_gmu + gdiff
-            gs_t = (M * w) * gsig
-            _, tg = gen.transitions[0].backward(tr_cache, -gdiff)
-        else:
-            gdiff = w[:, :, None] * (mu_q[:, None] - mu0) / s0 ** 2
-            gmu_t = pending_gmu + gdiff.sum(axis=1)
-            gs_t = M * w * gsig
-            gin, tg = gen.transitions[t].backward(
-                tr_cache, -gdiff.reshape(B * M, K))
-            pending_geta = gin[:, :K].reshape(B, M, K)
+        S = mu0.shape[1]
+        gdiff = ((M // S) * w)[:, :, None] * (mu_q[:, None] - mu0) / s0 ** 2
+        gmu_t = pending_gmu + gdiff.sum(axis=1)
+        gs_t = M * w * gsig
+        gin, tg = gen.transitions[t].backward(tr_cache,
+                                              -gdiff.reshape(B * S, K))
+        pending_geta = gin[:, :K].reshape(B, S, K)  # unread after stage 1
+        key = "trans" if gen.share_across_stages else f"trans{t}"
         for name, val in tg.items():
-            add(f"{trans_key(t)}.{name}", val)
+            add(f"{key}.{name}", val)
 
         # multinomial term through eta: the scaled count/prob ratio at the
         # nonzero cells, back through the forward's padded gather

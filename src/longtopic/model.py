@@ -211,13 +211,13 @@ def default_vocab(V):
     return [f"w{v:0{width}d}" for v in range(V)]
 
 
-def sample_corpus(rng, topics, theta, count_range, covariates, groups, vocab,
-                  n_groups):
+def sample_corpus(rng, topics, theta, count_range, covariates, groups, vocab):
     """One multinomial document per (subject, stage) of theta's (T, N, K)
     grid, drawn from rng in a fixed order: every total, uniform on the
     inclusive count_range, then the cells subject by subject, stage by stage,
     each over the words topics[t] @ theta[t, i] of the (T, V, K) topics,
-    BLOCK cells at a time into one buffer that the corpus reads."""
+    BLOCK cells at a time into one buffer that the corpus reads. The group
+    count is max(2, largest label + 1), as loading the corpus gives."""
     T, N, _ = theta.shape
     lo, hi = count_range
     totals = rng.integers(lo, hi + 1, size=(N, T))
@@ -233,4 +233,4 @@ def sample_corpus(rng, topics, theta, count_range, covariates, groups, vocab,
             yield first, rows
 
     return Corpus._from_blocks(_dense_blocks(draws(), T), covariates, groups,
-                               vocab, False, n_groups)
+                               vocab, False, None)

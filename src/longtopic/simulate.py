@@ -122,15 +122,11 @@ def sample_topics(cfg, rng=None):
 
 
 def sample_metadata(cfg, rng=None):
-    """Covariates (N, T, P): stage 1 iid N(0,1), then a unit-variance random
-    walk; group labels uniform over 0..G-1."""
+    """Covariates (N, T, P): a unit-variance random walk from 0, one (N, P)
+    block of N(0,1) steps per stage; group labels uniform over 0..G-1."""
     rng = rng if rng is not None else np.random.default_rng(cfg.seed)
     N, T, P = cfg.n_subjects, cfg.n_stages, cfg.n_covariates
-    x = np.zeros((N, T, P))
-    if P > 0:
-        x[:, 0, :] = rng.standard_normal((N, P))
-        for t in range(1, T):
-            x[:, t, :] = x[:, t - 1, :] + rng.standard_normal((N, P))
+    x = np.cumsum(rng.standard_normal((T, N, P)), axis=0).transpose(1, 0, 2)
     groups = rng.integers(0, cfg.n_groups, size=N)
     return x, groups
 
@@ -201,7 +197,7 @@ def simulate_proportions(cfg, covariates, groups, gamma):
 def sample_documents(cfg, theta_true, beta_true, covariates, groups, rng=None):
     """One multinomial document per (subject, stage): total count uniform on
     count_range, word distribution theta_{t,i} . beta_t^T. Returns a Corpus
-    (covariates get standardized inside)."""
+    (covariates standardized inside, G from the drawn labels, as on load)."""
     rng = rng if rng is not None else np.random.default_rng(cfg.seed)
     N, T, V = cfg.n_subjects, cfg.n_stages, cfg.vocab_size
     theta_true = np.asarray(theta_true, dtype=np.float64)
@@ -211,7 +207,7 @@ def sample_documents(cfg, theta_true, beta_true, covariates, groups, rng=None):
     if beta_true.shape != (T, V, cfg.n_topics):
         raise ShapeError(f"beta_true must be ({T}, {V}, {cfg.n_topics})")
     return sample_corpus(rng, beta_true, theta_true, cfg.count_range,
-                         covariates, groups, default_vocab(V), cfg.n_groups)
+                         covariates, groups, default_vocab(V))
 
 
 @dataclass(eq=False)

@@ -14,11 +14,13 @@ backward through a dense (B * M, V) block and the encoder's whole input
 gradient, which the padded backward and the previous-mean columns must match to
 rounding; the corpus's CSR arrays read cell by cell from {word: count} maps,
 and the dense (N, T, V) forms of the corpus's CSR view, the batch gather and
-the sampler, which the sparse code must match exactly; a corpus loader that
-reads every docs.jsonl line with json.loads, which the bulk reader must match
-exactly; the optimizer step block by block, which the flat one must match bit
-for bit; and the comparison of two ground truths. Only tests call them, to
-check the package's code against a direct computation."""
+the sampler, which the sparse code must match exactly; the covariate walk
+stage by stage, which the cumulative sum must match bit for bit, its draws
+included; a corpus loader that reads every docs.jsonl line with json.loads,
+which the bulk reader must match exactly; the optimizer step block by block,
+which the flat one must match bit for bit; and the comparison of two ground
+truths. Only tests call them, to check the package's code against a direct
+computation."""
 
 import itertools
 import os
@@ -356,7 +358,7 @@ def forward_sample(params, covariates, groups, count_range, seed, vocab=None):
 
     vocab = vocab if vocab is not None else default_vocab(V)
     return sample_corpus(rng, np.broadcast_to(b, (T, V, K)), theta, (lo, hi),
-                         covariates, groups, vocab, G)
+                         covariates, groups, vocab)
 
 
 def transition_mean(t, eta_prev, x_t, y_enc, model):
@@ -591,6 +593,20 @@ def sample_corpus_ref(rng, topics, theta, count_range, covariates, groups,
             counts[i, t] = rng.multinomial(totals[i, t], p)
     return Corpus.from_dense(counts, covariates, groups, vocab,
                              n_groups=n_groups)
+
+
+def sample_metadata_ref(cfg, rng):
+    """simulate.sample_metadata as a loop over the stages: stage 1 iid
+    N(0, 1), then each stage the previous one plus an (N, P) block of N(0, 1)
+    steps (no draw when P = 0), then the group labels."""
+    N, T, P = cfg.n_subjects, cfg.n_stages, cfg.n_covariates
+    x = np.zeros((N, T, P))
+    if P > 0:
+        x[:, 0, :] = rng.standard_normal((N, P))
+        for t in range(1, T):
+            x[:, t, :] = x[:, t - 1, :] + rng.standard_normal((N, P))
+    groups = rng.integers(0, cfg.n_groups, size=N)
+    return x, groups
 
 
 def load_corpus_ref(path, allow_missing=False):

@@ -10,6 +10,7 @@ otherwise show only in a benchmark run.
 
 import importlib
 import importlib.util
+import inspect
 import re
 from pathlib import Path
 
@@ -18,7 +19,7 @@ import pytest
 
 import longtopic
 from longtopic.corpus import Corpus
-from longtopic.inference.loss import CorpusArrays
+from longtopic.inference.loss import CorpusArrays, longitudinal_loss
 from longtopic.model import default_vocab
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -43,6 +44,13 @@ def test_every_wrapped_name_resolves(module, cls, attr):
     if cls:
         owner = getattr(owner, cls)
     assert callable(getattr(owner, attr))
+
+
+def test_loss_span_reads_want_grads_as_the_sixth_argument():
+    # the tracer tells a training call from an evaluation by args[5] when
+    # want_grads is passed by position
+    params = list(inspect.signature(longitudinal_loss).parameters)
+    assert params[5] == "want_grads"
 
 
 def test_arrays_bytes_hook_reads_a_corpus_arrays():

@@ -12,9 +12,14 @@ from longtopic.inference.loss import (
     longitudinal_loss,
     nonzero_backward,
     nonzero_probs,
+    stage_heads,
 )
 from longtopic.inference.networks import SIGMA_MIN, StageEncoder, sigmoid
-from longtopic.inference.terms import DISTANCE_KINDS, distance_with_grad
+from longtopic.inference.terms import (
+    DISTANCE_KINDS,
+    _kl_rows,
+    distance_with_grad,
+)
 from longtopic.inference.trainer import TrainConfig, default_init
 from longtopic.model import column_softmax, default_vocab, softmax
 from longtopic.simulate import SimConfig, simulate
@@ -565,3 +570,49 @@ def test_a_training_call_holds_no_v_wide_block():
         tracemalloc.stop()
     # a quarter of one (B * M, V) float64 block, 51.2 MB
     assert used < B * M * V * 8 / 4
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_first_stage_prior_is_the_sample_free_formula(data):
+    # the first stage runs the prior pass with S = 1 previous sample (eta0)
+    # and weight M // S = M: its KL and every trans0 gradient are the bits
+    # of the sample-free (B, K) forms
+    N, V = 4, 6
+    T = data.draw(st.integers(1, 3), label="T")
+    M = data.draw(st.integers(1, 3), label="M")
+    hidden = data.draw(st.sampled_from([0, 3]), label="hidden_trans")
+    kind = data.draw(st.sampled_from(["none", "info_radius"]), label="kind")
+    gaps = data.draw(st.lists(st.integers(1, N - 1), unique=True,
+                              max_size=N - 1), label="missing stage 1")
+    seed = data.draw(st.integers(0, 2**16), label="seed")
+    corpus = tiny_corpus(N=N, T=T, V=V, seed=seed,
+                         missing=[(i, 0) for i in gaps])
+    cfg = make_cfg(m_samples=M, hidden_trans=hidden, dist_kind=kind,
+                   dist_weight=0.0 if kind == "none" else 0.5)
+    gen, enc = default_init(corpus, cfg)
+    assert not gen.share_across_stages
+    batch = CorpusArrays(corpus).batch(np.arange(N))
+    K = cfg.n_topics
+    eps = np.random.default_rng(seed).standard_normal((N, T, M, K))
+    res = longitudinal_loss(batch, gen, enc, cfg, eps)
+
+    # the encoder's first head, with the loss's counterfactual shifts
+    C = batch.cf_encs.shape[0] if kind != "none" else 0
+    mu, sg, _ = next(stage_heads(
+        batch, enc, gen.eta0, batch.cf_encs[:C] - batch.y_enc,
+        np.zeros((N, enc.stages[0].in_dim)), False))
+    mu_q, sg_q = mu[0], sg[0]
+    tin = np.concatenate([np.broadcast_to(gen.eta0, (N, K)), batch.x[:, 0],
+                          batch.y_enc], axis=1)
+    mu0, cache = gen.transitions[0].forward(tin)
+    s0, pm, scale = gen.sigma0, batch.present, 1.0 / (N * M)
+    kl0 = scale * M * float(pm[:, 0] @ _kl_rows(mu_q, sg_q, mu0, s0))
+    assert res.components["kl"][0].tobytes() == np.float64(kl0).tobytes()
+    w = scale * pm[:, 0][:, None]
+    _, tg = gen.transitions[0].backward(
+        cache, -(M * w) * (mu_q - mu0) / s0 ** 2)
+    assert sorted(tg) == sorted(k[len("trans0."):] for k in res.grads
+                                if k.startswith("trans0."))
+    for name, val in tg.items():
+        assert res.grads[f"trans0.{name}"].tobytes() == val.tobytes()

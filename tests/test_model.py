@@ -237,9 +237,9 @@ def test_blocked_sampler_matches_the_dense_sampler(data):
     topics = softmax(rng.standard_normal((T, V, K)), axis=1)
     theta = softmax(rng.standard_normal((T, N, K)), axis=2)
     args = (topics, theta, (1, 20), rng.standard_normal((N, T, 2)),
-            rng.integers(0, 3, size=N), [f"w{v}" for v in range(V)], 3)
+            rng.integers(0, 3, size=N), [f"w{v}" for v in range(V)])
     r1, r2 = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
-    got, want = sample_corpus(r1, *args), sample_corpus_ref(r2, *args)
+    got, want = sample_corpus(r1, *args), sample_corpus_ref(r2, *args, None)
     assert got == want
     assert np.array_equal(got.covariates, want.covariates)
     assert r1.integers(2**62) == r2.integers(2**62)

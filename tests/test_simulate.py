@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from longtopic.corpus import load_corpus, save_corpus
 from longtopic.errors import ConfigError, FormatError, ShapeError
 from longtopic.simulate import (
     SimConfig,
@@ -14,7 +15,7 @@ from longtopic.simulate import (
     simulate_proportions,
     topic_centers,
 )
-from oracles import truths_equal
+from oracles import sample_metadata_ref, truths_equal
 
 
 def test_topic_centers_paper_setting():
@@ -65,6 +66,21 @@ def test_metadata_random_walk_variance():
     for t in range(3):
         v = x[:, t, 0].var()
         assert abs(v - (t + 1)) / (t + 1) < 0.05
+
+
+@pytest.mark.parametrize("N, T, P", [(5, 3, 2), (7, 4, 1), (4, 1, 3),
+                                     (6, 3, 0), (1, 1, 0)])
+def test_metadata_walk_matches_the_loop_form(N, T, P):
+    cfg = SimConfig(n_subjects=N, n_stages=T, vocab_size=4, n_topics=2,
+                    n_covariates=P, n_groups=3, seed=N + T + P)
+    r1, r2 = np.random.default_rng(cfg.seed), np.random.default_rng(cfg.seed)
+    x, groups = sample_metadata(cfg, r1)
+    want_x, want_groups = sample_metadata_ref(cfg, r2)
+    assert x.shape == (N, T, P)
+    assert x.tobytes() == want_x.tobytes()
+    assert np.array_equal(groups, want_groups)
+    # the same number of draws: the generator is left in the same state
+    assert r1.bit_generator.state == r2.bit_generator.state
 
 
 def test_metadata_group_shares():
@@ -153,6 +169,20 @@ def test_simulation_deterministic():
     c2, t2 = simulate(cfg)
     assert c1 == c2
     assert truths_equal(t1, t2)
+
+
+@pytest.mark.parametrize("seed", [2, 9])
+def test_a_group_that_drew_no_subject_round_trips(tmp_path, seed):
+    # five groups configured, four drawn: the corpus's group count comes
+    # from the labels, as loading it back gives
+    cfg = SimConfig(n_subjects=6, n_groups=5, n_stages=2, vocab_size=20,
+                    n_topics=2, seed=seed)
+    corpus, _ = simulate(cfg)
+    assert corpus.groups.max() + 1 < cfg.n_groups
+    save_corpus(corpus, tmp_path)
+    loaded = load_corpus(tmp_path)
+    assert loaded == corpus
+    assert loaded.n_groups == corpus.n_groups == corpus.groups.max() + 1
 
 
 def test_simplices_valid():
