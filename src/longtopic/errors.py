@@ -98,7 +98,7 @@ def check_field_types(cfg):
             continue
         check_setting(value, kind, f.name)
         ge, one_of = f.metadata.get("ge"), f.metadata.get("one_of")
-        if ge is not None and value < ge:
+        if ge is not None and not value >= ge:
             raise ConfigError(f"{f.name} must be >= {ge}")
         if f.metadata.get("positive") and not value > 0:
             raise ConfigError(f"{f.name} must be positive")

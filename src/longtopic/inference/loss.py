@@ -36,8 +36,9 @@ previous samples, and the reconstruction at the nonzero counts only (a zero
 count adds nothing to the likelihood or its gradient).
 
 The loss's forward and the posterior read-out iterate one stage chain,
-`stage_heads`, over Batches that hold each stage's entries apart: gathered
-by `CorpusArrays.batch`, or CSR slices from `chunk_batches`.
+`stage_heads`, over Batches that hold each stage's entries apart, all built
+by `CorpusArrays.batch`: training minibatches, and the ROW_CHUNK-subject
+chunks of the whole-corpus passes (`CorpusArrays.chunks`).
 
 The reconstruction and its backward run at the nonzero cells only, in one
 padded (B, L, K) gather of topic rows per stage (`nonzero_probs`,
@@ -77,14 +78,12 @@ class Batch:
 
 
 class CorpusArrays:
-    """Encoder-ready views of a corpus, sliceable into batches. The counts
-    are the corpus's CSR count array itself (int64), the relative
-    frequencies its values over their cell totals."""
+    """Encoder-ready views of a corpus, sliceable into batches: its CSR
+    counts (int64) and (N, T) cell totals, nothing nnz-sized of its own."""
 
     def __init__(self, corpus):
         self.indptr, self.words, self.counts, _ = corpus.csr()
-        self.wn = self.counts / np.repeat(corpus.total_counts().T,
-                                          np.diff(self.indptr))
+        self.totals = corpus.total_counts()
         self.x = corpus.covariates
         self.present = corpus.present.astype(np.float64)
         G = corpus.n_groups
@@ -95,40 +94,37 @@ class CorpusArrays:
         self.cf_encs = encode_groups(self.cf_groups.T.ravel(), G).reshape(
             G - 1, corpus.n_subjects, -1)
 
+    @property
+    def wn(self):
+        """Each entry's count over its cell total, built on read, not held."""
+        idx = np.arange(self.present.shape[0])
+        return np.concatenate([s[3] for s in self.batch(idx).stages])
+
     def batch(self, idx):
+        """The Batch of subjects idx: the entries of cells t*N + idx, each
+        count also over its cell total."""
         idx = np.asarray(idx)
-        B, (N, T) = idx.size, self.present.shape
-        # the entries of cells t*N + idx, stage by stage; pos is the cell's
-        # place t*B + b in that order
-        cells = (N * np.arange(T)[:, None] + idx).ravel()
-        starts = self.indptr[cells]
-        lens = self.indptr[cells + 1] - starts
-        pos = np.repeat(np.arange(T * B), lens)
-        ent = np.arange(pos.size) + (starts - np.cumsum(lens) + lens)[pos]
-        ends = np.searchsorted(pos, B * np.arange(1, T))
+        B, N = idx.size, self.present.shape[0]
+        stages = []
+        for t in range(self.present.shape[1]):
+            start = self.indptr[t * N + idx]
+            n = self.indptr[t * N + idx + 1] - start
+            rows = np.repeat(np.arange(B), n)
+            ent = np.arange(rows.size) + np.repeat(start - np.cumsum(n) + n, n)
+            c = self.counts[ent]
+            stages.append((rows, self.words[ent], c,
+                           c / np.repeat(self.totals[idx, t], n)))
         return Batch(
             x=self.x[idx], y_enc=self.y_enc[idx],
             cf_encs=self.cf_encs[:, idx], present=self.present[idx],
-            stages=list(zip(*(np.split(a, ends) for a in (
-                pos % B, self.words[ent], self.counts[ent],
-                self.wn[ent])))))
+            stages=stages)
 
-
-def chunk_batches(corpus, y_enc, cf_encs):
-    """(lo, hi, Batch) of subjects lo to hi - 1, ROW_CHUNK subjects at a
-    time, with y_enc (N, E) and cf_encs (C, N, E) sliced to them. Stage t's
-    entries are corpus.stage_block(t, lo, hi), over cell totals summed from
-    that slice: exact integers, so the bits of CorpusArrays.wn."""
-    N = corpus.n_subjects
-    for lo in range(0, N, ROW_CHUNK):
-        hi = min(lo + ROW_CHUNK, N)
-        stages = [(r, w, c, c / np.bincount(r, weights=c)[r]) for r, w, c in
-                  (corpus.stage_block(t, lo, hi)
-                   for t in range(corpus.n_stages))]
-        yield lo, hi, Batch(
-            x=corpus.covariates[lo:hi], y_enc=y_enc[lo:hi],
-            cf_encs=cf_encs[:, lo:hi],
-            present=corpus.present[lo:hi].astype(np.float64), stages=stages)
+    def chunks(self):
+        """(lo, hi, batch) of subjects lo to hi - 1, ROW_CHUNK at a time."""
+        N = self.present.shape[0]
+        for lo in range(0, N, ROW_CHUNK):
+            hi = min(lo + ROW_CHUNK, N)
+            yield lo, hi, self.batch(np.arange(lo, hi))
 
 
 def stage_heads(batch, enc, eta0, shifts, inp, keep):

@@ -7,7 +7,7 @@ parameter registry and a batch objective. It runs plain SGD with momentum
 objective. After each epoch the full-data loss is evaluated with frozen eps
 (the [seed, 1] stream, drawn chunk by chunk) and logged; training stops when
 the relative change of that logged loss drops to eps_stop, or after t_max
-epochs. A non-finite eps_stop disables the stop rule entirely. A loss that
+epochs. An infinite eps_stop disables the stop rule entirely. A loss that
 is not finite, or a logged loss above BLOWUP times max(|initial loss|, 1),
 raises DivergedError. Refits are bit-identical.
 A fit allocates its working memory once (`_run_epochs`): nothing holds a
@@ -38,11 +38,10 @@ from ..model import (
     GenerativeParams,
     TransitionModel,
     column_softmax,
-    encode_groups,
     group_encoding_dim,
     softmax,
 )
-from .loss import CorpusArrays, chunk_batches, longitudinal_loss, stage_heads
+from .loss import CorpusArrays, longitudinal_loss, stage_heads
 from .networks import EncoderParams, StageEncoder
 from .terms import DISTANCE_KINDS
 
@@ -244,8 +243,7 @@ def _run_epochs(corpus, registry, cfg, batch_loss):
     def full_loss():
         total = 0.0
         eval_rng = np.random.default_rng([cfg.seed, 1])
-        for lo, hi, batch in chunk_batches(corpus, arrays.y_enc,
-                                           arrays.cf_encs):
+        for lo, hi, batch in arrays.chunks():
             eps = eval_rng.standard_normal(out=eps_buf[:hi - lo])
             loss, _ = batch_loss(batch, eps, False, work)
             total += loss * (hi - lo)
@@ -310,9 +308,9 @@ def train(corpus, gen, enc, cfg):
 
 def encode_corpus(fitted, corpus):
     """Factual posterior moments for every cell, two (T, N, K) arrays: head
-    0 of stage_heads, with no counterfactuals, over the corpus's
-    chunk_batches through one (ROW_CHUNK, D) input buffer. The model and the
-    corpus must agree on the vocabulary, stages, covariates and groups."""
+    0 of stage_heads, with no counterfactuals, over CorpusArrays.chunks
+    through one (ROW_CHUNK, D) input buffer. The model and the corpus must
+    agree on the vocabulary, stages, covariates and groups."""
     if list(corpus.vocab) != list(fitted.vocab):
         raise VocabMismatch("corpus vocabulary differs from the fitted model")
     for name, m, c in (
@@ -321,14 +319,12 @@ def encode_corpus(fitted, corpus):
             ("groups", fitted.n_groups, corpus.n_groups)):
         if m != c:
             raise ShapeError(f"the model has {m} {name}, the corpus {c}")
-    y_enc = encode_groups(corpus.groups, corpus.n_groups)
     N, T, K = corpus.n_subjects, corpus.n_stages, fitted.gen.n_topics
     mu_all, sg_all = np.zeros((2, T, N, K))
     inp = np.zeros((min(N, ROW_CHUNK), fitted.enc.stages[0].in_dim))
-    no_cf = np.empty((0, N, y_enc.shape[1]))
-    for lo, hi, batch in chunk_batches(corpus, y_enc, no_cf):
+    for lo, hi, batch in CorpusArrays(corpus).chunks():
         heads = stage_heads(batch, fitted.enc, fitted.gen.eta0,
-                            batch.cf_encs - batch.y_enc, inp, keep=False)
+                            batch.cf_encs[:0] - batch.y_enc, inp, keep=False)
         for t, (mu, sg, _) in enumerate(heads):
             mu_all[t, lo:hi], sg_all[t, lo:hi] = mu[0], sg[0]
     return mu_all, sg_all

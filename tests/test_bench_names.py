@@ -66,6 +66,23 @@ def test_arrays_bytes_hook_reads_a_corpus_arrays():
         arrays.counts.nbytes + arrays.wn.nbytes
 
 
+def test_relative_frequencies_the_hook_reads_are_the_eager_formula():
+    # wn is built from the batch builder on each read; its bits are those
+    # of every count over its cell total, missing cells included
+    rng = np.random.default_rng(4)
+    counts = rng.integers(0, 40, size=(30, 3, 17)) * (
+        rng.random((30, 3, 17)) < 0.4)
+    counts[:, :, 0] += 1
+    counts[rng.random((30, 3)) < 0.2] = 0
+    corpus = Corpus.from_dense(counts, rng.standard_normal((30, 3, 1)),
+                               np.arange(30) % 3, default_vocab(17),
+                               allow_missing=True, n_groups=3)
+    assert not corpus.present.all()
+    indptr, _, nz, _ = corpus.csr()
+    eager = nz / np.repeat(corpus.total_counts().T, np.diff(indptr))
+    assert np.array_equal(CorpusArrays(corpus).wn, eager)
+
+
 def test_every_workload_builds_and_every_called_name_exists(monkeypatch):
     # run.py sets the BLAS thread variables when it is imported; set here
     # first, they are restored after the test

@@ -253,10 +253,12 @@ def test_pipeline_non_integer_scalars_are_config_errors(tmp_path, capsys,
     ("fit", None, [*TRAIN, "--set", 'paths.corpus="c"',
                    "--set", "train.seed=-3"]),
     ("simulate", None, [*SIM, "--set", "repeats=0"]),
+    ("simulate", None, [*SIM, "--set", "sim.phi_drift=NaN"]),
 ], ids=["paths.out=5", "paths.corpus=[1]", "paths-not-object",
         "sim-not-object", "sim-not-object-then-set", 'allow_missing="no"',
         "paths.bogus=1", "unknown-top-level-key", "unknown-train-key",
-        "paths.model=2", "seed=-1", "train.seed=-3", "repeats=0"])
+        "paths.model=2", "seed=-1", "train.seed=-3", "repeats=0",
+        "phi_drift=NaN"])
 def test_config_faults_exit_one_and_write_nothing(tmp_path, monkeypatch,
                                                   capsys, mode, config, argv):
     cfg_path = tmp_path / "cfg.json"

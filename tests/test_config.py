@@ -25,7 +25,7 @@ FIELDS = [
     ("sim", "n_groups", "int", [1]),
     ("sim", "prior_kind", "str", ["quadratic"]),
     ("sim", "basis", "list", [["x", "cos"], [1]]),
-    ("sim", "phi_drift", "float", [-1e-9]),
+    ("sim", "phi_drift", "float", [-1e-9, float("nan")]),
     ("sim", "group_effect", "bool", []),
     ("sim", "count_range", "list", [[0, 5], [5, 4], [1], [1.5, 3]]),
     ("sim", "seed", "int", [-1]),
@@ -33,7 +33,7 @@ FIELDS = [
     ("train", "m_samples", "int", [0]),
     ("train", "learning_rate", "float", [0.0, -1e-3, float("nan")]),
     ("train", "t_max", "int", [0]),
-    ("train", "eps_stop", "float", [-1e-12]),
+    ("train", "eps_stop", "float", [-1e-12, float("nan")]),
     ("train", "batch_size", "int", [0]),
     ("train", "dist_kind", "str", ["cosine"]),
     ("train", "dist_weight", "float", []),
@@ -48,7 +48,7 @@ FIELDS = [
     ("train", "init_scale", "float", []),
     ("train", "a2", "float", [0.0]),
     ("train", "delta2", "float", [-1.0]),
-    ("train", "dynamic_topics_var", "float?", [-1e-9]),
+    ("train", "dynamic_topics_var", "float?", [-1e-9, float("nan")]),
     ("paths", "corpus", "str?", []),
     ("paths", "model", "str?", []),
     ("paths", "truth", "str?", []),

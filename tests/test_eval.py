@@ -27,6 +27,7 @@ from longtopic.evaluate import (
     top_words,
     umass_coherence,
 )
+from longtopic.inference.loss import CorpusArrays
 from longtopic.inference.trainer import (
     FittedModel,
     TrainConfig,
@@ -595,3 +596,12 @@ def test_inference_and_perplexity_hold_no_corpus_sized_array():
     assert used < dense
     _, used = traced_peak(perplexity, fitted.stage_topics(), theta, corpus)
     assert used < dense
+
+
+def test_corpus_arrays_hold_no_array_per_nonzero_count():
+    # a fit keeps its CorpusArrays for every epoch: beyond the corpus's own
+    # CSR arrays it holds nothing with one number per nonzero count
+    corpus, _ = simulate(SimConfig(n_subjects=1200, n_stages=3,
+                                   vocab_size=500, n_topics=4, seed=3))
+    _, used = traced_peak(CorpusArrays, corpus)
+    assert used < corpus.counts.size * 8

@@ -8,7 +8,6 @@ from longtopic.errors import ShapeError, UnknownDistance
 from hypothesis import given, settings, strategies as st
 from longtopic.inference.loss import (
     CorpusArrays,
-    chunk_batches,
     longitudinal_loss,
     nonzero_backward,
     nonzero_probs,
@@ -361,7 +360,7 @@ def test_batch_gather_matches_the_dense_reference(data):
     idx = np.array(data.draw(st.lists(st.integers(0, N - 1), min_size=1,
                                       max_size=N + 2)))
     # a gathered minibatch, and the one chunk batch of the whole corpus
-    (lo, hi, whole), = chunk_batches(corpus, arrays.y_enc, arrays.cf_encs)
+    (lo, hi, whole), = arrays.chunks()
     assert (lo, hi) == (0, N)
     for got, sel in ((arrays.batch(idx), idx), (whole, np.arange(N))):
         want, B = batch_ref(corpus, sel), sel.size
@@ -481,7 +480,7 @@ def test_an_evaluation_call_holds_no_v_wide_probability_block():
     cfg = make_cfg(n_topics=K, m_samples=M, hidden_enc=16)
     gen, enc = default_init(corpus, cfg)
     arrays = CorpusArrays(corpus)
-    (_, _, batch), = chunk_batches(corpus, arrays.y_enc, arrays.cf_encs)
+    (_, _, batch), = arrays.chunks()
     eps = np.random.default_rng(0).standard_normal((N, 2, M, K))
     tracemalloc.start()
     try:

@@ -22,11 +22,7 @@ from longtopic.cli import main
 from longtopic.corpus import Corpus
 from longtopic.inference.dynamic import _dynamic_batch
 from longtopic.inference import loss
-from longtopic.inference.loss import (
-    CorpusArrays,
-    chunk_batches,
-    longitudinal_loss,
-)
+from longtopic.inference.loss import CorpusArrays, longitudinal_loss
 from longtopic.inference.trainer import TrainConfig, default_init
 from longtopic.model import default_vocab
 
@@ -73,8 +69,7 @@ def test_workspace_calls_match_fresh_allocation(dynamic, monkeypatch):
     # the evaluations take chunk batches of 6 rows, as a fit's full-data
     # pass does
     monkeypatch.setattr(loss, "ROW_CHUNK", 6)
-    chunks = {lo: batch for lo, _, batch in
-              chunk_batches(corpus, arrays.y_enc, arrays.cf_encs)}
+    chunks = {lo: batch for lo, _, batch in arrays.chunks()}
 
     def call(batch, eps, want_grads, work):
         if dynamic:
