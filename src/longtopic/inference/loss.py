@@ -22,36 +22,31 @@ ELBO; S = M later, the shared-eps Monte-Carlo estimate of
 E_{eta_{t-1} ~ q_{t-1}}[KL(q_t || p_t)] that the stage decomposition of the
 evidence bound prescribes.
 
-Gradients are hand-derived and propagated in reverse stage order. Paths into
-stage t's moments: the stage-t KL and distance terms, the multinomial term
-through eta_{t,j}, the stage-(t+1) prior mean through f_{t+1}(eta_{t,j}, ...),
-and the stage-(t+1) encoder inputs (factual and counterfactual) through the
-recurrent previous-mean slot. Missing cells keep the recurrent chain alive but
-contribute no terms.
-
 Each stage costs a fixed number of batched kernels whatever C and M are: one
-encoder pass whose counterfactual heads share the factual trunk, one distance
-call on its stacked (1 + C, B, K) moments, one transition pass over the B * S
-previous samples, and the reconstruction at the nonzero counts only (a zero
-count adds nothing to the likelihood or its gradient).
+encoder pass whose counterfactual heads share the factual trunk
+(`stage_heads`, which the posterior read-out also iterates), one distance
+call on its stacked (1 + C, B, K) moments, one transition pass over the
+B * S previous samples, and the reconstruction at the nonzero counts only (a
+zero count adds nothing to the likelihood or its gradient), in one padded
+(B, L, K) gather of topic rows (`nonzero_probs`, `nonzero_backward`).
 
-The loss's forward and the posterior read-out iterate one stage chain,
-`stage_heads`, over Batches that hold each stage's entries apart, all built
-by `CorpusArrays.batch`: training minibatches, and the ROW_CHUNK-subject
-chunks of the whole-corpus passes (`CorpusArrays.chunks`).
-
-The reconstruction and its backward run at the nonzero cells only, in one
-padded (B, L, K) gather of topic rows per stage (`nonzero_probs`,
-`nonzero_backward`): no (B * M, V) block is formed. The only dense block of
-a call is its encoder input, which a fit allocates once and passes to every
-call as `work`, its word columns all zeros between calls. An evaluation
-(want_grads=False) keeps no per-stage caches, so its memory does not grow
-with the number of stages.
+The forward (`_forward`) yields one StageRecord per stage, what the backward
+reads and the stage's three terms; the hand-derived backward (`_backward`)
+walks the records last stage first. Paths into stage t's moments: the
+stage-t KL and distance terms, the multinomial term through eta_{t,j}, the
+stage-(t+1) prior mean through f_{t+1}(eta_{t,j}, ...), and the stage-(t+1)
+encoder inputs (factual and counterfactual) through the recurrent
+previous-mean slot. Missing cells keep the recurrent chain alive but
+contribute no terms. A training call holds every record until the backward
+reads it; an evaluation (want_grads=False) holds one at a time, so its
+memory does not grow with the number of stages.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
+from operator import attrgetter
 
 import numpy as np
 
@@ -61,10 +56,15 @@ from ..model import (
     PROB_FLOOR,
     column_softmax,
     encode_groups,
+    group_encoding_dim,
     softmax,
     softmax_backward,
 )
 from .terms import DISTANCE_KINDS, _kl_rows, _member_sum, distance_with_grad
+
+# the most float64 numbers (2 GiB) that one Monte-Carlo tensor, or one
+# corpus's counterfactual group encodings, may hold
+MAX_SAMPLE_ELEMENTS = 2 ** 28
 
 
 @dataclass
@@ -79,20 +79,27 @@ class Batch:
 
 class CorpusArrays:
     """Encoder-ready views of a corpus, sliceable into batches: its CSR
-    counts (int64) and (N, T) cell totals, nothing nnz-sized of its own."""
+    counts (int64) and (N, T) cell totals, nothing nnz-sized of its own.
+    ShapeError first if its counterfactual encodings would exceed
+    MAX_SAMPLE_ELEMENTS numbers."""
 
     def __init__(self, corpus):
+        G, N = corpus.n_groups, corpus.n_subjects
+        size = (G - 1) * N * group_encoding_dim(G)
+        if size > MAX_SAMPLE_ELEMENTS:
+            raise ShapeError(f"{G} groups of {N} subjects need {size} numbers"
+                             f" of counterfactual group encodings, above the"
+                             f" cap {MAX_SAMPLE_ELEMENTS}")
         self.indptr, self.words, self.counts, _ = corpus.csr()
         self.totals = corpus.total_counts()
         self.x = corpus.covariates
         self.present = corpus.present.astype(np.float64)
-        G = corpus.n_groups
         self.y_enc = encode_groups(corpus.groups, G)
         # counterfactual slot c holds each subject's c-th non-factual group
         c = np.arange(G - 1)
         self.cf_groups = c + (c >= corpus.groups[:, None])
         self.cf_encs = encode_groups(self.cf_groups.T.ravel(), G).reshape(
-            G - 1, corpus.n_subjects, -1)
+            G - 1, N, -1)
 
     @property
     def wn(self):
@@ -191,10 +198,120 @@ class LossResult:
     #                   sum(kl) - sum(nll) - dist_weight * sum(dist)
 
 
+# One stage of the forward: (1 + C, B, K) encoder heads, factual first, whose
+# enc_cache[0] is a view of work; (B, S, K) prior means; theta (B, M, K); the
+# nonzero cells' (nnz, M) probabilities; and dgrads None without a distance
+StageRecord = namedtuple("StageRecord", "mu sg enc_cache mu0 tr_cache theta"
+                         " rows cols layout c_nz p_nz dgrads kl nll dist")
+
+
+def _forward(batch, gen, enc, eps, bcols, kind, work, keep):
+    """Yield each stage's StageRecord in order; kind None skips the
+    counterfactuals. A record is built in a call of its own and not kept
+    here: a caller that drops each before the next holds one at a time."""
+    B, T, M, K = eps.shape
+    scale = 1.0 / (B * M)
+
+    def stage(t, mu, sg, enc_cache, prev_eta, eta):
+        pm = batch.present[:, t]
+        S = prev_eta.shape[1]
+        side = np.concatenate([batch.x[:, t], batch.y_enc], axis=1)
+        tin = np.concatenate(
+            [prev_eta, np.broadcast_to(side[:, None], (B, S, side.shape[1]))],
+            axis=2).reshape(B * S, -1)
+        out, tr_cache = gen.transitions[t].forward(tin)
+        mu0 = out.reshape(B, S, K)
+        kl = scale * (M // S) * float(pm @ _kl_rows(
+            mu[0][:, None], sg[0][:, None], mu0, gen.sigma0).sum(axis=1))
+
+        # multinomial reconstruction at the nonzero counts (present cells)
+        rows, cols, c_nz, _ = batch.stages[t]
+        theta = softmax(eta, axis=2)
+        p_nz, *layout = nonzero_probs(theta, bcols[t], rows, cols)
+        logp = np.maximum(p_nz, PROB_FLOOR)
+        np.log(logp, out=logp)
+
+        # group distance (independent of the samples)
+        dgrads, dist = None, 0.0
+        if kind:
+            d, *dgrads = distance_with_grad(kind, mu[0], sg[0], mu[1:], sg[1:])
+            dist = float(pm @ d) / B
+        return StageRecord(
+            mu=mu, sg=sg, enc_cache=enc_cache, mu0=mu0, tr_cache=tr_cache,
+            theta=theta, rows=rows, cols=cols, layout=layout, c_nz=c_nz,
+            p_nz=p_nz, dgrads=dgrads, kl=kl,
+            nll=scale * float((c_nz @ logp).sum()), dist=dist)
+
+    # the counterfactuals enter as shifts of the factual group columns
+    shifts = (batch.cf_encs if kind else batch.cf_encs[:0]) - batch.y_enc
+    heads = stage_heads(batch, enc, gen.eta0, shifts, work, keep)
+    prev_eta = np.broadcast_to(gen.eta0, (B, 1, K))
+    for t, (mu, sg, enc_cache) in enumerate(heads):
+        eta = mu[0][:, None, :] + eps[:, t] * sg[0][:, None, :]
+        yield stage(t, mu, sg, enc_cache, prev_eta, eta)
+        prev_eta = eta
+
+
+def _backward(records, gen, enc, eps, present, dist_weight):
+    """The gradient dict, with "bcols_stage" the (T, V, K) gradients on each
+    stage's topic rows, from the forward's list of records, which it pops
+    last stage first."""
+    B, T, M, K = eps.shape
+    s0, scale = gen.sigma0, 1.0 / (B * M)
+    grads = {}
+    gb = np.zeros((T, gen.beta.shape[0], K))
+    pending_gmu = np.zeros((B, K))
+    pending_geta = np.zeros((B, M, K))  # into eta[t] from stage t + 1
+    for t in range(T - 1, -1, -1):
+        r = records.pop()
+        mu_q, sg_q = r.mu[0], r.sg[0]
+
+        # multinomial term through eta: the scaled count/prob ratio at the
+        # nonzero cells, back through the forward's padded gather
+        ratio = np.divide(
+            np.broadcast_to(r.c_nz[:, None], r.p_nz.shape), r.p_nz,
+            out=np.zeros_like(r.p_nz), where=r.p_nz > PROB_FLOOR)
+        gtheta, gb[t] = nonzero_backward(-scale * ratio, r.theta, *r.layout,
+                                         gb.shape[1])
+        geta = pending_geta + softmax_backward(r.theta, gtheta, axis=2)
+
+        # KL term: d/dmu_q = -d/dmu0 = (mu_q - mu0)/s0^2 and d/dsigma =
+        # -1/sg + sg/s0^2, each of the S prior means weighted M // S
+        w = scale * present[:, t][:, None]
+        S = r.mu0.shape[1]
+        gdiff = ((M // S) * w)[:, :, None] * (mu_q[:, None] - r.mu0) / s0 ** 2
+        gin, tg = gen.transitions[t].backward(r.tr_cache,
+                                              -gdiff.reshape(B * S, K))
+        pending_geta = gin[:, :K].reshape(B, S, K)  # unread after stage 1
+        key = "trans" if gen.share_across_stages else f"trans{t}"
+        for name, val in tg.items():
+            # a shared model's first term itself, not 0 + it, keeps a -0.0
+            at = f"{key}.{name}"
+            grads[at] = grads[at] + val if at in grads else val
+
+        # the factual head's (mu, sigma) gradients; the distance's, all heads'
+        gmu_all = (pending_gmu + gdiff.sum(axis=1) + geta.sum(axis=1))[None]
+        gs_all = (M * w * (-1.0 / sg_q + sg_q / s0 ** 2)
+                  + (geta * eps[:, t]).sum(axis=1))[None]
+        if r.dgrads is not None:
+            dgmu, dgs, dgmu_c, dgs_c = r.dgrads
+            uw = (-dist_weight / B) * present[:, t][:, None]
+            gmu_all = np.concatenate([gmu_all + uw * dgmu, uw * dgmu_c])
+            gs_all = np.concatenate([gs_all + uw * dgs, uw * dgs_c])
+
+        # one encoder backward for every head
+        pending_gmu, eg = enc.stages[t].backward(r.enc_cache, gmu_all, gs_all)
+        r.enc_cache[0][r.rows, r.cols] = 0.0
+        grads.update((f"enc{t}.{name}", val) for name, val in eg.items())
+    grads["bcols_stage"] = gb
+    return grads
+
+
 def longitudinal_loss(batch, gen, enc, cfg, eps, want_grads=True,
                       stage_bcols=None, work=None):
     """Evaluate the objective (and, unless disabled, all parameter gradients)
-    on one batch with an explicit eps tensor of shape (B, T, M, K).
+    on one batch with an explicit eps tensor of shape (B, T, M, K), B and M
+    at least 1.
 
     stage_bcols, when given, is a (T, V, K) stack of already-normalized
     per-stage topic matrices that replaces softmax_col(gen.beta) in the
@@ -205,31 +322,22 @@ def longitudinal_loss(batch, gen, enc, cfg, eps, want_grads=True,
     work, when given, is the encoder-input buffer: B rows (T * B with
     gradients) or more, word columns all zeros, which the call leaves so;
     without one the call allocates its own, with the same bits.
-    With want_grads=False the call keeps nothing of a stage but what the next
-    stage reads: no encoder or transition caches, no per-stage theta.
+    With want_grads=False the call holds one stage's record at a time.
     """
-    x = batch.x
-    B, T, _ = x.shape
+    B, T, _ = batch.x.shape
     V, K = gen.beta.shape
     eps = np.asarray(eps, dtype=np.float64)
-    if eps.ndim != 4 or eps.shape[0] != B or eps.shape[1] != T \
-            or eps.shape[3] != K:
-        raise ShapeError(f"eps must be (B, {T}, M, {K}); got {eps.shape}")
-    M = eps.shape[2]
+    if eps.ndim != 4 or eps.shape[:2] != (B, T) or eps.shape[3] != K \
+            or eps.size == 0:
+        raise ShapeError(f"eps must be (B, {T}, M, {K}) with B, M >= 1;"
+                         f" got {eps.shape}")
     if T != gen.n_stages or T != enc.n_stages:
         raise ShapeError("stage counts disagree")
-    s0 = gen.sigma0
-    if not s0 > 0:
+    if not gen.sigma0 > 0:
         raise NumericError("sigma0 must be positive for the KL term")
     kind, w_d = cfg.dist_kind, cfg.dist_weight
     if kind not in DISTANCE_KINDS:
         raise UnknownDistance(f"unknown distance kind {kind!r}")
-    # a zero weight is exactly the "none" ablation: skip every
-    # counterfactual pass, not just the final weighting
-    use_dist = (kind != "none" and w_d != 0.0)
-    C = batch.cf_encs.shape[0] if use_dist else 0
-    pm = batch.present
-    scale = 1.0 / (B * M)
     if stage_bcols is None:
         bcols = np.broadcast_to(column_softmax(gen.beta), (T, V, K))
     else:
@@ -240,131 +348,23 @@ def longitudinal_loss(batch, gen, enc, cfg, eps, want_grads=True,
     if work is None:
         work = np.zeros((T * B if want_grads else B, enc.stages[0].in_dim))
 
-    # ---- forward ----------------------------------------------------------
-    # the counterfactual encodings enter only as shifts of the factual group
-    # columns, so each stage runs one encoder pass over the 1 + C heads
-    shifts = batch.cf_encs[:C] - batch.y_enc
-    # what the backward reads of each stage: (mu, sigma) of the 1 + C
-    # heads, factual first, the encoder cache (enc_cache[0] is the input, a
-    # view of work), the prior means mu0 (B, S, K), the transition cache,
-    # theta (B, M, K), the (b, v) indices of the nonzero counts,
-    # nonzero_probs's padded layout, the (nnz, M) counts / probs there and
-    # the distance gradients
-    saved = [None] * T
-
-    kl_t = np.zeros(T)
-    nll_t = np.zeros(T)
-    dist_t = np.zeros(T)
-
-    prev_eta = np.broadcast_to(gen.eta0, (B, 1, K))
-    heads = stage_heads(batch, enc, gen.eta0, shifts, work, want_grads)
-    for t, (mu, sg, enc_cache) in enumerate(heads):
-        rows, cols, c_nz, _ = batch.stages[t]
-        mu_q, sg_q = mu[0], sg[0]
-        eta = mu_q[:, None, :] + eps[:, t] * sg_q[:, None, :]
-
-        # prior means: one transition pass over the B * S previous samples
-        # (S = 1 at the first stage, eta0; S = M after), KL weight M // S
-        S = prev_eta.shape[1]
-        side = np.concatenate([x[:, t], batch.y_enc], axis=1)
-        tin = np.concatenate(
-            [prev_eta, np.broadcast_to(side[:, None], (B, S, side.shape[1]))],
-            axis=2).reshape(B * S, -1)
-        out, tr_cache = gen.transitions[t].forward(tin)
-        mu0 = out.reshape(B, S, K)
-        kl_t[t] = scale * (M // S) * float(pm[:, t] @ _kl_rows(
-            mu_q[:, None], sg_q[:, None], mu0, s0).sum(axis=1))
-
-        # multinomial reconstruction at the nonzero counts (present cells)
-        theta = softmax(eta, axis=2)
-        p_nz, *layout = nonzero_probs(theta, bcols[t], rows, cols)
-        logp = np.maximum(p_nz, PROB_FLOOR)
-        np.log(logp, out=logp)
-        nll_t[t] = scale * float((c_nz @ logp).sum())
-
-        # group distance (independent of j)
-        dgrads = None
-        if use_dist:
-            d, *dgrads = distance_with_grad(kind, mu_q, sg_q, mu[1:], sg[1:])
-            dist_t[t] = float(pm[:, t] @ d) / B
-
-        if want_grads:
-            ratio = np.divide(
-                np.broadcast_to(c_nz[:, None], p_nz.shape), p_nz,
-                out=np.zeros_like(p_nz), where=p_nz > PROB_FLOOR)
-            saved[t] = (mu, sg, enc_cache, mu0, tr_cache, theta, rows, cols,
-                        layout, ratio, dgrads)
-        del layout      # an evaluation frees the gather before the next stage
-        prev_eta = eta
-
-    loss = float(kl_t.sum() - nll_t.sum() - w_d * dist_t.sum())
-    components = {"kl": kl_t, "nll": nll_t, "dist": dist_t}
-    if not want_grads:
-        return LossResult(loss=loss, grads=None, components=components)
-
-    # ---- backward ---------------------------------------------------------
-    grads = {}
-
-    def add(key, val):
-        if key in grads:
-            grads[key] += val
-        else:
-            grads[key] = val
-
-    gb = np.zeros((T, V, K))
-    pending_gmu = np.zeros((B, K))
-    pending_geta = np.zeros((B, M, K))  # into eta[t] from stage t + 1
-    for t in range(T - 1, -1, -1):
-        mu, sg, enc_cache, mu0, tr_cache, theta, rows, cols, layout, \
-            ratio, dgrads = saved[t]
-        saved[t] = None
-        mu_q, sg_q = mu[0], sg[0]
-        geta = pending_geta
-
-        # KL term: d/dmu_q = (mu_q - mu0)/s0^2, d/dsigma = -1/sg + sg/s0^2,
-        # d/dmu0 = -(mu_q - mu0)/s0^2, each of the S prior means weighted
-        # M // S
-        w = scale * pm[:, t][:, None]
-        gsig = -1.0 / sg_q + sg_q / s0 ** 2
-        S = mu0.shape[1]
-        gdiff = ((M // S) * w)[:, :, None] * (mu_q[:, None] - mu0) / s0 ** 2
-        gmu_t = pending_gmu + gdiff.sum(axis=1)
-        gs_t = M * w * gsig
-        gin, tg = gen.transitions[t].backward(tr_cache,
-                                              -gdiff.reshape(B * S, K))
-        pending_geta = gin[:, :K].reshape(B, S, K)  # unread after stage 1
-        key = "trans" if gen.share_across_stages else f"trans{t}"
-        for name, val in tg.items():
-            add(f"{key}.{name}", val)
-
-        # multinomial term through eta: the scaled count/prob ratio at the
-        # nonzero cells, back through the forward's padded gather
-        gtheta, gb[t] = nonzero_backward(-scale * ratio, theta, *layout, V)
-        geta = geta + softmax_backward(theta, gtheta, axis=2)
-
-        # route eta gradients into (mu, sigma)
-        gmu_t = gmu_t + geta.sum(axis=1)
-        gs_t += (geta * eps[:, t]).sum(axis=1)
-
-        # distance term: factual and counterfactual heads
-        gmu_all, gs_all = gmu_t[None], gs_t[None]
-        if use_dist:
-            dgmu, dgs, dgmu_c, dgs_c = dgrads
-            uw = (-w_d / B) * pm[:, t][:, None]
-            gmu_all = np.concatenate([gmu_all + uw * dgmu, uw * dgmu_c])
-            gs_all = np.concatenate([gs_all + uw * dgs, uw * dgs_c])
-
-        # one encoder backward for every head (all share the stage-t
-        # parameters and the recurrent previous-mean input)
-        pending_gmu, eg = enc.stages[t].backward(enc_cache, gmu_all, gs_all)
-        enc_cache[0][rows, cols] = 0.0
-        for name, val in eg.items():
-            add(f"enc{t}.{name}", val)
-
-    # beta through the per-column softmax, the stages summed last to first
-    if stage_bcols is None:
-        grads["beta"] = softmax_backward(bcols[0], _member_sum(gb[::-1]),
-                                         axis=0)
-    else:
-        grads["bcols_stage"] = gb
-    return LossResult(loss=loss, grads=grads, components=components)
+    # a zero weight is exactly the "none" ablation: skip every
+    # counterfactual pass, not just the final weighting
+    kind = kind if kind != "none" and w_d != 0.0 else None
+    records = _forward(batch, gen, enc, eps, bcols, kind, work, want_grads)
+    if want_grads:
+        records = list(records)
+    # map drops each record before it asks the forward for the next
+    kl_t, nll_t, dist_t = np.array(list(zip(*map(
+        attrgetter("kl", "nll", "dist"), records))))
+    res = LossResult(loss=float(kl_t.sum() - nll_t.sum() - w_d * dist_t.sum()),
+                     grads=None,
+                     components={"kl": kl_t, "nll": nll_t, "dist": dist_t})
+    if want_grads:
+        res.grads = _backward(records, gen, enc, eps, batch.present, w_d)
+        if stage_bcols is None:
+            # beta through the per-column softmax, stages summed last first
+            gb = res.grads.pop("bcols_stage")
+            res.grads["beta"] = softmax_backward(
+                bcols[0], _member_sum(gb[::-1]), axis=0)
+    return res

@@ -41,12 +41,11 @@ from ..model import (
     group_encoding_dim,
     softmax,
 )
-from .loss import CorpusArrays, longitudinal_loss, stage_heads
+from .loss import (MAX_SAMPLE_ELEMENTS, CorpusArrays, longitudinal_loss,
+                   stage_heads)
 from .networks import EncoderParams, StageEncoder
 from .terms import DISTANCE_KINDS
 
-# the most float64 numbers (2 GiB) that one Monte-Carlo tensor may hold
-MAX_SAMPLE_ELEMENTS = 2 ** 28
 # a logged loss above BLOWUP * max(|initial loss|, 1) has diverged
 BLOWUP = 1e6
 # numbers per slice of an optimizer step: the slices of the four flat state

@@ -9,8 +9,9 @@ import pytest
 
 import longtopic
 from longtopic.cli import main
-from longtopic.corpus import load_corpus
+from longtopic.corpus import Corpus, load_corpus, save_corpus
 from longtopic.errors import FormatError
+from longtopic.model import default_vocab
 
 # the package root, for subprocesses that run outside the checkout
 SRC = str(Path(longtopic.__file__).resolve().parents[1])
@@ -411,6 +412,24 @@ def test_group_label_past_the_subjects_is_a_format_error(tmp_path, capsys):
                             "--set", f'paths.corpus="{corpus}"'], capsys)
     assert code == 1
     assert err.count("\n") == 1 and err.startswith("error: FormatError:")
+
+
+def test_a_group_count_beyond_the_cap_is_a_shape_error(tmp_path, capsys):
+    # 700 groups of 700 subjects: (G - 1) * N * (G - 1) = 342,020,700
+    # numbers of counterfactual encodings, above 2^28
+    N = 700
+    corpus = tmp_path / "corpus"
+    save_corpus(Corpus.from_dense(np.ones((N, 1, 2)),
+                                  np.random.default_rng(0).random((N, 1, 1)),
+                                  np.arange(N), default_vocab(2), n_groups=N),
+                corpus)
+    code, err = error_code(["fit", "--out", str(tmp_path / "fitout"),
+                            *TRAIN, "--set", f'paths.corpus="{corpus}"'],
+                           capsys)
+    assert code == 1
+    assert err.count("\n") == 1 and err.startswith("error: ShapeError:")
+    assert "342020700 numbers" in err
+    assert not (tmp_path / "fitout").exists()
 
 
 def test_simulated_label_past_the_subjects_is_refused_before_writing(

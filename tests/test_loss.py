@@ -227,6 +227,29 @@ def test_eps_shape_validation():
     with pytest.raises(ShapeError):
         longitudinal_loss(batch, gen, enc, cfg,
                           np.zeros((2, 1, 3, 2)))  # wrong T
+    with pytest.raises(ShapeError, match="B, M >= 1"):
+        longitudinal_loss(batch, gen, enc, cfg,
+                          np.zeros((2, 2, 0, 2)))  # no samples
+    with pytest.raises(ShapeError, match="B, M >= 1"):
+        longitudinal_loss(arrays.batch(np.arange(0)), gen, enc, cfg,
+                          np.zeros((0, 2, 3, 2)))  # no documents
+
+
+@pytest.mark.parametrize("G", [2, 3])
+@pytest.mark.parametrize("kind", DISTANCE_KINDS)
+def test_an_evaluation_computes_the_training_forward(kind, G):
+    corpus = tiny_corpus(N=5, T=3, V=7, G=G, seed=G, missing=[(2, 1)])
+    cfg = make_cfg(n_topics=3, dist_kind=kind,
+                   dist_weight=0.0 if kind == "none" else 0.7)
+    gen, enc = default_init(corpus, cfg)
+    batch = CorpusArrays(corpus).batch(np.arange(5))
+    eps = np.random.default_rng(G).standard_normal((5, 3, 3, 3))
+    ev, tr = (longitudinal_loss(batch, gen, enc, cfg, eps, want_grads=wg)
+              for wg in (False, True))
+    assert ev.grads is None and tr.grads
+    assert ev.loss == tr.loss
+    for name in ("kl", "nll", "dist"):
+        assert ev.components[name].tobytes() == tr.components[name].tobytes()
 
 
 def test_unknown_distance_rejected_at_entry():
@@ -432,6 +455,16 @@ def test_corpus_arrays_hold_no_dense_tensor():
     assert all(a.size < N * T * V for a in held)
 
 
+def test_a_group_count_beyond_the_cap_is_refused_before_encoding():
+    # (G - 1) * N * (G - 1) = 342,020,700 numbers, 2.5 GiB of encodings
+    N = 700
+    corpus = Corpus.from_dense(np.ones((N, 1, 2)),
+                               np.random.default_rng(0).random((N, 1, 1)),
+                               np.arange(N), default_vocab(2), n_groups=N)
+    with pytest.raises(ShapeError, match="342020700 numbers"):
+        CorpusArrays(corpus)
+
+
 def _stage(rng, B, M, K, V, density):
     """theta (B, M, K), bcols (V, K) and the (rows, cols) of a random stage
     in which each cell is nonzero with the given density and about a third
@@ -473,23 +506,44 @@ def test_nonzero_probs_are_the_dense_bits_at_the_benchmark_shapes(B, M, K, V):
                               _dense_at(theta, bcols, rows, cols))
 
 
-def test_an_evaluation_call_holds_no_v_wide_probability_block():
-    N, V, K, M = 256, 3000, 3, 5
-    corpus, _ = simulate(SimConfig(n_subjects=N, n_stages=2, vocab_size=V,
-                                   n_topics=K, n_covariates=2, seed=6))
-    cfg = make_cfg(n_topics=K, m_samples=M, hidden_enc=16)
-    gen, enc = default_init(corpus, cfg)
-    arrays = CorpusArrays(corpus)
-    (_, _, batch), = arrays.chunks()
-    eps = np.random.default_rng(0).standard_normal((N, 2, M, K))
+def _traced_peak(call):
+    """The bytes call() allocates at its peak, beyond what was held."""
     tracemalloc.start()
     try:
         held = tracemalloc.get_traced_memory()[0]
-        longitudinal_loss(batch, gen, enc, cfg, eps, want_grads=False)
-        used = tracemalloc.get_traced_memory()[1] - held
+        call()
+        return tracemalloc.get_traced_memory()[1] - held
     finally:
         tracemalloc.stop()
-    assert used < N * M * V * 8     # one (N * M, V) float64 block, 29.3 MiB
+
+
+def _evaluation_peak(T, work):
+    """An evaluation call's traced peak on a 256-subject chunk, V = 3000,
+    K = 3, M = 5, with the info_radius counterfactuals; with work, through
+    an encoder input allocated outside the call, as a fit's is."""
+    N, V, K, M = 256, 3000, 3, 5
+    corpus, _ = simulate(SimConfig(n_subjects=N, n_stages=T, vocab_size=V,
+                                   n_topics=K, n_covariates=2, seed=6))
+    cfg = make_cfg(n_topics=K, m_samples=M, hidden_enc=16,
+                   dist_kind="info_radius", dist_weight=0.5)
+    gen, enc = default_init(corpus, cfg)
+    (_, _, batch), = CorpusArrays(corpus).chunks()
+    eps = np.random.default_rng(0).standard_normal((N, T, M, K))
+    inp = np.zeros((N, enc.stages[0].in_dim)) if work else None
+    return _traced_peak(lambda: longitudinal_loss(
+        batch, gen, enc, cfg, eps, want_grads=False, work=inp))
+
+
+def test_an_evaluation_call_holds_no_v_wide_probability_block():
+    # one (N * M, V) float64 block, 29.3 MiB
+    assert _evaluation_peak(2, work=False) < 256 * 5 * 3000 * 8
+
+
+def test_evaluation_memory_does_not_grow_with_the_stages():
+    # one stage's record at a time: a record kept past its stage would
+    # add about 2 MiB a stage to the 4 MiB peak
+    assert _evaluation_peak(8, work=True) <= \
+        1.25 * _evaluation_peak(2, work=True)
 
 
 @pytest.mark.parametrize("B, M, K, V, density, one_word", [
@@ -560,13 +614,8 @@ def test_a_training_call_holds_no_v_wide_block():
     eps = np.random.default_rng(0).standard_normal((B, T, M, K))
     # the encoder inputs a fit allocates once and passes to every call
     work = np.zeros((T * B, enc.stages[0].in_dim))
-    tracemalloc.start()
-    try:
-        held = tracemalloc.get_traced_memory()[0]
-        longitudinal_loss(batch, gen, enc, cfg, eps, work=work)
-        used = tracemalloc.get_traced_memory()[1] - held
-    finally:
-        tracemalloc.stop()
+    used = _traced_peak(
+        lambda: longitudinal_loss(batch, gen, enc, cfg, eps, work=work))
     # a quarter of one (B * M, V) float64 block, 51.2 MB
     assert used < B * M * V * 8 / 4
 
