@@ -34,14 +34,14 @@ from .evaluate import (
     perplexity,
     umass_coherence,
 )
-from .inference import (
+from .inference.dynamic import fit_dynamic_topics
+from .inference.loss import longitudinal_loss
+from .inference.trainer import (
     TrainConfig,
     default_init,
     encode_corpus,
-    fit_dynamic_topics,
     infer_proportions,
     load_model,
-    longitudinal_loss,
     save_model,
     train,
 )

@@ -42,10 +42,10 @@ from .errors import (
     setting,
 )
 from .evaluate import full_report, save_metrics, save_top_words
-from .inference import (
+from .inference.dynamic import fit_dynamic_topics
+from .inference.trainer import (
     TrainConfig,
     default_init,
-    fit_dynamic_topics,
     infer_proportions,
     load_model,
     save_model,

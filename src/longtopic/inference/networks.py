@@ -126,8 +126,7 @@ class EncoderParams:
         return len(self.stages)
 
     @classmethod
-    def init(cls, V, P, K, T, n_groups, hidden=64, rng=None, scale=0.01):
-        rng = rng if rng is not None else np.random.default_rng(0)
+    def init(cls, V, P, K, T, n_groups, hidden=64, *, rng, scale=0.01):
         E = group_encoding_dim(n_groups)
         stages = [StageEncoder.init(V=V, P=P, E=E, K=K, H=hidden, rng=rng,
                                     scale=scale) for _ in range(T)]

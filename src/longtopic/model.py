@@ -81,11 +81,10 @@ class ParamBlock:
                 for n, _ in self.param_shapes(**self.dims())]
 
     @classmethod
-    def init(cls, *, rng=None, scale=0.01, **dims):
+    def init(cls, *, rng, scale=0.01, **dims):
         """A block of the given dimensions: each weight matrix (a name
         starting with W) drawn scale * N(0, 1) from rng in list order, each
         bias zero."""
-        rng = rng if rng is not None else np.random.default_rng(0)
         return cls(**dims, **{
             n: scale * rng.standard_normal(s) if n[0] == "W" else np.zeros(s)
             for n, s in cls.param_shapes(**dims)})
@@ -193,8 +192,7 @@ class GenerativeParams:
 
     @classmethod
     def init(cls, V, K, T, P, n_groups, hidden=0, share_across_stages=False,
-             rng=None, scale=0.01, a2=1.0, delta2=1.0):
-        rng = rng if rng is not None else np.random.default_rng(0)
+             *, rng, scale=0.01, a2=1.0, delta2=1.0):
         E = group_encoding_dim(n_groups)
         beta = scale * rng.standard_normal((V, K))
         n_models = 1 if share_across_stages else T

@@ -73,11 +73,12 @@ class SimConfig:
         if self.vocab_size < self.n_topics:
             raise ConfigError("vocab_size must be >= n_topics")
         lo, hi = self.count_range
-        if lo < 1 or hi < lo:
-            raise ConfigError("count_range must satisfy 1 <= lo <= hi")
+        if not 1 <= lo <= hi < 2**63:
+            raise ConfigError("count_range must satisfy 1 <= lo <= hi < 2**63")
         unknown = [b for b in self.basis if b not in BASIS_FUNCS]
-        if unknown:
-            raise ConfigError(f"unknown basis functions {unknown}")
+        if unknown or not self.basis:
+            raise ConfigError(f"basis must name one or more of "
+                              f"{sorted(BASIS_FUNCS)}; got {list(self.basis)}")
 
     @property
     def n_design_features(self):
@@ -100,10 +101,9 @@ def topic_centers(V, K):
     return np.floor(np.arange(1, K + 1) * V / K).astype(np.int64)
 
 
-def sample_topics(cfg, rng=None):
+def sample_topics(cfg, rng):
     """(T, V, K) per-stage topic-word simplices (identical across stages when
     phi_drift = 0)."""
-    rng = rng if rng is not None else np.random.default_rng(cfg.seed)
     V, K, T = cfg.vocab_size, cfg.n_topics, cfg.n_stages
     centers = topic_centers(V, K)
     positions = np.arange(1, V + 1, dtype=np.float64)
@@ -121,24 +121,22 @@ def sample_topics(cfg, rng=None):
     return out
 
 
-def sample_metadata(cfg, rng=None):
+def sample_metadata(cfg, rng):
     """Covariates (N, T, P): a unit-variance random walk from 0, one (N, P)
     block of N(0,1) steps per stage; group labels uniform over 0..G-1."""
-    rng = rng if rng is not None else np.random.default_rng(cfg.seed)
     N, T, P = cfg.n_subjects, cfg.n_stages, cfg.n_covariates
     x = np.cumsum(rng.standard_normal((T, N, P)), axis=0).transpose(1, 0, 2)
     groups = rng.integers(0, cfg.n_groups, size=N)
     return x, groups
 
 
-def draw_gamma(cfg, rng=None):
+def draw_gamma(cfg, rng):
     """Regression coefficients, all iid N(0,1).
 
     main: (T, K, F); prev: (T,) scalar weight on theta_{t-1}; group: (T, K, F)
     for two groups, else (T, K, F, G) centered to sum to zero over groups.
     group_effect off zeroes the group block.
     """
-    rng = rng if rng is not None else np.random.default_rng(cfg.seed)
     T, K, F, G = cfg.n_stages, cfg.n_topics, cfg.n_design_features, cfg.n_groups
     gamma = {
         "main": rng.standard_normal((T, K, F)),
@@ -194,11 +192,10 @@ def simulate_proportions(cfg, covariates, groups, gamma):
     return theta
 
 
-def sample_documents(cfg, theta_true, beta_true, covariates, groups, rng=None):
+def sample_documents(cfg, theta_true, beta_true, covariates, groups, rng):
     """One multinomial document per (subject, stage): total count uniform on
     count_range, word distribution theta_{t,i} . beta_t^T. Returns a Corpus
     (covariates standardized inside, G from the drawn labels, as on load)."""
-    rng = rng if rng is not None else np.random.default_rng(cfg.seed)
     N, T, V = cfg.n_subjects, cfg.n_stages, cfg.vocab_size
     theta_true = np.asarray(theta_true, dtype=np.float64)
     beta_true = np.asarray(beta_true, dtype=np.float64)

@@ -224,7 +224,8 @@ def test_bad_inputs_exit_one(tmp_path, capsys):
     'train.dist_kind=3', "train.share_transitions=1",
     "sim.n_subjects=1.5", 'sim.n_subjects="40"', "sim.phi_drift=false",
     "sim.count_range=5", "sim.count_range=[1.5,3]", "sim.count_range=[1]",
-    "sim.basis=[1]",
+    "sim.count_range=[1,10000000000000000000]", "sim.basis=[1]",
+    "sim.basis=[]",
     # paths are strings, scalars are checked, seeds are >= 0, keys are known
     "repeats=0", 'allow_missing="no"', "paths.corpus=[1]", "paths.bogus=1",
     "train.seed=-3", "sim.seed=-1"])

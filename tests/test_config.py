@@ -24,10 +24,11 @@ FIELDS = [
     ("sim", "n_covariates", "int", [-1]),
     ("sim", "n_groups", "int", [1]),
     ("sim", "prior_kind", "str", ["quadratic"]),
-    ("sim", "basis", "list", [["x", "cos"], [1]]),
+    ("sim", "basis", "list", [["x", "cos"], [1], []]),
     ("sim", "phi_drift", "float", [-1e-9, float("nan")]),
     ("sim", "group_effect", "bool", []),
-    ("sim", "count_range", "list", [[0, 5], [5, 4], [1], [1.5, 3]]),
+    ("sim", "count_range", "list", [[0, 5], [5, 4], [1], [1.5, 3],
+                                     [1, 10**19]]),
     ("sim", "seed", "int", [-1]),
     ("train", "n_topics", "int", [0]),
     ("train", "m_samples", "int", [0]),

@@ -18,7 +18,7 @@ from longtopic.errors import (
     VocabMismatch,
 )
 from longtopic.evaluate import full_report
-from longtopic.inference import fit_dynamic_topics
+from longtopic.inference.dynamic import fit_dynamic_topics
 from longtopic.inference.trainer import (
     TrainConfig,
     default_init,

@@ -2,7 +2,8 @@
 
 Every import statement in every module under src/longtopic is read from its
 syntax tree, including imports inside functions: a name that is neither the
-package itself, numpy, nor a standard-library module fails the test.
+package itself, numpy, nor a standard-library module fails the test. And
+`from longtopic import *` binds every name in `longtopic.__all__`.
 """
 
 import ast
@@ -38,3 +39,10 @@ def test_the_guard_sees_a_third_party_import(tmp_path):
                    "def f():\n    import scipy.special\nfrom . import x\n")
     assert list(imported_roots(src)) == [(1, "os"), (2, "numpy"),
                                          (4, "scipy")]
+
+
+def test_star_import_binds_every_exported_name():
+    import longtopic
+    namespace = {}
+    exec("from longtopic import *", namespace)
+    assert set(longtopic.__all__) <= set(namespace)

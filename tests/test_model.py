@@ -125,13 +125,15 @@ def test_multinomial_ll_maximized_at_aggregated_counts():
 
 
 def test_transition_mean_zero_map():
-    m = TransitionModel.init(K=2, in_dim=5, scale=0.0)
+    m = TransitionModel.init(K=2, in_dim=5,
+                             rng=np.random.default_rng(0), scale=0.0)
     out = transition_mean(1, np.ones(2), np.ones(2), np.ones(1), m)
     assert np.allclose(out, 0.0)
 
 
 def test_transition_mean_identity_configuration():
-    m = TransitionModel.init(K=2, in_dim=5, scale=0.0)
+    m = TransitionModel.init(K=2, in_dim=5,
+                             rng=np.random.default_rng(0), scale=0.0)
     m.W[:, :2] = np.eye(2)
     eta_prev = np.array([0.4, -1.1])
     out = transition_mean(2, eta_prev, np.zeros(2), np.zeros(1), m)
@@ -139,7 +141,8 @@ def test_transition_mean_identity_configuration():
 
 
 def test_transition_mean_hand_affine():
-    m = TransitionModel.init(K=2, in_dim=4, scale=0.0)
+    m = TransitionModel.init(K=2, in_dim=4,
+                             rng=np.random.default_rng(0), scale=0.0)
     m.W = np.array([[1.0, 2.0, 0.5, 0.0],
                     [0.0, -1.0, 1.0, 3.0]])
     m.b = np.array([0.1, -0.2])
@@ -150,7 +153,7 @@ def test_transition_mean_hand_affine():
 
 
 def test_transition_mean_shape_error():
-    m = TransitionModel.init(K=2, in_dim=4)
+    m = TransitionModel.init(K=2, in_dim=4, rng=np.random.default_rng(0))
     with pytest.raises(ShapeError):
         transition_mean(1, np.ones(3), np.ones(1), np.ones(1), m)
 
@@ -179,7 +182,8 @@ def test_encode_groups_onehot_minus_last():
 
 
 def degenerate_params(V=4, K=2, T=1, P=1):
-    gp = GenerativeParams.init(V, K, T, P, n_groups=2, scale=0.0,
+    gp = GenerativeParams.init(V, K, T, P, n_groups=2,
+                               rng=np.random.default_rng(0), scale=0.0,
                                a2=0.0, delta2=0.0)
     return gp
 

@@ -26,7 +26,7 @@ def test_topic_centers_single_topic():
     assert topic_centers(37, 1).tolist() == [37]
     cfg = SimConfig(n_subjects=1, n_stages=1, vocab_size=37, n_topics=1,
                     n_covariates=1)
-    beta = sample_topics(cfg)
+    beta = sample_topics(cfg, np.random.default_rng(cfg.seed))
     assert beta.shape == (1, 37, 1)
     assert beta[0, :, 0].sum() == pytest.approx(1.0, abs=1e-9)
 
@@ -34,7 +34,7 @@ def test_topic_centers_single_topic():
 def test_static_topics_identical_across_stages():
     cfg = SimConfig(n_subjects=1, n_stages=5, vocab_size=30, n_topics=3,
                     n_covariates=1, seed=3)
-    beta = sample_topics(cfg)
+    beta = sample_topics(cfg, np.random.default_rng(cfg.seed))
     for t in range(1, 5):
         assert np.array_equal(beta[t], beta[0])
 
@@ -42,7 +42,7 @@ def test_static_topics_identical_across_stages():
 def test_static_topics_band_dominates():
     cfg = SimConfig(n_subjects=1, n_stages=1, vocab_size=60, n_topics=3,
                     n_covariates=1, seed=0)
-    beta = sample_topics(cfg)[0]
+    beta = sample_topics(cfg, np.random.default_rng(cfg.seed))[0]
     centers = topic_centers(60, 3)
     for k in range(3):
         band = np.abs(np.arange(1, 61) - centers[k]) <= 10
@@ -52,7 +52,7 @@ def test_static_topics_band_dominates():
 def test_drifting_topics_flatten_with_stage():
     cfg = SimConfig(n_subjects=1, n_stages=4, vocab_size=50, n_topics=2,
                     n_covariates=1, phi_drift=3.0)
-    beta = sample_topics(cfg)
+    beta = sample_topics(cfg, np.random.default_rng(cfg.seed))
     assert np.allclose(beta.sum(axis=1), 1.0, atol=1e-9)
     peaks = beta.max(axis=1)  # (T, K)
     assert np.all(np.diff(peaks, axis=0) < 0)
@@ -61,7 +61,7 @@ def test_drifting_topics_flatten_with_stage():
 def test_metadata_random_walk_variance():
     cfg = SimConfig(n_subjects=100_000, n_stages=3, vocab_size=4, n_topics=2,
                     n_covariates=1, seed=9)
-    x, _ = sample_metadata(cfg)
+    x, _ = sample_metadata(cfg, np.random.default_rng(cfg.seed))
     assert abs(x[:, 0, 0].mean()) < 3 / np.sqrt(cfg.n_subjects)
     for t in range(3):
         v = x[:, t, 0].var()
@@ -86,7 +86,7 @@ def test_metadata_walk_matches_the_loop_form(N, T, P):
 def test_metadata_group_shares():
     cfg = SimConfig(n_subjects=100_000, n_stages=1, vocab_size=4, n_topics=2,
                     n_covariates=0, n_groups=2, seed=10)
-    _, groups = sample_metadata(cfg)
+    _, groups = sample_metadata(cfg, np.random.default_rng(cfg.seed))
     share = (groups == 0).mean()
     assert abs(share - 0.5) <= 0.01
 
@@ -96,7 +96,7 @@ def test_zero_gamma_gives_uniform_theta():
                     n_covariates=2, seed=1)
     gamma = {"main": np.zeros((3, 3, 2)), "prev": np.zeros(3),
              "group": np.zeros((3, 3, 2))}
-    x, groups = sample_metadata(cfg)
+    x, groups = sample_metadata(cfg, np.random.default_rng(cfg.seed))
     theta = simulate_proportions(cfg, x, groups, gamma)
     assert np.allclose(theta, 1.0 / 3.0)
 
@@ -128,7 +128,7 @@ def test_group_term_sign_symmetry():
 def test_proportions_shape_error():
     cfg = SimConfig(n_subjects=2, n_stages=1, vocab_size=4, n_topics=2,
                     n_covariates=2)
-    gamma = draw_gamma(cfg)
+    gamma = draw_gamma(cfg, np.random.default_rng(cfg.seed))
     with pytest.raises(ShapeError):
         simulate_proportions(cfg, np.zeros((2, 1, 3)), np.zeros(2, dtype=int),
                              gamma)
@@ -137,7 +137,7 @@ def test_proportions_shape_error():
 def test_multigroup_effects_sum_to_zero():
     cfg = SimConfig(n_subjects=2, n_stages=2, vocab_size=4, n_topics=2,
                     n_covariates=1, n_groups=4, seed=8)
-    gamma = draw_gamma(cfg)
+    gamma = draw_gamma(cfg, np.random.default_rng(cfg.seed))
     assert gamma["group"].shape == (2, 2, 1, 4)
     assert np.allclose(gamma["group"].sum(axis=-1), 0.0, atol=1e-12)
 
@@ -155,8 +155,9 @@ def test_single_uniform_topic_word_frequencies():
                     n_covariates=1, seed=12)
     beta = np.full((1, 4, 1), 0.25)
     theta = np.ones((1, 10_000, 1))
-    x, groups = sample_metadata(cfg)
-    corpus = sample_documents(cfg, theta, beta, x, groups)
+    x, groups = sample_metadata(cfg, np.random.default_rng(cfg.seed))
+    corpus = sample_documents(cfg, theta, beta, x, groups,
+                              np.random.default_rng(cfg.seed))
     freqs = corpus.dense_counts().sum(axis=(0, 1))
     freqs = freqs / freqs.sum()
     assert np.all(np.abs(freqs - 0.25) < 0.02 * 0.25 + 0.005)
@@ -200,7 +201,7 @@ def test_group_effect_separates_theta():
     cfg = SimConfig(n_subjects=1000, n_stages=3, vocab_size=6, n_topics=2,
                     n_covariates=1, prior_kind="nonlinear", seed=0)
     rng = np.random.default_rng(100)
-    x, groups = sample_metadata(cfg)
+    x, groups = sample_metadata(cfg, np.random.default_rng(cfg.seed))
     gamma = draw_gamma(cfg, rng)
     theta = simulate_proportions(cfg, x, groups, gamma)
     a = theta[:, groups == 0, 0].ravel()

@@ -13,7 +13,8 @@ from longtopic.errors import (
     UnknownDistance,
     VocabMismatch,
 )
-from longtopic.inference import fit_dynamic_topics, trainer
+from longtopic.inference import trainer
+from longtopic.inference.dynamic import fit_dynamic_topics
 from longtopic.inference.trainer import (
     Optimizer,
     TrainConfig,
