@@ -15,11 +15,11 @@ On-disk layout (one directory):
     meta.csv    header subject,stage,x0,...,x{P-1}; one row per (subject, stage)
     groups.csv  header subject,group; one row per subject
 
-Loading parses each docs.jsonl line in the exact form saving writes with one
-regular expression and all their counts with one np.fromstring, into flat
-int64 arrays that go to the corpus BLOCK records at a time; any other line
-goes through json.loads and the per-line checks, so a malformed file raises
-the same error, at the same line, either way.
+Loading reads docs.jsonl a buffer at a time; a line in the form saving writes
+goes through one regular expression, the counts of 16 * BLOCK records through
+one np.fromstring, into int64 arrays that go to the corpus BLOCK records at a
+time; any other line through json.loads and the per-line checks, so a bad
+file raises the same error, at the same line, either way.
 
 Covariates are standardized (per-feature zero mean, unit variance pooled over all
 (i, t)) during construction, and the transform is recorded on the corpus. Saving
@@ -70,6 +70,7 @@ _PAIR = rf'"{_INT}": -?{_INT}'
 _DOC_LINE = re.compile(rf'\{{"subject": ({_INT}), "stage": ({_INT}), '
                        rf'"counts": \{{((?:{_PAIR}(?:, {_PAIR})*)?)\}}\}}')
 _SPACES = bytes.maketrans(b'":,', b"   ")
+_IDS = re.compile(r"[-+]?[0-9]{1,15},[-+]?[0-9]{1,15}(?:,|$)")  # meta.csv ids
 
 
 @dataclass
@@ -171,17 +172,19 @@ class Corpus:
             raise FormatError("covariates contain non-finite values")
 
         present = np.zeros((N, T), dtype=bool)
-        kept = []  # per block: each kept entry's cell t*N + i, word, count
+        kept = []  # per block: cells t*N + i, kept lengths, words, counts
         for subj, stage, lens, words, counts, keys in blocks:
             rec = np.repeat(np.arange(lens.size), lens)
             _check_entries(subj, stage, lens, rec, words, counts, present, V,
                            keys)
-            keep = counts > 0
-            kept.append(((stage * N + subj)[rec[keep]], words[keep],
-                         counts[keep].astype(np.int64, copy=False)))
+            keep = counts > 0  # the masks copy: no view keeps a block alive
+            kept.append((stage * N + subj,
+                         np.bincount(rec[keep], minlength=lens.size),
+                         words[keep], counts[keep].astype(np.int64)))
             present[subj, stage] = True
         if not present.any():
             raise FormatError("corpus has no documents")
+        del words, counts  # the last block's, which may view a larger array
         if not allow_missing and not present.all():
             i, t = np.argwhere(~present)[0]
             raise MissingDocument(
@@ -272,24 +275,30 @@ def _standardize(covariates):
 
 
 def _csr_fields(kept, N, T):
-    """csr()'s fields from the blocks' kept (cell, word, count) entries:
-    sorted by cell and word, counts of one word summed, each input freed."""
-    cell, words, counts = map(np.concatenate, zip(*kept))
-    kept.clear()
-    unsorted = np.any((np.diff(words) <= 0) & (np.diff(cell) == 0))
-    order = np.lexsort((words, cell) if unsorted else (cell,))  # stable
-    words = words[order]
-    counts = counts[order]
-    cell = cell[order]
-    first = np.r_[True, (np.diff(words) != 0) | (np.diff(cell) != 0)]
-    if not first.all():
-        at = np.flatnonzero(first)
-        if np.add.reduceat(counts, at, dtype=np.float64).max() >= 2.0**63:
-            raise FormatError("counts of one word sum past 2**63")
-        counts = np.add.reduceat(counts, at)
-        words, cell = words[first], cell[first]
-    return dict(indptr=np.searchsorted(cell, np.arange(N * T + 1)),
-                words=words, counts=counts, rows=cell % N)
+    """csr()'s fields from the blocks' kept (cells, lengths, words, counts),
+    each put in place and freed; sorted, repeats summed, if out of order."""
+    indptr = np.zeros(N * T + 1, dtype=np.int64)
+    for cells, n, _, _ in kept:
+        indptr[cells + 1] = n
+    indptr = np.cumsum(indptr)
+    words, counts = np.empty((2, indptr[-1]), dtype=np.int64)
+    while kept:
+        cells, n, w, c = kept.pop(0)
+        at = np.repeat(indptr[cells] - np.cumsum(n) + n, n) + np.arange(w.size)
+        words[at], counts[at] = w, c
+    cell = np.repeat(np.arange(N * T), np.diff(indptr))
+    if np.any((np.diff(words) <= 0) & (np.diff(cell) == 0)):
+        order = np.lexsort((words, cell))  # stable; cell is sorted already
+        words, counts = words[order], counts[order]
+        first = np.r_[True, (np.diff(words) != 0) | (np.diff(cell) != 0)]
+        if not first.all():
+            at = np.flatnonzero(first)
+            if np.add.reduceat(counts, at, dtype=np.float64).max() >= 2.0**63:
+                raise FormatError("counts of one word sum past 2**63")
+            counts = np.add.reduceat(counts, at)
+            words, cell = words[first], cell[first]
+            indptr = np.searchsorted(cell, np.arange(N * T + 1))
+    return dict(indptr=indptr, words=words, counts=counts, rows=cell % N)
 
 
 def _record_blocks(records):
@@ -463,14 +472,19 @@ def _write_text(fname, chunks):
 
 def _doc_lines(corpus):
     """docs.jsonl lines, subject-major: per present cell, json.dumps of
-    {"subject": i, "stage": t, "counts": {"<word>": count, ...}} from csr()."""
-    N, bounds = corpus.n_subjects, corpus.indptr.tolist()
-    pairs = np.column_stack([corpus.words, corpus.counts]).ravel()
-    for i, t in np.argwhere(corpus.present).tolist():
-        a, b = bounds[t * N + i], bounds[t * N + i + 1]
-        yield ('{"subject": %d, "stage": %d, "counts": {'
-               + ('"%d": %d, ' * (b - a))[:-2] + "}}\n") % (
-                   i, t, *pairs[2 * a:2 * b].tolist())
+    {"subject": i, "stage": t, "counts": {"<word>": count, ...}} from csr(),
+    ROW_CHUNK subjects' (word, count) pairs interleaved at a time."""
+    N, T, bounds = corpus.n_subjects, corpus.n_stages, corpus.indptr.tolist()
+    for lo in range(0, N, ROW_CHUNK):
+        hi = min(lo + ROW_CHUNK, N)
+        pairs = [np.column_stack(corpus.stage_block(t, lo, hi)[1:]).ravel()
+                 for t in range(T)]
+        for i, t in np.argwhere(corpus.present[lo:hi]).tolist():
+            c = t * N + lo
+            a, b = bounds[c + i] - bounds[c], bounds[c + i + 1] - bounds[c]
+            yield ('{"subject": %d, "stage": %d, "counts": {'
+                   + ('"%d": %d, ' * (b - a))[:-2] + "}}\n") % (
+                       lo + i, t, *pairs[t][2 * a:2 * b].tolist())
 
 
 def read_json(fname):
@@ -526,15 +540,15 @@ def write_json(obj, fname, indent=None):
 
 
 def _read_lines(fname):
-    try:
+    try:  # f.read().splitlines(), read a buffer at a time
         with open(fname, encoding="utf-8") as f:
-            return f.read().splitlines()
+            yield from chain.from_iterable(map(str.splitlines, f))
     except OSError as e:
         raise IoError(f"cannot read {fname}: {e}") from e
 
 
 def _read_vocab(fname):
-    words = _read_lines(fname)
+    words = list(_read_lines(fname))
     while words and words[-1] == "":
         words.pop()
     return words
@@ -546,7 +560,7 @@ def _check_label(label, n_subjects, error=FormatError):
 
 
 def _read_groups(fname):
-    lines = _read_lines(fname)
+    lines = list(_read_lines(fname))
     if not lines or lines[0].strip() != "subject,group":
         raise FormatError(f"{fname}: expected header 'subject,group'")
     numbered = [(ln, s) for ln, s in enumerate(lines[1:], 2) if s.strip()]
@@ -574,15 +588,15 @@ def _read_groups(fname):
 def _read_meta(fname, n_subjects):
     """(N, T, P) covariates from meta.csv: the rows parsed in one pass and
     placed by index, a fault reported at the first offending line."""
-    lines = _read_lines(fname)
+    lines = list(_read_lines(fname))
     if not lines:
         raise FormatError(f"{fname}: empty file")
     header = lines[0].split(",")
     if header[:2] != ["subject", "stage"]:
         raise FormatError(f"{fname}: header must start with 'subject,stage'")
     P = len(header) - 2
-    ids, xs, lns, fault = [], [], [], None
-    for ln, line in enumerate(lines[1:], start=2):
+    (ids, xs, lns), fault = _plain_rows(lines[1:], P), None
+    for ln, line in enumerate(() if lns else lines[1:], start=2):
         if not line.strip():
             continue
         parts = line.split(",")
@@ -609,7 +623,7 @@ def _read_meta(fname, n_subjects):
         raise FormatError(f"{fname} line {lns[r]}: " + (
             "non-finite covariate" if not np.isfinite(x[r]).all() else
             f"duplicate (subject, stage) ({pairs[r, 0]}, {pairs[r, 1]})"))
-    if fault is not None or not ids:
+    if fault is not None or not lns:
         raise fault or FormatError(f"{fname}: no rows")
     subj, stage = pairs.T
     # a stage past the row count leaves subject 0 short within len(ids) + 1
@@ -629,54 +643,75 @@ def _read_meta(fname, n_subjects):
     return covariates
 
 
+def _plain_rows(rows, P):
+    """(ids, covariates, line numbers) of meta.csv's nonblank rows from one
+    np.fromstring, bit for bit float()'s, when each is P + 2 plain decimal
+    numbers, the first two integers of at most 15 digits; else empty."""
+    body = "\n".join(rows).encode("utf-8")
+    if not body.translate(None, b"0123456789+-.eE,\n") and all(
+            line.count(",") == P + 1 and _IDS.match(line)
+            for line in rows if line):
+        lns = [ln for ln, line in enumerate(rows, start=2) if line]
+        with contextlib.suppress(ValueError):  # a bad or an empty field
+            x = np.fromstring(body.translate(_SPACES), np.float64,
+                              sep=" ").reshape(len(lns), P + 2)
+            return x[:, :2], x[:, 2:], lns
+    return [], [], []
+
+
 def _read_docs(fname):
     """docs.jsonl as _from_blocks takes it, BLOCK records at a time in line
     order, every line parsed before the first block: a parse fault comes
     before any fault of the records. A line in _doc_lines' form goes into
-    flat arrays, all such lines in one pass; any other line goes through
-    _parse_doc_line. A block goes to _from_blocks as slices of the arrays
-    when each of its lines is in that form with its word keys ascending,
-    else as records through _record_blocks, as Corpus.build takes them."""
-    heads, bodies, other = [], [], {}
-    for ln, line in enumerate(_read_lines(fname), start=1):
-        if not line.strip():
-            continue
-        m = _DOC_LINE.fullmatch(line)
-        if m is None:
-            other[len(bodies)] = _parse_doc_line(fname, ln, line)
-            heads += "0", "0"  # unused: its block takes the parsed record
-            bodies.append("")
-        else:
-            heads += m[1], m[2]
-            bodies.append(m[3])
-    subj, stage = np.fromstring(" ".join(heads), np.int64, sep=" ").reshape(
-        -1, 2).T
-    lens = np.array([b.count(":") for b in bodies], dtype=np.int64)
-    words, counts = np.fromstring(
-        " ".join(filter(None, bodies)).encode("ascii").translate(_SPACES),
-        np.int64, sep=" ").reshape(-1, 2).T
-    del heads, bodies
-    starts = np.concatenate([[0], np.cumsum(lens)])
-    rec = np.repeat(np.arange(lens.size), lens)
-    flat = np.ones(lens.size, dtype=bool)
-    flat[list(other)] = False
-    # keys out of order may repeat: a record's dict keeps the last count
-    # of a key, as json.loads's does
-    flat[rec[1:][(np.diff(words) <= 0) & (np.diff(rec) == 0)]] = False
+    flat arrays, a group of 16 * BLOCK records in one pass, each group freed
+    once its blocks are out; any other line through _parse_doc_line. A block
+    goes as slices of the arrays when each of its lines is in that form with
+    its keys ascending, else as records through _record_blocks."""
+    lines = filter(lambda nl: nl[1].strip(), enumerate(_read_lines(fname), 1))
+    groups = []
+    while True:
+        heads, bodies, other = [], [], {}
+        for ln, line in islice(lines, 16 * BLOCK):
+            m = _DOC_LINE.fullmatch(line)
+            if m is None:
+                other[len(bodies)] = _parse_doc_line(fname, ln, line)
+                heads += "0", "0"  # unused: its block takes the parsed record
+                bodies.append("")
+            else:
+                heads += m[1], m[2]
+                bodies.append(m[3])
+        if not bodies:
+            break
+        subj, stage = np.fromstring(" ".join(heads), np.int64,
+                                    sep=" ").reshape(-1, 2).T.copy()
+        lens = np.array([b.count(":") for b in bodies], dtype=np.int64)
+        words, counts = np.fromstring(
+            " ".join(filter(None, bodies)).encode("ascii").translate(_SPACES),
+            np.int64, sep=" ").reshape(-1, 2).T.copy()
+        rec = np.repeat(np.arange(lens.size), lens)
+        flat = np.ones(lens.size, dtype=bool)
+        flat[list(other)] = False
+        # keys out of order may repeat: a record's dict keeps the last count
+        # of a key, as json.loads's does
+        flat[rec[1:][(np.diff(words) <= 0) & (np.diff(rec) == 0)]] = False
+        groups.append((subj, stage, lens, words, counts, flat, other))
 
     def blocks():
-        for first in range(0, lens.size, BLOCK):
-            last = min(first + BLOCK, lens.size)
-            if flat[first:last].all():
-                a, b = starts[first], starts[last]
-                yield (subj[first:last], stage[first:last], lens[first:last],
-                       words[a:b], counts[a:b], None)
-                continue
-            yield from _record_blocks(
-                other.get(r) or (int(subj[r]), int(stage[r]), dict(zip(
-                    words[starts[r]:starts[r + 1]].tolist(),
-                    counts[starts[r]:starts[r + 1]].tolist())))
-                for r in range(first, last))
+        while groups:
+            subj, stage, lens, words, counts, flat, other = groups.pop(0)
+            starts = np.concatenate([[0], np.cumsum(lens)])
+            for first in range(0, lens.size, BLOCK):
+                last = min(first + BLOCK, lens.size)
+                if flat[first:last].all():
+                    a, b = starts[first], starts[last]
+                    yield (subj[first:last], stage[first:last],
+                           lens[first:last], words[a:b], counts[a:b], None)
+                    continue
+                yield from _record_blocks(
+                    other.get(r) or (int(subj[r]), int(stage[r]), dict(zip(
+                        words[starts[r]:starts[r + 1]].tolist(),
+                        counts[starts[r]:starts[r + 1]].tolist())))
+                    for r in range(first, last))
 
     return blocks()
 

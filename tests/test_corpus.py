@@ -600,6 +600,94 @@ def test_load_matches_json_reference(tmp_path_factory, data):
         assert loaded(lambda: load_corpus(path, allow)) == want
 
 
+def with_counts(line, body):
+    """A saved docs.jsonl line with its counts object's text replaced."""
+    return line.split('"counts": ')[0] + '"counts": {%s}}' % body
+
+
+@pytest.mark.parametrize("edits, error", [
+    ({}, None),
+    # a parse fault on the first line of the second group
+    ({16: lambda line: line[:-3]}, "FormatError"),
+    ({5: lambda line: with_counts(line, '"12": 1, "3": 2')},
+     "VocabMismatch"),
+    ({35: lambda line: with_counts(line, '"4": 1, "2": 3, "4": -1')},
+     "FormatError"),
+    # the first line of the third group names the cell of the first line
+    ({32: lambda line: '{"subject": 0, "stage": 0, "counts": {"1": 1}}'},
+     "DuplicateDocument"),
+    # a parse fault in the last group comes before a record fault in the
+    # first
+    ({39: lambda line: "{", 5: lambda line: with_counts(line, '"12": 1')},
+     "FormatError"),
+])
+def test_load_across_group_boundaries(tmp_path, edits, error):
+    # with BLOCK = 1 a group is 16 records and these 40 make three: the
+    # second opens with a line in another form than saving writes, the
+    # first holds a record with descending keys, the third one with a
+    # repeated key; each error case then breaks one line more
+    N, T, V = 20, 2, 12
+    rng = np.random.default_rng(4)
+    counts = rng.integers(0, 4, size=(N, T, V))
+    counts[:, :, 0] += 1  # every cell present
+    c = Corpus.from_dense(counts, rng.standard_normal((N, T, 2)),
+                          np.arange(N) % 2, [f"w{v}" for v in range(V)])
+    save_corpus(c, tmp_path)
+    docs = tmp_path / "docs.jsonl"
+    lines = docs.read_text().splitlines()
+    assert len(lines) == 40
+    with mock.patch.object(np, "lexsort", wraps=np.lexsort) as lexsort:
+        assert load_corpus(tmp_path) == c
+    assert not lexsort.called  # ascending words need no sort
+    obj = json.loads(lines[16])
+    lines[16] = json.dumps({"counts": obj["counts"], "stage": obj["stage"],
+                            "subject": obj["subject"]})
+    assert corpus_module._DOC_LINE.fullmatch(lines[16]) is None
+    lines[5] = json.dumps(dict(json.loads(lines[5]), counts=dict(
+        reversed(json.loads(lines[5])["counts"].items()))))
+    lines[35] = with_counts(lines[35], '"4": 1, "2": 3, "4": 2')
+    for r, edit in edits.items():
+        lines[r] = edit(lines[r])
+    docs.write_text("".join(line + "\n" for line in lines))
+    with mock.patch.object(corpus_module, "BLOCK", 1), \
+            mock.patch.object(np, "lexsort", wraps=np.lexsort) as lexsort:
+        want = loaded(lambda: load_corpus_ref(tmp_path),
+                      lambda c: csr_ref(c.docs, c.n_subjects, c.n_stages))
+        lexsort.reset_mock()
+        got = loaded(lambda: load_corpus(tmp_path))
+    assert got == want
+    if error is None:
+        assert lexsort.called  # the fallback sorted the out-of-order cells
+        assert got[4][17][1] == [(2, 3), (4, 2)]  # line 35's cell
+    else:
+        assert got[0] == error
+    if edits.keys() & {16, 39}:
+        line = max(edits.keys() & {16, 39}) + 1
+        assert got[1].startswith(f"{docs} line {line}: ")
+
+
+@pytest.mark.parametrize("rows, plain", [
+    (["0,0,1.5,-2", "1,0,+.5,3e2", "0,1,1.,-0", "1,1,007,1E-3"], True),
+    (["+0,-0,5e-324,1e308", "", "1,000,2.2250738585072014e-308,.1",
+      "0,1,12345678901234567890,-1e-400", "1,1,3,4"], True),
+    # an underscore and a space, which float() and int() take
+    (["0,0,1_0,2", "1,0,1,2", "0,1,1,2", "1,1,1,2"], False),
+    (["0,0,1,2", " 1,0,1,2", "0,1,1,2", "1,1,1,2"], False),
+    # ids of 16 digits are read line by line
+    (["0,0,1,2", "1,0,1,2", "0,1,1,2", "1,0000000000000001,1,2"], False),
+])
+def test_plain_meta_rows_read_as_float_does(tmp_path, rows, plain):
+    (tmp_path / "meta.csv").write_text(
+        "subject,stage,x0,x1\n" + "".join(row + "\n" for row in rows))
+    assert bool(corpus_module._plain_rows(rows, 2)[2]) == plain
+    want = np.zeros((2, 2, 2))
+    for row in filter(None, rows):
+        i, t, *x = row.split(",")
+        want[int(i), int(t)] = [float(v) for v in x]
+    got = corpus_module._read_meta(tmp_path / "meta.csv", 2)
+    assert got.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("source", ["simulate", "load_corpus"])
 def test_cells_share_one_int_per_word_index(tmp_path, source):
     cfg = SimConfig(n_subjects=30, n_stages=2, vocab_size=1000, n_topics=3,

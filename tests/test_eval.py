@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from longtopic.corpus import ROW_CHUNK, Corpus
+from longtopic.corpus import ROW_CHUNK, Corpus, load_corpus, save_corpus
 from longtopic.errors import (
     DegenerateDesign,
     NumericError,
@@ -605,3 +605,21 @@ def test_corpus_arrays_hold_no_array_per_nonzero_count():
                                    vocab_size=500, n_topics=4, seed=3))
     _, used = traced_peak(CorpusArrays, corpus)
     assert used < corpus.counts.size * 8
+
+
+def test_corpus_construction_holds_few_bytes_per_entry(tmp_path):
+    # simulate and load_corpus put each block's entries in place as they
+    # come and read docs.jsonl a group of lines at a time, so that no step
+    # holds the corpus's words and counts more than twice or the file's
+    # text whole: about 50 bytes per stored entry each, 64 and 71 when
+    # they held every entry together, then sorted copies of them
+    cfg = SimConfig(n_subjects=1200, n_stages=3, vocab_size=500, n_topics=4,
+                    seed=3)
+    (corpus, _), used = traced_peak(simulate, cfg)
+    entries = corpus.counts.size
+    assert entries == 200444
+    assert used <= 56 * entries
+    save_corpus(corpus, tmp_path)
+    loaded, used = traced_peak(load_corpus, tmp_path)
+    assert used <= 56 * entries
+    assert loaded == corpus
