@@ -70,7 +70,6 @@ _PAIR = rf'"{_INT}": -?{_INT}'
 _DOC_LINE = re.compile(rf'\{{"subject": ({_INT}), "stage": ({_INT}), '
                        rf'"counts": \{{((?:{_PAIR}(?:, {_PAIR})*)?)\}}\}}')
 _SPACES = bytes.maketrans(b'":,', b"   ")
-_IDS = re.compile(r"[-+]?[0-9]{1,15},[-+]?[0-9]{1,15}(?:,|$)")  # meta.csv ids
 
 
 @dataclass
@@ -595,8 +594,8 @@ def _read_meta(fname, n_subjects):
     if header[:2] != ["subject", "stage"]:
         raise FormatError(f"{fname}: header must start with 'subject,stage'")
     P = len(header) - 2
-    (ids, xs, lns), fault = _plain_rows(lines[1:], P), None
-    for ln, line in enumerate(() if lns else lines[1:], start=2):
+    ids, xs, lns, fault = [], [], [], None
+    for ln, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
         parts = line.split(",")
@@ -623,7 +622,7 @@ def _read_meta(fname, n_subjects):
         raise FormatError(f"{fname} line {lns[r]}: " + (
             "non-finite covariate" if not np.isfinite(x[r]).all() else
             f"duplicate (subject, stage) ({pairs[r, 0]}, {pairs[r, 1]})"))
-    if fault is not None or not lns:
+    if fault is not None or not ids:
         raise fault or FormatError(f"{fname}: no rows")
     subj, stage = pairs.T
     # a stage past the row count leaves subject 0 short within len(ids) + 1
@@ -641,22 +640,6 @@ def _read_meta(fname, n_subjects):
     covariates = np.zeros(grid.shape + (P,))
     covariates[subj, stage] = x
     return covariates
-
-
-def _plain_rows(rows, P):
-    """(ids, covariates, line numbers) of meta.csv's nonblank rows from one
-    np.fromstring, bit for bit float()'s, when each is P + 2 plain decimal
-    numbers, the first two integers of at most 15 digits; else empty."""
-    body = "\n".join(rows).encode("utf-8")
-    if not body.translate(None, b"0123456789+-.eE,\n") and all(
-            line.count(",") == P + 1 and _IDS.match(line)
-            for line in rows if line):
-        lns = [ln for ln, line in enumerate(rows, start=2) if line]
-        with contextlib.suppress(ValueError):  # a bad or an empty field
-            x = np.fromstring(body.translate(_SPACES), np.float64,
-                              sep=" ").reshape(len(lns), P + 2)
-            return x[:, :2], x[:, 2:], lns
-    return [], [], []
 
 
 def _read_docs(fname):

@@ -666,28 +666,6 @@ def test_load_across_group_boundaries(tmp_path, edits, error):
         assert got[1].startswith(f"{docs} line {line}: ")
 
 
-@pytest.mark.parametrize("rows, plain", [
-    (["0,0,1.5,-2", "1,0,+.5,3e2", "0,1,1.,-0", "1,1,007,1E-3"], True),
-    (["+0,-0,5e-324,1e308", "", "1,000,2.2250738585072014e-308,.1",
-      "0,1,12345678901234567890,-1e-400", "1,1,3,4"], True),
-    # an underscore and a space, which float() and int() take
-    (["0,0,1_0,2", "1,0,1,2", "0,1,1,2", "1,1,1,2"], False),
-    (["0,0,1,2", " 1,0,1,2", "0,1,1,2", "1,1,1,2"], False),
-    # ids of 16 digits are read line by line
-    (["0,0,1,2", "1,0,1,2", "0,1,1,2", "1,0000000000000001,1,2"], False),
-])
-def test_plain_meta_rows_read_as_float_does(tmp_path, rows, plain):
-    (tmp_path / "meta.csv").write_text(
-        "subject,stage,x0,x1\n" + "".join(row + "\n" for row in rows))
-    assert bool(corpus_module._plain_rows(rows, 2)[2]) == plain
-    want = np.zeros((2, 2, 2))
-    for row in filter(None, rows):
-        i, t, *x = row.split(",")
-        want[int(i), int(t)] = [float(v) for v in x]
-    got = corpus_module._read_meta(tmp_path / "meta.csv", 2)
-    assert got.tobytes() == want.tobytes()
-
-
 @pytest.mark.parametrize("source", ["simulate", "load_corpus"])
 def test_cells_share_one_int_per_word_index(tmp_path, source):
     cfg = SimConfig(n_subjects=30, n_stages=2, vocab_size=1000, n_topics=3,

@@ -5,8 +5,8 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-STEPS = ["setup", "load", "corpus_roundtrip", "fit", "model_io", "eval",
-         "infer_proportions", "cell_totals", "run_all",
+STEPS = ["setup", "load", "corpus_roundtrip", "fit", "model_io", "evaluate",
+         "infer_proportions", "infer_proportions", "cell_totals", "run_all",
          "perplexity_gap_closed"]
 
 

@@ -1,16 +1,16 @@
 """Resident memory after each step of the benchmark's pipeline pass.
 
-    python tools/rss.py --workload NAME [--passes N] [--seed S]
+    python tools/rss.py --workload NAME [--passes N]
 
-Runs the steps of one pass of bench/run.py (simulate and save, load, the
-corpus round-trip check, fit, model save/load, eval, then the correctness
-checks that follow every pass) in the order and with the lifetimes its
-run_pass gives them, and prints after each step the process's resident set
-now (/proc/self/statm) and its peak so far (ru_maxrss), in MB as the
-benchmark's peak_rss_mb counts them (2**20 bytes). The peak after a step is
-what peak_rss_mb would read had the run ended there, so the step at which it
+Runs bench/run.py's run_pass as it is, seed 0, with its pipeline's stages
+(setup, load, fit, model_io, evaluate), infer_proportions and the checks it
+calls (corpus_roundtrip, cell_totals, run_all, perplexity_gap_closed)
+wrapped so that each prints, when it returns, the process's resident set now
+(/proc/self/statm) and its peak so far (ru_maxrss), in MB as the benchmark's
+peak_rss_mb counts them (2**20 bytes). The peak after a step is what
+peak_rss_mb would read had the run ended there, so the step at which it
 climbs is the step that sets it. bench/run.py and bench/checks.py are
-imported by path and used as they are. Linux only (statm).
+imported by path; nothing under bench/ changes. Linux only (statm).
 """
 
 import argparse
@@ -44,39 +44,13 @@ def maxrss_mb():
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
-def one_pass(pipe, checks, step):
-    """run_pass's stages and checks, with step(name) after each; returns
-    the checks' (name, ok, detail) results."""
-    sim_corpus = pipe.setup()
-    step("setup")
-    corpus, truth = pipe.load()
-    step("load")
-    results = [("corpus_roundtrip",
-                *checks.corpus_roundtrip(sim_corpus, corpus))]
-    del sim_corpus
-    step("corpus_roundtrip")
-    fitted = pipe.fit(corpus)
-    step("fit")
-    model = pipe.model_io(fitted)
-    step("model_io")
-    report = pipe.evaluate(model, corpus, truth)
-    step("eval")
-    infer = pipe.lt.infer_proportions
-    theta_fitted, theta_hat = infer(fitted, corpus), infer(model, corpus)
-    step("infer_proportions")
-    checks.cell_totals(corpus, pipe.sim_cfg.count_range)
-    step("cell_totals")
-    results += checks.run_all(
-        corpus=corpus, count_range=pipe.sim_cfg.count_range, fitted=fitted,
-        model=model, theta_fitted=theta_fitted, theta_hat=theta_hat,
-        report=report, truth=truth)
-    step("run_all")
-    checks.perplexity_gap_closed(
-        report.perplexity, pipe.lt.perplexity(truth.beta_true,
-                                              truth.theta_true, corpus),
-        corpus.vocab_size)
-    step("perplexity_gap_closed")
-    return results
+def after(fn, step):
+    """fn, followed by step(fn's name) each time it returns."""
+    def wrapped(*args, **kwargs):
+        out = fn(*args, **kwargs)
+        step(fn.__name__)
+        return out
+    return wrapped
 
 
 def main(argv=None):
@@ -84,21 +58,31 @@ def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--workload", required=True, choices=sorted(run.WORKLOADS))
     p.add_argument("--passes", type=int, default=1)
-    p.add_argument("--seed", type=int, default=0)
     args = p.parse_args(argv)
     if args.passes < 1:
         p.error("--passes must be at least 1")
     lt = run.import_package()
     checks = bench_module("checks")
+    n = 0
+
+    def step(name):
+        print(f"{n:>4}  {name:<22} {rss_mb():>8.1f} {maxrss_mb():>10.1f}",
+              flush=True)
+
     print(f"{'pass':>4}  {'step':<22} {'rss_mb':>8} {'maxrss_mb':>10}")
-    print(f"{0:>4}  {'import':<22} {rss_mb():>8.1f} {maxrss_mb():>10.1f}")
+    step("import")
+    # run_all looks cell_totals up in checks' globals, so it prints there too
+    for module, name in [(lt, "infer_proportions"),
+                         (checks, "corpus_roundtrip"), (checks, "cell_totals"),
+                         (checks, "run_all"), (checks, "perplexity_gap_closed")]:
+        setattr(module, name, after(getattr(module, name), step))
     failed = []
     with tempfile.TemporaryDirectory() as work:
-        pipe = run.Pipeline(lt, args.workload, args.seed, work)
+        pipe = run.Pipeline(lt, args.workload, 0, work)
+        for name in ("setup", "load", "fit", "model_io", "evaluate"):
+            setattr(pipe, name, after(getattr(pipe, name), step))
         for n in range(1, args.passes + 1):
-            results = one_pass(pipe, checks, lambda name: print(
-                f"{n:>4}  {name:<22} {rss_mb():>8.1f} {maxrss_mb():>10.1f}",
-                flush=True))
+            results = run.run_pass(pipe, checks)[2]
             failed += [(name, detail) for name, ok, detail in results
                        if not ok]
     for name, detail in failed:
