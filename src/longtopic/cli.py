@@ -107,7 +107,7 @@ def _load_config(args):
                 given = json.load(f)
         except OSError as e:
             raise ConfigError(f"cannot read config {args.config}: {e}") from e
-        except json.JSONDecodeError as e:
+        except (json.JSONDecodeError, UnicodeDecodeError) as e:
             raise ConfigError(f"{args.config}: invalid JSON: {e}") from e
         if not isinstance(given, dict):
             raise ConfigError("config root must be a JSON object")

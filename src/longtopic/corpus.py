@@ -3,10 +3,12 @@
 A corpus is a balanced panel: N subjects observed over T stages, each (subject,
 stage) cell holding one bag-of-words document over a fixed vocabulary of V words,
 per-stage covariates (P features), and one group label per subject. Counts are
-stored only as the CSR arrays of `csr()`, cells stage-major, which numeric code
-reads; no (N, T, V) tensor is built. `docs`, a {word_index: count} map per
-cell, is built from them on first read for tests and inspection: an edit to
-it shows in `==` and nowhere else.
+stored only as the CSR arrays (indptr, words, counts), cells stage-major,
+which numeric code reads; no (N, T, V) tensor is built, and each entry's
+subject is worked out from indptr where it is needed. `docs` reads them for
+tests and inspection as one {word_index: count} mapping per cell, built when
+it is read and holding nothing of its own: an edit to a cell's count writes
+the arrays, so `csr()`, `==`, the fit and saving all see it.
 
 On-disk layout (one directory):
     vocab.txt   one word per line; line index = word index
@@ -35,11 +37,12 @@ import contextlib
 import json
 import math
 import numbers
+import operator
 import os
 import re
 import reprlib
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import chain, islice
 
 import numpy as np
@@ -79,10 +82,9 @@ class Corpus:
     vocab_size: int
     n_groups: int
     n_features: int
-    indptr: np.ndarray  # (N*T + 1,) int64; these four are csr()
+    indptr: np.ndarray  # (N*T + 1,) int64; these three start csr()
     words: np.ndarray  # (nnz,) int64
     counts: np.ndarray  # (nnz,) int64
-    rows: np.ndarray  # (nnz,) int64
     covariates: np.ndarray  # (N, T, P) standardized
     groups: np.ndarray  # (N,) int labels in 0..G-1
     vocab: list
@@ -200,26 +202,36 @@ class Corpus:
     # -- accessors ---------------------------------------------------------
 
     def csr(self):
-        """(indptr, words, counts, rows), as stored: cell c = t*N + i holds
-        entries indptr[c]:indptr[c + 1] by word; rows gives their subject."""
-        return self.indptr, self.words, self.counts, self.rows
+        """(indptr, words, counts, rows): cell c = t*N + i holds entries
+        indptr[c]:indptr[c + 1] by word; rows, built on each call, gives
+        their subject. The first three are the corpus's own arrays."""
+        N, T = self.n_subjects, self.n_stages
+        rows = np.repeat(np.tile(np.arange(N, dtype=np.int64), T),
+                         np.diff(self.indptr))
+        return self.indptr, self.words, self.counts, rows
 
-    @cached_property
+    @property
     def docs(self):
-        """docs[i][t]: cell (i, t) as {word_index: count} (None if missing),
-        built from csr() on first read, keys one int object per word."""
-        keys = np.arange(self.vocab_size).astype(object)[self.words]
-        pairs = zip(keys.tolist(), self.counts.tolist())
-        cells = [dict(islice(pairs, n)) or None
-                 for n in np.diff(self.indptr).tolist()]  # stage-major
-        return [cells[i::self.n_subjects] for i in range(self.n_subjects)]
+        """docs[i][t]: cell (i, t) as a {word_index: count} mapping over its
+        slice of the CSR arrays (None if missing). Row i, a tuple of its T
+        cells, is built each time it is read (one subject at a time; a
+        slice raises TypeError), and its cells hold no counts of their own:
+        setting the count of a word a cell holds writes counts in place, a
+        word it does not hold raises KeyError and a count that is not a
+        positive int FormatError. Replacing a whole cell raises TypeError,
+        as the row is a tuple. The keys of one read are one shared int
+        object per word index."""
+        return _Docs(self)
 
     def stage_block(self, t, lo, hi):
         """(rows, words, counts) of stage t's entries for subjects lo to
-        hi - 1, with rows counted from lo: one slice of csr()."""
+        hi - 1, with rows counted from lo: words and counts are one slice
+        of csr(), rows built from indptr."""
         N = self.n_subjects
-        sl = slice(self.indptr[t * N + lo], self.indptr[t * N + hi])
-        return self.rows[sl] - lo, self.words[sl], self.counts[sl]
+        bounds = self.indptr[t * N + lo:t * N + hi + 1]
+        sl = slice(bounds[0], bounds[-1])
+        return (np.repeat(np.arange(hi - lo), np.diff(bounds)),
+                self.words[sl], self.counts[sl])
 
     def dense_counts(self):
         """(N, T, V) float64 count tensor. Missing cells are all-zero rows."""
@@ -231,7 +243,7 @@ class Corpus:
 
     def total_counts(self):
         """(N, T) float64 total words per cell (0 where missing)."""
-        indptr, _, counts, _ = self.csr()
+        indptr, counts = self.indptr, self.counts
         totals = np.zeros(len(indptr) - 1)
         # reduceat sums from each start to the next: the empty cells are
         # left out, as it would read past them (or past the end)
@@ -242,7 +254,6 @@ class Corpus:
     def __eq__(self, other):
         if not isinstance(other, Corpus):
             return NotImplemented
-        read = "docs" in vars(self) | vars(other)  # if not, docs is csr()
         return (
             self.n_subjects == other.n_subjects
             and self.n_stages == other.n_stages
@@ -251,11 +262,79 @@ class Corpus:
             and self.vocab == other.vocab
             and np.array_equal(self.groups, other.groups)
             and np.array_equal(self.present, other.present)
-            and (self.docs == other.docs if read else all(
-                np.array_equal(a, b) for a, b in zip(self.csr(), other.csr())))
+            and np.array_equal(self.indptr, other.indptr)
+            and np.array_equal(self.words, other.words)
+            and np.array_equal(self.counts, other.counts)
             and np.allclose(self.covariates, other.covariates,
                             rtol=1e-12, atol=1e-12)
         )
+
+
+class _Docs(Sequence):
+    """Corpus.docs: row i, a tuple of the T cells of subject i, built when
+    read."""
+
+    def __init__(self, corpus):
+        self._corpus = corpus
+        self._keys = list(range(corpus.vocab_size))  # one int per word
+
+    def __len__(self):
+        return self._corpus.n_subjects
+
+    def __getitem__(self, i):
+        c, N = self._corpus, self._corpus.n_subjects
+        if isinstance(i, slice):
+            raise TypeError("docs is read one subject at a time: docs[i]")
+        i = range(N)[i]  # from the end if negative; IndexError past it
+        return tuple(_Cell(c.words[a:b], c.counts[a:b], self._keys) if a < b
+                     else None for a, b in zip(c.indptr[i::N].tolist(),
+                                               c.indptr[i + 1::N].tolist()))
+
+
+class _Cell(Mapping):
+    """One cell of Corpus.docs: {word_index: count} read from views of its
+    slice of words and counts, which setting a held word's count (a
+    positive int) writes; values() and items() are lists."""
+
+    def __init__(self, words, counts, keys):
+        self._words, self._counts, self._keys = words, counts, keys
+
+    def _at(self, w):
+        """The entry of word w, KeyError if the cell holds none: words
+        ascend, so a binary search finds it."""
+        try:
+            e = int(np.searchsorted(self._words, operator.index(w)))
+        except TypeError:
+            raise KeyError(w) from None
+        if e == self._words.size or self._words[e] != w:
+            raise KeyError(w)
+        return e
+
+    def __getitem__(self, w):
+        return int(self._counts[self._at(w)])
+
+    def __setitem__(self, w, n):
+        e = self._at(w)
+        if (isinstance(n, bool) or not isinstance(n, numbers.Integral)
+                or not 0 < n < 2**63):
+            raise FormatError(f"count for word {w} must be a positive int;"
+                              f" got {n!r}")
+        self._counts[e] = n
+
+    def __iter__(self):
+        return map(self._keys.__getitem__, self._words.tolist())
+
+    def __len__(self):
+        return self._words.size
+
+    def values(self):
+        return self._counts.tolist()
+
+    def items(self):
+        return list(zip(self, self._counts.tolist()))
+
+    def __repr__(self):
+        return repr(dict(self.items()))
 
 
 def _standardize(covariates):
@@ -274,7 +353,7 @@ def _standardize(covariates):
 
 
 def _csr_fields(kept, N, T):
-    """csr()'s fields from the blocks' kept (cells, lengths, words, counts),
+    """The CSR arrays from the blocks' kept (cells, lengths, words, counts),
     each put in place and freed; sorted, repeats summed, if out of order."""
     indptr = np.zeros(N * T + 1, dtype=np.int64)
     for cells, n, _, _ in kept:
@@ -285,8 +364,11 @@ def _csr_fields(kept, N, T):
         cells, n, w, c = kept.pop(0)
         at = np.repeat(indptr[cells] - np.cumsum(n) + n, n) + np.arange(w.size)
         words[at], counts[at] = w, c
-    cell = np.repeat(np.arange(N * T), np.diff(indptr))
-    if np.any((np.diff(words) <= 0) & (np.diff(cell) == 0)):
+    # entries whose word does not rise over the one before: in order when
+    # each starts a cell
+    steps = np.flatnonzero(words[1:] <= words[:-1]) + 1
+    if not np.array_equal(indptr[np.searchsorted(indptr, steps)], steps):
+        cell = np.repeat(np.arange(N * T), np.diff(indptr))
         order = np.lexsort((words, cell))  # stable; cell is sorted already
         words, counts = words[order], counts[order]
         first = np.r_[True, (np.diff(words) != 0) | (np.diff(cell) != 0)]
@@ -297,7 +379,7 @@ def _csr_fields(kept, N, T):
             counts = np.add.reduceat(counts, at)
             words, cell = words[first], cell[first]
             indptr = np.searchsorted(cell, np.arange(N * T + 1))
-    return dict(indptr=indptr, words=words, counts=counts, rows=cell % N)
+    return dict(indptr=indptr, words=words, counts=counts)
 
 
 def _record_blocks(records):
@@ -471,13 +553,15 @@ def _write_text(fname, chunks):
 
 def _doc_lines(corpus):
     """docs.jsonl lines, subject-major: per present cell, json.dumps of
-    {"subject": i, "stage": t, "counts": {"<word>": count, ...}} from csr(),
-    ROW_CHUNK subjects' (word, count) pairs interleaved at a time."""
+    {"subject": i, "stage": t, "counts": {"<word>": count, ...}} from the
+    CSR arrays, ROW_CHUNK subjects' (word, count) pairs interleaved at a
+    time."""
     N, T, bounds = corpus.n_subjects, corpus.n_stages, corpus.indptr.tolist()
     for lo in range(0, N, ROW_CHUNK):
         hi = min(lo + ROW_CHUNK, N)
-        pairs = [np.column_stack(corpus.stage_block(t, lo, hi)[1:]).ravel()
-                 for t in range(T)]
+        pairs = [np.column_stack((corpus.words[sl], corpus.counts[sl])).ravel()
+                 for sl in (slice(bounds[t * N + lo], bounds[t * N + hi])
+                            for t in range(T))]
         for i, t in np.argwhere(corpus.present[lo:hi]).tolist():
             c = t * N + lo
             a, b = bounds[c + i] - bounds[c], bounds[c + i + 1] - bounds[c]
@@ -487,13 +571,14 @@ def _doc_lines(corpus):
 
 
 def read_json(fname):
-    """A JSON file's object; IoError when it cannot be read or parsed."""
+    """A JSON file's object; IoError when it cannot be read, decoded as
+    UTF-8 or parsed."""
     try:
         with open(fname, encoding="utf-8") as f:
             return json.load(f)
     except OSError as e:
         raise IoError(f"cannot read {fname}: {e}") from e
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, UnicodeDecodeError) as e:
         raise IoError(f"{fname}: invalid JSON: {e}") from e
 
 
@@ -544,6 +629,8 @@ def _read_lines(fname):
             yield from chain.from_iterable(map(str.splitlines, f))
     except OSError as e:
         raise IoError(f"cannot read {fname}: {e}") from e
+    except UnicodeDecodeError as e:
+        raise FormatError(f"{fname}: not UTF-8 text: {e.reason}") from e
 
 
 def _read_vocab(fname):

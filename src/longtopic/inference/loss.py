@@ -90,7 +90,8 @@ class CorpusArrays:
             raise ShapeError(f"{G} groups of {N} subjects need {size} numbers"
                              f" of counterfactual group encodings, above the"
                              f" cap {MAX_SAMPLE_ELEMENTS}")
-        self.indptr, self.words, self.counts, _ = corpus.csr()
+        self.indptr, self.words, self.counts = (corpus.indptr, corpus.words,
+                                                corpus.counts)
         self.totals = corpus.total_counts()
         self.x = corpus.covariates
         self.present = corpus.present.astype(np.float64)

@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -349,6 +350,44 @@ def test_eval_with_non_finite_truth_is_a_numeric_error(tmp_path, capsys):
          "--set", f'paths.truth="{out / "truth.json"}"'], capsys)
     assert code == 1
     assert err.count("\n") == 1 and err.startswith("error: NumericError:")
+
+
+@pytest.fixture(scope="module")
+def fitted_run(tmp_path_factory):
+    out = tmp_path_factory.mktemp("run")
+    assert main(["simulate", "--out", str(out), "--seed", "3", *SIM]) == 0
+    assert main(["fit", "--out", str(out), "--seed", "3", *TRAIN,
+                 "--set", f'paths.corpus="{out / "corpus"}"']) == 0
+    (out / "config.json").write_text(json.dumps({"train": {"n_topics": 2}}))
+    return out
+
+
+@pytest.mark.parametrize("name, mode, error", [
+    ("corpus/docs.jsonl", "fit", "FormatError"),
+    ("corpus/vocab.txt", "fit", "FormatError"),
+    ("corpus/meta.csv", "fit", "FormatError"),
+    ("corpus/groups.csv", "fit", "FormatError"),
+    ("model.json", "eval", "IoError"),
+    ("config.json", "fit", "ConfigError"),
+])
+def test_a_file_that_is_not_utf8_is_one_named_error(fitted_run, tmp_path,
+                                                    capsys, name, mode,
+                                                    error):
+    run = tmp_path / "run"
+    shutil.copytree(fitted_run, run)
+    with open(run / name, "ab") as f:
+        f.write(b"\xff")
+    capsys.readouterr()
+    code, err = error_code(
+        [mode, "--out", str(tmp_path / "out"), "--seed", "3", *TRAIN,
+         "--config", str(run / "config.json"),
+         "--set", f'paths.corpus="{run / "corpus"}"',
+         "--set", f'paths.model="{run / "model.json"}"'], capsys)
+    assert code == 1
+    assert err.count("\n") == 1, err
+    assert err.startswith(f"error: {error}: "), err
+    assert str(run / name) in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_out_path_that_is_a_file_is_named(tmp_path, capsys):

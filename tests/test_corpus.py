@@ -1,5 +1,7 @@
+import copy
 import json
 import re
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -159,7 +161,7 @@ def test_roundtrip_simulated(tmp_path):
     reloaded = load_corpus(tmp_path)
     assert reloaded == corpus
     assert np.array_equal(reloaded.dense_counts(), corpus.dense_counts())
-    # unread docs compare through the arrays; an edited one is seen as well
+    # == compares the arrays, which an edit through docs writes
     moved = load_corpus(tmp_path)
     moved.counts[0] += 1
     assert moved != corpus
@@ -722,14 +724,16 @@ def test_failed_writes_leave_the_previous_file(tmp_path, monkeypatch):
 
 
 def test_no_package_path_reads_docs(tmp_path):
-    # the CSR arrays are the corpus; docs is built for tests and inspection
+    # the stored arrays are the corpus; docs, and csr() with the entries'
+    # rows, are built for tests and inspection
     reads = []
 
     def unread(corpus):
         reads.append(corpus)
-        raise AssertionError("Corpus.docs read")
+        raise AssertionError("Corpus.docs or Corpus.csr read")
 
-    with mock.patch.object(Corpus, "docs", property(unread)):
+    with mock.patch.object(Corpus, "docs", property(unread)), \
+            mock.patch.object(Corpus, "csr", unread):
         c, truth = simulate(SimConfig(n_subjects=12, n_stages=2,
                                       vocab_size=20, n_topics=2,
                                       n_covariates=2, seed=1))
@@ -748,3 +752,145 @@ def test_no_package_path_reads_docs(tmp_path):
     assert reads == []
     assert np.isfinite(report.perplexity) and np.isfinite(theta).all()
     assert np.isfinite(dynamic.log[-1]["loss"])
+
+
+def small_corpus(seed=2):
+    c, _ = simulate(SimConfig(n_subjects=6, n_stages=2, vocab_size=40,
+                              n_topics=2, n_covariates=2, seed=seed))
+    return c
+
+
+def test_a_count_set_through_docs_is_written_to_the_arrays(tmp_path):
+    c = small_corpus()
+    before = copy.deepcopy(c)
+    save_corpus(before, tmp_path / "before")
+    cell = c.docs[4][1]
+    w = list(cell)[2]
+    cell[w] += 7
+    assert c.docs[4][1][w] == before.docs[4][1][w] + 7
+    indptr, words, counts, _ = c.csr()
+    e = indptr[1 * c.n_subjects + 4] + 2
+    assert words[e] == w
+    assert counts[e] == before.counts[e] + 7
+    assert c != before
+    save_corpus(c, tmp_path / "after")
+    a, b = ((tmp_path / d / "docs.jsonl").read_text().splitlines()
+            for d in ("before", "after"))
+    changed = [r for r in range(len(a)) if a[r] != b[r]]
+    assert len(changed) == 1
+    want = json.loads(a[changed[0]])
+    want["counts"][str(w)] += 7
+    assert json.loads(b[changed[0]]) == want
+    assert want["subject"] == 4 and want["stage"] == 1
+    assert load_corpus(tmp_path / "after") == c
+
+
+def test_an_absent_word_or_a_bad_count_cannot_be_set():
+    c = small_corpus()
+    held = [a.copy() for a in (c.indptr, c.words, c.counts)]
+    cell = c.docs[0][0]
+    absent = next(v for v in range(c.vocab_size) if v not in cell)
+    for key in (absent, c.vocab_size, -1, 2**70, str(next(iter(cell))),
+                None):
+        with pytest.raises(KeyError):
+            cell[key] = 1
+        with pytest.raises(KeyError):
+            cell[key]
+        assert key not in cell
+    for count in (0, -1, 2.0, True, "3", 2**63):
+        with pytest.raises(FormatError, match="must be a positive int"):
+            cell[next(iter(cell))] = count
+    assert all(np.array_equal(a, b)
+               for a, b in zip(held, (c.indptr, c.words, c.counts)))
+    assert dict(cell) == dict(zip(c.words[:len(cell)].tolist(),
+                                  c.counts[:len(cell)].tolist()))
+
+
+def test_a_row_of_docs_cannot_be_edited_or_sliced():
+    c = small_corpus()
+    before = copy.deepcopy(c)
+    row = c.docs[1]
+    assert isinstance(row, tuple) and len(row) == c.n_stages
+    for value in (None, {0: 1}):
+        with pytest.raises(TypeError):
+            row[0] = value
+    with pytest.raises(TypeError, match="one subject at a time"):
+        c.docs[1:3]
+    assert c == before
+    assert c.docs[-1] == c.docs[c.n_subjects - 1]
+    with pytest.raises(IndexError):
+        c.docs[c.n_subjects]
+
+
+def test_a_cell_finds_each_of_its_words_and_no_other():
+    c = small_corpus()
+    for row in c.docs:
+        for cell in row:
+            if cell is None:
+                continue
+            want = dict(cell.items())
+            assert {w: cell[w] for w in cell} == want
+            assert [v for v in range(c.vocab_size) if v in cell] == list(want)
+            assert all(cell.get(np.int64(w)) == n for w, n in want.items())
+
+
+def test_an_edit_to_a_copys_docs_leaves_the_original():
+    c = small_corpus()
+    before = copy.deepcopy(c)
+    d = copy.deepcopy(c)
+    cell = d.docs[2][0]
+    cell[next(iter(cell))] += 1
+    assert d != c
+    assert c == before
+    assert all(np.array_equal(a, b) for a, b in zip(c.csr(), before.csr()))
+
+
+def test_a_pass_over_docs_holds_no_copy_of_the_counts():
+    c, _ = simulate(SimConfig(n_subjects=1200, n_stages=3, vocab_size=500,
+                              n_topics=3, n_covariates=2, seed=3))
+    totals = c.total_counts()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        got = [sum(cell.values()) if cell else 0
+               for row in c.docs for cell in row]
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert got == totals.ravel().tolist()
+    assert peak < 2**20, peak
+
+
+def test_no_stored_array_but_words_and_counts_is_entry_long():
+    c = small_corpus()
+    nnz = c.words.size
+    assert nnz not in {c.n_subjects, c.n_stages, c.vocab_size}
+    assert sorted(name for name, v in vars(c).items()
+                  if isinstance(v, np.ndarray) and nnz in v.shape) == [
+        "counts", "words"]
+
+
+def built(records, N, T, V):
+    """Corpus.build of records, and whether it sorted its entries."""
+    with mock.patch.object(np, "lexsort", wraps=np.lexsort) as lexsort:
+        c = Corpus.build(records, np.zeros((N, T, 1)), np.arange(N) % 2,
+                         [f"w{v}" for v in range(V)], allow_missing=True)
+    return c, lexsort.called
+
+
+@pytest.mark.parametrize("records, sorts", [
+    # words step down or repeat only across a cell boundary, missing cells
+    # (subject 1 at stage 0, subject 2 at stage 1) included
+    ([(0, 0, {3: 1, 4: 2}), (2, 0, {0: 5, 4: 1}), (0, 1, {4: 2}),
+      (1, 1, {4: 1, 5: 3})], False),
+    # a word given as "1" and as 1 in one record: one entry, counts summed
+    ([(0, 0, {3: 1, 4: 2}), (2, 0, {1: 2, "1": 3, 0: 1}),
+      (1, 1, {4: 1, 5: 3})], True),
+])
+def test_only_words_out_of_order_in_a_cell_are_sorted(records, sorts):
+    N, T, V = 3, 2, 6
+    c, sorted_ = built(records, N, T, V)
+    assert sorted_ == sorts
+    want = reference_docs(records, N, T, V)
+    assert csr_items(c.csr()) == csr_items(csr_ref(want, N, T))
+    assert cell_items(c.docs) == cell_items(want)

@@ -13,9 +13,10 @@ STEPS = ["setup", "load", "corpus_roundtrip", "fit", "model_io", "evaluate",
 def test_rss_prints_each_step_of_a_benchmark_pass():
     out = subprocess.run(
         [sys.executable, str(ROOT / "tools" / "rss.py"),
-         "--workload", "c5-linf"],
+         "--workload", "c5-linf", "--seed", "3"],
         capture_output=True, text=True, check=True, timeout=600).stdout
-    header, *lines = out.splitlines()
+    title, header, *lines = out.splitlines()
+    assert title == "workload c5-linf, seed 3"
     assert header.split() == ["pass", "step", "rss_mb", "maxrss_mb"]
     rows = [line.split() for line in lines]
     assert [(n, step) for n, step, _, _ in rows] == (

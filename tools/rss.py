@@ -1,16 +1,17 @@
 """Resident memory after each step of the benchmark's pipeline pass.
 
-    python tools/rss.py --workload NAME [--passes N]
+    python tools/rss.py --workload NAME [--seed N] [--passes N]
 
-Runs bench/run.py's run_pass as it is, seed 0, with its pipeline's stages
-(setup, load, fit, model_io, evaluate), infer_proportions and the checks it
-calls (corpus_roundtrip, cell_totals, run_all, perplexity_gap_closed)
-wrapped so that each prints, when it returns, the process's resident set now
-(/proc/self/statm) and its peak so far (ru_maxrss), in MB as the benchmark's
-peak_rss_mb counts them (2**20 bytes). The peak after a step is what
-peak_rss_mb would read had the run ended there, so the step at which it
-climbs is the step that sets it. bench/run.py and bench/checks.py are
-imported by path; nothing under bench/ changes. Linux only (statm).
+Runs bench/run.py's run_pass as it is, on seed N (default 0), with its
+pipeline's stages (setup, load, fit, model_io, evaluate), infer_proportions
+and the checks it calls (corpus_roundtrip, cell_totals, run_all,
+perplexity_gap_closed) wrapped so that each prints, when it returns, the
+process's resident set now (/proc/self/statm) and its peak so far
+(ru_maxrss), in MB as the benchmark's peak_rss_mb counts them (2**20
+bytes), after a title line naming the workload and seed. The peak after a
+step is what peak_rss_mb would read had the run ended there, so the step at
+which it climbs is the step that sets it. bench/run.py and bench/checks.py
+are imported by path; nothing under bench/ changes. Linux only (statm).
 """
 
 import argparse
@@ -57,6 +58,7 @@ def main(argv=None):
     run = bench_module("run")
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--workload", required=True, choices=sorted(run.WORKLOADS))
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--passes", type=int, default=1)
     args = p.parse_args(argv)
     if args.passes < 1:
@@ -69,6 +71,7 @@ def main(argv=None):
         print(f"{n:>4}  {name:<22} {rss_mb():>8.1f} {maxrss_mb():>10.1f}",
               flush=True)
 
+    print(f"workload {args.workload}, seed {args.seed}")
     print(f"{'pass':>4}  {'step':<22} {'rss_mb':>8} {'maxrss_mb':>10}")
     step("import")
     # run_all looks cell_totals up in checks' globals, so it prints there too
@@ -78,7 +81,7 @@ def main(argv=None):
         setattr(module, name, after(getattr(module, name), step))
     failed = []
     with tempfile.TemporaryDirectory() as work:
-        pipe = run.Pipeline(lt, args.workload, 0, work)
+        pipe = run.Pipeline(lt, args.workload, args.seed, work)
         for name in ("setup", "load", "fit", "model_io", "evaluate"):
             setattr(pipe, name, after(getattr(pipe, name), step))
         for n in range(1, args.passes + 1):
