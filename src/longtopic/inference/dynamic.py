@@ -124,21 +124,22 @@ def fit_dynamic_topics(corpus, cfg):
         (T, V, K))
     rng_b = np.random.default_rng([cfg.seed, 5])
     eps_b = np.empty((T, V, K))
-    frozen = []     # the evaluation's _topic_terms until the next step
+    frozen = []     # the evaluation's _topic_terms
+
+    def begin_eval():
+        frozen[:] = [_topic_terms(mu_b, rho_b, eval_eps_b, gen, var)]
 
     def batch_loss(batch, eps, want_grads, work):
         if want_grads:
-            frozen.clear()
             return _dynamic_batch(batch, gen, enc, cfg, eps, mu_b, rho_b,
                                   rng_b.standard_normal(out=eps_b), inv_n,
                                   var, want_grads, work=work)
-        if not frozen:
-            frozen.append(_topic_terms(mu_b, rho_b, eval_eps_b, gen, var))
         return _dynamic_batch(batch, gen, enc, cfg, eps, mu_b, rho_b,
                               eval_eps_b, inv_n, var, want_grads, work=work,
                               topics=frozen[0])
 
-    log, converged = _run_epochs(corpus, registry, cfg, batch_loss)
+    log, converged = _run_epochs(corpus, registry, cfg, batch_loss,
+                                 begin_eval)
     sigma_b, _ = _topic_scale(rho_b)
     return FittedModel(gen=gen, enc=enc, cfg=cfg, vocab=list(corpus.vocab),
                        n_groups=corpus.n_groups, log=log, converged=converged,

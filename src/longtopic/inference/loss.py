@@ -112,27 +112,41 @@ class CorpusArrays:
         """The Batch of subjects idx: the entries of cells t*N + idx, each
         count also over its cell total."""
         idx = np.asarray(idx)
-        B, N = idx.size, self.present.shape[0]
-        stages = []
-        for t in range(self.present.shape[1]):
+        N = self.present.shape[0]
+
+        def entries(t):
             start = self.indptr[t * N + idx]
             n = self.indptr[t * N + idx + 1] - start
-            rows = np.repeat(np.arange(B), n)
-            ent = np.arange(rows.size) + np.repeat(start - np.cumsum(n) + n, n)
+            return n, (np.arange(n.sum())
+                       + np.repeat(start - np.cumsum(n) + n, n))
+        return self._batch(idx, entries)
+
+    def _batch(self, idx, entries):
+        """The Batch of subjects idx, whose stage-t entries, n per subject,
+        entries(t) gives as (n, an index or a slice of the CSR arrays)."""
+        stages = []
+        for t in range(self.present.shape[1]):
+            n, ent = entries(t)
             c = self.counts[ent]
-            stages.append((rows, self.words[ent], c,
-                           c / np.repeat(self.totals[idx, t], n)))
+            stages.append((np.repeat(np.arange(idx.size), n), self.words[ent],
+                           c, c / np.repeat(self.totals[idx, t], n)))
         return Batch(
             x=self.x[idx], y_enc=self.y_enc[idx],
             cf_encs=self.cf_encs[:, idx], present=self.present[idx],
             stages=stages)
 
     def chunks(self):
-        """(lo, hi, batch) of subjects lo to hi - 1, ROW_CHUNK at a time."""
+        """(lo, hi, batch) of subjects lo to hi - 1, ROW_CHUNK at a time. A
+        chunk's stage-t entries are one slice of the CSR arrays, so its
+        words and counts are views of them."""
         N = self.present.shape[0]
         for lo in range(0, N, ROW_CHUNK):
             hi = min(lo + ROW_CHUNK, N)
-            yield lo, hi, self.batch(np.arange(lo, hi))
+
+            def entries(t):
+                ptr = self.indptr[t * N + lo:t * N + hi + 1]
+                return np.diff(ptr), slice(ptr[0], ptr[-1])
+            yield lo, hi, self._batch(np.arange(lo, hi), entries)
 
 
 def stage_heads(batch, enc, eta0, shifts, inp, keep):

@@ -4,19 +4,40 @@ One epoch loop serves every topic parametrization: `train` (shared topics)
 and `dynamic.fit_dynamic_topics` (per-stage topics) each hand it their
 parameter registry and a batch objective. It runs plain SGD with momentum
 (default) or Adam over all blocks, using the exact gradients of that
-objective. After each epoch the full-data loss is evaluated with frozen eps
-(the [seed, 1] stream, drawn chunk by chunk) and logged; training stops when
-the relative change of that logged loss drops to eps_stop, or after t_max
-epochs. An infinite eps_stop disables the stop rule entirely. A loss that
-is not finite, or a logged loss above BLOWUP times max(|initial loss|, 1),
-raises DivergedError. Refits are bit-identical.
+objective. Before training and after each epoch the full-data loss is
+evaluated with frozen eps (the [seed, 1] stream, drawn chunk by chunk) and
+logged; training stops when the relative change of that logged loss drops to
+eps_stop, or after t_max epochs. An infinite eps_stop disables the stop rule
+entirely. A loss that is not finite, or a logged loss above BLOWUP times
+max(|initial loss|, 1), raises DivergedError. Refits are bit-identical.
 A fit allocates its working memory once (`_run_epochs`): nothing holds a
 (rows * M, V) block or the noise of the whole corpus.
+
+The evaluations run in a helper process that the fit forks once, so that
+epoch e's evaluation overlaps epoch e + 1's training (no epoch reads the loss
+of the one before; only the stop rule and the divergence checks do). The
+parent settles epoch e's loss after training epoch e + 1 exactly as a serial
+loop would, and when the stop rule fires there it puts back epoch e's
+parameters. The helper inherits the corpus arrays, the buffers, the BLAS
+kernel and its thread count, so its losses are the bits an in-process
+evaluation gives. The fit evaluates in its own process, settling each epoch
+before training the next, when it cannot fork, runs another Python thread,
+or may run on fewer CPUs than twice its OS threads: one CPU, or a BLAS
+thread pool as wide as the CPUs (numpy's OpenBLAS by default), whose
+spinning threads would contend with the helper's.
 """
 
 from __future__ import annotations
 
+import gc
 import math
+import mmap
+import os
+import pickle
+import select
+import signal
+import threading
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -202,26 +223,165 @@ class FittedModel:
         return np.repeat(b[None, :, :], self.gen.n_stages, axis=0)
 
 
-def _run_epochs(corpus, registry, cfg, batch_loss):
+class _InProcess:
+    """Evaluates the full-data loss in this process, when it is asked."""
+
+    def __init__(self, full_loss):
+        self.full_loss = full_loss
+
+    def submit(self):
+        try:
+            self.answer = True, self.full_loss()
+        except Exception as e:
+            self.answer = False, e
+
+    def ready(self):
+        return True
+
+    def result(self):
+        ok, value = self.answer
+        if not ok:
+            raise value
+        return value
+
+
+class _Helper:
+    """A process, forked once per fit, that evaluates the full-data loss of
+    the registry values that submit() copies into a shared snapshot, while
+    this process trains on. stop() ends and reaps it."""
+
+    def __init__(self, registry, full_loss):
+        self.registry = registry
+        sizes = [a.size for _, a in registry]
+        # an anonymous mmap is MAP_SHARED: the helper reads what submit writes
+        self.snap = np.frombuffer(mmap.mmap(-1, 8 * sum(sizes)))
+        self.views = [part.reshape(a.shape) for (_, a), part in
+                      zip(registry, np.split(self.snap, np.cumsum(sizes)[:-1]))]
+        ask, self.ask = os.pipe()
+        answers, answer = os.pipe()
+        try:
+            self.pid = os.fork()
+        except OSError:
+            for fd in (ask, self.ask, answers, answer):
+                os.close(fd)
+            raise
+        if self.pid == 0:
+            os.close(self.ask)
+            os.close(answers)
+            self._serve(ask, answer, full_loss)
+        os.close(ask)
+        os.close(answer)
+        self.answers = os.fdopen(answers, "rb")
+
+    def _serve(self, ask, answer, full_loss):
+        """The helper's side; never returns. For each byte read from ask:
+        copy the snapshot into the registry, evaluate, and send back the
+        pickled (True, loss) or (False, the exception raised). It ends,
+        printing nothing, when the parent is gone (EOF on ask) or stops
+        reading (a broken pipe)."""
+        try:
+            gc.freeze()  # the parent's garbage is the parent's to collect
+            signal.signal(signal.SIGINT, signal.SIG_IGN)
+            os.dup2(os.open(os.devnull, os.O_WRONLY), 2)
+            out = os.fdopen(answer, "wb")
+            while os.read(ask, 1):
+                self.restore()
+                try:
+                    reply = True, full_loss()
+                except Exception as e:
+                    reply = False, e
+                pickle.dump(reply, out)
+                out.flush()
+        finally:
+            os._exit(0)
+
+    def restore(self):
+        """Copy the snapshot into the registry."""
+        for (_, arr), view in zip(self.registry, self.views):
+            arr[...] = view
+
+    def submit(self):
+        np.concatenate([a for _, a in self.registry], axis=None,
+                       out=self.snap)
+        try:
+            os.write(self.ask, b"e")
+        except BrokenPipeError:  # result() names the ended helper
+            pass
+
+    def ready(self):
+        return bool(select.select([self.answers], [], [], 0)[0])
+
+    def result(self):
+        try:
+            ok, value = pickle.load(self.answers)
+        except (EOFError, OSError, pickle.UnpicklingError) as e:
+            raise IoError(f"the loss evaluation process {self.pid} ended"
+                          f" without an answer") from e
+        if not ok:
+            raise value
+        return value
+
+    def stop(self):
+        self.answers.close()
+        os.close(self.ask)
+        os.kill(self.pid, signal.SIGKILL)
+        os.waitpid(self.pid, 0)
+
+
+def _os_threads():
+    """The OS threads this process runs: the main one, any other Python
+    thread and a multi-threaded BLAS's pool (Linux: /proc/self/task)."""
+    return len(os.listdir("/proc/self/task"))
+
+
+@contextmanager
+def _evaluator(registry, full_loss):
+    """The fit's evaluator: a _Helper when this process can fork, runs no
+    other Python thread (a fork copies only the calling thread, and a lock
+    another one holds would stay held) and may run on twice as many CPUs as
+    it has OS threads, since the helper inherits a BLAS pool's thread count
+    and a pool's threads spin between calls; else _InProcess. The helper is
+    reaped on every way out."""
+    helper = None
+    try:
+        forks = (hasattr(os, "fork") and threading.active_count() == 1
+                 and 2 * _os_threads() <= len(os.sched_getaffinity(0)))
+    except (AttributeError, OSError):  # no affinity call, or no /proc
+        forks = False
+    if forks:
+        try:
+            helper = _Helper(registry, full_loss)
+        except OSError:
+            pass
+    if helper is None:
+        yield _InProcess(full_loss)
+        return
+    try:
+        yield helper
+    finally:
+        helper.stop()
+
+
+def _run_epochs(corpus, registry, cfg, batch_loss, begin_eval=None):
     """The epoch loop shared by every topic parametrization. batch_loss(batch,
     eps, want_grads, work) -> (loss, grads) is the objective on one batch,
     with work the fit's encoder-input buffer to pass on to
     longitudinal_loss; the loop draws the eps tensors, steps the optimizer
-    over the registry, logs the full-data loss after each epoch and applies
-    the stop rule. Returns (log, converged). Before it allocates anything,
-    ConfigError when a Monte-Carlo tensor, or one padded (rows, L, M) or
-    (rows, L, K) block of the loss's reconstruction (L <= V), would hold
-    more than MAX_SAMPLE_ELEMENTS numbers.
+    over the registry, logs the full-data loss before training and after
+    each epoch and applies the stop rule. Returns (log, converged). Before
+    it allocates anything, ConfigError when a Monte-Carlo tensor, or one
+    padded (rows, L, M) or (rows, L, K) block of the loss's reconstruction
+    (L <= V), would hold more than MAX_SAMPLE_ELEMENTS numbers.
 
     Every large buffer of the fit is allocated once, here: the encoder inputs
     (sized for the full-data evaluation's chunk and the training batch's T
     stages; a short batch or chunk takes prefix views of it) and one
     (rows, T, M, K) eps buffer. The training eps and, chunk by chunk from a
     fresh [seed, 1] generator, the frozen evaluation eps (one (N, T, M, K)
-    draw's numbers) are drawn into it in place. The parameters change only
-    in the optimizer step that follows a training call (want_grads=True), so
-    an objective may keep what the chunks of one full-data evaluation share
-    until its next training call."""
+    draw's numbers) are drawn into it in place. begin_eval(), when given,
+    is called before each full-data evaluation, which may run in another
+    process than the training (module docstring): an objective may keep
+    what the chunks of one evaluation share from that call on."""
     N, T, V = corpus.n_subjects, corpus.n_stages, corpus.vocab_size
     K, M = cfg.n_topics, cfg.m_samples
     rows = min(N, max(ROW_CHUNK, cfg.batch_size))
@@ -240,6 +400,8 @@ def _run_epochs(corpus, registry, cfg, batch_loss):
     eps_buf = np.empty((rows, T, M, K))
 
     def full_loss():
+        if begin_eval is not None:
+            begin_eval()
         total = 0.0
         eval_rng = np.random.default_rng([cfg.seed, 1])
         for lo, hi, batch in arrays.chunks():
@@ -252,42 +414,72 @@ def _run_epochs(corpus, registry, cfg, batch_loss):
         if not math.isfinite(loss):
             raise DivergedError(f"loss became non-finite at epoch {epoch}")
 
-    # overflow in a diverging fit reaches the finiteness checks below,
-    # which name it, not as a numpy warning printed before the error
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        prev_loss = full_loss()
-        if not math.isfinite(prev_loss):
+    def train_epoch(epoch):
+        lr = cfg.learning_rate
+        if cfg.schedule == "cosine":
+            lr *= 0.5 * (1.0 + math.cos(math.pi * (epoch - 1) / cfg.t_max))
+        perm = rng.permutation(N)
+        try:
+            for lo in range(0, N, cfg.batch_size):
+                idx = perm[lo:lo + cfg.batch_size]
+                eps = rng.standard_normal(out=eps_buf[:len(idx)])
+                loss, grads = batch_loss(arrays.batch(idx), eps, True, work)
+                check(loss, epoch)
+                opt.step(grads, lr)
+        except NumericError as e:
+            raise DivergedError(f"parameters diverged: {e}") from e
+
+    log = []
+
+    def settle(ev, epoch):
+        """Check and log the loss of the parameters after epoch (0: before
+        training); True when the stop rule ends the fit there."""
+        try:
+            loss = ev.result()
+        except NumericError as e:
+            if epoch == 0:
+                raise
+            raise DivergedError(f"parameters diverged: {e}") from e
+        if epoch == 0 and not math.isfinite(loss):
             raise DivergedError("initial loss is not finite")
-        limit = BLOWUP * max(abs(prev_loss), 1.0)
-        log = [{"epoch": 0, "loss": prev_loss}]
+        check(loss, epoch)
+        limit = BLOWUP * max(abs(log[0]["loss"] if log else loss), 1.0)
+        if loss > limit:
+            raise DivergedError(
+                f"loss {loss:.6g} at epoch {epoch} is above {limit:.6g},"
+                f" {BLOWUP:g} times max(|initial loss|, 1)")
+        log.append({"epoch": epoch, "loss": loss})
+        if epoch == 0:
+            return False
+        prev = log[-2]["loss"]
+        rel = abs(loss - prev) / max(abs(prev), 1e-12)
+        return math.isfinite(cfg.eps_stop) and rel <= cfg.eps_stop
+
+    # overflow in a diverging fit reaches the finiteness checks, which name
+    # it, not as a numpy warning printed before the error
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"), \
+            _evaluator(registry, full_loss) as ev:
+        ev.submit()
         for epoch in range(1, cfg.t_max + 1):
-            lr = cfg.learning_rate
-            if cfg.schedule == "cosine":
-                lr *= 0.5 * (1.0 + math.cos(math.pi * (epoch - 1)
-                                            / cfg.t_max))
-            perm = rng.permutation(N)
-            try:
-                for lo in range(0, N, cfg.batch_size):
-                    idx = perm[lo:lo + cfg.batch_size]
-                    eps = rng.standard_normal(out=eps_buf[:len(idx)])
-                    loss, grads = batch_loss(arrays.batch(idx), eps, True,
-                                             work)
-                    check(loss, epoch)
-                    opt.step(grads, lr)
-                loss = full_loss()
-            except NumericError as e:
-                raise DivergedError(f"parameters diverged: {e}") from e
-            check(loss, epoch)
-            if loss > limit:
-                raise DivergedError(
-                    f"loss {loss:.6g} at epoch {epoch} is above {limit:.6g},"
-                    f" {BLOWUP:g} times max(|initial loss|, 1)")
-            log.append({"epoch": epoch, "loss": loss})
-            rel = abs(loss - prev_loss) / max(abs(prev_loss), 1e-12)
-            prev_loss = loss
-            if math.isfinite(cfg.eps_stop) and rel <= cfg.eps_stop:
+            # train epoch while epoch - 1 is evaluated, unless its loss is
+            # in already; what the serial loop would raise or return first
+            # still wins
+            ahead, failed = not ev.ready(), None
+            if ahead:
+                try:
+                    train_epoch(epoch)
+                except Exception as e:
+                    failed = e
+            if settle(ev, epoch - 1):
+                if ahead:
+                    ev.restore()
                 return log, True
-        return log, False
+            if failed is not None:
+                raise failed
+            if not ahead:
+                train_epoch(epoch)
+            ev.submit()
+        return log, settle(ev, cfg.t_max)
 
 
 def train(corpus, gen, enc, cfg):

@@ -513,16 +513,32 @@ def test_eval_and_infer_name_a_model_that_does_not_fit(tmp_path, capsys):
             assert err.startswith(f"error: {error}:"), err
 
 
-@pytest.mark.parametrize("settings", [
+BLOW_UPS = [
     ["train.a2=1e-320"],
     ["train.learning_rate=1e300"],
     ["train.dynamic_topics_var=1e-300", 'train.optimizer="sgd"'],
     ["train.dynamic_topics_var=1e-300"],
-])
+]
+
+
+@pytest.mark.parametrize("settings", BLOW_UPS)
 def test_numeric_blow_up_prints_only_the_named_error(tmp_path, settings):
+    _blow_up_prints_only_the_named_error(tmp_path, settings)
+
+
+@pytest.mark.parametrize("settings", BLOW_UPS)
+def test_numeric_blow_up_with_a_forked_evaluator_prints_only_the_named_error(
+        tmp_path, settings):
+    # one BLAS thread: the fit forks its loss evaluation process whenever
+    # it may run on two CPUs (trainer._evaluator)
+    _blow_up_prints_only_the_named_error(
+        tmp_path, settings, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+
+
+def _blow_up_prints_only_the_named_error(tmp_path, settings, **env):
     # a fresh process, so that numpy's warnings would reach stderr as a
     # user sees them
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    env = dict(os.environ, **env, PYTHONPATH=os.pathsep.join(
         [SRC, os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run(
         [sys.executable, "-m", "longtopic", "pipeline", "--out",

@@ -455,6 +455,27 @@ def test_corpus_arrays_hold_no_dense_tensor():
     assert all(a.size < N * T * V for a in held)
 
 
+def test_chunks_take_csr_slices_equal_to_the_gathered_batches(monkeypatch):
+    corpus = tiny_corpus(N=20, T=3, G=3, missing=[(0, 1), (5, 0), (6, 2),
+                                                  (11, 1), (12, 0), (19, 2)])
+    monkeypatch.setattr("longtopic.inference.loss.ROW_CHUNK", 6)
+    arrays = CorpusArrays(corpus)
+    spans = []
+    for lo, hi, chunk in arrays.chunks():
+        spans.append((lo, hi))
+        ref = arrays.batch(np.arange(lo, hi))
+        for name in ("x", "y_enc", "cf_encs", "present"):
+            assert np.array_equal(getattr(chunk, name), getattr(ref, name))
+        assert len(chunk.stages) == len(ref.stages) == 3
+        for got, want in zip(chunk.stages, ref.stages):
+            for g, w in zip(got, want):
+                assert g.dtype == w.dtype and np.array_equal(g, w)
+            assert np.shares_memory(got[1], arrays.words)
+            assert np.shares_memory(got[2], arrays.counts)
+    assert spans == [(0, 6), (6, 12), (12, 18), (18, 20)]
+    assert not corpus.present.all()
+
+
 def test_a_group_count_beyond_the_cap_is_refused_before_encoding():
     # (G - 1) * N * (G - 1) = 342,020,700 numbers, 2.5 GiB of encodings
     N = 700

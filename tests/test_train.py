@@ -1,9 +1,16 @@
 import json
+import os
+import select
+import subprocess
+import sys
+import threading
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from longtopic.corpus import Corpus
+from longtopic.corpus import Corpus, write_json
 from longtopic.errors import (
     ConfigError,
     DivergedError,
@@ -15,6 +22,7 @@ from longtopic.errors import (
 )
 from longtopic.inference import trainer
 from longtopic.inference.dynamic import fit_dynamic_topics
+from longtopic.inference.loss import longitudinal_loss
 from longtopic.inference.trainer import (
     Optimizer,
     TrainConfig,
@@ -440,3 +448,208 @@ def test_chunked_optimizer_step_matches_one_pass(kind, monkeypatch):
             opts[1].step(grads, 0.01)
         assert all(np.array_equal(a, b)
                    for (_, a), b in zip(registries[1], before))
+
+
+# whether a fit forks its loss evaluator on this machine
+CAN_FORK = hasattr(os, "fork") and len(getattr(
+    os, "sched_getaffinity", lambda pid: ())(0)) >= 2
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids of the processes forked while the test runs. A fit forks
+    its evaluator here as under a single-threaded BLAS, whatever this
+    process's BLAS pool, so that a test takes the forked path whenever it
+    may run on two CPUs."""
+    monkeypatch.setattr(trainer, "_os_threads", lambda: 1)
+    pids, real = [], os.fork
+
+    def fork():
+        pid = real()
+        if pid:
+            pids.append(pid)
+        return pid
+    monkeypatch.setattr(os, "fork", fork)
+    return pids
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+FOUR_FITS = {
+    "static": fast_cfg(t_max=4, eps_stop=float("inf")),
+    "dynamic": fast_cfg(t_max=4, eps_stop=float("inf"),
+                        dynamic_topics_var=0.05),
+    "stop at epoch 2": fast_cfg(t_max=30, eps_stop=1.2e-3, seed=1),
+    "blow-up": fast_cfg(t_max=50, optimizer="sgd", learning_rate=1e9),
+}
+
+
+def _fit_files(name, out):
+    """model.json and train_log.json as `fit` writes them, or the
+    DivergedError message, of FOUR_FITS[name]."""
+    corpus, cfg = two_topic_corpus(T=2), FOUR_FITS[name]
+    try:
+        fitted = (fit_dynamic_topics(corpus, cfg) if cfg.dynamic_topics_var
+                  else fit(corpus, cfg))
+    except DivergedError as e:
+        return str(e)
+    out.mkdir()
+    save_model(fitted, out / "model.json")
+    write_json({"log": fitted.log, "converged": fitted.converged},
+               out / "train_log.json", indent=2)
+    return [(out / f).read_bytes() for f in ("model.json", "train_log.json")]
+
+
+def _no_fork():
+    raise OSError("fork refused")
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.parametrize("name", FOUR_FITS)
+def test_forked_and_in_process_evaluations_write_the_same_bytes(
+        name, forks, monkeypatch, tmp_path):
+    forked = _fit_files(name, tmp_path / "forked")
+    assert len(forks) == CAN_FORK
+    if name == "stop at epoch 2":
+        assert json.loads(forked[1])["log"][-1]["epoch"] == 2
+    if name == "blow-up":
+        assert forked == "loss became non-finite at epoch 1"
+    with monkeypatch.context() as m:
+        m.setattr(os, "fork", _no_fork)
+        assert _fit_files(name, tmp_path / "no fork") == forked
+    with monkeypatch.context() as m:
+        m.setattr(os, "sched_getaffinity", lambda pid: {0})
+        assert _fit_files(name, tmp_path / "one cpu") == forked
+    done = threading.Event()
+    thread = threading.Thread(target=done.wait)
+    thread.start()
+    try:
+        assert _fit_files(name, tmp_path / "a thread") == forked
+    finally:
+        done.set()
+        thread.join()
+    assert len(forks) == CAN_FORK
+    _no_child_left()
+
+
+def _failing_objective(gen, enc, cfg, want_grads, call, result):
+    """train's objective, except that its call-th call with want_grads
+    gives result() instead (an evaluation's calls count in the process that
+    evaluates)."""
+    calls = [0]
+
+    def batch_loss(batch, eps, wants, work):
+        if wants == want_grads:
+            calls[0] += 1
+            if calls[0] == call:
+                return result(), None
+        res = longitudinal_loss(batch, gen, enc, cfg, eps, want_grads=wants,
+                                work=work)
+        return res.loss, res.grads
+    return batch_loss
+
+
+def _raise(error):
+    def result():
+        raise error
+    return result
+
+
+@pytest.mark.parametrize("want_grads, call, result, error, message", [
+    (True, 4, lambda: float("nan"), DivergedError,
+     "loss became non-finite at epoch 2"),
+    (False, 3, lambda: float("nan"), DivergedError,
+     "loss became non-finite at epoch 2"),
+    (True, 4, _raise(RuntimeError("a training batch failed")), RuntimeError,
+     "a training batch failed"),
+    (False, 3, _raise(ValueError("an evaluation failed")), ValueError,
+     "an evaluation failed"),
+    (False, 2, _raise(NumericError("sigma went negative")), DivergedError,
+     "parameters diverged: sigma went negative"),
+])
+def test_an_error_on_either_side_reaches_the_caller_and_ends_the_helper(
+        want_grads, call, result, error, message, forks):
+    corpus = two_topic_corpus(N=48)  # three training batches per epoch
+    cfg = fast_cfg(t_max=5, eps_stop=float("inf"))
+    gen, enc = default_init(corpus, cfg)
+    batch_loss = _failing_objective(gen, enc, cfg, want_grads, call, result)
+    with pytest.raises(error) as info:
+        trainer._run_epochs(corpus, param_registry(gen, enc), cfg,
+                            batch_loss)
+    assert str(info.value) == message
+    assert len(forks) == CAN_FORK
+    _no_child_left()
+
+
+@pytest.mark.parametrize("cfg, epochs", [
+    (fast_cfg(t_max=3, eps_stop=float("inf")), 3),
+    (FOUR_FITS["stop at epoch 2"], 2)])
+def test_a_returning_fit_ends_its_helper(cfg, epochs, forks):
+    fitted = fit(two_topic_corpus(T=2), cfg)
+    assert fitted.log[-1]["epoch"] == epochs and len(forks) == CAN_FORK
+    _no_child_left()
+
+
+def test_a_stop_rule_return_keeps_the_parameters_it_logged(forks):
+    """The parent trains one epoch past the stop, then puts back the
+    parameters of the epoch that stopped, as a serial fit returns them."""
+    corpus, cfg = two_topic_corpus(T=2), FOUR_FITS["stop at epoch 2"]
+    stopped = fit(corpus, cfg)
+    two = fit(corpus, fast_cfg(t_max=2, eps_stop=float("inf"), seed=1))
+    assert stopped.converged and stopped.log == two.log
+    for (key, a), (_, b) in zip(param_registry(stopped.gen, stopped.enc),
+                                param_registry(two.gen, two.enc)):
+        assert np.array_equal(a, b), key
+
+
+@pytest.mark.skipif(not CAN_FORK or not os.path.isdir("/proc/self"),
+                    reason="needs a forked evaluator and /proc")
+def test_a_killed_fit_leaves_no_helper_behind():
+    script = (
+        "import os\n"
+        "real = os.fork\n"
+        "def fork():\n"
+        "    pid = real()\n"
+        "    if pid:\n"
+        "        print(pid, flush=True)\n"
+        "    return pid\n"
+        "os.fork = fork\n"
+        "from longtopic.simulate import SimConfig, simulate\n"
+        "from longtopic.inference.trainer import TrainConfig, default_init,"
+        " train\n"
+        "corpus, _ = simulate(SimConfig(n_subjects=300, n_stages=3,"
+        " vocab_size=80, n_topics=3, seed=0))\n"
+        "cfg = TrainConfig(n_topics=3, t_max=100000,"
+        " eps_stop=float('inf'))\n"
+        "train(corpus, *default_init(corpus, cfg), cfg)\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    # one BLAS thread, so that the fit forks its evaluator
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep
+               .join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.Popen([sys.executable, "-c", script], env=env,
+                            stdout=subprocess.PIPE, text=True)
+    try:
+        # the fit never ends by itself: wait for the helper's pid a bounded
+        # time, in case it evaluates in its own process here
+        assert select.select([proc.stdout], [], [], 60)[0], "no fork"
+        helper = int(proc.stdout.readline())
+        time.sleep(0.5)  # some epochs into the fit
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stdout.close()
+
+    def running():
+        try:
+            with open(f"/proc/{helper}/stat") as f:
+                # the state follows the parenthesized command name
+                return f.read().rsplit(")", 1)[1].split()[0] != "Z"
+        except FileNotFoundError:
+            return False
+    deadline = time.monotonic() + 5.0
+    while running() and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert not running()

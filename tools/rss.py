@@ -6,11 +6,14 @@ Runs bench/run.py's run_pass as it is, on seed N (default 0), with its
 pipeline's stages (setup, load, fit, model_io, evaluate), infer_proportions
 and the checks it calls (corpus_roundtrip, cell_totals, run_all,
 perplexity_gap_closed) wrapped so that each prints, when it returns, the
-process's resident set now (/proc/self/statm) and its peak so far
-(ru_maxrss), in MB as the benchmark's peak_rss_mb counts them (2**20
-bytes), after a title line naming the workload and seed. The peak after a
-step is what peak_rss_mb would read had the run ended there, so the step at
-which it climbs is the step that sets it. bench/run.py and bench/checks.py
+process's resident set now (/proc/self/statm), its peak so far (ru_maxrss
+of RUSAGE_SELF) and the largest peak of its ended child processes so far
+(RUSAGE_CHILDREN: a fit's loss evaluation process, whose peak counts the
+pages it shares copy-on-write with its parent), in MB as the benchmark's
+peak_rss_mb counts them (2**20 bytes), after a title line naming the
+workload and seed. The peak after a step is what peak_rss_mb, which reads
+RUSAGE_SELF only, would read had the run ended there, so the step at which
+it climbs is the step that sets it. bench/run.py and bench/checks.py
 are imported by path; nothing under bench/ changes. Linux only (statm).
 """
 
@@ -40,9 +43,9 @@ def rss_mb():
     return pages * os.sysconf("SC_PAGE_SIZE") / 2**20
 
 
-def maxrss_mb():
+def maxrss_mb(who=resource.RUSAGE_SELF):
     """Peak resident set so far; Linux gives ru_maxrss in KiB."""
-    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+    return resource.getrusage(who).ru_maxrss / 1024.0
 
 
 def after(fn, step):
@@ -68,11 +71,12 @@ def main(argv=None):
     n = 0
 
     def step(name):
-        print(f"{n:>4}  {name:<22} {rss_mb():>8.1f} {maxrss_mb():>10.1f}",
-              flush=True)
+        print(f"{n:>4}  {name:<22} {rss_mb():>8.1f} {maxrss_mb():>10.1f}"
+              f" {maxrss_mb(resource.RUSAGE_CHILDREN):>19.1f}", flush=True)
 
     print(f"workload {args.workload}, seed {args.seed}")
-    print(f"{'pass':>4}  {'step':<22} {'rss_mb':>8} {'maxrss_mb':>10}")
+    print(f"{'pass':>4}  {'step':<22} {'rss_mb':>8} {'maxrss_mb':>10}"
+          f" {'children_maxrss_mb':>19}")
     step("import")
     # run_all looks cell_totals up in checks' globals, so it prints there too
     for module, name in [(lt, "infer_proportions"),
