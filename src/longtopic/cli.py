@@ -18,8 +18,10 @@ type or out of its bound fails every command before it starts, as does a bad
 field of a sim or train block the command uses (ConfigError). Seeds are >= 0;
 --seed sets both; pipeline repeat i runs at base_seed + i into out/seed_<s>/.
 A fit whose Monte-Carlo tensors would exceed MAX_SAMPLE_ELEMENTS numbers is a
-ConfigError naming m_samples. Exit status is 0 on success, 1 on any named
-error (message on stderr); the same config and seed give the same JSON bytes.
+ConfigError naming m_samples, and one whose model would, a ConfigError naming
+n_topics, hidden_enc and hidden_trans. Exit status is 0 on success, 1 on any
+named error (message on stderr); the same config and seed give the same JSON
+bytes.
 """
 
 from __future__ import annotations

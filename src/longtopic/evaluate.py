@@ -10,6 +10,12 @@ coherence/perplexity, the corpus counts.
 The topic metrics take the (T, V, K) stack whole, with no stage loop but the
 K!-table argmin of the alignment; coherence and perplexity read the corpus
 stage by stage.
+
+full_report runs coherence and perplexity in a helper process, forked when a
+fit would fork (trainer._evaluator; not beside numpy's default BLAS pool on two
+CPUs), beside the probe and the truth metrics; the same module functions on the
+same arrays give the same floats. Traced from outside (bench/spans.py), a
+forked report shows no coherence or perplexity span; alignment stays here.
 """
 
 from __future__ import annotations
@@ -279,23 +285,35 @@ def _probe_fit(X, y, G, n_iter, step, l2):
 
 def full_report(fitted, corpus, truth=None):
     """Compose all metrics on one fitted model; alignment runs once and its
-    permutations are shared by the truth-dependent metrics."""
-    from .inference.trainer import infer_proportions
+    permutations are shared by the truth-dependent metrics. The error that
+    the serial order would raise first wins (module docstring)."""
+    from .inference.trainer import _evaluator, infer_proportions
 
     beta_hat = fitted.stage_topics()
     theta_hat = infer_proportions(fitted, corpus)
     pres = corpus.present.T                      # (T, N)
     mask = None if pres.all() else pres
-    coh = umass_coherence(beta_hat, corpus)
-    perp = perplexity(beta_hat, theta_hat, corpus)
-    gacc = group_accuracy(theta_hat, corpus.groups, mask=mask)
-    kl = dacc = perms = None
-    if truth is not None:
-        perms = align_topics(beta_hat, truth.beta_true)
-        kl = empirical_kl(apply_permutations(beta_hat, perms),
-                          truth.beta_true)
-        dacc = dominant_accuracy(apply_permutations(theta_hat, perms),
-                                 truth.theta_true, mask=mask)
+
+    def corpus_scores():
+        return (umass_coherence(beta_hat, corpus),
+                perplexity(beta_hat, theta_hat, corpus))
+
+    kl = dacc = perms = failed = None
+    with _evaluator([], corpus_scores) as ev:
+        ev.submit()
+        try:
+            gacc = group_accuracy(theta_hat, corpus.groups, mask=mask)
+            if truth is not None:
+                perms = align_topics(beta_hat, truth.beta_true)
+                kl = empirical_kl(apply_permutations(beta_hat, perms),
+                                  truth.beta_true)
+                dacc = dominant_accuracy(apply_permutations(theta_hat, perms),
+                                         truth.theta_true, mask=mask)
+        except Exception as e:
+            failed = e
+        coh, perp = ev.result()
+    if failed is not None:
+        raise failed
     return MetricsReport(kl_topics=kl, coherence=coh, perplexity=perp,
                          dominant_acc=dacc, group_acc=gacc,
                          permutations=perms)

@@ -105,16 +105,33 @@ class TrainConfig:
 
 def default_init(corpus, cfg):
     """Fresh (GenerativeParams, EncoderParams) for a corpus, sized from the
-    config; a deterministic function of cfg.seed."""
+    config; a deterministic function of cfg.seed. ConfigError, before any
+    draw, when the model's blocks (with dynamic_topics_var set, also the
+    (T, V, K) topic moments) would hold more than MAX_SAMPLE_ELEMENTS
+    numbers."""
+    V, K, T, P = (corpus.vocab_size, cfg.n_topics, corpus.n_stages,
+                  corpus.n_features)
+    E = group_encoding_dim(corpus.n_groups)
+    size = 2 * V * K + K + sum(     # beta, beta0_mean, eta0 and the blocks
+        n * sum(math.prod(s) for _, s in shapes) for n, shapes in (
+            (1 if cfg.share_transitions else T, TransitionModel.param_shapes(
+                K, K + P + E, cfg.hidden_trans)),
+            (T, StageEncoder.param_shapes(V, P, E, K, cfg.hidden_enc))))
+    if cfg.dynamic_topics_var is not None:
+        size += 2 * T * V * K
+    if size > MAX_SAMPLE_ELEMENTS:
+        raise ConfigError(
+            f"n_topics={K}, hidden_enc={cfg.hidden_enc} and hidden_trans="
+            f"{cfg.hidden_trans} make a model of {size} numbers, above the"
+            f" cap {MAX_SAMPLE_ELEMENTS}")
     rng = np.random.default_rng([cfg.seed, 0])
     gen = GenerativeParams.init(
-        corpus.vocab_size, cfg.n_topics, corpus.n_stages, corpus.n_features,
-        corpus.n_groups, hidden=cfg.hidden_trans,
+        V, K, T, P, corpus.n_groups, hidden=cfg.hidden_trans,
         share_across_stages=cfg.share_transitions, rng=rng,
         scale=cfg.init_scale, a2=float(cfg.a2), delta2=float(cfg.delta2))
-    enc = EncoderParams.init(
-        corpus.vocab_size, corpus.n_features, cfg.n_topics, corpus.n_stages,
-        corpus.n_groups, hidden=cfg.hidden_enc, rng=rng, scale=cfg.init_scale)
+    enc = EncoderParams.init(V, P, K, T, corpus.n_groups,
+                             hidden=cfg.hidden_enc, rng=rng,
+                             scale=cfg.init_scale)
     if cfg.tie_encoder_init:
         # start every stage encoder from the stage-1 draw: the stages still
         # train independently, but group-direction choices stay coherent
@@ -246,15 +263,17 @@ class _InProcess:
 
 
 class _Helper:
-    """A process, forked once per fit, that evaluates the full-data loss of
+    """A process, forked once per fit or report, that calls full_loss() on
     the registry values that submit() copies into a shared snapshot, while
-    this process trains on. stop() ends and reaps it."""
+    this process works on. stop() ends and reaps it."""
 
     def __init__(self, registry, full_loss):
         self.registry = registry
         sizes = [a.size for _, a in registry]
-        # an anonymous mmap is MAP_SHARED: the helper reads what submit writes
-        self.snap = np.frombuffer(mmap.mmap(-1, 8 * sum(sizes)))
+        # an anonymous mmap is MAP_SHARED: the helper reads what submit
+        # writes; mmap refuses length 0, and nothing needs sharing then
+        self.snap = (np.frombuffer(mmap.mmap(-1, 8 * sum(sizes)))
+                     if sum(sizes) else np.empty(0))
         self.views = [part.reshape(a.shape) for (_, a), part in
                       zip(registry, np.split(self.snap, np.cumsum(sizes)[:-1]))]
         ask, self.ask = os.pipe()
@@ -301,8 +320,9 @@ class _Helper:
             arr[...] = view
 
     def submit(self):
-        np.concatenate([a for _, a in self.registry], axis=None,
-                       out=self.snap)
+        if self.registry:
+            np.concatenate([a for _, a in self.registry], axis=None,
+                           out=self.snap)
         try:
             os.write(self.ask, b"e")
         except BrokenPipeError:  # result() names the ended helper
@@ -315,7 +335,7 @@ class _Helper:
         try:
             ok, value = pickle.load(self.answers)
         except (EOFError, OSError, pickle.UnpicklingError) as e:
-            raise IoError(f"the loss evaluation process {self.pid} ended"
+            raise IoError(f"the evaluation process {self.pid} ended"
                           f" without an answer") from e
         if not ok:
             raise value
@@ -336,7 +356,8 @@ def _os_threads():
 
 @contextmanager
 def _evaluator(registry, full_loss):
-    """The fit's evaluator: a _Helper when this process can fork, runs no
+    """The evaluator of a fit, and of evaluate.full_report (with an empty
+    registry): a _Helper when this process can fork, runs no
     other Python thread (a fork copies only the calling thread, and a lock
     another one holds would stay held) and may run on twice as many CPUs as
     it has OS threads, since the helper inherits a BLAS pool's thread count

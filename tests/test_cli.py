@@ -306,6 +306,37 @@ def test_monte_carlo_tensors_beyond_the_cap_are_config_errors(tmp_path,
     assert "m_samples=100000000" in err and "eval eps" in err
 
 
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs preexec_fn")
+@pytest.mark.parametrize("setting", ["train.n_topics=100000000",
+                                     "train.hidden_enc=1000000000",
+                                     "train.hidden_trans=1000000000"])
+def test_a_model_beyond_the_cap_is_one_named_error_under_a_memory_limit(
+        tmp_path, setting):
+    """Each asked numpy for 37 to 551 GiB of parameters, a raw
+    MemoryError under this address-space limit; the limit binds in the
+    child only."""
+    import resource
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (4 * 2 ** 30, 4 * 2 ** 30))
+    data = tmp_path / "data"
+    assert main(["simulate", "--out", str(data), "--seed", "3",
+                 "--set", "sim.n_subjects=30", "--set", "sim.vocab_size=50",
+                 "--set", "sim.n_stages=2", "--set", "sim.n_topics=3"]) == 0
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep
+               .join([SRC, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "longtopic", "fit", "--out",
+         str(tmp_path / "out"), "--set", "train.n_topics=3", "--set",
+         setting, "--set", f'paths.corpus="{data / "corpus"}"'],
+        capture_output=True, text=True, env=env, preexec_fn=limit)
+    assert proc.returncode == 1
+    assert proc.stderr.count("\n") == 1, proc.stderr
+    assert proc.stderr.startswith("error: ConfigError: "), proc.stderr
+    assert setting.split(".")[1] in proc.stderr
+    assert not (tmp_path / "out").exists()
+
+
 def test_failed_fit_and_eval_create_no_output_directory(tmp_path, capsys):
     out = tmp_path / "run"
     assert main(["simulate", "--out", str(out), "--seed", "3", *SIM,

@@ -1,11 +1,13 @@
 import itertools
 import json
+import os
 import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from longtopic import evaluate
 from longtopic.corpus import ROW_CHUNK, Corpus, load_corpus, save_corpus
 from longtopic.errors import (
     DegenerateDesign,
@@ -38,6 +40,7 @@ from longtopic.inference.trainer import (
 )
 from longtopic.model import default_vocab, softmax
 from longtopic.simulate import SimConfig, simulate
+from conftest import CAN_FORK, no_child_left, no_fork
 from oracles import (
     align_topics_ref,
     encode_corpus_ref,
@@ -421,6 +424,91 @@ def test_full_report_with_truth_and_missing(tmp_path):
     assert len(payload) == T and len(payload[0]) == K
     assert all(len(topic) == 3 and all(isinstance(w, str) for w in topic)
                for st in payload for topic in st)
+
+
+def _report_cases():
+    """(name, fitted, corpus, truth) of each case the forked and in-process
+    reports must agree on."""
+    from longtopic.simulate import GroundTruth
+    c5 = SimConfig(n_subjects=1000, n_stages=3, vocab_size=200, n_topics=3,
+                   prior_kind="nonlinear", seed=5)
+    g4 = SimConfig(n_subjects=60, n_stages=2, vocab_size=30, n_topics=3,
+                   n_groups=4, seed=4)
+    missing, corpus = toy_fitted(missing=True)
+    rng = np.random.default_rng(1)
+    yield "missing cells", missing, corpus, GroundTruth(
+        beta_true=np.stack([np.full((5, 2), 0.2)] * 2),
+        theta_true=rng.dirichlet(np.ones(2), size=(2, 24)), gamma={})
+    yield "no truth", *toy_fitted(), None
+    for name, sim in (("c5 shape", c5), ("four groups", g4)):
+        corpus, truth = simulate(sim)
+        cfg = TrainConfig(n_topics=3, m_samples=2, t_max=2, hidden_enc=8,
+                          dist_kind="linf", seed=sim.seed)
+        yield name, train(corpus, *default_init(corpus, cfg), cfg), corpus, \
+            truth
+
+
+def _report_bits(report):
+    d = report.to_dict()
+    return d, {k: None if v is None else float(v).hex()
+               for k, v in d.items() if k != "permutations"}
+
+
+def test_forked_and_in_process_reports_are_bit_identical(forks, monkeypatch):
+    for name, fitted, corpus, truth in _report_cases():
+        before = len(forks)
+        forked = _report_bits(full_report(fitted, corpus, truth))
+        assert len(forks) == before + CAN_FORK, name
+        with monkeypatch.context() as m:
+            m.setattr(os, "fork", no_fork)
+            assert _report_bits(full_report(fitted, corpus, truth)) \
+                == forked, name
+        no_child_left()
+
+
+def _raising(error):
+    def metric(*args, **kwargs):
+        raise error
+    return metric
+
+
+@pytest.mark.parametrize("metric", ["umass_coherence", "perplexity"])
+@pytest.mark.parametrize("fork", [True, False], ids=["forked", "in_process"])
+def test_a_helper_error_wins_over_the_probe_as_in_serial_order(
+        metric, fork, forks, monkeypatch):
+    """The metrics are looked up in the module at call time, so the patches
+    reach the helper; its error comes first in the serial order."""
+    fitted, corpus = toy_fitted()
+    forks.clear()  # the fit's helper
+    if not fork:
+        monkeypatch.setattr(os, "fork", no_fork)
+    monkeypatch.setattr(evaluate, "group_accuracy",
+                        _raising(DegenerateDesign("the probe failed")))
+    with pytest.raises(DegenerateDesign, match="the probe failed"):
+        full_report(fitted, corpus)
+    monkeypatch.setattr(evaluate, metric,
+                        _raising(ShapeError(f"{metric} failed")))
+    with pytest.raises(ShapeError, match=f"{metric} failed"):
+        full_report(fitted, corpus)
+    assert len(forks) == 2 * (fork and CAN_FORK)
+    no_child_left()
+
+
+def test_a_report_forks_one_helper_and_leaves_no_child(forks):
+    fitted, corpus = toy_fitted()
+    # three cells against G * K = 4 samples is a degenerate probe design
+    small = Corpus.from_dense(np.ones((1, 3, 5)), np.zeros((1, 3, 2)),
+                              np.array([1]), default_vocab(5))
+    cfg = TrainConfig(n_topics=2, m_samples=2, t_max=1, hidden_enc=4)
+    degenerate = train(small, *default_init(small, cfg), cfg)
+    forks.clear()  # the fits' helpers
+    full_report(fitted, corpus)
+    assert len(forks) == CAN_FORK
+    no_child_left()
+    with pytest.raises(DegenerateDesign):
+        full_report(degenerate, small)
+    assert len(forks) == 2 * CAN_FORK
+    no_child_left()
 
 
 # -- bitwise agreement with the loop forms in tests/oracles.py ---------------

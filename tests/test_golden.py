@@ -19,15 +19,19 @@ whose sums round otherwise than the dense products they replaced; every
 `train_log.json`, `metrics.json` and `summary.json` kept its bytes through
 that change. They pin the on-disk formats and the random draw order: a
 change to either shows up here even when two runs of the new code agree with
-each other. A different BLAS may round the fit differently
+each other. The `eval` and `pipeline` pins hold both when each fit and report
+forks its helper process and when it runs in process. A different BLAS may
+round the fit differently
 and change the hashes of the fitted artifacts (`model.json`, `train_log.json`,
 `proportions.json`, `summary.json`, `metrics.json`) only.
 """
 
 import hashlib
+import os
 
 import pytest
 
+from conftest import CAN_FORK, no_fork
 from longtopic.cli import main
 
 SIM = ["--set", "sim.n_subjects=30", "--set", "sim.n_stages=3",
@@ -113,6 +117,15 @@ GOLDEN_PIPELINE = {
 }
 
 
+@pytest.fixture(params=[True, False], ids=["forked", "in_process"])
+def helpers(request, forks, monkeypatch):
+    """How many helpers each fit and each report forks: one when it may run
+    on two CPUs (`forks`), or none, with os.fork refused."""
+    if not request.param:
+        monkeypatch.setattr(os, "fork", no_fork)
+    return forks, int(request.param and CAN_FORK)
+
+
 def sha256s(root, rels):
     return {rel: hashlib.sha256((root / rel).read_bytes()).hexdigest()
             for rel in rels}
@@ -146,14 +159,18 @@ def simulate_fit_eval(root, sim_extra=(), train_extra=()):
     return out
 
 
-def test_eval_metrics_match_golden_bytes(tmp_path):
+def test_eval_metrics_match_golden_bytes(tmp_path, helpers):
     out = simulate_fit_eval(tmp_path)
     assert sha256s(out, GOLDEN_METRICS) == GOLDEN_METRICS
+    forks, each = helpers
+    assert len(forks) == 2 * each  # the fit's and the report's
 
 
-def test_two_group_six_topic_eval_matches_golden_bytes(tmp_path):
+def test_two_group_six_topic_eval_matches_golden_bytes(tmp_path, helpers):
     out = simulate_fit_eval(tmp_path, K6_SIM, K6_TRAIN)
     assert sha256s(out, GOLDEN_METRICS_K6) == GOLDEN_METRICS_K6
+    forks, each = helpers
+    assert len(forks) == 2 * each
 
 
 def test_batch_and_chunk_crossing_run_matches_golden_bytes(tmp_path):
@@ -183,10 +200,12 @@ def test_dynamic_topic_fit_matches_golden_bytes(tmp_path):
     assert sha256s(fit, GOLDEN_DYNAMIC) == GOLDEN_DYNAMIC
 
 
-def test_pipeline_matches_golden_bytes(tmp_path):
+def test_pipeline_matches_golden_bytes(tmp_path, helpers):
     assert main(["pipeline", "--out", str(tmp_path), "--seed", "11", *SIM,
                  *TRAIN, "--repeats", "2"]) == 0
     assert sha256s(tmp_path, GOLDEN_PIPELINE) == GOLDEN_PIPELINE
+    forks, each = helpers
+    assert len(forks) == 4 * each  # a fit and a report per seed
     for seed in (11, 12):
         assert sorted(p.name for p in (tmp_path / f"seed_{seed}").iterdir()) \
             == ["corpus", "metrics.json", "model.json",

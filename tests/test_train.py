@@ -6,6 +6,7 @@ import sys
 import threading
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from longtopic.errors import (
 )
 from longtopic.inference import trainer
 from longtopic.inference.dynamic import fit_dynamic_topics
-from longtopic.inference.loss import longitudinal_loss
+from longtopic.inference.loss import MAX_SAMPLE_ELEMENTS, longitudinal_loss
 from longtopic.inference.trainer import (
     Optimizer,
     TrainConfig,
@@ -35,6 +36,7 @@ from longtopic.inference.trainer import (
     train,
 )
 from longtopic.model import default_vocab
+from conftest import CAN_FORK, no_child_left, no_fork
 from oracles import OptimizerRef
 
 
@@ -222,6 +224,24 @@ def test_monte_carlo_tensors_beyond_the_cap_are_config_errors():
     with pytest.raises(ConfigError, match="m_samples=100000000 .* eval eps"):
         fit_dynamic_topics(corpus, fast_cfg(m_samples=10 ** 8,
                                             dynamic_topics_var=0.5))
+
+
+def test_a_model_beyond_the_cap_is_a_config_error_before_any_draw():
+    # a V = 1e6 corpus's dimensions alone: default_init reads nothing else
+    # before its check. 2 V K + T (H (V + 1 + K) + H + 2 K H + 2 K) + T (K
+    # (K + 1) + K) + K numbers are 1.02e8, under the cap; the dynamic fit's
+    # two (T, V, K) topic moments add 2e8 more
+    corpus = SimpleNamespace(vocab_size=10 ** 6, n_stages=2, n_features=0,
+                             n_groups=2)
+    cfg = fast_cfg(n_topics=50, hidden_enc=1, dynamic_topics_var=0.1)
+    V, T, K, H = 10 ** 6, 2, 50, 1
+    size = (2 * V * K + T * (H * (V + 1 + K) + H + 2 * K * H + 2 * K)
+            + T * (K * (K + 1) + K) + K)
+    assert size <= MAX_SAMPLE_ELEMENTS < size + 2 * T * V * K
+    with pytest.raises(ConfigError, match=(
+            f"n_topics=50, hidden_enc=1 and hidden_trans=0 make a model of"
+            f" {size + 2 * T * V * K} numbers")):
+        default_init(corpus, cfg)
 
 
 def test_shared_transitions_train():
@@ -450,34 +470,6 @@ def test_chunked_optimizer_step_matches_one_pass(kind, monkeypatch):
                    for (_, a), b in zip(registries[1], before))
 
 
-# whether a fit forks its loss evaluator on this machine
-CAN_FORK = hasattr(os, "fork") and len(getattr(
-    os, "sched_getaffinity", lambda pid: ())(0)) >= 2
-
-
-@pytest.fixture
-def forks(monkeypatch):
-    """The pids of the processes forked while the test runs. A fit forks
-    its evaluator here as under a single-threaded BLAS, whatever this
-    process's BLAS pool, so that a test takes the forked path whenever it
-    may run on two CPUs."""
-    monkeypatch.setattr(trainer, "_os_threads", lambda: 1)
-    pids, real = [], os.fork
-
-    def fork():
-        pid = real()
-        if pid:
-            pids.append(pid)
-        return pid
-    monkeypatch.setattr(os, "fork", fork)
-    return pids
-
-
-def _no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 FOUR_FITS = {
     "static": fast_cfg(t_max=4, eps_stop=float("inf")),
     "dynamic": fast_cfg(t_max=4, eps_stop=float("inf"),
@@ -503,10 +495,6 @@ def _fit_files(name, out):
     return [(out / f).read_bytes() for f in ("model.json", "train_log.json")]
 
 
-def _no_fork():
-    raise OSError("fork refused")
-
-
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 @pytest.mark.parametrize("name", FOUR_FITS)
 def test_forked_and_in_process_evaluations_write_the_same_bytes(
@@ -518,7 +506,7 @@ def test_forked_and_in_process_evaluations_write_the_same_bytes(
     if name == "blow-up":
         assert forked == "loss became non-finite at epoch 1"
     with monkeypatch.context() as m:
-        m.setattr(os, "fork", _no_fork)
+        m.setattr(os, "fork", no_fork)
         assert _fit_files(name, tmp_path / "no fork") == forked
     with monkeypatch.context() as m:
         m.setattr(os, "sched_getaffinity", lambda pid: {0})
@@ -532,7 +520,7 @@ def test_forked_and_in_process_evaluations_write_the_same_bytes(
         done.set()
         thread.join()
     assert len(forks) == CAN_FORK
-    _no_child_left()
+    no_child_left()
 
 
 def _failing_objective(gen, enc, cfg, want_grads, call, result):
@@ -581,7 +569,7 @@ def test_an_error_on_either_side_reaches_the_caller_and_ends_the_helper(
                             batch_loss)
     assert str(info.value) == message
     assert len(forks) == CAN_FORK
-    _no_child_left()
+    no_child_left()
 
 
 @pytest.mark.parametrize("cfg, epochs", [
@@ -590,7 +578,7 @@ def test_an_error_on_either_side_reaches_the_caller_and_ends_the_helper(
 def test_a_returning_fit_ends_its_helper(cfg, epochs, forks):
     fitted = fit(two_topic_corpus(T=2), cfg)
     assert fitted.log[-1]["epoch"] == epochs and len(forks) == CAN_FORK
-    _no_child_left()
+    no_child_left()
 
 
 def test_a_stop_rule_return_keeps_the_parameters_it_logged(forks):
