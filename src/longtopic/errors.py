@@ -7,6 +7,11 @@ half-constructed object or a bare ValueError from the public API.
 import dataclasses
 import numbers
 
+# the most float64 numbers (2 GiB) that one allocation sized by a setting or
+# a file may hold: a Monte-Carlo tensor, a model, a corpus's counterfactual
+# group encodings, a simulation's covariates, topics and proportions
+MAX_SAMPLE_ELEMENTS = 2 ** 28
+
 
 class LongtopicError(Exception):
     """Base class for all package errors."""

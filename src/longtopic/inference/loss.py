@@ -22,36 +22,38 @@ ELBO; S = M later, the shared-eps Monte-Carlo estimate of
 E_{eta_{t-1} ~ q_{t-1}}[KL(q_t || p_t)] that the stage decomposition of the
 evidence bound prescribes.
 
-Each stage costs a fixed number of batched kernels whatever C and M are: one
-encoder pass whose counterfactual heads share the factual trunk
-(`stage_heads`, which the posterior read-out also iterates), one distance
-call on its stacked (1 + C, B, K) moments, one transition pass over the
-B * S previous samples, and the reconstruction at the nonzero counts only (a
-zero count adds nothing to the likelihood or its gradient), in one padded
-(B, L, K) gather of topic rows (`nonzero_probs`, `nonzero_backward`).
+A call costs a fixed number of batched kernels whatever C and M are. The
+encoder chain runs first (`stage_heads`, a pass a stage whose counterfactual
+heads share the factual trunk; the posterior read-out iterates it too). The
+row-local terms then run once on the stages' stacked rows: the samples'
+softmax, one distance call on the (T * B)-row heads and the KL rows of the
+stages after the first. Per stage remain the transition pass over the B * S
+previous samples and the reconstruction at the nonzero counts only, in one
+padded (B, L, K) gather of topic rows (`nonzero_probs`, `nonzero_backward`).
 
-The forward (`_forward`) yields one StageRecord per stage, what the backward
-reads and the stage's three terms; the hand-derived backward (`_backward`)
-walks the records last stage first. Paths into stage t's moments: the
-stage-t KL and distance terms, the multinomial term through eta_{t,j}, the
-stage-(t+1) prior mean through f_{t+1}(eta_{t,j}, ...), and the stage-(t+1)
-encoder inputs (factual and counterfactual) through the recurrent
-previous-mean slot. Missing cells keep the recurrent chain alive but
-contribute no terms. A training call holds every record until the backward
-reads it; an evaluation (want_grads=False) holds one at a time, so its
-memory does not grow with the number of stages.
+`_forward` returns the KL and distance terms, theta and a Forward of what
+`_backward` reads; the reconstruction follows a stage at a time. The
+hand-derived backward runs what the encoder chain does not feed first, then
+the encoders last stage first. Paths into stage t's moments: the stage-t KL
+and distance terms, the multinomial term through eta_{t,j}, the stage-(t+1)
+prior mean through f_{t+1}(eta_{t,j}, ...), and the stage-(t+1) encoder
+inputs (factual and counterfactual) through the recurrent previous-mean
+slot. Missing cells keep the recurrent chain alive but contribute no terms.
+An evaluation (want_grads=False) frees all but theta before its
+reconstruction, which holds one stage's blocks at a time, so its memory
+grows with the number of stages by theta's (B, M, K) alone.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from dataclasses import dataclass
-from operator import attrgetter
 
 import numpy as np
 
 from ..corpus import ROW_CHUNK
-from ..errors import NumericError, ShapeError, UnknownDistance
+from ..errors import (MAX_SAMPLE_ELEMENTS, NumericError, ShapeError,
+                      UnknownDistance)
 from ..model import (
     PROB_FLOOR,
     column_softmax,
@@ -61,10 +63,6 @@ from ..model import (
     softmax_backward,
 )
 from .terms import DISTANCE_KINDS, _kl_rows, _member_sum, distance_with_grad
-
-# the most float64 numbers (2 GiB) that one Monte-Carlo tensor, or one
-# corpus's counterfactual group encodings, may hold
-MAX_SAMPLE_ELEMENTS = 2 ** 28
 
 
 @dataclass
@@ -109,44 +107,47 @@ class CorpusArrays:
         return np.concatenate([s[3] for s in self.batch(idx).stages])
 
     def batch(self, idx):
-        """The Batch of subjects idx: the entries of cells t*N + idx, each
-        count also over its cell total."""
+        """The Batch of subjects idx: the entries of cells t*N + idx, every
+        stage's in one gather, each count also over its cell total."""
         idx = np.asarray(idx)
-        N = self.present.shape[0]
+        N, T = self.present.shape
+        cells = (N * np.arange(T)[:, None] + idx).ravel()
+        start = self.indptr[cells]
+        n = self.indptr[cells + 1] - start
+        ent = np.arange(n.sum()) + np.repeat(start - np.cumsum(n) + n, n)
+        return self._batch(idx, n, self.words[ent], self.counts[ent])
 
-        def entries(t):
-            start = self.indptr[t * N + idx]
-            n = self.indptr[t * N + idx + 1] - start
-            return n, (np.arange(n.sum())
-                       + np.repeat(start - np.cumsum(n) + n, n))
-        return self._batch(idx, entries)
+    def _batch(self, idx, n, words, counts):
+        """The Batch of subjects idx from its cells' entries, stage-major, n
+        a cell: their words and counts, in one array or a list per stage."""
+        T = self.present.shape[1]
+        ends = np.cumsum(n.reshape(T, -1).sum(axis=1)).tolist()
 
-    def _batch(self, idx, entries):
-        """The Batch of subjects idx, whose stage-t entries, n per subject,
-        entries(t) gives as (n, an index or a slice of the CSR arrays)."""
-        stages = []
-        for t in range(self.present.shape[1]):
-            n, ent = entries(t)
-            c = self.counts[ent]
-            stages.append((np.repeat(np.arange(idx.size), n), self.words[ent],
-                           c, c / np.repeat(self.totals[idx, t], n)))
+        def parts(a):
+            return [a[lo:hi] for lo, hi in zip([0] + ends, ends)]
+        if isinstance(counts, list):
+            c = np.concatenate(counts)
+        else:
+            c, words, counts = counts, parts(words), parts(counts)
+        rows = np.repeat(np.tile(np.arange(idx.size), T), n)
+        wn = c / np.repeat(self.totals[idx].T.ravel(), n)
         return Batch(
             x=self.x[idx], y_enc=self.y_enc[idx],
             cf_encs=self.cf_encs[:, idx], present=self.present[idx],
-            stages=stages)
+            stages=list(zip(parts(rows), words, counts, parts(wn))))
 
     def chunks(self):
         """(lo, hi, batch) of subjects lo to hi - 1, ROW_CHUNK at a time. A
         chunk's stage-t entries are one slice of the CSR arrays, so its
         words and counts are views of them."""
-        N = self.present.shape[0]
+        N, T = self.present.shape
         for lo in range(0, N, ROW_CHUNK):
             hi = min(lo + ROW_CHUNK, N)
-
-            def entries(t):
-                ptr = self.indptr[t * N + lo:t * N + hi + 1]
-                return np.diff(ptr), slice(ptr[0], ptr[-1])
-            yield lo, hi, self._batch(np.arange(lo, hi), entries)
+            ptr = [self.indptr[t * N + lo:t * N + hi + 1] for t in range(T)]
+            yield lo, hi, self._batch(
+                np.arange(lo, hi), np.concatenate([np.diff(p) for p in ptr]),
+                [self.words[p[0]:p[-1]] for p in ptr],
+                [self.counts[p[0]:p[-1]] for p in ptr])
 
 
 def stage_heads(batch, enc, eta0, shifts, inp, keep):
@@ -213,110 +214,128 @@ class LossResult:
     #                   sum(kl) - sum(nll) - dist_weight * sum(dist)
 
 
-# One stage of the forward: (1 + C, B, K) encoder heads, factual first, whose
-# enc_cache[0] is a view of work; (B, S, K) prior means; theta (B, M, K); the
-# nonzero cells' (nnz, M) probabilities; and dgrads None without a distance
-StageRecord = namedtuple("StageRecord", "mu sg enc_cache mu0 tr_cache theta"
-                         " rows cols layout c_nz p_nz dgrads kl nll dist")
+# The (T, 1 + C, B, K) heads, factual first, and per stage the encoder cache
+# (its inp a view of work); stage 0's (1, B, 1, K) and the later (T - 1, B,
+# M, K) prior means, per stage the transition cache; theta and eps (T, B, M,
+# K); the distance's (T, 1 or C, B, K) gradients, None without a distance
+Forward = namedtuple("Forward", "mu sg caches mu0 tr_caches theta eps dgrads")
 
 
-def _forward(batch, gen, enc, eps, bcols, kind, work, keep):
-    """Yield each stage's StageRecord in order; kind None skips the
-    counterfactuals. A record is built in a call of its own and not kept
-    here: a caller that drops each before the next holds one at a time."""
+def _forward(batch, gen, enc, eps, kind, work, keep):
+    """(kl, dist, theta, Forward or, without keep, None) of the stages;
+    kind None skips the counterfactuals."""
     B, T, M, K = eps.shape
-    scale = 1.0 / (B * M)
-
-    def stage(t, mu, sg, enc_cache, prev_eta, eta):
-        pm = batch.present[:, t]
-        S = prev_eta.shape[1]
-        side = np.concatenate([batch.x[:, t], batch.y_enc], axis=1)
-        tin = np.concatenate(
-            [prev_eta, np.broadcast_to(side[:, None], (B, S, side.shape[1]))],
-            axis=2).reshape(B * S, -1)
-        out, tr_cache = gen.transitions[t].forward(tin)
-        mu0 = out.reshape(B, S, K)
-        kl = scale * (M // S) * float(pm @ _kl_rows(
-            mu[0][:, None], sg[0][:, None], mu0, gen.sigma0).sum(axis=1))
-
-        # multinomial reconstruction at the nonzero counts (present cells)
-        rows, cols, c_nz, _ = batch.stages[t]
-        theta = softmax(eta, axis=2)
-        p_nz, *layout = nonzero_probs(theta, bcols[t], rows, cols)
-        logp = np.maximum(p_nz, PROB_FLOOR)
-        np.log(logp, out=logp)
-
-        # group distance (independent of the samples)
-        dgrads, dist = None, 0.0
-        if kind:
-            d, *dgrads = distance_with_grad(kind, mu[0], sg[0], mu[1:], sg[1:])
-            dist = float(pm @ d) / B
-        return StageRecord(
-            mu=mu, sg=sg, enc_cache=enc_cache, mu0=mu0, tr_cache=tr_cache,
-            theta=theta, rows=rows, cols=cols, layout=layout, c_nz=c_nz,
-            p_nz=p_nz, dgrads=dgrads, kl=kl,
-            nll=scale * float((c_nz @ logp).sum()), dist=dist)
-
+    scale, pm, s0 = 1.0 / (B * M), batch.present.T, gen.sigma0
     # the counterfactuals enter as shifts of the factual group columns
     shifts = (batch.cf_encs if kind else batch.cf_encs[:0]) - batch.y_enc
-    heads = stage_heads(batch, enc, gen.eta0, shifts, work, keep)
-    prev_eta = np.broadcast_to(gen.eta0, (B, 1, K))
-    for t, (mu, sg, enc_cache) in enumerate(heads):
-        eta = mu[0][:, None, :] + eps[:, t] * sg[0][:, None, :]
-        yield stage(t, mu, sg, enc_cache, prev_eta, eta)
-        prev_eta = eta
+    mu, sg, caches = zip(*((m, s, c if keep else None) for m, s, c in
+                           stage_heads(batch, enc, gen.eta0, shifts, work,
+                                       keep)))
+    mu, sg = np.stack(mu), np.stack(sg)
+    eps = np.ascontiguousarray(eps.transpose(1, 0, 2, 3))
+    eta = mu[:, 0, :, None] + eps * sg[:, 0, :, None]
+
+    # f_t of the S previous samples: eta0 (S = 1), then eta_{t-1} (S = M)
+    mu0, tr_caches, eta0 = [], [], np.broadcast_to(gen.eta0, (B, 1, K))
+    for t, prev in enumerate([eta0, *eta[:-1]]):
+        S = prev.shape[1]
+        side = np.concatenate([batch.x[:, t], batch.y_enc], axis=1)
+        out, cache = gen.transitions[t].forward(np.concatenate(
+            [prev, np.broadcast_to(side[:, None], (B, S, side.shape[1]))],
+            axis=2).reshape(B * S, -1))
+        mu0.append(out.reshape(B, S, K))
+        tr_caches.append(cache if keep else None)
+    mu0 = [mu0[0][None], np.array(mu0[1:]).reshape(T - 1, B, M, K)]
+    kl = []
+    for sl, m0 in zip((slice(0, 1), slice(1, T)), mu0):
+        rows = _kl_rows(mu[sl, 0, :, None], sg[sl, 0, :, None], m0, s0)
+        kl += [scale * (M // m0.shape[2]) * float(p @ r)
+               for p, r in zip(pm[sl], rows.sum(axis=2))]
+
+    # group distance (independent of the samples) on the T * B rows
+    dgrads, dist = None, [0.0] * T
+    if kind:
+        m, s = (np.moveaxis(a, 1, 0).reshape(-1, T * B, K) for a in (mu, sg))
+        d, *dgrads = distance_with_grad(kind, m[0], s[0], m[1:], s[1:])
+        dist = [float(p @ r) / B for p, r in zip(pm, d.reshape(T, B))]
+        dgrads = [np.moveaxis(g.reshape(-1, T, B, K), 0, 1) for g in dgrads]
+    theta = softmax(eta, axis=3)
+    return kl, dist, theta, Forward(
+        mu=mu, sg=sg, caches=caches, mu0=mu0, tr_caches=tr_caches,
+        theta=theta, eps=eps, dgrads=dgrads) if keep else None
 
 
-def _backward(records, gen, enc, eps, present, dist_weight):
+def _stage_nll(theta, bcols, stage, keep):
+    """A stage's multinomial term at its nonzero counts (present cells) and,
+    with keep, its (nnz, M) probabilities and their layout. A call of its
+    own: one stage's padded blocks are freed before the next's are built."""
+    rows, cols, c_nz, _ = stage
+    p_nz, *layout = nonzero_probs(theta, bcols, rows, cols)
+    logp = np.maximum(p_nz, PROB_FLOOR)
+    np.log(logp, out=logp)
+    scale = 1.0 / (theta.shape[0] * theta.shape[1])
+    return scale * float((c_nz @ logp).sum()), (p_nz, layout) if keep else None
+
+
+def _backward(f, recon, gen, enc, batch, dist_weight):
     """The gradient dict, with "bcols_stage" the (T, V, K) gradients on each
-    stage's topic rows, from the forward's list of records, which it pops
-    last stage first."""
-    B, T, M, K = eps.shape
-    s0, scale = gen.sigma0, 1.0 / (B * M)
+    stage's topic rows, from the Forward f and each stage's (p_nz, layout)
+    in recon."""
+    T, B, M, K = f.theta.shape
+    s0, scale, pm = gen.sigma0, 1.0 / (B * M), batch.present.T
+    w = scale * pm[:, :, None]
     grads = {}
+
+    # multinomial term through eta: the scaled count/prob ratio at the
+    # nonzero cells, 0 where p is floored, back through each padded gather
     gb = np.zeros((T, gen.beta.shape[0], K))
-    pending_gmu = np.zeros((B, K))
-    pending_geta = np.zeros((B, M, K))  # into eta[t] from stage t + 1
-    for t in range(T - 1, -1, -1):
-        r = records.pop()
-        mu_q, sg_q = r.mu[0], r.sg[0]
+    gtheta = np.empty_like(f.theta)
+    for t, (p_nz, layout) in enumerate(recon):
+        ratio = batch.stages[t][2][:, None] / np.maximum(p_nz, PROB_FLOOR)
+        ratio[~(p_nz > PROB_FLOOR)] = 0.0
+        gtheta[t], gb[t] = nonzero_backward(-scale * ratio, f.theta[t],
+                                            *layout, gb.shape[1])
+    geta = softmax_backward(f.theta, gtheta, axis=3)
 
-        # multinomial term through eta: the scaled count/prob ratio at the
-        # nonzero cells, back through the forward's padded gather
-        ratio = np.divide(
-            np.broadcast_to(r.c_nz[:, None], r.p_nz.shape), r.p_nz,
-            out=np.zeros_like(r.p_nz), where=r.p_nz > PROB_FLOOR)
-        gtheta, gb[t] = nonzero_backward(-scale * ratio, r.theta, *r.layout,
-                                         gb.shape[1])
-        geta = pending_geta + softmax_backward(r.theta, gtheta, axis=2)
-
-        # KL term: d/dmu_q = -d/dmu0 = (mu_q - mu0)/s0^2 and d/dsigma =
-        # -1/sg + sg/s0^2, each of the S prior means weighted M // S
-        w = scale * present[:, t][:, None]
-        S = r.mu0.shape[1]
-        gdiff = ((M // S) * w)[:, :, None] * (mu_q[:, None] - r.mu0) / s0 ** 2
-        gin, tg = gen.transitions[t].backward(r.tr_cache,
-                                              -gdiff.reshape(B * S, K))
-        pending_geta = gin[:, :K].reshape(B, S, K)  # unread after stage 1
+    # KL term: d/dmu_q = -d/dmu0 = (mu_q - mu0)/s0^2, each of the S prior
+    # means weighted M // S; f_t's input gradient is eta_{t-1}'s
+    gdiff = [((M // m0.shape[2]) * w[sl])[..., None]
+             * (f.mu[sl, 0, :, None] - m0) / s0 ** 2
+             for sl, m0 in zip((slice(0, 1), slice(1, T)), f.mu0)]
+    pending = 0.0
+    for t, g in reversed(list(enumerate([*gdiff[0], *gdiff[1]]))):
+        geta[t] += pending
+        gin, tg = gen.transitions[t].backward(f.tr_caches[t],
+                                              -g.reshape(-1, K))
+        pending = gin[:, :K].reshape(g.shape)  # unread after stage 1
         key = "trans" if gen.share_across_stages else f"trans{t}"
         for name, val in tg.items():
             # a shared model's first term itself, not 0 + it, keeps a -0.0
             at = f"{key}.{name}"
             grads[at] = grads[at] + val if at in grads else val
 
-        # the factual head's (mu, sigma) gradients; the distance's, all heads'
-        gmu_all = (pending_gmu + gdiff.sum(axis=1) + geta.sum(axis=1))[None]
-        gs_all = (M * w * (-1.0 / sg_q + sg_q / s0 ** 2)
-                  + (geta * eps[:, t]).sum(axis=1))[None]
-        if r.dgrads is not None:
-            dgmu, dgs, dgmu_c, dgs_c = r.dgrads
-            uw = (-dist_weight / B) * present[:, t][:, None]
-            gmu_all = np.concatenate([gmu_all + uw * dgmu, uw * dgmu_c])
-            gs_all = np.concatenate([gs_all + uw * dgs, uw * dgs_c])
+    # the heads' (mu, sigma) gradients but the factual mean's chained part;
+    # the KL's d/dsigma = -1/sg + sg/s0^2 and the distance's, all heads'
+    sg_q = f.sg[:, 0]
+    gs = (M * w * (-1.0 / sg_q + sg_q / s0 ** 2)
+          + (geta * f.eps).sum(axis=2))[:, None]
+    sums = np.concatenate([g.sum(axis=2) for g in gdiff]), geta.sum(axis=2)
+    gmu, udg = np.empty_like(f.mu), None
+    if f.dgrads is not None:
+        dgmu, dgs, dgmu_c, dgs_c = f.dgrads
+        uw = (-dist_weight / B) * pm[:, None, :, None]
+        udg, gmu[:, 1:] = uw * dgmu, uw * dgmu_c
+        gs = np.concatenate([gs + uw * dgs, uw * dgs_c], axis=1)
 
-        # one encoder backward for every head
-        pending_gmu, eg = enc.stages[t].backward(r.enc_cache, gmu_all, gs_all)
-        r.enc_cache[0][r.rows, r.cols] = 0.0
+    # one encoder backward for every head, last stage first
+    pending = 0.0
+    for t in range(T - 1, -1, -1):
+        gmu[t, 0] = pending + sums[0][t] + sums[1][t]
+        if udg is not None:
+            gmu[t, 0] += udg[t, 0]
+        pending, eg = enc.stages[t].backward(f.caches[t], gmu[t], gs[t])
+        rows, cols = batch.stages[t][:2]
+        f.caches[t][0][rows, cols] = 0.0
         grads.update((f"enc{t}.{name}", val) for name, val in eg.items())
     grads["bcols_stage"] = gb
     return grads
@@ -337,7 +356,6 @@ def longitudinal_loss(batch, gen, enc, cfg, eps, want_grads=True,
     work, when given, is the encoder-input buffer: B rows (T * B with
     gradients) or more, word columns all zeros, which the call leaves so;
     without one the call allocates its own, with the same bits.
-    With want_grads=False the call holds one stage's record at a time.
     """
     B, T, _ = batch.x.shape
     V, K = gen.beta.shape
@@ -366,17 +384,16 @@ def longitudinal_loss(batch, gen, enc, cfg, eps, want_grads=True,
     # a zero weight is exactly the "none" ablation: skip every
     # counterfactual pass, not just the final weighting
     kind = kind if kind != "none" and w_d != 0.0 else None
-    records = _forward(batch, gen, enc, eps, bcols, kind, work, want_grads)
-    if want_grads:
-        records = list(records)
-    # map drops each record before it asks the forward for the next
-    kl_t, nll_t, dist_t = np.array(list(zip(*map(
-        attrgetter("kl", "nll", "dist"), records))))
+    kl, dist, theta, fwd = _forward(batch, gen, enc, eps, kind, work,
+                                    want_grads)
+    nll, recon = zip(*(_stage_nll(theta[t], bcols[t], stage, want_grads)
+                       for t, stage in enumerate(batch.stages)))
+    kl_t, nll_t, dist_t = np.array([kl, nll, dist])
     res = LossResult(loss=float(kl_t.sum() - nll_t.sum() - w_d * dist_t.sum()),
                      grads=None,
                      components={"kl": kl_t, "nll": nll_t, "dist": dist_t})
     if want_grads:
-        res.grads = _backward(records, gen, enc, eps, batch.present, w_d)
+        res.grads = _backward(fwd, recon, gen, enc, batch, w_d)
         if stage_bcols is None:
             # beta through the per-column softmax, stages summed last first
             gb = res.grads.pop("bcols_stage")

@@ -26,8 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import read_entry, read_json, write_json
+from .corpus import BLOCK, read_entry, read_json, write_json
 from .errors import (
+    MAX_SAMPLE_ELEMENTS,
     ConfigError,
     FormatError,
     ShapeError,
@@ -216,7 +217,18 @@ class GroundTruth:
 
 def simulate(cfg):
     """Full generator: (Corpus, GroundTruth), fully determined by cfg (and its
-    seed). Draw order: topics, metadata, coefficients, documents."""
+    seed). Draw order: topics, metadata, coefficients, documents. ConfigError,
+    before any draw, when the (N, T, F) expanded covariates, (T, V, K) topics,
+    (T, N, K) proportions and the sampler's (BLOCK, V) draw buffer would hold
+    more than MAX_SAMPLE_ELEMENTS numbers."""
+    N, T, V, K = cfg.n_subjects, cfg.n_stages, cfg.vocab_size, cfg.n_topics
+    size = T * (N * cfg.n_design_features + V * K + N * K) + BLOCK * V
+    if size > MAX_SAMPLE_ELEMENTS:
+        raise ConfigError(
+            f"n_subjects={N}, n_stages={T}, n_covariates={cfg.n_covariates},"
+            f" vocab_size={V} and n_topics={K} make {size} numbers of"
+            f" covariates, topics, proportions and draws, above the cap"
+            f" {MAX_SAMPLE_ELEMENTS}")
     rng = np.random.default_rng(cfg.seed)
     beta_true = sample_topics(cfg, rng)
     covariates, groups = sample_metadata(cfg, rng)

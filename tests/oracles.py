@@ -8,7 +8,8 @@ loop forms of the group-distance kernel (one pass per counterfactual), of
 the evaluation metrics (topic alignment, UMass coherence, perplexity and the
 group probe, the probe also in its earlier (samples, groups) layout) and of
 the topic chain (its KL and gradients stage by stage, the column-softmax
-Jacobian one matrix at a time), which the stacked and vectorized kernels must
+Jacobian one matrix at a time) and of the whole loss (every row-local term
+on one stage's rows at a time), which the stacked and vectorized kernels must
 match bit for bit; the reconstruction's
 backward through a dense (B * M, V) block and the encoder's whole input
 gradient, which the padded backward and the previous-mean columns must match to
@@ -33,10 +34,17 @@ from longtopic import corpus as corpus_module
 from longtopic.corpus import Corpus
 from longtopic.errors import NumericError, ShapeError, UnknownDistance
 from longtopic.evaluate import _as_stack, _topic_kl_matrix, top_words
+from longtopic.inference.loss import (
+    LossResult,
+    nonzero_backward,
+    nonzero_probs,
+    stage_heads,
+)
 from longtopic.inference.networks import SIGMA_MIN, sigmoid
 from longtopic.inference.terms import (
     DISTANCE_KINDS,
     _kl_rows,
+    _member_sum,
     distance_with_grad,
 )
 from longtopic.model import (
@@ -46,6 +54,7 @@ from longtopic.model import (
     encode_groups,
     sample_corpus,
     softmax,
+    softmax_backward,
 )
 
 
@@ -495,6 +504,120 @@ def reconstruction_backward_ref(g, theta, bcols, rows, cols):
     R[rows, :, cols] = g
     R = R.reshape(B * M, -1)
     return (R @ bcols).reshape(B, M, K), R.T @ theta.reshape(B * M, K)
+
+
+# -- the loss stage by stage --------------------------------------------------
+
+
+def _loss_stage_ref(batch, gen, eps, bcols, kind, t, mu, sg, cache,
+                    prev_eta, eta):
+    """One stage's terms and what its backward reads, each row-local term
+    computed on this stage's rows alone."""
+    B, T, M, K = eps.shape
+    scale = 1.0 / (B * M)
+    pm = batch.present[:, t]
+    S = prev_eta.shape[1]
+    side = np.concatenate([batch.x[:, t], batch.y_enc], axis=1)
+    tin = np.concatenate(
+        [prev_eta, np.broadcast_to(side[:, None], (B, S, side.shape[1]))],
+        axis=2).reshape(B * S, -1)
+    out, tr_cache = gen.transitions[t].forward(tin)
+    mu0 = out.reshape(B, S, K)
+    kl = scale * (M // S) * float(pm @ _kl_rows(
+        mu[0][:, None], sg[0][:, None], mu0, gen.sigma0).sum(axis=1))
+    rows, cols, c_nz, _ = batch.stages[t]
+    theta = softmax(eta, axis=2)
+    p_nz, *layout = nonzero_probs(theta, bcols[t], rows, cols)
+    logp = np.log(np.maximum(p_nz, PROB_FLOOR))
+    dgrads, dist = None, 0.0
+    if kind:
+        d, *dgrads = distance_with_grad(kind, mu[0], sg[0], mu[1:], sg[1:])
+        dist = float(pm @ d) / B
+    return SimpleNamespace(
+        mu=mu, sg=sg, enc_cache=cache, mu0=mu0, tr_cache=tr_cache,
+        theta=theta, rows=rows, cols=cols, layout=layout, c_nz=c_nz,
+        p_nz=p_nz, dgrads=dgrads, kl=kl,
+        nll=scale * float((c_nz @ logp).sum()), dist=dist)
+
+
+def _loss_backward_ref(records, gen, enc, eps, present, dist_weight):
+    """The gradient dict from the stage records, last stage first: each
+    stage's reconstruction, KL, transition, distance and encoder backward in
+    turn."""
+    B, T, M, K = eps.shape
+    s0, scale = gen.sigma0, 1.0 / (B * M)
+    grads = {}
+    gb = np.zeros((T, gen.beta.shape[0], K))
+    pending_gmu = np.zeros((B, K))
+    pending_geta = np.zeros((B, M, K))
+    for t in range(T - 1, -1, -1):
+        r = records[t]
+        mu_q, sg_q = r.mu[0], r.sg[0]
+        ratio = np.divide(
+            np.broadcast_to(r.c_nz[:, None], r.p_nz.shape), r.p_nz,
+            out=np.zeros_like(r.p_nz), where=r.p_nz > PROB_FLOOR)
+        gtheta, gb[t] = nonzero_backward(-scale * ratio, r.theta, *r.layout,
+                                         gb.shape[1])
+        geta = pending_geta + softmax_backward(r.theta, gtheta, axis=2)
+        w = scale * present[:, t][:, None]
+        S = r.mu0.shape[1]
+        gdiff = ((M // S) * w)[:, :, None] * (mu_q[:, None] - r.mu0) / s0 ** 2
+        gin, tg = gen.transitions[t].backward(r.tr_cache,
+                                              -gdiff.reshape(B * S, K))
+        pending_geta = gin[:, :K].reshape(B, S, K)
+        key = "trans" if gen.share_across_stages else f"trans{t}"
+        for name, val in tg.items():
+            at = f"{key}.{name}"
+            grads[at] = grads[at] + val if at in grads else val
+        gmu_all = (pending_gmu + gdiff.sum(axis=1) + geta.sum(axis=1))[None]
+        gs_all = (M * w * (-1.0 / sg_q + sg_q / s0 ** 2)
+                  + (geta * eps[:, t]).sum(axis=1))[None]
+        if r.dgrads is not None:
+            dgmu, dgs, dgmu_c, dgs_c = r.dgrads
+            uw = (-dist_weight / B) * present[:, t][:, None]
+            gmu_all = np.concatenate([gmu_all + uw * dgmu, uw * dgmu_c])
+            gs_all = np.concatenate([gs_all + uw * dgs, uw * dgs_c])
+        pending_gmu, eg = enc.stages[t].backward(r.enc_cache, gmu_all, gs_all)
+        grads.update((f"enc{t}.{name}", val) for name, val in eg.items())
+    grads["bcols_stage"] = gb
+    return grads
+
+
+def longitudinal_loss_ref(batch, gen, enc, cfg, eps, want_grads=True,
+                          stage_bcols=None):
+    """longitudinal_loss stage by stage: each stage's transition, KL rows,
+    softmax, reconstruction and distance on its own (B, ...) rows, and the
+    backward walking the stages last first, each stage's terms in turn.
+    The batched call must match it bit for bit."""
+    B, T, M, K = eps.shape
+    V = gen.beta.shape[0]
+    kind, w_d = cfg.dist_kind, cfg.dist_weight
+    kind = kind if kind != "none" and w_d != 0.0 else None
+    bcols = (np.broadcast_to(column_softmax(gen.beta), (T, V, K))
+             if stage_bcols is None else stage_bcols)
+    work = np.zeros((T * B, enc.stages[0].in_dim))
+    shifts = (batch.cf_encs if kind else batch.cf_encs[:0]) - batch.y_enc
+    records = []
+    prev_eta = np.broadcast_to(gen.eta0, (B, 1, K))
+    for t, (mu, sg, cache) in enumerate(
+            stage_heads(batch, enc, gen.eta0, shifts, work, True)):
+        eta = mu[0][:, None, :] + eps[:, t] * sg[0][:, None, :]
+        records.append(_loss_stage_ref(batch, gen, eps, bcols, kind, t, mu,
+                                       sg, cache, prev_eta, eta))
+        prev_eta = eta
+    kl_t, nll_t, dist_t = np.array([[getattr(r, k) for r in records]
+                                    for k in ("kl", "nll", "dist")])
+    res = LossResult(loss=float(kl_t.sum() - nll_t.sum() - w_d * dist_t.sum()),
+                     grads=None,
+                     components={"kl": kl_t, "nll": nll_t, "dist": dist_t})
+    if want_grads:
+        res.grads = _loss_backward_ref(records, gen, enc, eps, batch.present,
+                                       w_d)
+        if stage_bcols is None:
+            gb = res.grads.pop("bcols_stage")
+            res.grads["beta"] = softmax_backward(
+                bcols[0], _member_sum(gb[::-1]), axis=0)
+    return res
 
 
 # -- the per-stage topic chain, one matrix at a time --------------------------

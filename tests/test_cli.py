@@ -337,6 +337,39 @@ def test_a_model_beyond_the_cap_is_one_named_error_under_a_memory_limit(
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs preexec_fn")
+@pytest.mark.parametrize("setting", ["sim.vocab_size=100000000",
+                                     "sim.vocab_size=5000000",
+                                     "sim.n_subjects=1000000000",
+                                     "sim.n_covariates=1000000000"])
+def test_a_simulation_beyond_the_cap_is_one_named_error_under_a_memory_limit(
+        tmp_path, setting):
+    """Each asked numpy for 2.2 to 447 GiB of topics, draws or covariates, a
+    raw MemoryError under this address-space limit; the limit binds in the
+    child only. At vocab_size=5000000 the topics fit and the sampler's
+    (256, V) draw buffer, 9.5 GiB, did not."""
+    import resource
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (4 * 2 ** 30, 4 * 2 ** 30))
+    base = {"sim.n_subjects": "30", "sim.vocab_size": "50",
+            "sim.n_stages": "2", "sim.n_topics": "3"}
+    key, value = setting.split("=")
+    base[key] = value
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep
+               .join([SRC, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "longtopic", "simulate", "--out",
+         str(tmp_path / "out"), "--seed", "3",
+         *(arg for k, v in base.items() for arg in ("--set", f"{k}={v}"))],
+        capture_output=True, text=True, env=env, preexec_fn=limit)
+    assert proc.returncode == 1
+    assert proc.stderr.count("\n") == 1, proc.stderr
+    assert proc.stderr.startswith("error: ConfigError: "), proc.stderr
+    assert setting.split(".")[1] in proc.stderr
+    assert not (tmp_path / "out").exists()
+
+
 def test_failed_fit_and_eval_create_no_output_directory(tmp_path, capsys):
     out = tmp_path / "run"
     assert main(["simulate", "--out", str(out), "--seed", "3", *SIM,

@@ -20,7 +20,12 @@ from longtopic.inference.terms import (
     distance_with_grad,
 )
 from longtopic.inference.trainer import TrainConfig, default_init
-from longtopic.model import column_softmax, default_vocab, softmax
+from longtopic.model import (
+    column_softmax,
+    default_vocab,
+    softmax,
+    softmax_backward,
+)
 from longtopic.simulate import SimConfig, simulate
 from oracles import (
     batch_ref,
@@ -30,6 +35,7 @@ from oracles import (
     encoder_input_grad_ref,
     gaussian_kl_term,
     group_distance,
+    longitudinal_loss_ref,
     multinomial_log_likelihood,
     reconstruction_backward_ref,
 )
@@ -685,3 +691,105 @@ def test_first_stage_prior_is_the_sample_free_formula(data):
                                 if k.startswith("trans0."))
     for name, val in tg.items():
         assert res.grads[f"trans0.{name}"].tobytes() == val.tobytes()
+
+
+def _same_bits(got, want):
+    """Equal values, NaNs included, and equal signs, zeros included."""
+    got, want = np.asarray(got), np.asarray(want)
+    return (got.shape == want.shape
+            and np.array_equal(got, want, equal_nan=True)
+            and np.array_equal(np.signbit(got), np.signbit(want)))
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_the_batched_loss_is_the_stage_by_stage_loss_bit_for_bit(data):
+    T = data.draw(st.integers(1, 5), label="T")
+    C = data.draw(st.integers(1, 6), label="C")
+    M = data.draw(st.integers(1, 5), label="M")
+    K = data.draw(st.integers(1, 4), label="K")
+    kind = data.draw(st.sampled_from(DISTANCE_KINDS), label="kind")
+    weight = data.draw(st.sampled_from([0.0, 0.7]), label="dist_weight")
+    shared = data.draw(st.booleans(), label="shared transitions")
+    hidden = data.draw(st.sampled_from([0, 3]), label="hidden_trans")
+    given_bcols = data.draw(st.booleans(), label="stage_bcols")
+    scale = data.draw(st.sampled_from([0.3, 4.0]), label="init_scale")
+    seed = data.draw(st.integers(0, 2**16), label="seed")
+    rng = np.random.default_rng(seed)
+    N, V, G = 6, 7, C + 1
+    missing = rng.random((N, T)) < 0.25
+    counts = rng.integers(0, 3, size=(N, T, V))
+    counts[missing] = 0
+    counts[~missing, rng.integers(0, V)] += 1
+    groups = rng.integers(0, G, size=N)
+    groups[:2] = 0, G - 1
+    corpus = Corpus.from_dense(counts, rng.standard_normal((N, T, 2)),
+                               groups, default_vocab(V),
+                               allow_missing=bool(missing.any()), n_groups=G)
+    cfg = make_cfg(n_topics=K, m_samples=M, dist_kind=kind,
+                   dist_weight=weight, share_transitions=shared,
+                   hidden_trans=hidden, hidden_enc=5, init_scale=scale,
+                   seed=seed)
+    gen, enc = default_init(corpus, cfg)
+    idx = rng.permutation(N)[:rng.integers(1, N + 1)]
+    batch = CorpusArrays(corpus).batch(idx)
+    B = batch.x.shape[0]
+    eps = rng.standard_normal((B, T, M, K))
+    bcols = softmax(rng.standard_normal((T, V, K)), axis=1) \
+        if given_bcols else None
+
+    want = longitudinal_loss_ref(batch, gen, enc, cfg, eps,
+                                 stage_bcols=bcols)
+    for want_grads in (False, True):
+        got = longitudinal_loss(batch, gen, enc, cfg, eps, want_grads,
+                                stage_bcols=bcols)
+        assert _same_bits(got.loss, want.loss)
+        assert sorted(got.components) == sorted(want.components)
+        for name, val in want.components.items():
+            assert _same_bits(got.components[name], val), name
+        assert (got.grads is None) == (not want_grads)
+    assert sorted(got.grads) == sorted(want.grads)
+    for name, val in want.grads.items():
+        assert _same_bits(got.grads[name], val), name
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_row_kernels_on_stacked_stages_are_the_per_stage_bits(data):
+    # the batched loss runs these on T stages' rows at once
+    T = data.draw(st.integers(1, 5), label="T")
+    C = data.draw(st.integers(1, 6), label="C")
+    B = data.draw(st.integers(1, 5), label="B")
+    M = data.draw(st.integers(1, 9), label="M")
+    K = data.draw(st.integers(1, 10), label="K")
+    kind = data.draw(st.sampled_from(DISTANCE_KINDS), label="kind")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**31 - 1)))
+    mu = rng.standard_normal((T, B, K))
+    mu_c = rng.standard_normal((C, T, B, K))
+    sg = np.exp(rng.standard_normal((T, B, K)))
+    sg_c = np.exp(rng.standard_normal((C, T, B, K)))
+
+    got = distance_with_grad(kind, mu.reshape(T * B, K),
+                             sg.reshape(T * B, K), mu_c.reshape(C, T * B, K),
+                             sg_c.reshape(C, T * B, K))
+    for t in range(T):
+        want = distance_with_grad(kind, mu[t], sg[t], mu_c[:, t], sg_c[:, t])
+        for g, w in zip(got, want):
+            g = g.reshape(-1, T, B, *w.shape[2:])[:, t] if g.ndim == 3 \
+                else g.reshape(T, B, *w.shape[1:])[t]
+            assert _same_bits(g, w), kind
+
+    # KL rows against M prior means per row, and the samples' softmax
+    mu0 = rng.standard_normal((T, B, M, K))
+    s0 = float(np.exp(rng.standard_normal()))
+    rows = _kl_rows(mu[:, :, None], sg[:, :, None], mu0, s0).sum(axis=2)
+    eta = 3.0 * rng.standard_normal((T, B, M, K))
+    theta = softmax(eta, axis=3)
+    g = rng.standard_normal((T, B, M, K))
+    back = softmax_backward(theta, g, axis=3)
+    for t in range(T):
+        assert _same_bits(rows[t], _kl_rows(mu[t][:, None], sg[t][:, None],
+                                             mu0[t], s0).sum(axis=1))
+        assert _same_bits(theta[t], softmax(eta[t], axis=2))
+        assert _same_bits(back[t], softmax_backward(theta[t], g[t], axis=2))
+        assert _same_bits(back.sum(axis=2)[t], back[t].sum(axis=1))

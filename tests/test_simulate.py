@@ -1,4 +1,5 @@
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -290,3 +291,20 @@ def test_load_truth_rejects_a_non_object(tmp_path):
     fname.write_text("[1, 2]\n")
     with pytest.raises(FormatError, match="missing key"):
         load_truth(fname)
+
+
+@pytest.mark.parametrize("kind", ["linear", "nonlinear"])
+def test_the_cap_counts_covariates_topics_proportions_and_draws(monkeypatch,
+                                                                kind):
+    cfg = SimConfig(n_subjects=7, n_stages=3, vocab_size=11, n_topics=2,
+                    n_covariates=4, prior_kind=kind, basis=("x", "atan"))
+    F = 4 if kind == "linear" else 8
+    size = 7 * 3 * F + 3 * 11 * 2 + 3 * 7 * 2 + 256 * 11
+    # the package's simulate attribute is the function, not the module
+    module = sys.modules[simulate.__module__]
+    monkeypatch.setattr(module, "MAX_SAMPLE_ELEMENTS", size)
+    corpus, truth = simulate(cfg)
+    assert corpus.n_subjects == 7 and truth.beta_true.shape == (3, 11, 2)
+    monkeypatch.setattr(module, "MAX_SAMPLE_ELEMENTS", size - 1)
+    with pytest.raises(ConfigError, match=f"make {size} numbers"):
+        simulate(cfg)
