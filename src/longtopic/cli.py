@@ -17,11 +17,11 @@ unknown key, a block that is not an object, or a path or scalar of the wrong
 type or out of its bound fails every command before it starts, as does a bad
 field of a sim or train block the command uses (ConfigError). Seeds are >= 0;
 --seed sets both; pipeline repeat i runs at base_seed + i into out/seed_<s>/.
-A fit whose Monte-Carlo tensors would exceed MAX_SAMPLE_ELEMENTS numbers is a
-ConfigError naming m_samples, and one whose model would, a ConfigError naming
-n_topics, hidden_enc and hidden_trans. Exit status is 0 on success, 1 on any
-named error (message on stderr); the same config and seed give the same JSON
-bytes.
+A fit whose Monte-Carlo tensors would exceed the cap of errors.check_size is a
+ConfigError naming m_samples, one whose encoder-input buffer would, naming
+batch_size, and one whose model would, naming n_topics, hidden_enc and
+hidden_trans. Exit status is 0 on success, 1 on any named error (message on
+stderr); the same config and seed give the same JSON bytes.
 """
 
 from __future__ import annotations

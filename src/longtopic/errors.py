@@ -1,15 +1,16 @@
-"""Named error types, and the type and bound rules of config settings.
+"""Named error types, the type and bound rules of settings, and the size cap.
 
 Every validation failure in the package maps to one of these; callers never see a
 half-constructed object or a bare ValueError from the public API.
 """
 
 import dataclasses
+import math
 import numbers
 
-# the most float64 numbers (2 GiB) that one allocation sized by a setting or
-# a file may hold: a Monte-Carlo tensor, a model, a corpus's counterfactual
-# group encodings, a simulation's covariates, topics and proportions
+# the most float64 numbers (2 GiB) that the arrays of one check_size call may
+# hold: a fit's buffer, a model, a corpus's counterfactual group encodings,
+# a simulation's covariates, topics, proportions and draws
 MAX_SAMPLE_ELEMENTS = 2 ** 28
 
 
@@ -67,6 +68,16 @@ class DegenerateDesign(LongtopicError):
 
 class ConfigError(LongtopicError):
     """Invalid or incomplete experiment configuration."""
+
+
+def check_size(error, what, *shapes):
+    """error(f"{what} {count} numbers, above the cap ...") when arrays of
+    these shapes would hold more than MAX_SAMPLE_ELEMENTS numbers together;
+    what is the message up to the count. The only comparison with the cap."""
+    size = sum(math.prod(s) for s in shapes)
+    if size > MAX_SAMPLE_ELEMENTS:
+        raise error(f"{what} {size} numbers, above the cap"
+                    f" {MAX_SAMPLE_ELEMENTS}")
 
 
 # a setting's declared type -> (accepted Python types, how a message names it)

@@ -130,13 +130,10 @@ def fit_dynamic_topics(corpus, cfg):
         frozen[:] = [_topic_terms(mu_b, rho_b, eval_eps_b, gen, var)]
 
     def batch_loss(batch, eps, want_grads, work):
-        if want_grads:
-            return _dynamic_batch(batch, gen, enc, cfg, eps, mu_b, rho_b,
-                                  rng_b.standard_normal(out=eps_b), inv_n,
-                                  var, want_grads, work=work)
-        return _dynamic_batch(batch, gen, enc, cfg, eps, mu_b, rho_b,
-                              eval_eps_b, inv_n, var, want_grads, work=work,
-                              topics=frozen[0])
+        noise, topics = ((rng_b.standard_normal(out=eps_b), None) if want_grads
+                         else (eval_eps_b, frozen[0]))
+        return _dynamic_batch(batch, gen, enc, cfg, eps, mu_b, rho_b, noise,
+                              inv_n, var, want_grads, work=work, topics=topics)
 
     log, converged = _run_epochs(corpus, registry, cfg, batch_loss,
                                  begin_eval)

@@ -52,8 +52,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..corpus import ROW_CHUNK
-from ..errors import (MAX_SAMPLE_ELEMENTS, NumericError, ShapeError,
-                      UnknownDistance)
+from ..errors import NumericError, ShapeError, UnknownDistance, check_size
 from ..model import (
     PROB_FLOOR,
     column_softmax,
@@ -78,16 +77,14 @@ class Batch:
 class CorpusArrays:
     """Encoder-ready views of a corpus, sliceable into batches: its CSR
     counts (int64) and (N, T) cell totals, nothing nnz-sized of its own.
-    ShapeError first if its counterfactual encodings would exceed
-    MAX_SAMPLE_ELEMENTS numbers."""
+    ShapeError first if its (G - 1, N, E) counterfactual encodings would
+    exceed the cap (errors.check_size)."""
 
     def __init__(self, corpus):
         G, N = corpus.n_groups, corpus.n_subjects
-        size = (G - 1) * N * group_encoding_dim(G)
-        if size > MAX_SAMPLE_ELEMENTS:
-            raise ShapeError(f"{G} groups of {N} subjects need {size} numbers"
-                             f" of counterfactual group encodings, above the"
-                             f" cap {MAX_SAMPLE_ELEMENTS}")
+        check_size(ShapeError, f"the counterfactual group encodings of {G}"
+                   f" groups of {N} subjects make",
+                   (G - 1, N, group_encoding_dim(G)))
         self.indptr, self.words, self.counts = (corpus.indptr, corpus.words,
                                                 corpus.counts)
         self.totals = corpus.total_counts()

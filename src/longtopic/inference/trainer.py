@@ -34,7 +34,6 @@ import math
 import mmap
 import os
 import pickle
-import select
 import signal
 import threading
 from contextlib import contextmanager
@@ -53,6 +52,7 @@ from ..errors import (
     UnknownDistance,
     VocabMismatch,
     check_field_types,
+    check_size,
     setting,
 )
 from ..model import (
@@ -62,8 +62,7 @@ from ..model import (
     group_encoding_dim,
     softmax,
 )
-from .loss import (MAX_SAMPLE_ELEMENTS, CorpusArrays, longitudinal_loss,
-                   stage_heads)
+from .loss import CorpusArrays, longitudinal_loss, stage_heads
 from .networks import EncoderParams, StageEncoder
 from .terms import DISTANCE_KINDS
 
@@ -107,23 +106,21 @@ def default_init(corpus, cfg):
     """Fresh (GenerativeParams, EncoderParams) for a corpus, sized from the
     config; a deterministic function of cfg.seed. ConfigError, before any
     draw, when the model's blocks (with dynamic_topics_var set, also the
-    (T, V, K) topic moments) would hold more than MAX_SAMPLE_ELEMENTS
-    numbers."""
+    (T, V, K) topic moments) would hold more numbers than the cap
+    (errors.check_size)."""
     V, K, T, P = (corpus.vocab_size, cfg.n_topics, corpus.n_stages,
                   corpus.n_features)
     E = group_encoding_dim(corpus.n_groups)
-    size = 2 * V * K + K + sum(     # beta, beta0_mean, eta0 and the blocks
-        n * sum(math.prod(s) for _, s in shapes) for n, shapes in (
-            (1 if cfg.share_transitions else T, TransitionModel.param_shapes(
-                K, K + P + E, cfg.hidden_trans)),
-            (T, StageEncoder.param_shapes(V, P, E, K, cfg.hidden_enc))))
-    if cfg.dynamic_topics_var is not None:
-        size += 2 * T * V * K
-    if size > MAX_SAMPLE_ELEMENTS:
-        raise ConfigError(
-            f"n_topics={K}, hidden_enc={cfg.hidden_enc} and hidden_trans="
-            f"{cfg.hidden_trans} make a model of {size} numbers, above the"
-            f" cap {MAX_SAMPLE_ELEMENTS}")
+    blocks = [(n, *s) for n, shapes in (
+        (1 if cfg.share_transitions else T,
+         TransitionModel.param_shapes(K, K + P + E, cfg.hidden_trans)),
+        (T, StageEncoder.param_shapes(V, P, E, K, cfg.hidden_enc)))
+        for _, s in shapes]
+    # beta and beta0_mean, eta0, the blocks and the dynamic topic moments
+    check_size(ConfigError,
+               f"n_topics={K}, hidden_enc={cfg.hidden_enc} and hidden_trans="
+               f"{cfg.hidden_trans} make a model of", (2, V, K), (K,), *blocks,
+               (0 if cfg.dynamic_topics_var is None else 2, T, V, K))
     rng = np.random.default_rng([cfg.seed, 0])
     gen = GenerativeParams.init(
         V, K, T, P, corpus.n_groups, hidden=cfg.hidden_trans,
@@ -242,6 +239,7 @@ class FittedModel:
 
 class _InProcess:
     """Evaluates the full-data loss in this process, when it is asked."""
+    overlaps = False
 
     def __init__(self, full_loss):
         self.full_loss = full_loss
@@ -251,9 +249,6 @@ class _InProcess:
             self.answer = True, self.full_loss()
         except Exception as e:
             self.answer = False, e
-
-    def ready(self):
-        return True
 
     def result(self):
         ok, value = self.answer
@@ -266,6 +261,7 @@ class _Helper:
     """A process, forked once per fit or report, that calls full_loss() on
     the registry values that submit() copies into a shared snapshot, while
     this process works on. stop() ends and reaps it."""
+    overlaps = True
 
     def __init__(self, registry, full_loss):
         self.registry = registry
@@ -328,9 +324,6 @@ class _Helper:
         except BrokenPipeError:  # result() names the ended helper
             pass
 
-    def ready(self):
-        return bool(select.select([self.answers], [], [], 0)[0])
-
     def result(self):
         try:
             ok, value = pickle.load(self.answers)
@@ -389,15 +382,16 @@ def _run_epochs(corpus, registry, cfg, batch_loss, begin_eval=None):
     with work the fit's encoder-input buffer to pass on to
     longitudinal_loss; the loop draws the eps tensors, steps the optimizer
     over the registry, logs the full-data loss before training and after
-    each epoch and applies the stop rule. Returns (log, converged). Before
-    it allocates anything, ConfigError when a Monte-Carlo tensor, or one
-    padded (rows, L, M) or (rows, L, K) block of the loss's reconstruction
-    (L <= V), would hold more than MAX_SAMPLE_ELEMENTS numbers.
+    each epoch and applies the stop rule. Returns (log, converged).
 
-    Every large buffer of the fit is allocated once, here: the encoder inputs
-    (sized for the full-data evaluation's chunk and the training batch's T
-    stages; a short batch or chunk takes prefix views of it) and one
-    (rows, T, M, K) eps buffer. The training eps and, chunk by chunk from a
+    Every large buffer of the fit is allocated once, here: the (max(rows,
+    T * min(N, batch_size)), V + P + E + K) encoder inputs (the full-data
+    evaluation's chunk or the training batch's T stages; a short batch or
+    chunk takes prefix views of it) and one (rows, T, M, K) eps buffer, rows
+    the larger of the chunk and the batch, at most N. Before it allocates
+    anything, ConfigError when either, or the (rows, V, max(M, K)) bound on
+    a loss call's padded reconstruction block, would hold more numbers than
+    the cap (errors.check_size). The training eps and, chunk by chunk from a
     fresh [seed, 1] generator, the frozen evaluation eps (one (N, T, M, K)
     draw's numbers) are drawn into it in place. begin_eval(), when given,
     is called before each full-data evaluation, which may run in another
@@ -406,19 +400,22 @@ def _run_epochs(corpus, registry, cfg, batch_loss, begin_eval=None):
     N, T, V = corpus.n_subjects, corpus.n_stages, corpus.vocab_size
     K, M = cfg.n_topics, cfg.m_samples
     rows = min(N, max(ROW_CHUNK, cfg.batch_size))
-    for what, size in (("(rows, T, M, K) eval eps", rows * T * M * K),
-                       ("(rows, V, max(M, K)) padded loss block",
-                        rows * V * max(M, K))):
-        if size > MAX_SAMPLE_ELEMENTS:
-            raise ConfigError(
-                f"m_samples={M} with n_topics={K} needs {size} numbers in"
-                f" the {what}, above the cap {MAX_SAMPLE_ELEMENTS}")
+    eps_shape = (rows, T, M, K)
+    work_shape = (max(rows, T * min(N, cfg.batch_size)), V + corpus.n_features
+                  + group_encoding_dim(corpus.n_groups) + K)
+    samples = f"m_samples={M} with n_topics={K} make a"
+    check_size(ConfigError, f"{samples} (rows, T, M, K) eval eps of",
+               eps_shape)
+    check_size(ConfigError, f"{samples} (rows, V, max(M, K)) padded loss"
+               f" block of", (rows, V, max(M, K)))
+    check_size(ConfigError, f"batch_size={cfg.batch_size} with {T} stages"
+               f" make a (max(rows, T * min(N, batch_size)), V + P + E + K)"
+               f" encoder-input buffer of", work_shape)
     arrays = CorpusArrays(corpus)
-    work = np.zeros((max(rows, T * min(N, cfg.batch_size)),
-                     V + corpus.n_features + arrays.y_enc.shape[1] + K))
+    work = np.zeros(work_shape)
     opt = Optimizer(registry, cfg)
     rng = np.random.default_rng([cfg.seed, 2])
-    eps_buf = np.empty((rows, T, M, K))
+    eps_buf = np.empty(eps_shape)
 
     def full_loss():
         if begin_eval is not None:
@@ -482,10 +479,9 @@ def _run_epochs(corpus, registry, cfg, batch_loss, begin_eval=None):
             _evaluator(registry, full_loss) as ev:
         ev.submit()
         for epoch in range(1, cfg.t_max + 1):
-            # train epoch while epoch - 1 is evaluated, unless its loss is
-            # in already; what the serial loop would raise or return first
-            # still wins
-            ahead, failed = not ev.ready(), None
+            # a helper evaluates epoch - 1 while this process trains epoch;
+            # what the serial loop would raise or return first still wins
+            ahead, failed = ev.overlaps, None
             if ahead:
                 try:
                     train_epoch(epoch)

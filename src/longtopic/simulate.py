@@ -28,12 +28,12 @@ import numpy as np
 
 from .corpus import BLOCK, read_entry, read_json, write_json
 from .errors import (
-    MAX_SAMPLE_ELEMENTS,
     ConfigError,
     FormatError,
     ShapeError,
     check_field_types,
     check_setting,
+    check_size,
     setting,
 )
 from .model import default_vocab, sample_corpus, softmax
@@ -220,15 +220,13 @@ def simulate(cfg):
     seed). Draw order: topics, metadata, coefficients, documents. ConfigError,
     before any draw, when the (N, T, F) expanded covariates, (T, V, K) topics,
     (T, N, K) proportions and the sampler's (BLOCK, V) draw buffer would hold
-    more than MAX_SAMPLE_ELEMENTS numbers."""
+    more numbers than the cap (errors.check_size)."""
     N, T, V, K = cfg.n_subjects, cfg.n_stages, cfg.vocab_size, cfg.n_topics
-    size = T * (N * cfg.n_design_features + V * K + N * K) + BLOCK * V
-    if size > MAX_SAMPLE_ELEMENTS:
-        raise ConfigError(
-            f"n_subjects={N}, n_stages={T}, n_covariates={cfg.n_covariates},"
-            f" vocab_size={V} and n_topics={K} make {size} numbers of"
-            f" covariates, topics, proportions and draws, above the cap"
-            f" {MAX_SAMPLE_ELEMENTS}")
+    check_size(ConfigError,
+               f"the covariates, topics, proportions and draws of n_subjects="
+               f"{N}, n_stages={T}, n_covariates={cfg.n_covariates},"
+               f" vocab_size={V} and n_topics={K} make",
+               (N, T, cfg.n_design_features), (T, V, K), (T, N, K), (BLOCK, V))
     rng = np.random.default_rng(cfg.seed)
     beta_true = sample_topics(cfg, rng)
     covariates, groups = sample_metadata(cfg, rng)

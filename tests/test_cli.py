@@ -370,6 +370,41 @@ def test_a_simulation_beyond_the_cap_is_one_named_error_under_a_memory_limit(
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs preexec_fn")
+def test_an_encoder_input_buffer_beyond_the_cap_is_one_named_error(tmp_path):
+    """64 subjects over 100 stages of V = 1e5 words, 5 each, and one
+    covariate (1.5 MB of files): the fit's (T * batch_size, V + P + E + K)
+    encoder inputs asked numpy for 4.77 GiB, a raw MemoryError under this
+    address-space limit, while the model and the padded loss block passed
+    the cap. hidden_enc = 1 keeps the model the child draws at 85 MB; the
+    limit binds in the child only."""
+    import resource
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (4 * 2 ** 30, 4 * 2 ** 30))
+    N, T, V = 64, 100, 10 ** 5
+    rng = np.random.default_rng(0)
+    records = [(i, t, dict.fromkeys(rng.choice(V, 5, replace=False).tolist(),
+                                    1)) for t in range(T) for i in range(N)]
+    save_corpus(Corpus.build(records, rng.standard_normal((N, T, 1)),
+                             np.arange(N) % 2, default_vocab(V)),
+                tmp_path / "corpus")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep
+               .join([SRC, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "longtopic", "fit", "--out",
+         str(tmp_path / "out"), "--set", "train.n_topics=3", "--set",
+         "train.t_max=1", "--set", "train.hidden_enc=1", "--set",
+         f'paths.corpus="{tmp_path / "corpus"}"'],
+        capture_output=True, text=True, env=env, preexec_fn=limit)
+    assert proc.returncode == 1
+    assert proc.stderr.count("\n") == 1, proc.stderr
+    assert proc.stderr.startswith("error: ConfigError: batch_size=64 "), \
+        proc.stderr
+    assert "encoder-input buffer of 640032000 numbers" in proc.stderr
+    assert not (tmp_path / "out").exists()
+
+
 def test_failed_fit_and_eval_create_no_output_directory(tmp_path, capsys):
     out = tmp_path / "run"
     assert main(["simulate", "--out", str(out), "--seed", "3", *SIM,

@@ -1,9 +1,9 @@
 import json
-import sys
 
 import numpy as np
 import pytest
 
+from longtopic import errors
 from longtopic.corpus import load_corpus, save_corpus
 from longtopic.errors import ConfigError, FormatError, ShapeError
 from longtopic.simulate import (
@@ -300,11 +300,9 @@ def test_the_cap_counts_covariates_topics_proportions_and_draws(monkeypatch,
                     n_covariates=4, prior_kind=kind, basis=("x", "atan"))
     F = 4 if kind == "linear" else 8
     size = 7 * 3 * F + 3 * 11 * 2 + 3 * 7 * 2 + 256 * 11
-    # the package's simulate attribute is the function, not the module
-    module = sys.modules[simulate.__module__]
-    monkeypatch.setattr(module, "MAX_SAMPLE_ELEMENTS", size)
+    monkeypatch.setattr(errors, "MAX_SAMPLE_ELEMENTS", size)
     corpus, truth = simulate(cfg)
     assert corpus.n_subjects == 7 and truth.beta_true.shape == (3, 11, 2)
-    monkeypatch.setattr(module, "MAX_SAMPLE_ELEMENTS", size - 1)
+    monkeypatch.setattr(errors, "MAX_SAMPLE_ELEMENTS", size - 1)
     with pytest.raises(ConfigError, match=f"make {size} numbers"):
         simulate(cfg)

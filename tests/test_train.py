@@ -11,8 +11,10 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from longtopic import errors
 from longtopic.corpus import Corpus, write_json
 from longtopic.errors import (
+    MAX_SAMPLE_ELEMENTS,
     ConfigError,
     DivergedError,
     FormatError,
@@ -23,7 +25,7 @@ from longtopic.errors import (
 )
 from longtopic.inference import trainer
 from longtopic.inference.dynamic import fit_dynamic_topics
-from longtopic.inference.loss import MAX_SAMPLE_ELEMENTS, longitudinal_loss
+from longtopic.inference.loss import longitudinal_loss
 from longtopic.inference.trainer import (
     Optimizer,
     TrainConfig,
@@ -224,6 +226,45 @@ def test_monte_carlo_tensors_beyond_the_cap_are_config_errors():
     with pytest.raises(ConfigError, match="m_samples=100000000 .* eval eps"):
         fit_dynamic_topics(corpus, fast_cfg(m_samples=10 ** 8,
                                             dynamic_topics_var=0.5))
+
+
+def test_an_encoder_input_buffer_beyond_the_cap_is_a_config_error():
+    # 64 subjects over 100 stages of V = 1e5 words and one covariate: the
+    # (T * min(N, batch_size), V + P + E + K) encoder inputs hold 6.4e8
+    # numbers, while the model at hidden_enc = 8 (8.1e7), the padded block
+    # (3.2e7) and the eval eps pass the cap. The fit reads only these
+    # dimensions before its checks, and the registry may be empty.
+    corpus = SimpleNamespace(n_subjects=64, n_stages=100, vocab_size=10 ** 5,
+                             n_features=1, n_groups=2)
+    cfg = fast_cfg(n_topics=3, m_samples=5, hidden_enc=8, batch_size=64)
+    gen = SimpleNamespace(beta=np.zeros(0), share_across_stages=False,
+                          transitions=[])
+    with pytest.raises(ConfigError, match=(
+            "batch_size=64 .* encoder-input buffer of 640032000 numbers")):
+        train(corpus, gen, SimpleNamespace(stages=[]), cfg)
+
+
+# (T, m_samples, batch_size) of a two-topic fit on 10 subjects, V = 4, P =
+# 2, E = 1, so rows = 10, where the named buffer holds the most numbers: the
+# (rows, T, M, K) eval eps, the (rows, V, max(M, K)) padded loss block and
+# the (max(rows, T * min(N, batch_size)), V + P + E + K) encoder inputs
+BUFFERS = [("eval eps", (3, 3, 2), 10 * 3 * 3 * 2),
+           ("padded loss block", (1, 10, 2), 10 * 4 * 10),
+           ("encoder-input buffer", (3, 1, 10), 30 * (4 + 2 + 1 + 2))]
+
+
+@pytest.mark.parametrize("buffer, dims, size", BUFFERS)
+def test_the_fit_counts_each_buffer_it_allocates(monkeypatch, buffer, dims,
+                                                 size):
+    T, M, B = dims
+    corpus = two_topic_corpus(N=10, T=T)
+    cfg = fast_cfg(m_samples=M, batch_size=B, t_max=1)
+    gen, enc = default_init(corpus, cfg)  # under the real cap
+    monkeypatch.setattr(errors, "MAX_SAMPLE_ELEMENTS", size - 1)
+    with pytest.raises(ConfigError, match=f"{buffer} of {size} numbers"):
+        train(corpus, gen, enc, cfg)
+    monkeypatch.setattr(errors, "MAX_SAMPLE_ELEMENTS", size)
+    assert len(train(corpus, gen, enc, cfg).log) == 2
 
 
 def test_a_model_beyond_the_cap_is_a_config_error_before_any_draw():
